@@ -23,9 +23,10 @@ import random
 import sys
 from typing import Optional
 
-from . import dsl, explorer, protocols, specs
+from . import dsl, explorer, kernel, protocols, specs
 from . import mapping as mappingmod
-from .kernel import ModelError, Program, State, UniverseCapError, state_cap
+from .kernel import (DEFAULT_STATE_CAP, ModelError, Program, State,
+                     UniverseCapError)
 from .mapping import IdenticalMapping
 
 SCHEMA_VERSION = 1
@@ -56,7 +57,7 @@ def _add_protocol_options(sub: argparse.ArgumentParser):
     sub.add_argument("--cap", type=int, metavar="STATES",
                      help="universe size cap (default %d, or the "
                           "STABILIQ_STATE_CAP environment variable)"
-                          % state_cap())
+                          % DEFAULT_STATE_CAP)
 
 
 def _parse_ids(text: str) -> tuple:
@@ -127,14 +128,14 @@ def _mapping_for(program: Program, bundle):
 # --------------------------------------------------------------------------
 # verify.
 
-def _pif_coverage(program: Program) -> specs.Verdict:
+def _pif_coverage(program: Program, cap: Optional[int]) -> specs.Verdict:
     """Classify every universe state against the extended wave predicates
     and report how much of the universe they cover. This is an analysis,
     not a property: it always completes, and the uncovered states are the
     finding."""
     total = 0
     uncovered = []
-    for state in program.signature.states():
+    for state in kernel.universe(program, cap):
         total += 1
         if not specs.pif_prime(state):
             uncovered.append(state)
@@ -164,7 +165,7 @@ def cmd_verify(args) -> int:
     if args.check == "pif-coverage":
         if bundle is None or bundle.name != "pif":
             raise UsageError("pif-coverage applies to --protocol pif")
-        verdict = _pif_coverage(program)
+        verdict = _pif_coverage(program, args.cap)
     elif args.check == "closed":
         pred = _resolve_predicate(bundle, args.predicate or default_pred)
         ts = explorer.build_transition_system(program, cap=args.cap)

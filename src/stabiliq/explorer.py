@@ -12,8 +12,9 @@ graphs with stuttering eliminated.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import kernel
 from .kernel import ModelError, Program, Signature, State
@@ -24,19 +25,26 @@ POLICIES = ("uniform-random", "round-robin")
 class TransitionSystem:
     """The labeled transition graph over a program's full state universe.
 
-    Nodes are state ids (the canonical mixed-radix encoding); `adj[i]` lists
-    `(position, action name, target id)` triples in canonical action order.
-    Distinct actions with the same source and target keep separate edges;
-    self-loops are retained.
+    Nodes are state ids, the canonical mixed-radix encoding, and `states[i]`
+    is the State with id i. Edges are stored as flat CSR arrays: the
+    out-edges of node i are the indices k in `offsets[i]:offsets[i + 1]`,
+    `targets[k]` is the target id, and `actions[k]` is an action id, an
+    index into `program.action_order`. Each node's edges follow canonical
+    action order. `edges(i)` decodes them to `(position, action name,
+    target id)` triples. Distinct actions with the same source and target
+    keep separate edges; self-loops are retained.
     """
 
-    __slots__ = ("program", "signature", "states", "adj")
+    __slots__ = ("program", "signature", "states", "offsets", "targets",
+                 "actions")
 
-    def __init__(self, program: Program, states, adj):
+    def __init__(self, program: Program, states, offsets, targets, actions):
         self.program = program
         self.signature = program.signature
         self.states = states
-        self.adj = adj
+        self.offsets = offsets
+        self.targets = targets
+        self.actions = actions
 
     @property
     def size(self) -> int:
@@ -45,8 +53,20 @@ class TransitionSystem:
     def state(self, i: int) -> State:
         return self.states[i]
 
+    def label(self, k: int) -> tuple[int, str]:
+        """The (position, action name) of edge k."""
+        return self.program.action_order[self.actions[k]]
+
+    def edges(self, i: int) -> Iterator[tuple[int, str, int]]:
+        """The out-edges of node i as (position, action name, target id)
+        triples, in canonical action order."""
+        order = self.program.action_order
+        for k in range(self.offsets[i], self.offsets[i + 1]):
+            pos, name = order[self.actions[k]]
+            yield pos, name, self.targets[k]
+
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj)
+        return len(self.targets)
 
     def __repr__(self):
         return "TransitionSystem(%r, %d states, %d edges)" % (
@@ -56,16 +76,24 @@ class TransitionSystem:
 def build_transition_system(program: Program,
                             cap: Optional[int] = None) -> TransitionSystem:
     """Materialize the complete transition graph, one node per universe
-    state. Refuses universes above the size cap."""
-    states = list(kernel.universe(program, cap))
-    adj = []
-    for s in states:
-        row = []
-        for pos, name in kernel.enabled_actions(program, s):
-            t = kernel.apply(program, s, pos, name)
-            row.append((pos, name, t.index))
-        adj.append(tuple(row))
-    return TransitionSystem(program, tuple(states), tuple(adj))
+    state. Refuses universes above the size cap.
+
+    Edges come from the program's window tables (kernel.compile_windows):
+    each position contributes the row its window code selects."""
+    universe = kernel.universe(program, cap)
+    tables = [(t.low_weight, t.span, t.rows)
+              for t in kernel.compile_windows(program)]
+    offsets = array("q", [0])
+    targets: list[int] = []
+    actions: list[int] = []
+    for sid in range(len(universe)):
+        for low_weight, span, rows in tables:
+            for action, delta in rows[sid // low_weight % span]:
+                targets.append(sid + delta)
+                actions.append(action)
+        offsets.append(len(targets))
+    return TransitionSystem(program, tuple(universe), offsets,
+                            array("q", targets), array("i", actions))
 
 
 # --------------------------------------------------------------------------
@@ -97,6 +125,7 @@ class Condensation:
 def condense(ts: TransitionSystem) -> Condensation:
     """Tarjan's algorithm, iterative to survive deep universes."""
     n = ts.size
+    offsets, targets = ts.offsets, ts.targets
     UNSEEN = -1
     index = [UNSEEN] * n
     low = [0] * n
@@ -108,48 +137,45 @@ def condense(ts: TransitionSystem) -> Condensation:
     for root in range(n):
         if index[root] != UNSEEN:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        scc_stack.append(root)
+        on_stack[root] = 1
+        # Each frame holds an iterator over its node's remaining targets.
+        work = [(root, iter(targets[offsets[root]:offsets[root + 1]]))]
         while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                scc_stack.append(v)
-                on_stack[v] = 1
-            recurse = False
-            adj = ts.adj[v]
-            while ei < len(adj):
-                w = adj[ei][2]
-                ei += 1
+            v, out = work[-1]
+            for w in out:
                 if index[w] == UNSEEN:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    recurse = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    scc_stack.append(w)
+                    on_stack[w] = 1
+                    work.append((w, iter(targets[offsets[w]:offsets[w + 1]])))
                     break
                 if on_stack[w] and index[w] < low[v]:
                     low[v] = index[w]
-            if recurse:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = scc_stack.pop()
-                    on_stack[w] = 0
-                    comp_of[w] = len(components)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(sorted(comp)))
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = scc_stack.pop()
+                        on_stack[w] = 0
+                        comp_of[w] = len(components)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(tuple(sorted(comp)))
     comp_edges = [set() for _ in components]
     has_loop = [False] * len(components)
     for s in range(n):
         c = comp_of[s]
-        for _, _, t in ts.adj[s]:
+        for t in targets[offsets[s]:offsets[s + 1]]:
             if comp_of[t] == c:
                 has_loop[c] = True
             else:
@@ -165,7 +191,9 @@ def condense(ts: TransitionSystem) -> Condensation:
 
 def terminals(ts: TransitionSystem) -> list[State]:
     """States with no enabled action, in canonical order."""
-    return [ts.states[i] for i in range(ts.size) if not ts.adj[i]]
+    offsets = ts.offsets
+    return [ts.states[i] for i in range(ts.size)
+            if offsets[i] == offsets[i + 1]]
 
 
 # --------------------------------------------------------------------------
@@ -190,25 +218,29 @@ def find_cycle(ts: TransitionSystem, nodes: Iterable[int],
     filter (edge_ok(source, position, action, target)), or None. Self-loops
     count as cycles of length one."""
     keep = set(nodes)
+    offsets, targets, actions = ts.offsets, ts.targets, ts.actions
+    order = ts.program.action_order
+
+    def out_edges(v):
+        for k in range(offsets[v], offsets[v + 1]):
+            t = targets[k]
+            if t in keep:
+                pos, name = order[actions[k]]
+                if edge_ok is None or edge_ok(v, pos, name, t):
+                    yield pos, name, t
+
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in keep}
-    sub = {}
-    for v in keep:
-        sub[v] = [
-            (pos, name, t) for pos, name, t in ts.adj[v]
-            if t in keep and (edge_ok is None or edge_ok(v, pos, name, t))]
+    color = dict.fromkeys(keep, WHITE)
     in_label: dict[int, tuple[int, str]] = {}
     for start in sorted(keep):
         if color[start] != WHITE:
             continue
         color[start] = GRAY
-        path = [(start, 0)]
+        # Each frame holds a generator over its node's remaining edges.
+        path = [(start, out_edges(start))]
         while path:
-            v, ei = path[-1]
-            edges = sub[v]
-            if ei < len(edges):
-                path[-1] = (v, ei + 1)
-                pos, name, w = edges[ei]
+            v, out = path[-1]
+            for pos, name, w in out:
                 if color[w] == GRAY:
                     at = next(k for k, (u, _) in enumerate(path) if u == w)
                     ids = [u for u, _ in path[at:]]
@@ -218,7 +250,8 @@ def find_cycle(ts: TransitionSystem, nodes: Iterable[int],
                 if color[w] == WHITE:
                     color[w] = GRAY
                     in_label[w] = (pos, name)
-                    path.append((w, 0))
+                    path.append((w, out_edges(w)))
+                    break
             else:
                 color[v] = BLACK
                 path.pop()
@@ -368,8 +401,8 @@ def induced_specification(program: Program, mapping,
     edges = set()
     for i in range(ts.size):
         ms = mapped[i]
-        for _, _, t in ts.adj[i]:
-            mt = mapped[t]
+        for k in range(ts.offsets[i], ts.offsets[i + 1]):
+            mt = mapped[ts.targets[k]]
             if ms != mt:
                 edges.add((ms, mt))
     return InducedSpecification(bound.signature, nodes, frozenset(edges))
@@ -396,7 +429,7 @@ def to_dot(ts: TransitionSystem,
             attrs.append('style=filled, fillcolor=lightblue')
         out.append("  s%d [%s];" % (i, ", ".join(attrs)))
     for i in range(ts.size):
-        for pos, action, t in ts.adj[i]:
+        for pos, action, t in ts.edges(i):
             out.append('  s%d -> s%d [label="%d:%s"];' % (i, t, pos, action))
     out.append("}")
     return "\n".join(out) + "\n"

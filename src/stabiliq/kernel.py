@@ -25,17 +25,20 @@ DEFAULT_STATE_CAP = 10_000_000
 
 def state_cap(cap: Optional[int] = None) -> int:
     """The effective universe size cap: an explicit argument wins, then the
-    STABILIQ_STATE_CAP environment variable, then the built-in default."""
-    if cap is not None:
-        return cap
-    env = os.environ.get("STABILIQ_STATE_CAP")
-    if not env:
-        return DEFAULT_STATE_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ModelError(
-            "STABILIQ_STATE_CAP must be an integer, not %r" % env) from None
+    STABILIQ_STATE_CAP environment variable, then the built-in default.
+    A cap that is not a positive integer is a ModelError."""
+    if cap is None:
+        env = os.environ.get("STABILIQ_STATE_CAP")
+        if not env:
+            return DEFAULT_STATE_CAP
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ModelError("STABILIQ_STATE_CAP must be an integer, "
+                             "not %r" % env) from None
+    if cap <= 0:
+        raise ModelError("the universe cap must be positive, not %d" % cap)
+    return cap
 
 LEFT, SELF, RIGHT = -1, 0, 1
 OFFSET_NAMES = {LEFT: "left", SELF: "self", RIGHT: "right"}
@@ -645,6 +648,68 @@ def _exec_stmts(program: Program, pos: int, stmts, values: list) -> None:
             branch = stmt.then if eval_guard(program, pos, stmt.cond, values) \
                 else stmt.orelse
             _exec_stmts(program, pos, branch, values)
+
+
+# --------------------------------------------------------------------------
+# Window tables: the actions of each position compiled over its window.
+
+@dataclass(frozen=True)
+class WindowTable:
+    """The actions of one position, compiled over every valuation of the
+    position's window (its own slots and both neighbors').
+
+    Slots are position-major, so the window is a contiguous run of digits of
+    the state id, and the window code of state id `sid` is
+    `(sid // low_weight) % span`. `rows[code]` holds one
+    `(action id, state-id delta)` pair per enabled action, in declaration
+    order; action ids index `program.action_order`, and the successor's id
+    is `sid + delta`. An empty row means no action of the position is
+    enabled.
+    """
+
+    low_weight: int
+    span: int
+    rows: tuple
+
+    def row(self, sid: int) -> tuple:
+        return self.rows[sid // self.low_weight % self.span]
+
+
+def compile_windows(program: Program) -> tuple[WindowTable, ...]:
+    """One WindowTable per position, in position order.
+
+    Each table runs the interpreter once per window valuation, so compiling
+    costs the sum over positions of span times action count guard
+    evaluations: never more than |universe| times |actions|."""
+    sig = program.signature
+    radices = sig.radices
+    tables = []
+    first_id = 0
+    for proc in program.processes:
+        window = sig.window_slots(proc.index)
+        lo = window[0] if window else 0
+        hi = window[-1] + 1 if window else 0
+        low_weight = 1
+        for r in radices[hi:]:
+            low_weight *= r
+        values = [0] * len(radices)
+        rows = []
+        for code, combo in enumerate(
+                itertools.product(*(range(r) for r in radices[lo:hi]))):
+            values[lo:hi] = combo
+            row = []
+            for k, action in enumerate(proc.actions):
+                if eval_guard(program, proc.index, action.guard, values):
+                    after = list(values)
+                    _exec_stmts(program, proc.index, action.command, after)
+                    moved = 0
+                    for i in range(lo, hi):
+                        moved = moved * radices[i] + after[i]
+                    row.append((first_id + k, (moved - code) * low_weight))
+            rows.append(tuple(row))
+        tables.append(WindowTable(low_weight, len(rows), tuple(rows)))
+        first_id += len(proc.actions)
+    return tuple(tables)
 
 
 # --------------------------------------------------------------------------

@@ -177,14 +177,11 @@ class EnabledOutputMapping(StateMapping):
 
     def bind(self, program: Program) -> BoundMapping:
         sig = Signature((p.index, self.output, BOOL) for p in program.processes)
-        procs = program.processes
+        tables = kernel.compile_windows(program)
 
         def fn(state: State) -> State:
-            out = tuple(
-                1 if any(kernel.eval_guard(program, p.index, a.guard, state.values)
-                         for a in p.actions) else 0
-                for p in procs)
-            return State(sig, out)
+            sid = state.index
+            return State(sig, tuple(1 if t.row(sid) else 0 for t in tables))
 
         return BoundMapping(sig, fn)
 

@@ -166,6 +166,25 @@ def _cycle_witness(cycle: explorer.Cycle) -> dict:
     }
 
 
+def _escaping_edge(ts: explorer.TransitionSystem, inside) -> Optional[dict]:
+    """The first edge from a state inside the set to one outside it, as an
+    edge witness, or None when the set is closed."""
+    offsets, targets = ts.offsets, ts.targets
+    for i in range(ts.size):
+        if not inside[i]:
+            continue
+        for k in range(offsets[i], offsets[i + 1]):
+            t = targets[k]
+            if not inside[t]:
+                return {
+                    "kind": "edge",
+                    "source": ts.states[i].text(),
+                    "target": ts.states[t].text(),
+                    "action": _label(*ts.label(k)),
+                }
+    return None
+
+
 class _Clock:
     def __init__(self):
         self.t0 = time.perf_counter()
@@ -183,21 +202,7 @@ def check_closed(program: Program, pred: Callable[[State], bool],
     clock = _Clock()
     ts = ts if ts is not None else explorer.build_transition_system(program)
     inside = [pred(s) for s in ts.states]
-    witness = None
-    for i in range(ts.size):
-        if not inside[i]:
-            continue
-        for pos, name, t in ts.adj[i]:
-            if not inside[t]:
-                witness = {
-                    "kind": "edge",
-                    "source": ts.states[i].text(),
-                    "target": ts.states[t].text(),
-                    "action": _label(pos, name),
-                }
-                break
-        if witness:
-            break
+    witness = _escaping_edge(ts, inside)
     stats = {"states": ts.size, "edges": ts.edge_count(),
              "predicate_states": sum(inside), "elapsed_ms": clock.ms()}
     return Verdict("closed", witness is None, witness, stats)
@@ -262,23 +267,17 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     def fail(witness: dict) -> Verdict:
         return Verdict(_check_name, False, witness, stats(), notes)
 
+    offsets, targets = ts.offsets, ts.targets
+
     # Closure: no edge may leave the invariant.
-    for i in range(ts.size):
-        if not inv[i]:
-            continue
-        for pos, name, t in ts.adj[i]:
-            if not inv[t]:
-                notes.append("invariant is not closed")
-                return fail({
-                    "kind": "edge",
-                    "source": ts.states[i].text(),
-                    "target": ts.states[t].text(),
-                    "action": _label(pos, name),
-                })
+    escape = _escaping_edge(ts, inv)
+    if escape is not None:
+        notes.append("invariant is not closed")
+        return fail(escape)
 
     # Convergence: terminals inside, no cycle entirely outside.
     for i in range(ts.size):
-        if not ts.adj[i] and not inv[i]:
+        if offsets[i] == offsets[i + 1] and not inv[i]:
             notes.append("terminal state outside the invariant")
             return fail({"kind": "terminal", "state": ts.states[i].text()})
     cycle = explorer.cycles_outside(ts, lambda s: inv[s.index])
@@ -299,14 +298,15 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     for i in range(ts.size):
         if not inv[i]:
             continue
-        for pos, name, t in ts.adj[i]:
+        for k in range(offsets[i], offsets[i + 1]):
+            t = targets[k]
             if inv[t] and mapped[i] != mapped[t] \
                     and not spec.allowed_edge(mapped[i], mapped[t]):
                 return fail({
                     "kind": "disallowed-edge",
                     "source": ts.states[i].text(),
                     "target": ts.states[t].text(),
-                    "action": _label(pos, name),
+                    "action": _label(*ts.label(k)),
                     "mapped_source": mapped[i].text(),
                     "mapped_target": mapped[t].text(),
                 })

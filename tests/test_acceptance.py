@@ -47,7 +47,7 @@ def test_conflict_manager_grants_stay_exclusive():
         for c in cond.bottoms:
             comp = cond.components[c]
             assert any(ts.states[i].values != ts.states[t].values
-                       for i in comp for _, _, t in ts.adj[i])
+                       for i in comp for _, _, t in ts.edges(i))
         # divergence findings are reported under the documented policy
         verdict = check_ideal_stabilizing(program, bundle.mapping,
                                           udp_spec(len(ids)), ts=ts)
@@ -111,7 +111,7 @@ def test_wave_chain_stabilizes_to_the_strict_cycle(tmp_path):
         wave = [pif_wave(s) for s in ts.states]
         # (a) closed: zero escaping edges, counted directly
         escapes = sum(1 for i in range(ts.size) if wave[i]
-                      for _, _, t in ts.adj[i] if not wave[t])
+                      for _, _, t in ts.edges(i) if not wave[t])
         assert escapes == 0
         # (b) convergent: no terminal, no cycle outside the family
         assert explorer.terminals(ts) == []
@@ -302,7 +302,7 @@ def test_samples_round_trip_onto_the_builtins():
         ts_a = explorer.build_transition_system(parsed)
         ts_b = explorer.build_transition_system(builtin)
         assert ts_a.size == ts_b.size
-        assert [sorted(row) for row in ts_a.adj] == \
-            [sorted(row) for row in ts_b.adj], filename
+        assert [sorted(ts_a.edges(i)) for i in range(ts_a.size)] == \
+            [sorted(ts_b.edges(i)) for i in range(ts_b.size)], filename
     R.note("test_samples_round_trip_onto_the_builtins",
            "four samples identical to their builders at N=4")

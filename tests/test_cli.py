@@ -226,3 +226,30 @@ def test_universe_cap_exits_2(capsys):
                        "--protocol", "la", "--n", "8", "--cap", "100")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_nonpositive_cap_exits_2(capsys, cap):
+    code, out, err = run(capsys, "verify", "--check", "ideal",
+                         "--protocol", "cm", "--n", "3", "--cap", cap)
+    assert code == 2
+    assert "error: the universe cap must be positive" in err
+    assert "ideal" not in out
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_cap_environment_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("STABILIQ_STATE_CAP", value)
+    code, _, err = run(capsys, "verify", "--check", "ideal",
+                       "--protocol", "cm", "--n", "3")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_pif_coverage_respects_the_cap(capsys):
+    code, out, err = run(capsys, "verify", "--check", "pif-coverage",
+                         "--protocol", "pif", "--n", "6", "--cap", "10")
+    assert code == 2
+    assert "324 states, above the cap of 10" in err
+    assert "satisfy" not in out

@@ -44,7 +44,7 @@ def test_transition_system_matches_the_kernel_successors():
     ts = explorer.build_transition_system(prog)
     succ = helpers.successor_table(prog)
     for i in range(ts.size):
-        assert sorted({t for _, _, t in ts.adj[i]}) == succ[i]
+        assert sorted({t for _, _, t in ts.edges(i)}) == succ[i]
 
 
 def test_transition_system_respects_the_cap():
@@ -60,7 +60,7 @@ def test_edges_match_an_independent_wave_reference():
     ts = explorer.build_transition_system(prog)
     sig = prog.signature
     for i, s in enumerate(ts.states):
-        got = sorted((p, a, t) for p, a, t in ts.adj[i])
+        got = sorted((p, a, t) for p, a, t in ts.edges(i))
         ref = sorted(
             (p, a, sig.state({(q, "st"): v
                               for q, v in enumerate(nv, start=1)}).index)
@@ -249,7 +249,7 @@ def test_induced_specification_drops_stutter_edges():
     ind2 = explorer.induced_specification(abp.program, abp.mapping)
     ts = explorer.build_transition_system(abp.program)
     plain = {(ts.states[i], ts.states[t])
-             for i in range(ts.size) for _, _, t in ts.adj[i]
+             for i in range(ts.size) for _, _, t in ts.edges(i)
              if i != t}
     assert ind2.edges == frozenset(plain)
 

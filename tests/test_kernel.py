@@ -1,7 +1,7 @@
 """Kernel semantics: domains, signatures, state encoding, action firing."""
 import pytest
 
-from stabiliq import kernel, protocols
+from stabiliq import explorer, kernel, protocols
 from stabiliq.kernel import (
     BOOL, Action, And, Assign, BoolLit, Cmp, DisabledActionError, Domain,
     If, Lit, ModelError, NotRef, Process, Program, Signature, UniverseCapError,
@@ -138,6 +138,10 @@ def test_commands_read_their_own_writes_in_order():
         extra_vars=(VariableDecl("y", BOOL, "internal"),))
     start = prog.signature.parse_state("x=false y=false")
     assert kernel.apply(prog, start, 1, "go").text() == "x=true y=true"
+    # the compiled transition system follows the same sequential semantics
+    ts = explorer.build_transition_system(prog)
+    ((_, _, target),) = ts.edges(start.index)
+    assert ts.state(target).text() == "x=true y=true"
 
 
 def test_if_branches_follow_the_condition():

@@ -226,7 +226,7 @@ def cmd_impossibility(args) -> int:
             raise UsageError("le needs --n")
         fixture = protocols.make_le(args.n)
         sig = fixture.signature
-        allowed, disallowed = fixture.allowed, fixture.disallowed
+        allowed, disallowed = fixture.allowed, None
         subject = "le chain length %d" % args.n
     elif args.allowed_file and args.disallowed_file:
         try:

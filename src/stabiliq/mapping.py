@@ -8,10 +8,14 @@ highest-identifier rule, the alternator enabled-rule).
 The second half of this module is the impossibility engine. A mapping must be
 merge-symmetric: whenever a specification state can be assembled so that each
 position's extended window of external variables already occurs in some mapped
-state, the assembled state must itself have a program preimage. Iterating
-that assembly step to a fixpoint yields the merge closure of a state set, and
-a specification whose closure of allowed states reaches a disallowed state
-admits no ideally stabilizing program at all.
+state, the assembled state must itself have a program preimage. One
+assembly step yields the merge closure of a state set: a state is admitted
+only when each of its windows already occurs, so admitting it adds no window
+and a second step admits nothing new. The closure is thus the set of states
+whose every window occurs in the input, and it is assembled window by window
+along the chain, never by scanning the universe. A specification whose
+closure of allowed states reaches a disallowed state admits no ideally
+stabilizing program at all.
 """
 from __future__ import annotations
 
@@ -207,8 +211,60 @@ def image_of_universe(program: Program, mapping: StateMapping,
 # member of the set agrees with the candidate on that whole window; the
 # candidate is then the consistent assembly of those members.
 
-def _window_table(sig: Signature):
-    return {pos: sig.window_slots(pos) for pos in sig.positions}
+def _window_sets(sig: Signature, states) -> dict:
+    """Per position, the set of extended windows the states show."""
+    return {p: {tuple(s.values[i] for i in sig.window_slots(p))
+                for s in states}
+            for p in sig.positions}
+
+
+def _assemble(sig: Signature, win_sets: dict):
+    """Yield the value tuples of the states of sig whose extended window at
+    every position lies in win_sets[position].
+
+    Such a state is a chain of windows, one per position in order, in which
+    each window agrees with the next on the slots they share. The windows
+    holding any one slot are consecutive in that chain, so agreement between
+    neighbors is agreement everywhere. A right-to-left pass keeps only the
+    windows from which the chain can be finished, so the left-to-right walk
+    never backtracks: O(N·|windows|) to prune plus O(N) per state yielded,
+    and the universe is never scanned.
+    """
+    positions = sig.positions
+    slots = [sig.window_slots(p) for p in positions]
+    # links[j]: where the slots shared by windows j and j+1 sit in each
+    links = []
+    for left, right in zip(slots, slots[1:]):
+        shared = [i for i in left if i in right]
+        links.append((tuple(left.index(i) for i in shared),
+                      tuple(right.index(i) for i in shared)))
+    # successors[j]: the finishable windows of position j+1, grouped by
+    # their values on the slots shared with position j
+    successors = [None] * len(links)
+    alive = sorted(win_sets[positions[-1]])
+    for j in range(len(links) - 1, -1, -1):
+        left_at, right_at = links[j]
+        successors[j] = groups = {}
+        for w in alive:
+            groups.setdefault(tuple(w[k] for k in right_at), []).append(w)
+        alive = sorted(w for w in win_sets[positions[j]]
+                       if tuple(w[k] for k in left_at) in groups)
+    values = [0] * len(sig.slots)
+    last = len(positions) - 1
+    stack = [iter(alive)]
+    while stack:
+        j = len(stack) - 1
+        w = next(stack[j], None)
+        if w is None:
+            stack.pop()
+            continue
+        for i, v in zip(slots[j], w):
+            values[i] = v
+        if j == last:
+            yield tuple(values)
+        else:
+            stack.append(iter(
+                successors[j][tuple(w[k] for k in links[j][0])]))
 
 
 def _resolve_signature(states, signature):
@@ -226,37 +282,19 @@ def _resolve_signature(states, signature):
 
 def merge_closure_generations(states, signature: Optional[Signature] = None
                               ) -> dict:
-    """Merge closure with provenance: maps each member of the closure to the
-    iteration that admitted it (0 for the inputs). Breadth-first, so every
-    state's generation is minimal."""
+    """Merge closure with provenance: maps each input state to 0 and every
+    other member of the closure to 1.
+
+    One assembly step reaches the fixpoint. A state is admitted only when
+    every one of its windows already occurs in the input, so admitting it
+    adds no window, and a second step could admit only what the first did.
+    The closure is exactly the set of states whose every extended window
+    occurs in the input.
+    """
     states, sig = _resolve_signature(states, signature)
-    windows = _window_table(sig)
-    positions = sig.positions
-    gens: dict = {}
-    win_sets = {p: set() for p in positions}
-    for s in states:
-        if s not in gens:
-            gens[s] = 0
-            for p in positions:
-                win_sets[p].add(tuple(s.values[i] for i in windows[p]))
-    if not gens:
-        return gens
-    pending = [c for c in sig.states() if c not in gens]
-    gen = 0
-    while pending:
-        gen += 1
-        admitted = [
-            c for c in pending
-            if all(tuple(c.values[i] for i in windows[p]) in win_sets[p]
-                   for p in positions)]
-        if not admitted:
-            break
-        for c in admitted:
-            gens[c] = gen
-            for p in positions:
-                win_sets[p].add(tuple(c.values[i] for i in windows[p]))
-        dropped = {c.values for c in admitted}
-        pending = [c for c in pending if c.values not in dropped]
+    gens = dict.fromkeys(states, 0)
+    for values in _assemble(sig, _window_sets(sig, gens)):
+        gens.setdefault(State(sig, values), 1)
     return gens
 
 
@@ -266,46 +304,40 @@ def merge_closure(states, signature: Optional[Signature] = None) -> frozenset:
 
 
 def check_merge_symmetry(program: Program, mapping: StateMapping,
-                         spec_states=None) -> Optional[State]:
+                         spec_states=None,
+                         cap: Optional[int] = None) -> Optional[State]:
     """Search for a merge-symmetry violation.
 
     A violation is a specification state that is mergeable from the given
     state set (default: the image of the program's universe) yet has no
-    program preimage. Returns the first violating state in canonical order,
-    or None when the mapping is merge-symmetric over that set.
+    program preimage. Returns the least violating state in canonical order,
+    or None when the mapping is merge-symmetric over that set. The image is
+    taken over the program's universe, so a universe above the cap raises
+    UniverseCapError.
     """
-    bound = mapping.bind(program)
-    sig = bound.signature
-    image = set()
-    for s in kernel.universe(program):
-        image.add(bound(s))
+    sig = mapping.bind(program).signature
+    image = image_of_universe(program, mapping, cap)
     if spec_states is None:
         base = image
     else:
         base, _ = _resolve_signature(spec_states, sig)
-    windows = _window_table(sig)
-    positions = sig.positions
-    win_sets = {
-        p: {tuple(s.values[i] for i in windows[p]) for s in base}
-        for p in positions}
-    for c in sig.states():
-        if c in image:
-            continue
-        if all(tuple(c.values[i] for i in windows[p]) in win_sets[p]
-               for p in positions):
-            return c
-    return None
+    assembled = (State(sig, values)
+                 for values in _assemble(sig, _window_sets(sig, base)))
+    return min((c for c in assembled if c not in image),
+               key=lambda s: s.values, default=None)
 
 
 @dataclass(frozen=True)
 class PossibilityResult:
     """Outcome of the ideal-stabilization necessary-condition check.
 
-    possible=False comes with a witness: a disallowed state inside the merge
-    closure of the allowed set, at the smallest generation that reaches
-    any disallowed state. possible=True asserts only that the necessary
-    condition holds for the supplied allowed set, not that an ideally
-    stabilizing program exists.
+    possible=False comes with a witness: the least disallowed state, in
+    canonical order, inside the merge closure of the allowed set. Its
+    generation is always 1, because one assembly step reaches the closure
+    (a state is admitted only when its windows already occur, so admitting
+    it adds none); the field is kept for the JSON report. possible=True
+    asserts only that the necessary condition holds for the supplied
+    allowed set, not that an ideally stabilizing program exists.
     """
 
     possible: bool
@@ -316,40 +348,43 @@ class PossibilityResult:
     universe_size: int
 
 
-def check_ideal_possibility(allowed, disallowed,
+def check_ideal_possibility(allowed, disallowed=None,
                             signature: Optional[Signature] = None
                             ) -> PossibilityResult:
     """Decide whether any program can ideally stabilize to a specification
     whose allowed states are exactly `allowed`.
 
-    The two sets must partition the specification universe. Impossible means
-    the merge closure of the allowed set contains a disallowed state: any
-    merge-symmetric mapping would be forced to give that state a program
-    preimage, so no program confines itself to the allowed set.
+    Impossible means the merge closure of the allowed set contains a
+    disallowed state: any merge-symmetric mapping would be forced to give
+    that state a program preimage, so no program confines itself to the
+    allowed set. The answer depends on `allowed` alone. A `disallowed` set,
+    when given, must partition the specification universe with `allowed`;
+    None stands for the complement, which is never enumerated.
     """
-    allowed = list(allowed)
-    disallowed = list(disallowed)
-    _, sig = _resolve_signature(allowed + disallowed, signature)
-    allowed_set = frozenset(allowed)
-    disallowed_set = frozenset(disallowed)
-    overlap = allowed_set & disallowed_set
-    if overlap:
-        raise ModelError(
-            "allowed and disallowed overlap, e.g. %s"
-            % min(overlap, key=lambda s: s.values).text())
-    if len(allowed_set) + len(disallowed_set) != sig.size:
-        raise ModelError(
-            "allowed (%d) and disallowed (%d) do not partition the %d-state "
-            "specification universe"
-            % (len(allowed_set), len(disallowed_set), sig.size))
-    gens = merge_closure_generations(allowed_set, sig)
-    hits = [(g, s.values, s) for s, g in gens.items() if s in disallowed_set]
-    if hits:
-        g, _, witness = min(hits)
-        return PossibilityResult(False, witness, g, len(gens),
-                                 len(allowed_set), sig.size)
+    allowed = frozenset(allowed)
+    if disallowed is None:
+        _, sig = _resolve_signature(allowed, signature)
+    else:
+        disallowed = frozenset(disallowed)
+        _, sig = _resolve_signature(allowed | disallowed, signature)
+        overlap = allowed & disallowed
+        if overlap:
+            raise ModelError(
+                "allowed and disallowed overlap, e.g. %s"
+                % min(overlap, key=lambda s: s.values).text())
+        if len(allowed) + len(disallowed) != sig.size:
+            raise ModelError(
+                "allowed (%d) and disallowed (%d) do not partition the "
+                "%d-state specification universe"
+                % (len(allowed), len(disallowed), sig.size))
+    gens = merge_closure_generations(allowed, sig)
+    outside = [s for s, g in gens.items() if g]
+    if outside:
+        witness = min(outside, key=lambda s: s.values)
+        return PossibilityResult(False, witness, gens[witness], len(gens),
+                                 len(allowed), sig.size)
     return PossibilityResult(True, None, None, len(gens),
-                             len(allowed_set), sig.size)
+                             len(allowed), sig.size)
 
 
 # --------------------------------------------------------------------------

@@ -9,13 +9,16 @@ for it exists.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
 from .kernel import (BOOL, Action, And, Assign, BoolLit, Cmp, Domain, If, Lit,
                      ModelError, NotRef, Or, Process, Program, Signature,
-                     State, VarRef, VariableDecl)
+                     State, Universe, UniverseCapError, VarRef, VariableDecl,
+                     state_cap)
 from .mapping import (EnabledOutputMapping, HighestIdMapping, IdenticalMapping,
                       StateMapping)
 from . import specs as _specs
@@ -308,15 +311,20 @@ class LeFixture:
     """The leader-election specification universe, partitioned.
 
     allowed states have at most one leader, and only a contending one;
-    forced lists the states every input-complete subset must contain:
-    the elected outcomes for the two singleton-contender inputs at the
-    chain ends."""
+    disallowed is the rest of the universe, built on first use and only
+    within the state cap; forced lists the states every input-complete
+    subset must contain: the elected outcomes for the two
+    singleton-contender inputs at the chain ends."""
 
     n: int
     signature: Signature
     allowed: frozenset
-    disallowed: frozenset
     forced: tuple
+
+    @functools.cached_property
+    def disallowed(self) -> frozenset:
+        return frozenset(s for s in Universe(self.signature)
+                         if s not in self.allowed)
 
     def forced_state(self, contend) -> State:
         """The elected terminal state for a singleton-contender input: that
@@ -335,23 +343,36 @@ class LeFixture:
 def make_le(n: int) -> LeFixture:
     """Build the leader-election fixture for a chain of n > 3 processes.
     Short chains are excluded: every window then sees every position, so
-    the merge argument has no room to combine distant contenders."""
+    the merge argument has no room to combine distant contenders.
+
+    Only the 2^n·(n+1) states with at most one leader are generated and
+    filtered, never the 4^n-state universe; that count must be within the
+    state cap."""
     if n <= 3:
         raise ModelError("leader election is considered for chains of "
                          "more than 3 processes")
+    candidates = (n + 1) << n
+    cap = state_cap()
+    if candidates > cap:
+        raise UniverseCapError(candidates, cap)
     slots = []
     for p in range(1, n + 1):
         slots.append((p, "contend", BOOL))
         slots.append((p, "leader", BOOL))
     sig = Signature(slots)
-    allowed = []
-    disallowed = []
-    for s in sig.states():
-        (allowed if _specs._le_allowed(s) else disallowed).append(s)
-    fixture = LeFixture(n, sig, frozenset(allowed), frozenset(disallowed), ())
+    allowed = set()
+    for leader in range(n + 1):  # 0: no leader
+        for contend in itertools.product((0, 1), repeat=n):
+            values = []
+            for p, c in enumerate(contend, start=1):
+                values += (c, 1 if p == leader else 0)
+            s = State(sig, tuple(values))
+            if _specs._le_allowed(s):
+                allowed.add(s)
+    fixture = LeFixture(n, sig, frozenset(allowed), ())
     s1 = fixture.forced_state([True] + [False] * (n - 1))
     s2 = fixture.forced_state([False] * (n - 1) + [True])
-    return LeFixture(n, sig, fixture.allowed, fixture.disallowed, (s1, s2))
+    return LeFixture(n, sig, fixture.allowed, (s1, s2))
 
 
 # --------------------------------------------------------------------------

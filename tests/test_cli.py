@@ -126,6 +126,23 @@ def test_impossibility_leader_election(capsys, tmp_path):
     assert payload["allowed_size"] == 48
 
 
+def test_le_fixture_respects_the_cap_environment(capsys, monkeypatch):
+    # 2^9 * 10 candidate states are above a cap of 1000
+    monkeypatch.setenv("STABILIQ_STATE_CAP", "1000")
+    code, _, err = run(capsys, "impossibility", "--protocol", "le",
+                       "--n", "9")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_le_fixture_respects_the_default_cap(capsys, monkeypatch):
+    monkeypatch.delenv("STABILIQ_STATE_CAP", raising=False)
+    code, _, err = run(capsys, "impossibility", "--protocol", "le",
+                       "--n", "40")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_impossibility_from_state_files(capsys, tmp_path):
     allowed = tmp_path / "allowed.txt"
     disallowed = tmp_path / "disallowed.txt"

@@ -1,11 +1,16 @@
 """State mappings, merge closure, merge symmetry, possibility analysis."""
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from stabiliq import protocols
-from stabiliq.kernel import BOOL, ModelError, Signature
+from stabiliq.kernel import (BOOL, Domain, ModelError, Signature,
+                             UniverseCapError)
 from stabiliq.mapping import (EnabledOutputMapping, HighestIdMapping,
                               IdenticalMapping, MappingError,
                               ProjectionMapping, check_ideal_possibility,
@@ -13,6 +18,10 @@ from stabiliq.mapping import (EnabledOutputMapping, HighestIdMapping,
                               merge_closure, merge_closure_generations,
                               map_state, read_spec_state_sets,
                               read_spec_states)
+from stabiliq.specs import _le_allowed
+
+KNOWN_ANSWERS = Path(__file__).resolve().parents[1] / "bench" / \
+    "known_answers.json"
 
 
 def cm_state(bundle, bits):
@@ -167,6 +176,72 @@ def test_merge_symmetry_violation_is_reported():
     image = {map_state(bundle.mapping, bundle.program, s)
              for s in bundle.program.signature.states()}
     assert assembled not in image
+
+
+def test_merge_symmetry_honours_the_cap():
+    bundle = protocols.make_cm((2, 1, 3, 4))
+    size = bundle.program.signature.size
+    with pytest.raises(UniverseCapError):
+        check_merge_symmetry(bundle.program, bundle.mapping, cap=size - 1)
+    assert check_merge_symmetry(bundle.program, bundle.mapping,
+                                cap=size) is None
+
+
+@st.composite
+def spec_instances(draw):
+    """A signature of 2- and 3-valued slots over up to four positions, with
+    gaps allowed and slots listed in any order, plus a nonempty state set."""
+    positions = sorted(draw(st.sets(st.integers(1, 7), min_size=2,
+                                    max_size=4)))
+    slots = []
+    for p in positions:
+        for k in range(draw(st.integers(1, 2))):
+            if len(slots) < 6:
+                values = ("a", "b", "c")[:draw(st.sampled_from((2, 3)))]
+                slots.append((p, "v%d" % k, Domain("d", values)))
+    sig = Signature(draw(st.permutations(slots)))
+    picks = draw(st.lists(st.integers(0, sig.size - 1), min_size=1,
+                          max_size=12))
+    return sig, frozenset(sig.state_at(i) for i in picks)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spec_instances())
+def test_one_step_closure_against_the_brute_enumerator(instance):
+    sig, states = instance
+    brute = helpers.brute_merge_closure(sig, states)
+    assert merge_closure(states, sig) == brute
+    assert max(merge_closure_generations(states, sig).values()) <= 1
+    complement = frozenset(s for s in sig.states() if s not in states)
+    result = check_ideal_possibility(states, None, sig)
+    assert result == check_ideal_possibility(states, complement, sig)
+    least = min(brute - states, key=lambda s: s.values, default=None)
+    assert result.witness == least
+    assert result.possible == (least is None)
+    assert result.closure_size == len(brute)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_le_allowed_matches_the_universe_filter(n):
+    fx = protocols.make_le(n)
+    universe = frozenset(fx.signature.states())
+    assert fx.allowed == frozenset(s for s in universe if _le_allowed(s))
+    assert fx.disallowed == universe - fx.allowed
+
+
+def test_le_impossibility_never_walks_the_universe(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the specification universe was enumerated")
+
+    monkeypatch.setattr(Signature, "states", refuse)
+    fx = protocols.make_le(9)
+    result = check_ideal_possibility(fx.allowed, None, fx.signature)
+    known = json.loads(KNOWN_ANSWERS.read_text())["impossibility-le9"]
+    assert not result.possible
+    assert result.closure_size == known["closure_size"] == 6144
+    assert result.witness.text() == known["witness"]
+    assert result.generation == 1
+    assert (result.allowed_size, result.universe_size) == (2816, 262144)
 
 
 def test_check_ideal_possibility_on_leader_election():

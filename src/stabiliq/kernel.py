@@ -54,13 +54,16 @@ class DisabledActionError(ModelError):
 
 
 class UniverseCapError(RuntimeError):
-    """The state universe is larger than the configured cap."""
+    """A state set about to be enumerated is larger than the configured cap.
 
-    def __init__(self, size: int, cap: int):
+    `counted` names that set in the message; it is the state universe
+    unless a caller enumerates some other set of states."""
+
+    def __init__(self, size: int, cap: int, counted: str = "state universe"):
         super().__init__(
-            "state universe has %d states, above the cap of %d; "
+            "%s has %d states, above the cap of %d; "
             "raise the cap (STABILIQ_STATE_CAP or the cap argument) to proceed"
-            % (size, cap)
+            % (counted, size, cap)
         )
         self.size = size
         self.cap = cap

@@ -304,19 +304,18 @@ def merge_closure(states, signature: Optional[Signature] = None) -> frozenset:
 
 
 def check_merge_symmetry(program: Program, mapping: StateMapping,
-                         spec_states=None,
-                         cap: Optional[int] = None) -> Optional[State]:
+                         spec_states=None) -> Optional[State]:
     """Search for a merge-symmetry violation.
 
     A violation is a specification state that is mergeable from the given
     state set (default: the image of the program's universe) yet has no
     program preimage. Returns the least violating state in canonical order,
     or None when the mapping is merge-symmetric over that set. The image is
-    taken over the program's universe, so a universe above the cap raises
-    UniverseCapError.
+    taken over the program's universe, so a universe above the state cap
+    raises UniverseCapError.
     """
     sig = mapping.bind(program).signature
-    image = image_of_universe(program, mapping, cap)
+    image = image_of_universe(program, mapping)
     if spec_states is None:
         base = image
     else:

@@ -354,7 +354,8 @@ def make_le(n: int) -> LeFixture:
     candidates = (n + 1) << n
     cap = state_cap()
     if candidates > cap:
-        raise UniverseCapError(candidates, cap)
+        raise UniverseCapError(candidates, cap,
+                               "le candidate set (at most one leader)")
     slots = []
     for p in range(1, n + 1):
         slots.append((p, "contend", BOOL))

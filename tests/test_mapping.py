@@ -178,13 +178,14 @@ def test_merge_symmetry_violation_is_reported():
     assert assembled not in image
 
 
-def test_merge_symmetry_honours_the_cap():
+def test_merge_symmetry_honours_the_cap(monkeypatch):
     bundle = protocols.make_cm((2, 1, 3, 4))
     size = bundle.program.signature.size
+    monkeypatch.setenv("STABILIQ_STATE_CAP", str(size - 1))
     with pytest.raises(UniverseCapError):
-        check_merge_symmetry(bundle.program, bundle.mapping, cap=size - 1)
-    assert check_merge_symmetry(bundle.program, bundle.mapping,
-                                cap=size) is None
+        check_merge_symmetry(bundle.program, bundle.mapping)
+    monkeypatch.setenv("STABILIQ_STATE_CAP", str(size))
+    assert check_merge_symmetry(bundle.program, bundle.mapping) is None
 
 
 @st.composite

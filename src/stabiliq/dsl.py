@@ -22,19 +22,21 @@ self, left, or right, which keeps the neighbor-only communication model a
 syntactic fact.
 
 parse_protocol returns a ParseResult carrying the validated kernel Program
-or error diagnostics with stable codes; render produces canonical text that
-parses back to a structurally equal program.
+or error diagnostics with stable codes. The parser builds kernel nodes, and
+kernel.Program checks the rules on guards and commands; each problem it
+reports is placed at the source token of its node. render produces
+canonical text that parses back to a structurally equal program.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .kernel import (BOOL, Action, And, Assign, BoolLit, Cmp, Domain, If, Lit,
-                     ModelError, Not, NotRef, Or, Process, Program, VarRef,
-                     VariableDecl)
+from .kernel import (BOOL, OFFSET_NAMES, Action, And, Assign, BoolLit, Cmp,
+                     Domain, If, Lit, ModelError, Not, NotRef, Or, Process,
+                     Program, ProgramError, VarRef, VariableDecl)
 
-OFFSETS = {"self": 0, "left": -1, "right": 1}
+OFFSETS = {word: offset for offset, word in OFFSET_NAMES.items()}
 RESERVED = frozenset(
     "protocol domain process in var input output ids if then else "
     "self left right true false bool".split())
@@ -144,64 +146,7 @@ def _tokenize(src: str) -> list:
 
 
 # --------------------------------------------------------------------------
-# Source-level AST: kernel nodes plus the token that produced them, so
-# validation can point at source locations before lowering.
-
-@dataclass(frozen=True)
-class _SVar:
-    word: str
-    name: str
-    tok: _Token
-
-
-@dataclass(frozen=True)
-class _SLit:
-    value: str
-    tok: _Token
-
-
-@dataclass(frozen=True)
-class _SBool:
-    value: bool
-
-
-@dataclass(frozen=True)
-class _SCmp:
-    left: object
-    op: str
-    right: object
-    tok: _Token
-
-
-@dataclass(frozen=True)
-class _SNot:
-    expr: object
-
-
-@dataclass(frozen=True)
-class _SAnd:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class _SOr:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class _SAssign:
-    target: _SVar
-    negated: bool
-    value: object  # _SVar | _SLit; negated means value is a _SVar under "!"
-    tok: _Token
-
-
-@dataclass(frozen=True)
-class _SIf:
-    cond: object
-    then: tuple
-    orelse: tuple
-
+# Parser.
 
 @dataclass
 class _Group:
@@ -210,17 +155,22 @@ class _Group:
     lo: tuple
     hi: tuple
     vars: list = field(default_factory=list)
-    var_toks: dict = field(default_factory=dict)
-    actions: list = field(default_factory=list)  # (name, tok, guard, stmts)
+    actions: list = field(default_factory=list)
 
-
-# --------------------------------------------------------------------------
-# Parser.
 
 class _Parser:
+    """Builds kernel nodes directly. `spans` maps the id of each node a
+    diagnostic can point at (a VarRef, Lit or Assign) to its token: the
+    variable name, the value, or the `:=`."""
+
     def __init__(self, toks):
         self.toks = toks
         self.i = 0
+        self.spans: dict = {}
+
+    def mark(self, node, tok: _Token):
+        self.spans[id(node)] = tok
+        return node
 
     def peek(self, k: int = 0) -> _Token:
         return self.toks[min(self.i + k, len(self.toks) - 1)]
@@ -394,7 +344,6 @@ class _Parser:
                 "domain %r is not declared" % dom_tok.text))
         self.expect(";")
         grp.vars.append(VariableDecl(name.text, dom, kind))
-        grp.var_toks[name.text] = name
 
     # -- actions ---------------------------------------------------------------
 
@@ -404,7 +353,7 @@ class _Parser:
             raise _Abort(Diagnostic(
                 "error", name.line, name.col, "SYNTAX",
                 "%r is a reserved word" % name.text))
-        if any(a[0] == name.text for a in grp.actions):
+        if any(a.name == name.text for a in grp.actions):
             raise _Abort(Diagnostic(
                 "error", name.line, name.col, "DUPLICATE_NAME",
                 "action %r is already declared in this group" % name.text))
@@ -412,13 +361,13 @@ class _Parser:
         guard = self.guard()
         self.expect("->", "between guard and command")
         stmts = self.stmts(require_one=True)
-        grp.actions.append((name.text, name, guard, tuple(stmts)))
+        grp.actions.append(Action(name.text, guard, tuple(stmts)))
 
     def stmts(self, require_one: bool = False) -> list:
         out = []
         while True:
             tok = self.peek()
-            if tok.text in ("self", "left", "right"):
+            if tok.text in OFFSETS:
                 out.append(self.assign())
             elif tok.text == "if":
                 out.append(self.ifstmt())
@@ -430,23 +379,21 @@ class _Parser:
                                     "an action needs at least one statement"))
         return out
 
-    def assign(self) -> _SAssign:
+    def assign(self) -> Assign:
         target = self.varref()
         tok = self.expect(":=", "in assignment")
-        negated = False
         if self.at("!"):
             self.take()
-            negated = True
-            value = self.varref()
+            value = NotRef(self.varref())
         elif self.peek().text in OFFSETS:
             value = self.varref()
         else:
             v = self.value_tok()
-            value = _SLit(v.text, v)
+            value = self.mark(Lit(v.text), v)
         self.expect(";")
-        return _SAssign(target, negated, value, tok)
+        return self.mark(Assign(target, value), tok)
 
-    def ifstmt(self) -> _SIf:
+    def ifstmt(self) -> If:
         self.expect("if")
         cond = self.guard()
         self.expect("then")
@@ -454,8 +401,8 @@ class _Parser:
         orelse = ()
         if self.at("else"):
             self.take()
-            orelse = self.block()
-        return _SIf(cond, tuple(then), orelse)
+            orelse = tuple(self.block())
+        return If(cond, tuple(then), orelse)
 
     def block(self) -> list:
         self.expect("{")
@@ -463,7 +410,7 @@ class _Parser:
         self.expect("}")
         return out
 
-    def varref(self) -> _SVar:
+    def varref(self) -> VarRef:
         word = self.peek()
         if word.text not in OFFSETS:
             raise _Abort(Diagnostic(
@@ -478,7 +425,7 @@ class _Parser:
                 "error", name.line, name.col, "NON_NEIGHBOR_REF",
                 "a process can only read its immediate neighbors; "
                 "%s.%s reaches further" % (word.text, name.text)))
-        return _SVar(word.text, name.text, name)
+        return self.mark(VarRef(OFFSETS[word.text], name.text), name)
 
     # -- guards ------------------------------------------------------------------
 
@@ -487,14 +434,14 @@ class _Parser:
         while self.at("||"):
             self.take()
             items.append(self.and_expr())
-        return items[0] if len(items) == 1 else _SOr(tuple(items))
+        return items[0] if len(items) == 1 else Or(tuple(items))
 
     def and_expr(self):
         items = [self.atom()]
         while self.at("&&"):
             self.take()
             items.append(self.atom())
-        return items[0] if len(items) == 1 else _SAnd(tuple(items))
+        return items[0] if len(items) == 1 else And(tuple(items))
 
     def atom(self):
         tok = self.peek()
@@ -503,7 +450,7 @@ class _Parser:
             self.expect("(", "after '!'")
             inner = self.guard()
             self.expect(")")
-            return _SNot(inner)
+            return Not(inner)
         if tok.text == "(":
             self.take()
             inner = self.guard()
@@ -511,10 +458,10 @@ class _Parser:
             return inner
         if tok.text == "true":
             self.take()
-            return _SBool(True)
+            return BoolLit(True)
         if tok.text == "false":
             self.take()
-            return _SBool(False)
+            return BoolLit(False)
         left = self.operand()
         op = self.peek()
         if op.text not in ("=", "!="):
@@ -524,11 +471,11 @@ class _Parser:
                 % (op.text or "end of input")))
         self.take()
         right = self.operand()
-        if isinstance(left, _SLit) and isinstance(right, _SLit):
+        if isinstance(left, Lit) and isinstance(right, Lit):
             raise _Abort(Diagnostic(
                 "error", op.line, op.col, "SYNTAX",
                 "a comparison needs at least one variable"))
-        return _SCmp(left, op.text, right, op)
+        return Cmp(left, op.text, right)
 
     def operand(self):
         tok = self.peek()
@@ -536,109 +483,14 @@ class _Parser:
             return self.varref()
         if tok.kind in ("ident", "int"):
             self.take()
-            return _SLit(tok.text, tok)
+            return self.mark(Lit(tok.text), tok)
         raise _Abort(Diagnostic("error", tok.line, tok.col, "SYNTAX",
                                 "expected a variable or value, found %r"
                                 % (tok.text or "end of input")))
 
 
 # --------------------------------------------------------------------------
-# Validation and lowering.
-
-class _Validator:
-    def __init__(self, n: int, groups, group_of: dict):
-        self.n = n
-        self.groups = groups
-        self.group_of = group_of  # position -> _Group
-        self.diags: dict = {}
-
-    def report(self, tok: _Token, code: str, message: str):
-        key = (code, tok.line, tok.col)
-        if key not in self.diags:
-            self.diags[key] = Diagnostic("error", tok.line, tok.col,
-                                         code, message)
-
-    def decl_at(self, pos: int, ref: _SVar) -> Optional[VariableDecl]:
-        target = pos + OFFSETS[ref.word]
-        if not 1 <= target <= self.n:
-            self.report(ref.tok, "NON_NEIGHBOR_REF",
-                        "position %d has no %s neighbor" % (pos, ref.word))
-            return None
-        grp = self.group_of[target]
-        for v in grp.vars:
-            if v.name == ref.name:
-                return v
-        self.report(ref.tok, "UNDECLARED_VAR",
-                    "no variable %r at position %d" % (ref.name, target))
-        return None
-
-    def check_expr(self, pos: int, expr):
-        if isinstance(expr, (_SBool,)):
-            return
-        if isinstance(expr, _SCmp):
-            ldecl = self.decl_at(pos, expr.left) \
-                if isinstance(expr.left, _SVar) else None
-            rdecl = self.decl_at(pos, expr.right) \
-                if isinstance(expr.right, _SVar) else None
-            if isinstance(expr.left, _SLit) and rdecl is not None:
-                self.check_value(expr.left, rdecl.domain)
-            if isinstance(expr.right, _SLit) and ldecl is not None:
-                self.check_value(expr.right, ldecl.domain)
-            return
-        if isinstance(expr, _SNot):
-            self.check_expr(pos, expr.expr)
-            return
-        if isinstance(expr, (_SAnd, _SOr)):
-            for item in expr.items:
-                self.check_expr(pos, item)
-
-    def check_value(self, lit: _SLit, domain: Domain):
-        if lit.value not in domain:
-            self.report(lit.tok, "VALUE_OUTSIDE_DOMAIN",
-                        "value %r is not in domain %s %r"
-                        % (lit.value, domain.name, domain.values))
-
-    def check_stmt(self, pos: int, stmt):
-        if isinstance(stmt, _SAssign):
-            tdecl = self.decl_at(pos, stmt.target)
-            if tdecl is not None and tdecl.kind == "input":
-                self.report(stmt.target.tok, "ASSIGN_TO_INPUT",
-                            "input variable %r cannot be assigned"
-                            % stmt.target.name)
-            if stmt.negated:
-                vdecl = self.decl_at(pos, stmt.value)
-                for decl in (tdecl, vdecl):
-                    if decl is not None and decl.domain.values != BOOL.values:
-                        self.report(stmt.tok, "NOT_BOOL",
-                                    "negation needs boolean variables; "
-                                    "%r is %s" % (decl.name, decl.domain.name))
-            elif isinstance(stmt.value, _SVar):
-                vdecl = self.decl_at(pos, stmt.value)
-                if tdecl is not None and vdecl is not None and \
-                        not set(vdecl.domain.values) <= set(tdecl.domain.values):
-                    self.report(stmt.tok, "VALUE_OUTSIDE_DOMAIN",
-                                "%r ranges over %r, which does not fit "
-                                "into %r" % (stmt.value.name,
-                                             vdecl.domain.values,
-                                             tdecl.domain.values))
-            elif tdecl is not None:
-                self.check_value(stmt.value, tdecl.domain)
-        elif isinstance(stmt, _SIf):
-            self.check_expr(pos, stmt.cond)
-            for s in stmt.then:
-                self.check_stmt(pos, s)
-            for s in stmt.orelse:
-                self.check_stmt(pos, s)
-
-    def run(self):
-        for grp in self.groups:
-            for pos in _positions(grp, self.n):
-                for _, _, guard, stmts in grp.actions:
-                    self.check_expr(pos, guard)
-                    for s in stmts:
-                        self.check_stmt(pos, s)
-        return list(self.diags.values())
-
+# Building the program.
 
 def _positions(grp: _Group, n: int):
     lo = grp.lo[1] if grp.lo[0] == "int" else n - grp.lo[1]
@@ -646,40 +498,18 @@ def _positions(grp: _Group, n: int):
     return range(lo, hi + 1)
 
 
-def _lower_expr(expr):
-    if isinstance(expr, _SBool):
-        return BoolLit(expr.value)
-    if isinstance(expr, _SCmp):
-        return Cmp(_lower_operand(expr.left), expr.op,
-                   _lower_operand(expr.right))
-    if isinstance(expr, _SNot):
-        return Not(_lower_expr(expr.expr))
-    if isinstance(expr, _SAnd):
-        return And(tuple(_lower_expr(e) for e in expr.items))
-    if isinstance(expr, _SOr):
-        return Or(tuple(_lower_expr(e) for e in expr.items))
-    raise TypeError(repr(expr))
-
-
-def _lower_operand(op):
-    if isinstance(op, _SVar):
-        return VarRef(OFFSETS[op.word], op.name)
-    return Lit(op.value)
-
-
-def _lower_stmt(stmt):
-    if isinstance(stmt, _SAssign):
-        target = VarRef(OFFSETS[stmt.target.word], stmt.target.name)
-        if stmt.negated:
-            value = NotRef(VarRef(OFFSETS[stmt.value.word], stmt.value.name))
-        elif isinstance(stmt.value, _SVar):
-            value = VarRef(OFFSETS[stmt.value.word], stmt.value.name)
-        else:
-            value = Lit(stmt.value.value)
-        return Assign(target, value)
-    return If(_lower_expr(stmt.cond),
-              tuple(_lower_stmt(s) for s in stmt.then),
-              tuple(_lower_stmt(s) for s in stmt.orelse))
+def _diagnostics(problems, spans: dict, group_of: dict) -> list:
+    """One Diagnostic per (code, line, col): a node shared by the positions
+    of a group is reported once, for the first position that breaks the
+    rule. Groups come in the order they are declared."""
+    diags: dict = {}
+    for problem in sorted(problems,
+                          key=lambda p: (group_of[p.pos].tok.line,
+                                         group_of[p.pos].tok.col)):
+        tok = spans[id(problem.node)]
+        diags.setdefault((problem.code, tok.line, tok.col), Diagnostic(
+            "error", tok.line, tok.col, problem.code, problem.message))
+    return list(diags.values())
 
 
 def parse_protocol(source: str, n: Optional[int] = None) -> ParseResult:
@@ -696,21 +526,20 @@ def parse_protocol(source: str, n: Optional[int] = None) -> ParseResult:
     except _Abort as abort:
         return ParseResult(None, [abort.diag])
 
-    diags: list = []
     if param is not None and n is None:
-        diags.append(Diagnostic(
+        return ParseResult(None, [Diagnostic(
             "error", 1, 1, "MISSING_PARAM",
-            "protocol %r takes a parameter %s; supply its value" % (name, param)))
-        return ParseResult(None, diags)
+            "protocol %r takes a parameter %s; supply its value" % (name, param))])
     if param is None:
         # Bounds of a parameterless protocol are all literal; infer the
         # chain length from them.
         n = max(g.hi[1] for g in groups)
     if n < 1:
-        diags.append(Diagnostic("error", 1, 1, "GROUP_RANGE",
-                                "chain length must be at least 1; got %d" % n))
-        return ParseResult(None, diags)
+        return ParseResult(None, [Diagnostic(
+            "error", 1, 1, "GROUP_RANGE",
+            "chain length must be at least 1; got %d" % n)])
 
+    diags: list = []
     group_of: dict = {}
     for grp in groups:
         for pos in _positions(grp, n):
@@ -739,33 +568,23 @@ def parse_protocol(source: str, n: Optional[int] = None) -> ParseResult:
     pids = list(range(1, n + 1))
     if ids is not None:
         if len(ids) != n or len(set(ids)) != len(ids):
-            diags.append(Diagnostic(
+            return ParseResult(None, [Diagnostic(
                 "error", ids_tok.line, ids_tok.col, "IDS_MISMATCH",
-                "ids must list %d distinct integers; got %r" % (n, ids)))
-            return ParseResult(None, diags)
+                "ids must list %d distinct integers; got %r" % (n, ids))])
         pids = ids
 
-    diags.extend(_Validator(n, groups, group_of).run())
-    if diags:
-        return ParseResult(None, diags)
-
-    processes = []
-    lowered: dict = {}
-    for pos in range(1, n + 1):
-        grp = group_of[pos]
-        if id(grp) not in lowered:
-            lowered[id(grp)] = tuple(
-                Action(aname, _lower_expr(guard),
-                       tuple(_lower_stmt(s) for s in stmts))
-                for aname, _, guard, stmts in grp.actions)
-        processes.append(Process(
-            index=pos, pid=pids[pos - 1],
-            vars=tuple(grp.vars), actions=lowered[id(grp)]))
+    processes = [Process(index=pos, pid=pids[pos - 1],
+                         vars=tuple(group_of[pos].vars),
+                         actions=tuple(group_of[pos].actions))
+                 for pos in range(1, n + 1)]
     try:
         program = Program(name, processes)
+    except ProgramError as exc:
+        return ParseResult(None, _diagnostics(exc.problems, parser.spans,
+                                              group_of))
     except ModelError as exc:
         return ParseResult(None, [Diagnostic("error", 1, 1, "MODEL", str(exc))])
-    return ParseResult(program, diags)
+    return ParseResult(program, [])
 
 
 # --------------------------------------------------------------------------
@@ -790,8 +609,7 @@ def _expr_text(expr, prec: int = 0) -> str:
 
 def _operand_text(op) -> str:
     if isinstance(op, VarRef):
-        word = {0: "self", -1: "left", 1: "right"}[op.offset]
-        return "%s.%s" % (word, op.name)
+        return "%s.%s" % (OFFSET_NAMES[op.offset], op.name)
     return op.value
 
 

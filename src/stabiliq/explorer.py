@@ -258,17 +258,6 @@ def find_cycle(ts: TransitionSystem, nodes: Iterable[int],
     return None
 
 
-def cycles_outside(ts: TransitionSystem,
-                   pred: Callable[[State], bool]) -> Optional[Cycle]:
-    """A cycle all of whose states violate the predicate, or None.
-
-    Under the no-fairness daemon such a cycle is a complete counterexample
-    to convergence: a maximal computation may ride it forever without ever
-    entering the predicate."""
-    nodes = [i for i in range(ts.size) if not pred(ts.states[i])]
-    return find_cycle(ts, nodes)
-
-
 # --------------------------------------------------------------------------
 # Simulation.
 

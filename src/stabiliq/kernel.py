@@ -40,8 +40,7 @@ def state_cap(cap: Optional[int] = None) -> int:
         raise ModelError("the universe cap must be positive, not %d" % cap)
     return cap
 
-LEFT, SELF, RIGHT = -1, 0, 1
-OFFSET_NAMES = {LEFT: "left", SELF: "self", RIGHT: "right"}
+OFFSET_NAMES = {-1: "left", 0: "self", 1: "right"}
 VAR_KINDS = ("internal", "input", "output")
 
 
@@ -51,6 +50,17 @@ class ModelError(ValueError):
 
 class DisabledActionError(ModelError):
     """apply() was asked to execute an action whose guard is false."""
+
+
+class ProgramError(ModelError):
+    """Program construction found guards or commands that break the rules.
+
+    `problems` holds every Problem in check order: by position, then
+    action, then node. The message is the first one."""
+
+    def __init__(self, problems):
+        self.problems = tuple(problems)
+        super().__init__(str(self.problems[0]))
 
 
 class UniverseCapError(RuntimeError):
@@ -242,6 +252,25 @@ class Process:
             if v.name == name:
                 return v
         raise ModelError("process %d has no variable %r" % (self.index, name))
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One broken rule in an action, found at one process position.
+
+    `code` is the stable code the protocol language reports, and `node` is
+    the offending VarRef, Lit or Assign. LITERAL_COMPARISON and
+    MALFORMED_NODE are kernel-only: the parser never builds such nodes."""
+
+    pos: int
+    action: str
+    code: str
+    node: object
+    message: str
+
+    def __str__(self):
+        return "action %r of process %d: %s [%s]" % (
+            self.action, self.pos, self.message, self.code)
 
 
 # --------------------------------------------------------------------------
@@ -451,7 +480,8 @@ class Universe:
 # Programs.
 
 class Program:
-    """A chain of processes with a fixed signature and validated actions."""
+    """A chain of processes with a fixed signature and validated actions.
+    Construction raises ProgramError listing every broken rule."""
 
     def __init__(self, name: str, processes):
         self.name = name
@@ -511,98 +541,121 @@ class Program:
         return "Program(%r, %d processes, %d states)" % (
             self.name, self.n, self.universe_size)
 
-    # -- validation ----------------------------------------------------------
-
     def _resolve(self, pos: int, ref: VarRef) -> int:
         """Slot index of a variable reference made from position pos."""
-        target = pos + ref.offset
-        if not 1 <= target <= self.n:
-            raise ModelError(
-                "position %d has no %s neighbor (action references %s.%s)"
-                % (pos, OFFSET_NAMES[ref.offset], OFFSET_NAMES[ref.offset], ref.name))
-        return self.signature.slot(target, ref.name)
+        return self.signature.slot(pos + ref.offset, ref.name)
 
-    def _slot_domain(self, i: int) -> Domain:
-        return self.signature.slots[i][2]
+    # -- validation ----------------------------------------------------------
 
     def _validate(self):
+        problems = []
         for proc in self.processes:
             for action in proc.actions:
-                where = "action %r of process %d" % (action.name, proc.index)
-                self._check_expr(proc.index, action.guard, where)
-                self._check_stmts(proc.index, action.command, where)
+                found = []
+                self._check_expr(proc.index, action.guard, found)
+                self._check_stmts(proc.index, action.command, found)
+                problems.extend(Problem(proc.index, action.name, *f)
+                                for f in found)
+        if problems:
+            raise ProgramError(problems)
 
-    def _check_operand(self, pos, operand, where, against: Optional[Domain]):
-        if isinstance(operand, VarRef):
-            return self._slot_domain(self._resolve(pos, operand))
-        if isinstance(operand, Lit):
-            if against is not None and operand.value not in against:
-                raise ModelError(
-                    "%s compares or assigns value %r outside domain %s %r"
-                    % (where, operand.value, against.name, against.values))
+    # The check helpers append (code, node, message) to `found` and go on,
+    # so one pass reports every problem of an action.
+
+    def _decl(self, pos, ref: VarRef, found) -> Optional[VariableDecl]:
+        """The variable a reference made from pos names, or None."""
+        target = pos + ref.offset
+        if not 1 <= target <= self.n:
+            found.append(("NON_NEIGHBOR_REF", ref,
+                          "position %d has no %s neighbor"
+                          % (pos, OFFSET_NAMES[ref.offset])))
             return None
-        raise ModelError("%s has a malformed operand %r" % (where, operand))
+        for v in self.processes[target - 1].vars:
+            if v.name == ref.name:
+                return v
+        found.append(("UNDECLARED_VAR", ref, "no variable %r at position %d"
+                      % (ref.name, target)))
+        return None
 
-    def _check_expr(self, pos, expr, where):
+    def _operand(self, pos, operand, found) -> Optional[VariableDecl]:
+        if isinstance(operand, VarRef):
+            return self._decl(pos, operand, found)
+        if not isinstance(operand, Lit):
+            found.append(("MALFORMED_NODE", operand,
+                          "malformed operand %r" % (operand,)))
+        return None
+
+    @staticmethod
+    def _check_value(lit: Lit, domain: Domain, found):
+        if lit.value not in domain:
+            found.append(("VALUE_OUTSIDE_DOMAIN", lit,
+                          "value %r is not in domain %s %r"
+                          % (lit.value, domain.name, domain.values)))
+
+    def _check_expr(self, pos, expr, found):
         if isinstance(expr, BoolLit):
             return
         if isinstance(expr, Cmp):
             # Resolve refs first so a literal can be checked against the
             # domain it is compared with.
-            ldom = self._check_operand(pos, expr.left, where, None) \
-                if isinstance(expr.left, VarRef) else None
-            rdom = self._check_operand(pos, expr.right, where, None) \
-                if isinstance(expr.right, VarRef) else None
-            if isinstance(expr.left, Lit):
-                self._check_operand(pos, expr.left, where, rdom)
-            if isinstance(expr.right, Lit):
-                self._check_operand(pos, expr.right, where, ldom)
+            ldecl = self._operand(pos, expr.left, found)
+            rdecl = self._operand(pos, expr.right, found)
+            if isinstance(expr.left, Lit) and rdecl is not None:
+                self._check_value(expr.left, rdecl.domain, found)
+            if isinstance(expr.right, Lit) and ldecl is not None:
+                self._check_value(expr.right, ldecl.domain, found)
             if isinstance(expr.left, Lit) and isinstance(expr.right, Lit):
-                raise ModelError("%s compares two literals" % where)
-            return
-        if isinstance(expr, Not):
-            self._check_expr(pos, expr.expr, where)
-            return
-        if isinstance(expr, (And, Or)):
+                found.append(("LITERAL_COMPARISON", expr,
+                              "compares two literals"))
+        elif isinstance(expr, Not):
+            self._check_expr(pos, expr.expr, found)
+        elif isinstance(expr, (And, Or)):
             for item in expr.items:
-                self._check_expr(pos, item, where)
-            return
-        raise ModelError("%s has a malformed guard node %r" % (where, expr))
+                self._check_expr(pos, item, found)
+        else:
+            found.append(("MALFORMED_NODE", expr,
+                          "malformed guard node %r" % (expr,)))
 
-    def _check_stmts(self, pos, stmts, where):
+    def _check_stmts(self, pos, stmts, found):
         for stmt in stmts:
             if isinstance(stmt, Assign):
-                i = self._resolve(pos, stmt.target)
-                tpos, tname, tdom = self.signature.slots[i]
-                decl = self.process(tpos).var(tname)
-                if decl.kind == "input":
-                    raise ModelError(
-                        "%s assigns input variable %s.p%d" % (where, tname, tpos))
-                value = stmt.value
-                if isinstance(value, Lit):
-                    if value.value not in tdom:
-                        raise ModelError(
-                            "%s assigns value %r outside domain %s %r"
-                            % (where, value.value, tdom.name, tdom.values))
-                elif isinstance(value, VarRef):
-                    sdom = self._slot_domain(self._resolve(pos, value))
-                    if not set(sdom.values) <= set(tdom.values):
-                        raise ModelError(
-                            "%s assigns from domain %s into narrower domain %s"
-                            % (where, sdom.name, tdom.name))
-                elif isinstance(value, NotRef):
-                    sdom = self._slot_domain(self._resolve(pos, value.ref))
-                    if sdom.values != BOOL.values or tdom.values != BOOL.values:
-                        raise ModelError(
-                            "%s negates a non-boolean variable" % where)
-                else:
-                    raise ModelError("%s has a malformed assignment" % where)
+                self._check_assign(pos, stmt, found)
             elif isinstance(stmt, If):
-                self._check_expr(pos, stmt.cond, where)
-                self._check_stmts(pos, stmt.then, where)
-                self._check_stmts(pos, stmt.orelse, where)
+                self._check_expr(pos, stmt.cond, found)
+                self._check_stmts(pos, stmt.then, found)
+                self._check_stmts(pos, stmt.orelse, found)
             else:
-                raise ModelError("%s has a malformed statement %r" % (where, stmt))
+                found.append(("MALFORMED_NODE", stmt,
+                              "malformed statement %r" % (stmt,)))
+
+    def _check_assign(self, pos, stmt: Assign, found):
+        target = self._decl(pos, stmt.target, found)
+        if target is not None and target.kind == "input":
+            found.append(("ASSIGN_TO_INPUT", stmt.target,
+                          "input variable %r cannot be assigned"
+                          % stmt.target.name))
+        value = stmt.value
+        if isinstance(value, Lit):
+            if target is not None:
+                self._check_value(value, target.domain, found)
+        elif isinstance(value, VarRef):
+            source = self._decl(pos, value, found)
+            if target is not None and source is not None and \
+                    not set(source.domain.values) <= set(target.domain.values):
+                found.append(("VALUE_OUTSIDE_DOMAIN", stmt,
+                              "%r ranges over %r, which does not fit into %r"
+                              % (value.name, source.domain.values,
+                                 target.domain.values)))
+        elif isinstance(value, NotRef):
+            source = self._decl(pos, value.ref, found)
+            for decl in (target, source):
+                if decl is not None and decl.domain.values != BOOL.values:
+                    found.append(("NOT_BOOL", stmt,
+                                  "negation needs boolean variables; %r is %s"
+                                  % (decl.name, decl.domain.name)))
+        else:
+            found.append(("MALFORMED_NODE", value,
+                          "malformed assignment value %r" % (value,)))
 
 
 # --------------------------------------------------------------------------

@@ -228,7 +228,9 @@ def _assemble(sig: Signature, win_sets: dict):
     neighbors is agreement everywhere. A right-to-left pass keeps only the
     windows from which the chain can be finished, so the left-to-right walk
     never backtracks: O(N·|windows|) to prune plus O(N) per state yielded,
-    and the universe is never scanned.
+    and the universe is never scanned. The same pass counts the chains, so
+    a closure above kernel.state_cap() raises UniverseCapError before
+    anything is yielded.
     """
     positions = sig.positions
     slots = [sig.window_slots(p) for p in positions]
@@ -239,16 +241,28 @@ def _assemble(sig: Signature, win_sets: dict):
         links.append((tuple(left.index(i) for i in shared),
                       tuple(right.index(i) for i in shared)))
     # successors[j]: the finishable windows of position j+1, grouped by
-    # their values on the slots shared with position j
+    # their values on the slots shared with position j; completions maps
+    # each finishable window of the current position to the number of
+    # chains that finish from it
     successors = [None] * len(links)
-    alive = sorted(win_sets[positions[-1]])
+    completions = dict.fromkeys(win_sets[positions[-1]], 1)
     for j in range(len(links) - 1, -1, -1):
         left_at, right_at = links[j]
         successors[j] = groups = {}
-        for w in alive:
-            groups.setdefault(tuple(w[k] for k in right_at), []).append(w)
-        alive = sorted(w for w in win_sets[positions[j]]
-                       if tuple(w[k] for k in left_at) in groups)
+        counts = {}
+        for w in sorted(completions):
+            key = tuple(w[k] for k in right_at)
+            groups.setdefault(key, []).append(w)
+            counts[key] = counts.get(key, 0) + completions[w]
+        completions = {}
+        for w in win_sets[positions[j]]:
+            key = tuple(w[k] for k in left_at)
+            if key in counts:
+                completions[w] = counts[key]
+    size, cap = sum(completions.values()), kernel.state_cap()
+    if size > cap:
+        raise kernel.UniverseCapError(size, cap, "merge closure")
+    alive = sorted(completions)
     values = [0] * len(sig.slots)
     last = len(positions) - 1
     stack = [iter(alive)]
@@ -312,7 +326,7 @@ def check_merge_symmetry(program: Program, mapping: StateMapping,
     program preimage. Returns the least violating state in canonical order,
     or None when the mapping is merge-symmetric over that set. The image is
     taken over the program's universe, so a universe above the state cap
-    raises UniverseCapError.
+    raises UniverseCapError, and so does a merge closure above it.
     """
     sig = mapping.bind(program).signature
     image = image_of_universe(program, mapping)

@@ -185,6 +185,25 @@ def _escaping_edge(ts: explorer.TransitionSystem, inside) -> Optional[dict]:
     return None
 
 
+def _avoiding_computation(ts: explorer.TransitionSystem, inside
+                          ) -> tuple[Optional[dict], Optional[str]]:
+    """A witness that some maximal computation never enters the set, with
+    the note that names it, or (None, None). Under the no-fairness daemon
+    the first terminal state outside the set is one, and so is any cycle
+    through states outside it."""
+    offsets = ts.offsets
+    for i in range(ts.size):
+        if offsets[i] == offsets[i + 1] and not inside[i]:
+            return ({"kind": "terminal", "state": ts.states[i].text()},
+                    "terminal state outside the invariant")
+    cycle = explorer.find_cycle(
+        ts, [i for i in range(ts.size) if not inside[i]])
+    if cycle is not None:
+        return (_cycle_witness(cycle),
+                "a computation can avoid the invariant forever")
+    return None, None
+
+
 class _Clock:
     def __init__(self):
         self.t0 = time.perf_counter()
@@ -216,18 +235,10 @@ def check_convergence(program: Program, pred: Callable[[State], bool],
     state outside the predicate or a cycle avoiding it."""
     clock = _Clock()
     ts = ts if ts is not None else explorer.build_transition_system(program)
-    witness = None
-    terms = explorer.terminals(ts)
-    for t in terms:
-        if not pred(t):
-            witness = {"kind": "terminal", "state": t.text()}
-            break
-    if witness is None:
-        cycle = explorer.cycles_outside(ts, pred)
-        if cycle is not None:
-            witness = _cycle_witness(cycle)
+    witness, _ = _avoiding_computation(ts, [pred(s) for s in ts.states])
     stats = {"states": ts.size, "edges": ts.edge_count(),
-             "terminals": len(terms), "elapsed_ms": clock.ms()}
+             "terminals": len(explorer.terminals(ts)),
+             "elapsed_ms": clock.ms()}
     return Verdict("convergence", witness is None, witness, stats)
 
 
@@ -276,14 +287,10 @@ def check_stabilizing(program: Program, mapping: StateMapping,
         return fail(escape)
 
     # Convergence: terminals inside, no cycle entirely outside.
-    for i in range(ts.size):
-        if offsets[i] == offsets[i + 1] and not inv[i]:
-            notes.append("terminal state outside the invariant")
-            return fail({"kind": "terminal", "state": ts.states[i].text()})
-    cycle = explorer.cycles_outside(ts, lambda s: inv[s.index])
-    if cycle is not None:
-        notes.append("a computation can avoid the invariant forever")
-        return fail(_cycle_witness(cycle))
+    witness, note = _avoiding_computation(ts, inv)
+    if witness is not None:
+        notes.append(note)
+        return fail(witness)
 
     # State conformance inside the invariant.
     for i in range(ts.size):
@@ -329,12 +336,8 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     if stutter is None:
         notes.append("stutter divergence: none")
     else:
-        witness = {
-            "kind": "stutter-cycle",
-            "states": [s.text() for s in stutter.states],
-            "actions": [_label(p, a) for p, a in stutter.labels],
-            "image": mapped[stutter.states[0].index].text(),
-        }
+        witness = dict(_cycle_witness(stutter), kind="stutter-cycle",
+                       image=mapped[stutter.states[0].index].text())
         if spec.stutter_policy == DIVERGENCE_FORBIDDEN:
             notes.append("stutter divergence: found, forbidden by policy")
             return fail(witness)

@@ -115,7 +115,8 @@ def test_wave_chain_stabilizes_to_the_strict_cycle(tmp_path):
         assert escapes == 0
         # (b) convergent: no terminal, no cycle outside the family
         assert explorer.terminals(ts) == []
-        assert explorer.cycles_outside(ts, lambda s: wave[s.index]) is None
+        assert explorer.find_cycle(
+            ts, [i for i in range(ts.size) if not wave[i]]) is None
         assert check_convergence(program, pif_wave, ts=ts).holds
         # (c) the unique bottom component is exactly the wave family
         cond = explorer.condense(ts)
@@ -166,8 +167,8 @@ def test_handshake_reaches_one_legitimate_loop():
     in_comp = set(comp)
     # reached on every maximal path: no terminals, no cycles elsewhere
     assert explorer.terminals(ts) == []
-    assert explorer.cycles_outside(
-        ts, lambda s: s.index in in_comp) is None
+    assert explorer.find_cycle(
+        ts, [i for i in range(ts.size) if i not in in_comp]) is None
     # every loop state carries exactly one in-flight message whose bit
     # matches the sender's sequence number, checked by direct inspection
     for i in comp:

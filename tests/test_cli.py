@@ -147,6 +147,22 @@ def test_le_fixture_respects_the_default_cap(capsys, monkeypatch):
     assert "state universe" not in err
 
 
+def test_merge_closure_respects_the_cap(capsys, monkeypatch):
+    # the 5120 le candidates fit under 6000; the 6144-state closure does not
+    monkeypatch.delenv("STABILIQ_STATE_CAP", raising=False)
+    uncapped = run(capsys, "impossibility", "--protocol", "le", "--n", "9")
+    assert uncapped[0] == 0
+    monkeypatch.setenv("STABILIQ_STATE_CAP", "6000")
+    code, out, err = run(capsys, "impossibility", "--protocol", "le",
+                         "--n", "9")
+    assert code == 2 and out == ""
+    assert err.startswith("error: merge closure has 6144 states, above the "
+                          "cap of 6000;")
+    monkeypatch.setenv("STABILIQ_STATE_CAP", "6144")
+    assert run(capsys, "impossibility", "--protocol", "le",
+               "--n", "9") == uncapped
+
+
 def test_impossibility_from_state_files(capsys, tmp_path):
     allowed = tmp_path / "allowed.txt"
     disallowed = tmp_path / "disallowed.txt"

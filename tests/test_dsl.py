@@ -1,8 +1,10 @@
 """Protocol language: parsing, diagnostics, rendering, round-trips."""
 import pytest
+from hypothesis import given, settings
 
-from stabiliq import dsl, protocols
+from stabiliq import dsl, explorer, protocols
 from stabiliq.dsl import DslError, parse_protocol, render
+from test_windows import programs
 
 GOOD = """
 protocol demo(N) {
@@ -19,6 +21,56 @@ protocol demo(N) {
   }
 }
 """
+
+
+OFF_THE_END = """
+    protocol p(N) {
+      process a in 1..N {
+        var x: bool;
+        go: self.x = left.x -> self.x := !self.x;
+      }
+    }
+    """
+
+ASSIGNS_INPUT = """
+    protocol p() {
+      process a in 1..1 {
+        input x: bool;
+        go: true -> self.x := true;
+      }
+    }
+    """
+
+NARROWING = """
+    protocol p() {
+      domain big = { a, b, c };
+      domain small = { a, b };
+      process a in 1..1 {
+        var u: big;
+        var v: small;
+        go: self.u = a -> self.v := self.u;
+      }
+    }
+    """
+
+NEGATES_DOMAIN = """
+    protocol p() {
+      domain st = { a, b };
+      process a in 1..1 {
+        var u: st;
+        go: self.u = a -> self.u := !self.u;
+      }
+    }
+    """
+
+TWO_PROBLEMS = """
+    protocol p() {
+      process a in 1..1 {
+        input x: bool;
+        go: self.y = true -> self.x := true;
+      }
+    }
+    """
 
 
 def codes(result):
@@ -100,6 +152,23 @@ def test_render_uses_symbolic_bounds_on_long_chains():
     assert "in 1..2" in short and "N" not in short
 
 
+def _transitions(program):
+    ts = explorer.build_transition_system(program)
+    return ts.offsets, ts.targets, ts.actions
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(programs())
+def test_random_programs_round_trip_through_the_parser(program):
+    # render flattens nested And/Or, so only the reparsed program is a
+    # fixed point; the original agrees with it on every transition
+    first = parse_protocol(render(program), n=program.n)
+    assert first.ok and not first.diagnostics
+    assert _transitions(first.program) == _transitions(program)
+    again = parse_protocol(render(first.program), n=program.n)
+    assert again.ok and again.program == first.program
+
+
 def test_sample_sources_are_canonical_modulo_comments():
     # parse -> render -> parse is the identity on the parsed program
     for fname, n in [("cm.gcp", 4), ("alternator.gcp", 5),
@@ -127,27 +196,11 @@ def test_non_neighbor_chain_reference():
 
 
 def test_reference_off_the_chain_end():
-    src = """
-    protocol p(N) {
-      process a in 1..N {
-        var x: bool;
-        go: self.x = left.x -> self.x := !self.x;
-      }
-    }
-    """
-    assert parse_err(src, n=3) == ["NON_NEIGHBOR_REF"]
+    assert parse_err(OFF_THE_END, n=3) == ["NON_NEIGHBOR_REF"]
 
 
 def test_assignment_to_an_input():
-    src = """
-    protocol p() {
-      process a in 1..1 {
-        input x: bool;
-        go: true -> self.x := true;
-      }
-    }
-    """
-    assert parse_err(src) == ["ASSIGN_TO_INPUT"]
+    assert parse_err(ASSIGNS_INPUT) == ["ASSIGN_TO_INPUT"]
 
 
 def test_value_outside_domain():
@@ -158,31 +211,11 @@ def test_value_outside_domain():
 
 
 def test_assignment_across_incompatible_domains():
-    src = """
-    protocol p() {
-      domain big = { a, b, c };
-      domain small = { a, b };
-      process a in 1..1 {
-        var u: big;
-        var v: small;
-        go: self.u = a -> self.v := self.u;
-      }
-    }
-    """
-    assert parse_err(src) == ["VALUE_OUTSIDE_DOMAIN"]
+    assert parse_err(NARROWING) == ["VALUE_OUTSIDE_DOMAIN"]
 
 
 def test_negation_needs_booleans():
-    src = """
-    protocol p() {
-      domain st = { a, b };
-      process a in 1..1 {
-        var u: st;
-        go: self.u = a -> self.u := !self.u;
-      }
-    }
-    """
-    assert parse_err(src) == ["NOT_BOOL"]
+    assert parse_err(NEGATES_DOMAIN) == ["NOT_BOOL"]
 
 
 def test_group_coverage_must_partition_the_chain():
@@ -273,13 +306,85 @@ def test_comparison_of_two_literals_is_rejected():
 
 
 def test_multiple_semantic_diagnostics_in_one_pass():
-    src = """
-    protocol p() {
-      process a in 1..1 {
-        input x: bool;
-        go: self.y = true -> self.x := true;
+    result = parse_protocol(TWO_PROBLEMS)
+    assert codes(result) == ["ASSIGN_TO_INPUT", "UNDECLARED_VAR"]
+
+
+SPANNING_GROUP = """
+    protocol p(N) {
+      process a in 1..1 { var x: bool; go: true -> self.x := !self.x; }
+      process b in 2..N { var x: bool; go: self.y = true -> self.x := !self.x; }
+    }
+    """
+
+MIXED = """
+    protocol p(N) {
+      domain st = { a, b };
+      process a in 1..N {
+        var x: bool;
+        var s: st;
+        go: left.y = right.z && self.s = q -> self.s := !self.w;
       }
     }
     """
-    result = parse_protocol(src)
-    assert codes(result) == ["ASSIGN_TO_INPUT", "UNDECLARED_VAR"]
+
+OUT_OF_ORDER = """
+    protocol p(N) {
+      process z in N..N { var x: bool; go: self.k = true -> self.x := true; }
+      process a in 1..N-1 { var x: bool; go: left.x = true -> self.x := true; }
+    }
+    """
+
+
+@pytest.mark.parametrize("source, n, expected", [
+    (GOOD.replace("self.x != left.x", "self.x != left.y"), 4, [
+        "12:24: error: no variable 'y' at position 1 [UNDECLARED_VAR]"]),
+    (GOOD.replace("self.x != left.x", "self.x != left.left"), 4, [
+        "12:24: error: a process can only read its immediate neighbors; "
+        "left.left reaches further [NON_NEIGHBOR_REF]"]),
+    (OFF_THE_END, 3, [
+        "5:27: error: position 1 has no left neighbor [NON_NEIGHBOR_REF]"]),
+    (ASSIGNS_INPUT, None, [
+        "5:26: error: input variable 'x' cannot be assigned "
+        "[ASSIGN_TO_INPUT]"]),
+    (GOOD.replace("self.s := a", "self.s := q"), 4, [
+        "12:39: error: value 'q' is not in domain st ('a', 'b', 'c') "
+        "[VALUE_OUTSIDE_DOMAIN]"]),
+    (GOOD.replace("self.x = right.x", "self.s = q"), 4, [
+        "7:18: error: value 'q' is not in domain st ('a', 'b', 'c') "
+        "[VALUE_OUTSIDE_DOMAIN]"]),
+    (NARROWING, None, [
+        "8:34: error: 'u' ranges over ('a', 'b', 'c'), which does not fit "
+        "into ('a', 'b') [VALUE_OUTSIDE_DOMAIN]"]),
+    (NEGATES_DOMAIN, None, [
+        "6:34: error: negation needs boolean variables; 'u' is st "
+        "[NOT_BOOL]"]),
+    (TWO_PROBLEMS, None, [
+        "5:18: error: no variable 'y' at position 1 [UNDECLARED_VAR]",
+        "5:35: error: input variable 'x' cannot be assigned "
+        "[ASSIGN_TO_INPUT]"]),
+    # self.y fails at positions 2, 3 and 4 and is reported once, for the
+    # first of them
+    (SPANNING_GROUP, 4, [
+        "4:49: error: no variable 'y' at position 2 [UNDECLARED_VAR]"]),
+    # check order within an action (guard, then each assignment's target,
+    # source and negation), then the later positions' new problems
+    (MIXED, 3, [
+        "7:18: error: position 1 has no left neighbor [NON_NEIGHBOR_REF]",
+        "7:28: error: no variable 'z' at position 2 [UNDECLARED_VAR]",
+        "7:42: error: value 'q' is not in domain st ('a', 'b') "
+        "[VALUE_OUTSIDE_DOMAIN]",
+        "7:63: error: no variable 'w' at position 1 [UNDECLARED_VAR]",
+        "7:54: error: negation needs boolean variables; 's' is st "
+        "[NOT_BOOL]",
+        "7:18: error: no variable 'y' at position 1 [UNDECLARED_VAR]",
+        "7:28: error: position 3 has no right neighbor [NON_NEIGHBOR_REF]"]),
+    # groups are reported in the order they are declared
+    (OUT_OF_ORDER, 3, [
+        "3:49: error: no variable 'k' at position 3 [UNDECLARED_VAR]",
+        "4:51: error: position 1 has no left neighbor [NON_NEIGHBOR_REF]"]),
+])
+def test_semantic_diagnostics_are_pinned(source, n, expected):
+    result = parse_protocol(source, n=n)
+    assert result.program is None
+    assert [str(d) for d in result.diagnostics] == expected

@@ -149,9 +149,10 @@ def test_cycles_outside_predicate():
     pif = protocols.make_pif(4).program
     ts = explorer.build_transition_system(pif)
     # nothing cycles outside the wave states
-    assert explorer.cycles_outside(ts, specs.pif_wave) is None
+    outside = [i for i, s in enumerate(ts.states) if not specs.pif_wave(s)]
+    assert explorer.find_cycle(ts, outside) is None
     # with no states excluded, the wave cycle itself is found
-    cyc = explorer.cycles_outside(ts, lambda s: False)
+    cyc = explorer.find_cycle(ts, range(ts.size))
     assert cyc is not None and len(cyc.states) >= 2
 
 

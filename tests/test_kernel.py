@@ -182,20 +182,29 @@ def test_extended_state_covers_the_window_only():
 
 
 def test_program_validation_rejects_bad_constructions():
+    # the codes are the ones parse_protocol reports for the same mistakes;
+    # the two literals case is kernel-only (the parser rejects it first)
     x = VarRef(0, "x")
-    with pytest.raises(ModelError):  # assignment to an input
+    with pytest.raises(ModelError, match=r"^action 'go' of process 1: input "
+                       r"variable 'x' cannot be assigned \[ASSIGN_TO_INPUT\]$"):
         tiny_program((Assign(x, Lit("true")),), kind="input")
-    with pytest.raises(ModelError):  # literal outside the domain
+    # literal outside the domain
+    with pytest.raises(ModelError, match=r"\[VALUE_OUTSIDE_DOMAIN\]$"):
         tiny_program((Assign(x, Lit("maybe")),))
-    with pytest.raises(ModelError):  # negation of a non-boolean
+    # negation of a non-boolean
+    with pytest.raises(ModelError, match=r"\[NOT_BOOL\]$"):
         tiny_program((Assign(x, NotRef(x)),), domain=ST3)
-    with pytest.raises(ModelError):  # comparing two literals
+    # comparing two literals
+    with pytest.raises(ModelError, match=r"\[LITERAL_COMPARISON\]$"):
         tiny_program((Assign(x, x),), guard=Cmp(Lit("a"), "=", Lit("a")))
-    with pytest.raises(ModelError):  # no left neighbor at position 1
+    # no left neighbor at position 1
+    with pytest.raises(ModelError, match=r"\[NON_NEIGHBOR_REF\]$"):
         tiny_program((Assign(VarRef(-1, "x"), Lit("true")),))
-    with pytest.raises(ModelError):  # undeclared variable
+    # undeclared variable
+    with pytest.raises(ModelError, match=r"\[UNDECLARED_VAR\]$"):
         tiny_program((Assign(VarRef(0, "nope"), Lit("true")),))
-    with pytest.raises(ModelError):  # wider domain flows into narrower
+    # wider domain flows into narrower
+    with pytest.raises(ModelError, match=r"\[VALUE_OUTSIDE_DOMAIN\]$"):
         wide = VariableDecl("w", ST3, "internal")
         tiny_program((Assign(x, VarRef(0, "w")),), extra_vars=(wide,))
 

@@ -220,6 +220,14 @@ def test_one_step_closure_against_the_brute_enumerator(instance):
     assert result.witness == least
     assert result.possible == (least is None)
     assert result.closure_size == len(brute)
+    # the pruning pass counts the closure before listing it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("STABILIQ_STATE_CAP", str(len(brute)))
+        assert merge_closure(states, sig) == brute
+        if len(brute) > 1:
+            mp.setenv("STABILIQ_STATE_CAP", str(len(brute) - 1))
+            with pytest.raises(UniverseCapError):
+                merge_closure(states, sig)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, report files, output shapes."""
 import json
+import re
 
 import pytest
 
@@ -290,3 +291,20 @@ def test_pif_coverage_respects_the_cap(capsys):
     assert code == 2
     assert "324 states, above the cap of 10" in err
     assert "satisfy" not in out
+
+
+def test_obligation_cycle_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--check", "ideal",
+                       "--protocol", "cm", "--ids", "3,1,4,2",
+                       "--stutter-policy", "forbidden")
+    assert code == 1
+    assert re.sub(r"elapsed_ms=[0-9.]+", "elapsed_ms=*", out) == (
+        "protocol cm  chain length 4  universe 16 states\n"
+        "ideal: FAILS\n"
+        "  witness: cycle access.p1=false access.p2=false access.p3=true "
+        "access.p4=false -> access.p1=false access.p2=true access.p3=true "
+        "access.p4=false never discharges obligation 'output-activity'\n"
+        "  note: stutter policy: divergence-forbidden\n"
+        "  stats: states=16  edges=64  invariant_states=16  components=1  "
+        "bottom_components=1  elapsed_ms=*\n"
+        "verify: FAILED\n")

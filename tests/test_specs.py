@@ -1,17 +1,19 @@
 """Closure, convergence, stabilization verdicts, and the state classifiers."""
 import json
+from dataclasses import replace
 
 import pytest
 
 from stabiliq import explorer, protocols
 from stabiliq.dsl import parse_protocol
 from stabiliq.specs import (DIVERGENCE_ALLOWED, DIVERGENCE_FORBIDDEN,
-                            FiniteTerminal, Obligation, Specification,
-                            abp_classify, abp_legitimate, check_closed,
-                            check_convergence, check_ideal_stabilizing,
-                            check_stabilizing, fdp_spec, iabp_spec,
-                            ipif_spec, le_spec, pif_classify, pif_prime,
-                            pif_wave, sabp_spec, spif_spec, udp_spec)
+                            FiniteTerminal, Obligation, Recurrence,
+                            Specification, abp_classify, abp_legitimate,
+                            check_closed, check_convergence,
+                            check_ideal_stabilizing, check_stabilizing,
+                            fdp_spec, iabp_spec, ipif_spec, le_spec,
+                            pif_classify, pif_prime, pif_wave, sabp_spec,
+                            spif_spec, udp_spec)
 
 
 def pif_state(n, *letters):
@@ -292,3 +294,56 @@ def test_specification_validation():
     assert spec.with_policy(DIVERGENCE_FORBIDDEN).stutter_policy == \
         DIVERGENCE_FORBIDDEN
     assert spec.with_policy(DIVERGENCE_FORBIDDEN).name == spec.name
+
+
+def _pinned(verdict):
+    """The verdict's dict without its timing."""
+    payload = verdict.to_dict()
+    del payload["stats"]["elapsed_ms"]
+    return payload
+
+
+def test_disallowed_edge_witness_is_pinned():
+    bundle = protocols.make_alternator(4)
+    spec = replace(bundle.ideal_spec, allowed_edge=lambda s, t: not (
+        s.values[0] == 1 and t.values[0] == 0))
+    verdict = check_ideal_stabilizing(bundle.program, bundle.mapping, spec)
+    assert _pinned(verdict) == {
+        "check": "ideal",
+        "holds": False,
+        "witness": {
+            "kind": "disallowed-edge",
+            "source": "x.p1=false x.p2=false x.p3=false x.p4=false",
+            "target": "x.p1=true x.p2=false x.p3=false x.p4=false",
+            "action": "1:step",
+            "mapped_source": "in.p1=true in.p2=false in.p3=false "
+                             "in.p4=false",
+            "mapped_target": "in.p1=false in.p2=true in.p3=false "
+                             "in.p4=false",
+        },
+        "stats": {"states": 16, "edges": 24, "invariant_states": 16,
+                  "components": 1, "bottom_components": 1},
+        "notes": ["stutter policy: divergence-allowed"],
+    }
+
+
+def test_stutter_cycle_witness_is_pinned():
+    bundle = protocols.make_cm((1, 2, 3))
+    spec = Specification("any", lambda s: True, lambda s, t: True,
+                         Recurrence(()), DIVERGENCE_FORBIDDEN)
+    verdict = check_ideal_stabilizing(bundle.program, bundle.mapping, spec)
+    assert _pinned(verdict) == {
+        "check": "ideal",
+        "holds": False,
+        "witness": {
+            "kind": "stutter-cycle",
+            "states": ["access.p1=false access.p2=true access.p3=true",
+                       "access.p1=true access.p2=true access.p3=true"],
+            "actions": ["1:flip", "1:flip"],
+            "image": "in.p1=false in.p2=false in.p3=true",
+        },
+        "stats": {"states": 8, "edges": 24, "invariant_states": 8,
+                  "components": 1, "bottom_components": 1},
+        "notes": ["stutter policy: divergence-forbidden",
+                  "stutter divergence: found, forbidden by policy"],
+    }

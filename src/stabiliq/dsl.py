@@ -565,6 +565,11 @@ def parse_protocol(source: str, n: Optional[int] = None) -> ParseResult:
     if diags:
         return ParseResult(None, diags)
 
+    if not any(grp.vars for grp in groups):
+        return ParseResult(None, [Diagnostic(
+            "error", groups[0].tok.line, groups[0].tok.col, "NO_VARIABLES",
+            "no process of protocol %r declares a variable" % name)])
+
     pids = list(range(1, n + 1))
     if ids is not None:
         if len(ids) != n or len(set(ids)) != len(ids):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import random
 from array import array
+from itertools import accumulate, chain, compress, repeat
+from operator import and_, sub
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -198,6 +200,41 @@ def terminals(ts: TransitionSystem) -> list[State]:
 
 # --------------------------------------------------------------------------
 # Cycle search.
+
+def has_cycle(offsets, targets, nodes: Iterable[int], edge_ok=None) -> bool:
+    """Whether the subgraph of a CSR graph induced by the node ids and the
+    edges k with a true edge_ok[k] (all when None) has a cycle. Kahn's
+    peel: linear, and find_cycle need only run to show a cycle."""
+    nodes = list(nodes)
+    inside = bytearray(len(offsets) - 1)
+    for v in nodes:
+        inside[v] = 1
+    if len(nodes) < len(inside):  # keep only the edges within the set
+        within = map(and_, chain.from_iterable(map(
+            repeat, inside, map(sub, offsets[1:], offsets))),
+            map(inside.__getitem__, targets))
+        edge_ok = bytes(within if edge_ok is None
+                        else map(and_, within, edge_ok))
+    # The kept edges' own CSR, built in C: v's are kept[first[v]:first[v+1]]
+    kept, first = targets, offsets
+    if edge_ok is not None:
+        first = list(map(list(accumulate(edge_ok, initial=0)).__getitem__,
+                         offsets))
+        kept = list(compress(targets, edge_ok))
+    indegree = [0] * len(inside)
+    for t in kept:
+        indegree[t] += 1
+    ready = [v for v in nodes if not indegree[v]]
+    left = len(nodes)
+    while ready:
+        v = ready.pop()
+        left -= 1
+        for t in kept[first[v]:first[v + 1]]:
+            indegree[t] -= 1
+            if not indegree[t]:
+                ready.append(t)
+    return left > 0
+
 
 @dataclass(frozen=True)
 class Cycle:

@@ -19,8 +19,9 @@ stabilizing program at all.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import kernel
 from .kernel import BOOL, Domain, ModelError, Program, Signature, State
@@ -34,25 +35,24 @@ class BoundMapping:
     """A mapping specialized to one program: a target signature plus a
     callable from program states to specification states."""
 
-    __slots__ = ("signature", "_fn")
+    __slots__ = ("signature", "_fn", "_ids")
 
-    def __init__(self, signature: Signature, fn: Callable[[State], State]):
+    def __init__(self, signature: Signature, fn: Callable[[State], State],
+                 ids=None):
         self.signature = signature
         self._fn = fn
+        self._ids = ids
 
     def __call__(self, state: State) -> State:
         return self._fn(state)
 
-
-def external_signature(program: Program) -> Signature:
-    """The specification signature of a program: its external (input and
-    output) variables in canonical order."""
-    slots = [(p.index, v.name, v.domain)
-             for p in program.processes for v in p.vars if v.external]
-    if not slots:
-        raise MappingError(
-            "program %r has no external variables" % program.name)
-    return Signature(slots)
+    def ids(self, ts) -> Sequence[int]:
+        """The canonical encoding, under `signature`, of each program
+        state's image, in the order of the transition system's states."""
+        if self._ids is not None:
+            return self._ids(ts)
+        encode, fn = self.signature.encode, self._fn
+        return array("q", [encode(fn(s).values) for s in ts.states])
 
 
 class StateMapping:
@@ -73,7 +73,8 @@ class IdenticalMapping(StateMapping):
                     raise MappingError(
                         "identical mapping needs all variables external; "
                         "%s.p%d is internal" % (v.name, proc.index))
-        return BoundMapping(program.signature, lambda s: s)
+        return BoundMapping(program.signature, lambda s: s,
+                            lambda ts: range(ts.size))
 
 
 class ProjectionMapping(StateMapping):
@@ -107,28 +108,6 @@ class ProjectionMapping(StateMapping):
 
         def fn(state: State) -> State:
             return State(sig, tuple(state.values[i] for i in keep))
-
-        return BoundMapping(sig, fn)
-
-
-class PerProcessBoolMapping(StateMapping):
-    """One boolean output per position, computed by an arbitrary rule
-    rule(program, state, position) -> bool. The workhorse for test fixtures
-    and deliberately broken mappings."""
-
-    def __init__(self, rule: Callable[[Program, State, int], bool],
-                 output: str = "in"):
-        self.rule = rule
-        self.output = output
-
-    def bind(self, program: Program) -> BoundMapping:
-        sig = Signature((p.index, self.output, BOOL) for p in program.processes)
-        rule = self.rule
-        positions = tuple(p.index for p in program.processes)
-
-        def fn(state: State) -> State:
-            return State(sig, tuple(
-                1 if rule(program, state, pos) else 0 for pos in positions))
 
         return BoundMapping(sig, fn)
 
@@ -188,11 +167,6 @@ class EnabledOutputMapping(StateMapping):
             return State(sig, tuple(1 if t.row(sid) else 0 for t in tables))
 
         return BoundMapping(sig, fn)
-
-
-def map_state(mapping: StateMapping, program: Program, state: State) -> State:
-    """Map one program state; binds on every call, so prefer bind() in loops."""
-    return mapping.bind(program)(state)
 
 
 def image_of_universe(program: Program, mapping: StateMapping,

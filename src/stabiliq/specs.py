@@ -14,8 +14,13 @@ policy) are reported in the notes.
 """
 from __future__ import annotations
 
+import functools
+import re
 import time
+from array import array
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, chain, repeat
+from operator import eq, not_, sub
 from typing import Callable, Optional
 
 from . import explorer
@@ -196,10 +201,9 @@ def _avoiding_computation(ts: explorer.TransitionSystem, inside
         if offsets[i] == offsets[i + 1] and not inside[i]:
             return ({"kind": "terminal", "state": ts.states[i].text()},
                     "terminal state outside the invariant")
-    cycle = explorer.find_cycle(
-        ts, [i for i in range(ts.size) if not inside[i]])
-    if cycle is not None:
-        return (_cycle_witness(cycle),
+    outside = [i for i in range(ts.size) if not inside[i]]
+    if explorer.has_cycle(offsets, ts.targets, outside):
+        return (_cycle_witness(explorer.find_cycle(ts, outside)),
                 "a computation can avoid the invariant forever")
     return None, None
 
@@ -261,7 +265,10 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     ts = ts if ts is not None else explorer.build_transition_system(program)
     bound = mapping.bind(program)
     inv = [invariant(s) for s in ts.states]
-    mapped = [bound(s) for s in ts.states]
+    # Specification states are handled as ids; a State is decoded only for
+    # a predicate or a witness, and each predicate sees each id once.
+    ids = bound.ids(ts)
+    image = functools.cache(bound.signature.state_at)
     cond = explorer.condense(ts)
     notes = ["stutter policy: %s" % spec.stutter_policy]
 
@@ -293,29 +300,32 @@ def check_stabilizing(program: Program, mapping: StateMapping,
         return fail(witness)
 
     # State conformance inside the invariant.
+    allowed = functools.cache(lambda m: spec.allowed_state(image(m)))
     for i in range(ts.size):
-        if inv[i] and not spec.allowed_state(mapped[i]):
+        if inv[i] and not allowed(ids[i]):
             return fail({
                 "kind": "disallowed-state",
                 "state": ts.states[i].text(),
-                "mapped": mapped[i].text(),
+                "mapped": image(ids[i]).text(),
             })
 
     # Edge conformance: non-stutter images of invariant-internal edges.
+    allowed_edge = functools.cache(
+        lambda m, n: spec.allowed_edge(image(m), image(n)))
     for i in range(ts.size):
         if not inv[i]:
             continue
         for k in range(offsets[i], offsets[i + 1]):
             t = targets[k]
-            if inv[t] and mapped[i] != mapped[t] \
-                    and not spec.allowed_edge(mapped[i], mapped[t]):
+            if inv[t] and ids[i] != ids[t] \
+                    and not allowed_edge(ids[i], ids[t]):
                 return fail({
                     "kind": "disallowed-edge",
                     "source": ts.states[i].text(),
                     "target": ts.states[t].text(),
                     "action": _label(*ts.label(k)),
-                    "mapped_source": mapped[i].text(),
-                    "mapped_target": mapped[t].text(),
+                    "mapped_source": image(ids[i]).text(),
+                    "mapped_target": image(ids[t]).text(),
                 })
 
     # Acceptance on every bottom component (all lie inside the invariant
@@ -324,20 +334,25 @@ def check_stabilizing(program: Program, mapping: StateMapping,
         comp = cond.components[c]
         if not all(inv[s] for s in comp):
             continue
-        verdict = _check_acceptance(spec, ts, cond, c, mapped, notes)
+        verdict = _check_acceptance(spec, ts, cond, c, ids, image, notes)
         if verdict is not None:
             return fail(verdict)
 
     # Stutter divergence: a cycle inside the invariant whose image never
     # changes. Always reported; gates the verdict only when forbidden.
+    members = [i for i in range(ts.size) if inv[i]]
+    # same[k]: edge k keeps its image (a source repeats once per out-edge)
+    same = bytes(map(eq, chain.from_iterable(map(
+        repeat, ids, map(sub, offsets[1:], offsets))),
+        map(ids.__getitem__, targets)))
     stutter = explorer.find_cycle(
-        ts, (i for i in range(ts.size) if inv[i]),
-        lambda s, pos, name, t: mapped[s] == mapped[t])
+        ts, members, lambda s, pos, name, t: ids[s] == ids[t]) \
+        if explorer.has_cycle(offsets, targets, members, same) else None
     if stutter is None:
         notes.append("stutter divergence: none")
     else:
         witness = dict(_cycle_witness(stutter), kind="stutter-cycle",
-                       image=mapped[stutter.states[0].index].text())
+                       image=image(ids[stutter.states[0].index]).text())
         if spec.stutter_policy == DIVERGENCE_FORBIDDEN:
             notes.append("stutter divergence: found, forbidden by policy")
             return fail(witness)
@@ -349,7 +364,7 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     return Verdict(_check_name, True, None, stats(), notes)
 
 
-def _check_acceptance(spec: Specification, ts, cond, c: int, mapped,
+def _check_acceptance(spec: Specification, ts, cond, c: int, ids, image,
                       notes: list) -> Optional[dict]:
     """Evaluate the acceptance condition on bottom component c. Returns a
     witness dict on a gating violation, None otherwise; analyze findings go
@@ -368,7 +383,7 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, mapped,
                     "reason": "%s cycles forever, but the specification's "
                               "sequences are finite" % where}
         s = comp[0]
-        if not acc.pred(mapped[s]):
+        if not acc.pred(image(ids[s])):
             return {"kind": "acceptance", "component": comp_texts,
                     "reason": "terminal state %s does not satisfy the "
                               "final-state condition" % ts.states[s].text()}
@@ -381,8 +396,9 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, mapped,
                           "sequences are infinite" % where}
 
     if isinstance(acc, CycleWithin):
+        within = functools.cache(lambda m: acc.pred(image(m)))
         for s in comp:
-            if not acc.pred(mapped[s]):
+            if not within(ids[s]):
                 return {"kind": "acceptance", "component": comp_texts,
                         "reason": "%s contains %s, outside the target "
                                   "cycle family%s"
@@ -392,18 +408,35 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, mapped,
         return None
 
     if isinstance(acc, Recurrence):
-        for obl in acc.obligations:
-            cycle = explorer.find_cycle(
-                ts, comp,
-                lambda s, pos, name, t, f=obl.edge_pred:
-                    not f(mapped[s], mapped[t]))
-            enforced = obl.mode == "enforce" or (
-                obl.mode == "policy"
-                and spec.stutter_policy == DIVERGENCE_FORBIDDEN)
-            if cycle is None:
+        # The component's own CSR; per edge, a mask of the obligations (32
+        # at a time) its image pair meets, each edge_pred run once a pair.
+        degrees = [ts.offsets[v + 1] - ts.offsets[v] for v in comp]
+        heads = array("q", chain.from_iterable(
+            ts.targets[ts.offsets[v]:ts.offsets[v + 1]] for v in comp))
+        offsets = array("q", accumulate(degrees, initial=0))
+        targets = array("q", map(
+            dict(zip(comp, range(len(comp)))).__getitem__, heads))
+        for j, obl in enumerate(acc.obligations):
+            if j % 32 == 0:
+                bits = functools.cache(
+                    lambda m, n, chunk=acc.obligations[j:j + 32]: sum(
+                        1 << b for b, o in enumerate(chunk)
+                        if o.edge_pred(image(m), image(n))))
+                tails = chain.from_iterable(map(repeat, comp, degrees))
+                masks = array("I", map(bits, map(ids.__getitem__, tails),
+                                       map(ids.__getitem__, heads)))
+            bit = 1 << j % 32
+            clear = bytes(map(not_, map(bit.__and__, masks)))
+            if not explorer.has_cycle(offsets, targets, range(len(comp)),
+                                      clear):
                 notes.append("obligation %r: recurs on every cycle of %s"
                              % (obl.name, where))
                 continue
+            cycle = explorer.find_cycle(ts, comp, lambda s, pos, name, t:
+                                        not bits(ids[s], ids[t]) & bit)
+            enforced = obl.mode == "enforce" or (
+                obl.mode == "policy"
+                and spec.stutter_policy == DIVERGENCE_FORBIDDEN)
             texts = [s.text() for s in cycle.states]
             if enforced:
                 return {"kind": "acceptance", "component": comp_texts,
@@ -433,54 +466,45 @@ def check_ideal_stabilizing(program: Program, mapping: StateMapping,
 # --------------------------------------------------------------------------
 # Wave predicates for the information-propagation chain.
 
-def pif_classify(state: State) -> frozenset:
-    """All predicate instances the state satisfies, as tuples:
-    ("RQ", l, m), ("RP", k), ("RQ'", l, m), ("RP'", k).
+# Each family is a regular language over the chain word, one letter per
+# position: i for idle, q for rq, p for rp. RQ(l, m) is q^l i^(m-l) p^(N-m)
+# with m > l, RP(k) is q^k p^(N-k) with 0 < k < N, RQ'(l, m) is RQ(l, m)
+# with an arbitrary tail, and RP'(k) is q^k p followed by no idle letter.
 
-    RQ(l, m): positions 1..l requesting, l+1..m idle, m+1..N replying.
-    RP(k): positions 1..k requesting, the rest replying.
-    RP'(k): 1..k requesting, k+1 replying, k+2..N anything but idle.
-    RQ'(l, m): 1..l requesting, l+1..m idle, the rest arbitrary.
-    """
-    positions = state.sig.positions
-    n = len(positions)
-    vals = [state.value(p, "st") for p in positions]
-    out = set()
-    for l in range(0, n):
-        if any(v != "rq" for v in vals[:l]):
-            continue
-        for m in range(l + 1, n + 1):
-            if any(v != "i" for v in vals[l:m]):
-                continue
-            out.add(("RQ'", l, m))
-            if all(v == "rp" for v in vals[m:]):
-                out.add(("RQ", l, m))
-    for k in range(1, n):
-        if any(v != "rq" for v in vals[:k]):
-            continue
-        if all(v == "rp" for v in vals[k:]):
-            out.add(("RP", k))
-        if vals[k] == "rp" and all(v != "i" for v in vals[k + 1:]):
-            out.add(("RP'", k))
-    return frozenset(out)
+_PIF_WAVE = re.compile(r"q*i+p*|q+p+")
+_PIF_PRIME = re.compile(r"q*i.*|q+p[^i]*")
+_PIF_RQ_PRIME = re.compile(r"q*i.*")
+_PIF_RP_STRICT = re.compile(r"q+p+")
+_PIF_LETTERS = {"i": "i", "rq": "q", "rp": "p"}
+_pif_table: list = [None, ()]  # the last signature and its letter table
+
+
+def _pif_word(state: State) -> str:
+    sig = state.sig
+    if _pif_table[0] is not sig:
+        _pif_table[:] = [sig, tuple(
+            (i, [_PIF_LETTERS.get(v, "?") for v in sig.slots[i][2].values])
+            for i in map(sig.slot, sig.positions, repeat("st")))]
+    values = state.values
+    return "".join([letters[values[i]] for i, letters in _pif_table[1]])
 
 
 def pif_wave(state: State) -> bool:
     """The strict wave family: some RQ(l, m) or RP(k) instance holds."""
-    return any(tag in ("RQ", "RP") for tag, *_ in pif_classify(state))
+    return _PIF_WAVE.fullmatch(_pif_word(state)) is not None
 
 
 def pif_prime(state: State) -> bool:
     """The relaxed family: some RQ'(l, m) or RP'(k) instance holds."""
-    return any(tag in ("RQ'", "RP'") for tag, *_ in pif_classify(state))
+    return _PIF_PRIME.fullmatch(_pif_word(state)) is not None
 
 
 def _pif_rq_prime(state: State) -> bool:
-    return any(tag == "RQ'" for tag, *_ in pif_classify(state))
+    return _PIF_RQ_PRIME.fullmatch(_pif_word(state)) is not None
 
 
 def _pif_rp_strict(state: State) -> bool:
-    return any(tag == "RP" for tag, *_ in pif_classify(state))
+    return _PIF_RP_STRICT.fullmatch(_pif_word(state)) is not None
 
 
 # --------------------------------------------------------------------------

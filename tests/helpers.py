@@ -153,6 +153,46 @@ def pif_reference_moves(values: tuple) -> list:
     return moves
 
 
+def pif_classify(state: State) -> frozenset:
+    """All wave predicate instances the state satisfies, as tuples:
+    ("RQ", l, m), ("RP", k), ("RQ'", l, m), ("RP'", k).
+
+    RQ(l, m): positions 1..l requesting, l+1..m idle, m+1..N replying.
+    RP(k): positions 1..k requesting, the rest replying.
+    RP'(k): 1..k requesting, k+1 replying, k+2..N anything but idle.
+    RQ'(l, m): 1..l requesting, l+1..m idle, the rest arbitrary.
+
+    Every instance is built and checked one by one, O(N^3) per state: the
+    oracle the word matchers in stabiliq.specs are tested against.
+    """
+    positions = state.sig.positions
+    n = len(positions)
+    vals = [state.value(p, "st") for p in positions]
+    out = set()
+    for l in range(0, n):
+        if any(v != "rq" for v in vals[:l]):
+            continue
+        for m in range(l + 1, n + 1):
+            if any(v != "i" for v in vals[l:m]):
+                continue
+            out.add(("RQ'", l, m))
+            if all(v == "rp" for v in vals[m:]):
+                out.add(("RQ", l, m))
+    for k in range(1, n):
+        if any(v != "rq" for v in vals[:k]):
+            continue
+        if all(v == "rp" for v in vals[k:]):
+            out.add(("RP", k))
+        if vals[k] == "rp" and all(v != "i" for v in vals[k + 1:]):
+            out.add(("RP'", k))
+    return frozenset(out)
+
+
+def map_state(mapping, program, state: State) -> State:
+    """Map one program state through a freshly bound mapping."""
+    return mapping.bind(program)(state)
+
+
 def state_values(state: State) -> tuple:
     """The state's value texts in slot order."""
     return tuple(dom.values[v]

@@ -10,11 +10,11 @@ import random
 
 import acceptance_report
 import helpers
+from helpers import map_state
 
 from stabiliq import cli, explorer, kernel, protocols
 from stabiliq.mapping import (check_ideal_possibility, check_merge_symmetry,
-                              map_state, merge_closure,
-                              merge_closure_generations)
+                              merge_closure, merge_closure_generations)
 from stabiliq.specs import (abp_legitimate, check_convergence,
                             check_ideal_stabilizing, pif_wave, udp_spec)
 

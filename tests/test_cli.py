@@ -308,3 +308,13 @@ def test_obligation_cycle_output_is_pinned(capsys):
         "  stats: states=16  edges=64  invariant_states=16  components=1  "
         "bottom_components=1  elapsed_ms=*\n"
         "verify: FAILED\n")
+
+
+def test_protocol_without_variables_exits_2(capsys, tmp_path):
+    src = tmp_path / "empty.gcp"
+    src.write_text("protocol p(N) { process a in 1..N { } }\n")
+    code, out, err = run(capsys, "verify", "--check", "closed",
+                         "--file", str(src), "--n", "3")
+    assert code == 2 and out == ""
+    assert err == ("error: %s does not parse:\n1:25: error: no process of "
+                   "protocol 'p' declares a variable [NO_VARIABLES]\n" % src)

@@ -247,6 +247,18 @@ def test_ids_must_match_the_chain():
     assert parse_err(dup, n=3) == ["IDS_MISMATCH"]
 
 
+def test_a_protocol_needs_some_variable():
+    empty = ("protocol p(N) {\n  process a in 1..1 { }\n"
+             "  process b in 2..N { }\n}\n")
+    assert [str(d) for d in parse_protocol(empty, n=3).diagnostics] == [
+        "2:11: error: no process of protocol 'p' declares a variable "
+        "[NO_VARIABLES]"]
+    # empty groups are fine as long as some process owns a variable
+    partly = empty.replace("2..N { }", "2..N { var x: bool; }")
+    program = parse_protocol(partly, n=3).unwrap()
+    assert [len(p.vars) for p in program.processes] == [0, 1, 1]
+
+
 def test_duplicate_names_are_rejected():
     dup_var = """
     protocol p() {

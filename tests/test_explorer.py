@@ -1,4 +1,7 @@
 """Transition systems, components, cycles, simulation, images, DOT."""
+import random
+from array import array
+
 import pytest
 
 import helpers
@@ -143,6 +146,29 @@ def test_find_cycle_replayable_and_filtered():
     # forbidding every edge leaves no cycle
     assert explorer.find_cycle(ts, range(ts.size),
                                edge_ok=lambda s, p, a, t: False) is None
+
+
+def test_peel_agrees_with_the_component_oracle():
+    rng = random.Random(6)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        succ = [sorted(rng.sample(range(n), rng.randint(0, min(n, 4))))
+                for _ in range(n)]
+        offsets = array("q", [0])
+        for out in succ:
+            offsets.append(offsets[-1] + len(out))
+        targets = array("q", [t for out in succ for t in out])
+        nodes = sorted(rng.sample(range(n), rng.randint(0, n)))
+        edge_ok = bytes(rng.random() < 0.7 for _ in targets)
+        for ok in (None, edge_ok):
+            kept = [[targets[k] for k in range(offsets[v], offsets[v + 1])
+                     if v in nodes and targets[k] in nodes
+                     and (ok is None or ok[k])] for v in range(n)]
+            cyclic = any(len(c) > 1 or min(c) in kept[min(c)]
+                         for c in helpers.brute_sccs(kept))
+            assert explorer.has_cycle(offsets, targets, nodes, ok) == cyclic
+            assert explorer.has_cycle(offsets, targets, iter(nodes),
+                                      ok) == cyclic
 
 
 def test_cycles_outside_predicate():

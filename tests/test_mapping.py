@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import map_state
 from stabiliq import protocols
 from stabiliq.kernel import (BOOL, Domain, ModelError, Signature,
                              UniverseCapError)
@@ -16,8 +17,7 @@ from stabiliq.mapping import (EnabledOutputMapping, HighestIdMapping,
                               ProjectionMapping, check_ideal_possibility,
                               check_merge_symmetry, format_spec_states,
                               merge_closure, merge_closure_generations,
-                              map_state, read_spec_state_sets,
-                              read_spec_states)
+                              read_spec_state_sets, read_spec_states)
 from stabiliq.specs import _le_allowed
 
 KNOWN_ANSWERS = Path(__file__).resolve().parents[1] / "bench" / \

@@ -1,9 +1,14 @@
 """Closure, convergence, stabilization verdicts, and the state classifiers."""
+import functools
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import pif_classify
 from stabiliq import explorer, protocols
 from stabiliq.dsl import parse_protocol
 from stabiliq.specs import (DIVERGENCE_ALLOWED, DIVERGENCE_FORBIDDEN,
@@ -12,8 +17,8 @@ from stabiliq.specs import (DIVERGENCE_ALLOWED, DIVERGENCE_FORBIDDEN,
                             check_closed, check_convergence,
                             check_ideal_stabilizing, check_stabilizing,
                             fdp_spec, iabp_spec, ipif_spec, le_spec,
-                            pif_classify, pif_prime, pif_wave, sabp_spec,
-                            spif_spec, udp_spec)
+                            _pif_rp_strict, _pif_rq_prime, pif_prime,
+                            pif_wave, sabp_spec, spif_spec, udp_spec)
 
 
 def pif_state(n, *letters):
@@ -50,6 +55,37 @@ def test_wave_family_counts():
     for n, count in ((3, 8), (4, 13), (5, 19)):
         sig = protocols.make_pif(n).program.signature
         assert sum(1 for s in sig.states() if pif_wave(s)) == count
+
+
+def assert_words_match_the_classifier(state):
+    tags = {tag for tag, *_ in pif_classify(state)}
+    assert pif_wave(state) == bool(tags & {"RQ", "RP"}), state
+    assert pif_prime(state) == bool(tags & {"RQ'", "RP'"}), state
+    assert _pif_rq_prime(state) == ("RQ'" in tags), state
+    assert _pif_rp_strict(state) == ("RP" in tags), state
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_wave_words_agree_with_the_classifier_everywhere(n):
+    for state in protocols.make_pif(n).program.signature.states():
+        assert_words_match_the_classifier(state)
+
+
+@functools.lru_cache(maxsize=None)
+def pif_signature(n):
+    return protocols.make_pif(n).program.signature
+
+
+@st.composite
+def pif_states(draw):
+    sig = pif_signature(draw(st.integers(3, 16)))
+    return sig.state_at(draw(st.integers(0, sig.size - 1)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pif_states())
+def test_wave_words_agree_with_the_classifier_on_long_chains(state):
+    assert_words_match_the_classifier(state)
 
 
 def test_abp_classify_fixtures():
@@ -347,3 +383,30 @@ def test_stutter_cycle_witness_is_pinned():
         "notes": ["stutter policy: divergence-forbidden",
                   "stutter divergence: found, forbidden by policy"],
     }
+
+
+def test_specification_callables_see_each_image_once():
+    # la 8 has one 256-state bottom component; its 15 obligations used to
+    # be evaluated on every edge of every cycle search
+    bundle = protocols.make_alternator(8)
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*images):
+            calls[(name,) + tuple(s.index for s in images)] += 1
+            return fn(*images)
+        return call
+
+    spec = bundle.ideal_spec
+    obligations = spec.acceptance.obligations
+    spec = replace(
+        spec, allowed_state=counted("state", spec.allowed_state),
+        allowed_edge=counted("edge", spec.allowed_edge),
+        acceptance=Recurrence(tuple(
+            replace(o, edge_pred=counted(o.name, o.edge_pred))
+            for o in obligations)))
+    verdict = check_ideal_stabilizing(bundle.program, bundle.mapping, spec)
+    assert verdict.holds
+    assert max(calls.values()) == 1
+    assert {key[0] for key in calls} == \
+        {"state", "edge"} | {o.name for o in obligations}

@@ -202,9 +202,8 @@ def terminals(ts: TransitionSystem) -> list[State]:
 # Cycle search.
 
 def has_cycle(offsets, targets, nodes: Iterable[int], edge_ok=None) -> bool:
-    """Whether the subgraph of a CSR graph induced by the node ids and the
-    edges k with a true edge_ok[k] (all when None) has a cycle. Kahn's
-    peel: linear, and find_cycle need only run to show a cycle."""
+    """Whether the subgraph on the given nodes and the edges k with a true
+    edge_ok[k] (all when None) has a cycle, decided by a linear Kahn peel."""
     nodes = list(nodes)
     inside = bytearray(len(offsets) - 1)
     for v in nodes:

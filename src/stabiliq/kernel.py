@@ -286,7 +286,7 @@ class Signature:
     """
 
     __slots__ = ("slots", "index_of", "radices", "size", "_unique",
-                 "positions", "_windows", "_value_index")
+                 "positions", "_windows", "_value_index", "_hash")
 
     def __init__(self, slots):
         slots = tuple(slots)
@@ -312,6 +312,7 @@ class Signature:
         self._windows = {}
         self._value_index = tuple({v: i for i, v in enumerate(dom.values)}
                                   for _, _, dom in slots)
+        self._hash = hash(slots)
 
     # -- naming ------------------------------------------------------------
 
@@ -414,7 +415,7 @@ class Signature:
         return isinstance(other, Signature) and self.slots == other.slots
 
     def __hash__(self):
-        return hash(self.slots)
+        return self._hash
 
     def __repr__(self):
         return "Signature(%d slots, %d states)" % (len(self.slots), self.size)

@@ -47,8 +47,7 @@ class BoundMapping:
         return self._fn(state)
 
     def ids(self, ts) -> Sequence[int]:
-        """The canonical encoding, under `signature`, of each program
-        state's image, in the order of the transition system's states."""
+        """The id, under `signature`, of each state's image, in ts order."""
         if self._ids is not None:
             return self._ids(ts)
         encode, fn = self.signature.encode, self._fn

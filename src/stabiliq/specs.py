@@ -330,11 +330,13 @@ def check_stabilizing(program: Program, mapping: StateMapping,
 
     # Acceptance on every bottom component (all lie inside the invariant
     # once closure and convergence hold).
+    accepts = functools.cache(lambda m: spec.acceptance.pred(image(m)))
     for c in cond.bottoms:
         comp = cond.components[c]
         if not all(inv[s] for s in comp):
             continue
-        verdict = _check_acceptance(spec, ts, cond, c, ids, image, notes)
+        verdict = _check_acceptance(spec, ts, cond, c, ids, image, accepts,
+                                    notes)
         if verdict is not None:
             return fail(verdict)
 
@@ -365,10 +367,10 @@ def check_stabilizing(program: Program, mapping: StateMapping,
 
 
 def _check_acceptance(spec: Specification, ts, cond, c: int, ids, image,
-                      notes: list) -> Optional[dict]:
-    """Evaluate the acceptance condition on bottom component c. Returns a
-    witness dict on a gating violation, None otherwise; analyze findings go
-    into notes."""
+                      accepts, notes: list) -> Optional[dict]:
+    """Evaluate the acceptance condition on bottom component c; `accepts`
+    is its state predicate on spec ids. Returns a witness dict on a gating
+    violation, None otherwise; analyze findings go into notes."""
     comp = cond.components[c]
     acc = spec.acceptance
     terminal = cond.trivial[c]
@@ -382,11 +384,11 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, ids, image,
             return {"kind": "acceptance", "component": comp_texts,
                     "reason": "%s cycles forever, but the specification's "
                               "sequences are finite" % where}
-        s = comp[0]
-        if not acc.pred(image(ids[s])):
+        if not accepts(ids[comp[0]]):
             return {"kind": "acceptance", "component": comp_texts,
                     "reason": "terminal state %s does not satisfy the "
-                              "final-state condition" % ts.states[s].text()}
+                              "final-state condition"
+                              % ts.states[comp[0]].text()}
         return None
 
     # CycleWithin and Recurrence both describe infinite behavior.
@@ -396,9 +398,8 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, ids, image,
                           "sequences are infinite" % where}
 
     if isinstance(acc, CycleWithin):
-        within = functools.cache(lambda m: acc.pred(image(m)))
         for s in comp:
-            if not within(ids[s]):
+            if not accepts(ids[s]):
                 return {"kind": "acceptance", "component": comp_texts,
                         "reason": "%s contains %s, outside the target "
                                   "cycle family%s"
@@ -475,18 +476,18 @@ _PIF_WAVE = re.compile(r"q*i+p*|q+p+")
 _PIF_PRIME = re.compile(r"q*i.*|q+p[^i]*")
 _PIF_RQ_PRIME = re.compile(r"q*i.*")
 _PIF_RP_STRICT = re.compile(r"q+p+")
-_PIF_LETTERS = {"i": "i", "rq": "q", "rp": "p"}
-_pif_table: list = [None, ()]  # the last signature and its letter table
+
+
+@functools.lru_cache(maxsize=16)
+def _pif_letters(sig) -> tuple:
+    """Per position: the slot of st and the letter of each value index."""
+    letter = {"i": "i", "rq": "q", "rp": "p"}
+    return tuple((i, [letter.get(v, "?") for v in sig.slots[i][2].values])
+                 for i in map(sig.slot, sig.positions, repeat("st")))
 
 
 def _pif_word(state: State) -> str:
-    sig = state.sig
-    if _pif_table[0] is not sig:
-        _pif_table[:] = [sig, tuple(
-            (i, [_PIF_LETTERS.get(v, "?") for v in sig.slots[i][2].values])
-            for i in map(sig.slot, sig.positions, repeat("st")))]
-    values = state.values
-    return "".join([letters[values[i]] for i, letters in _pif_table[1]])
+    return "".join([t[state.values[i]] for i, t in _pif_letters(state.sig)])
 
 
 def pif_wave(state: State) -> bool:

@@ -224,9 +224,17 @@ def cmd_impossibility(args) -> int:
     if args.protocol == "le":
         if args.n is None:
             raise UsageError("le needs --n")
+        # refuse counts past Python's int-to-text digit limit, if it has
+        # one; 4^n >= 16^limit > 10^limit once n >= 2·limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and 4 ** min(args.n, 2 * limit) >= 10 ** limit:
+            raise UsageError(
+                "le at N = %d has 4^%d states, a count of more than %d "
+                "digits, Python's limit for printing an int "
+                "(PYTHONINTMAXSTRDIGITS)" % (args.n, args.n, limit))
         fixture = protocols.make_le(args.n)
         sig = fixture.signature
-        allowed, disallowed = fixture.allowed, None
+        allowed, disallowed = fixture.automaton, None
         subject = "le chain length %d" % args.n
     elif args.allowed_file and args.disallowed_file:
         try:
@@ -260,19 +268,11 @@ def cmd_impossibility(args) -> int:
         print("  every program whose specification forces the allowed set "
               "can be driven into this disallowed state")
     if args.json:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "tool": "stabiliq",
-            "command": "impossibility",
-            "subject": subject,
-            "possible": result.possible,
-            "witness": None if result.witness is None
-            else result.witness.text(),
-            "generation": result.generation,
-            "closure_size": result.closure_size,
-            "allowed_size": result.allowed_size,
-            "universe_size": result.universe_size,
-        }
+        # the result's fields in order, the witness as text
+        report = {"schema_version": SCHEMA_VERSION, "tool": "stabiliq",
+                  "command": "impossibility", "subject": subject,
+                  **vars(result), "witness": None if result.witness is None
+                  else result.witness.text()}
         _write_json(args.json, report)
     return 0
 
@@ -443,13 +443,7 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except UniverseCapError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ModelError, dsl.DslError) as exc:
+    except (UsageError, UniverseCapError, ModelError, dsl.DslError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

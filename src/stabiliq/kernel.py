@@ -807,20 +807,6 @@ def successors(program: Program, state: State) -> list[State]:
     return sorted(seen.values(), key=lambda s: s.values)
 
 
-def extended_state(program: Program, state: State, pos: int) -> dict:
-    """The partial assignment a process can see: its own variables plus both
-    neighbors' (one neighbor at chain ends), as {(position, name): value}."""
-    _check_state(program, state)
-    if not 1 <= pos <= program.n:
-        raise ModelError("no process at position %d" % pos)
-    sig = program.signature
-    out = {}
-    for i in sig.window_slots(pos):
-        p, name, dom = sig.slots[i]
-        out[(p, name)] = dom.values[state.values[i]]
-    return out
-
-
 def universe(program: Program, cap: Optional[int] = None) -> Universe:
     """The full state universe as a sized iterable, in canonical order.
     Raises UniverseCapError above the cap (default 10**7 states)."""

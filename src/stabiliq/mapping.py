@@ -15,10 +15,12 @@ and a second step admits nothing new. The closure is thus the set of states
 whose every window occurs in the input, and it is assembled window by window
 along the chain, never by scanning the universe. A specification whose
 closure of allowed states reaches a disallowed state admits no ideally
-stabilizing program at all.
+stabilizing program at all. An allowed set given as a ChainAutomaton is
+decided by counting over its windows, and no state is listed at all.
 """
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -267,27 +269,26 @@ def _resolve_signature(states, signature):
     return states, signature
 
 
-def merge_closure_generations(states, signature: Optional[Signature] = None
-                              ) -> dict:
-    """Merge closure with provenance: maps each input state to 0 and every
-    other member of the closure to 1.
+def merge_closure(states, signature: Optional[Signature] = None) -> frozenset:
+    """The least superset of states closed under extended-window assembly.
 
     One assembly step reaches the fixpoint. A state is admitted only when
     every one of its windows already occurs in the input, so admitting it
     adds no window, and a second step could admit only what the first did.
     The closure is exactly the set of states whose every extended window
-    occurs in the input.
+    occurs in the input, the input among them.
     """
     states, sig = _resolve_signature(states, signature)
-    gens = dict.fromkeys(states, 0)
-    for values in _assemble(sig, _window_sets(sig, gens)):
-        gens.setdefault(State(sig, values), 1)
-    return gens
+    return frozenset(State(sig, values)
+                     for values in _assemble(sig, _window_sets(sig, states)))
 
 
-def merge_closure(states, signature: Optional[Signature] = None) -> frozenset:
-    """The least superset of states closed under extended-window assembly."""
-    return frozenset(merge_closure_generations(states, signature))
+def merge_closure_generations(states, signature=None) -> dict:
+    """merge_closure with each input state mapped to 0, the rest to 1; only
+    the benchmark's traced run (bench/tracing.py) still calls it."""
+    states, sig = _resolve_signature(states, signature)
+    gens = dict.fromkeys(merge_closure(states, sig), 1)
+    return gens | dict.fromkeys(states, 0)
 
 
 def check_merge_symmetry(program: Program, mapping: StateMapping,
@@ -303,13 +304,8 @@ def check_merge_symmetry(program: Program, mapping: StateMapping,
     """
     sig = mapping.bind(program).signature
     image = image_of_universe(program, mapping)
-    if spec_states is None:
-        base = image
-    else:
-        base, _ = _resolve_signature(spec_states, sig)
-    assembled = (State(sig, values)
-                 for values in _assemble(sig, _window_sets(sig, base)))
-    return min((c for c in assembled if c not in image),
+    base = image if spec_states is None else spec_states
+    return min((c for c in merge_closure(base, sig) if c not in image),
                key=lambda s: s.values, default=None)
 
 
@@ -334,6 +330,109 @@ class PossibilityResult:
     universe_size: int
 
 
+class ChainAutomaton:
+    """A deterministic automaton that reads a specification state along the
+    chain, one letter per position: the position's value tuple, in slot
+    order. step(q, position, letter) is the next automaton state, or None
+    (dead); the automaton accepts the states whose run from `initial` ends
+    in `accepting`. Slots must be grouped by position, over consecutive
+    positions in order, so canonical order is the order of letter words."""
+
+    __slots__ = ("signature", "initial", "step", "accepting")
+
+    def __init__(self, signature: Signature, initial, step: Callable,
+                 accepting):
+        order, ps = [p for p, _, _ in signature.slots], signature.positions
+        if order != sorted(order) or ps[-1] - ps[0] != len(ps) - 1:
+            raise ModelError("a chain automaton needs its slots grouped by "
+                             "position, over consecutive positions in order")
+        self.signature, self.initial, self.step = signature, initial, step
+        self.accepting = frozenset(accepting)
+
+
+def _runs(aut: ChainAutomaton) -> tuple:
+    """Per position, its letters in lexicographic order and the successor
+    of each automaton state reached so far (and of None, dead) under each;
+    per prefix length, the states reached and those that can still accept."""
+    radices = {}
+    for (p, _, _), r in zip(aut.signature.slots, aut.signature.radices):
+        radices.setdefault(p, []).append(r)
+    alphabet = [list(itertools.product(*map(range, radices[p])))
+                for p in aut.signature.positions]
+    reach, delta = [{aut.initial}], []
+    for p, letters in zip(aut.signature.positions, alphabet):
+        delta.append({q: [aut.step(q, p, a) for a in letters]
+                      for q in reach[-1]})
+        reach.append({t for row in delta[-1].values() for t in row} - {None})
+        delta[-1][None] = [None] * len(letters)
+    live = [aut.accepting & reach[-1]]
+    for moves in reversed(delta):
+        live.append({q for q, row in moves.items()
+                     if not live[-1].isdisjoint(row)})
+    return alphabet, delta, reach, live[::-1]
+
+
+def accepted_states(aut: ChainAutomaton) -> frozenset:
+    """The automaton's language, listed only within kernel.state_cap()."""
+    size, cap = _automaton_possibility(aut).allowed_size, kernel.state_cap()
+    if size > cap:
+        raise kernel.UniverseCapError(size, cap, "allowed set")
+    alphabet, delta, _, live = _runs(aut)
+    words = [((), q) for q in live[0]]
+    for j, letters in enumerate(alphabet):
+        words = [(w + letters[a], t) for w, q in words
+                 for a, t in enumerate(delta[j][q]) if t in live[j + 1]]
+    return frozenset(State(aut.signature, w) for w, _ in words)
+
+
+def _automaton_possibility(aut: ChainAutomaton) -> PossibilityResult:
+    """check_ideal_possibility on an automaton's language, listing nothing.
+
+    windows[j] holds the letter windows (j-1, j, j+1) of accepted states,
+    None-padded at the chain ends, read off live automaton states. A
+    backward pass over keys (letter j-1, letter j, automaton state after j)
+    counts the states whose every window occurs (the merge closure) and the
+    rejected ones among them; the least rejected one is read off greedily.
+    """
+    alphabet, delta, reach, live = _runs(aut)
+    n, windows = len(alphabet), []
+    for j in range(n):
+        lo = max(j - 1, 0)
+        paths = [((), q) for q in live[lo]]
+        for k in range(lo, min(j + 2, n)):
+            paths = [(w + (a,), t) for w, q in paths
+                     for a, t in enumerate(delta[k][q]) if t in live[k + 1]]
+        windows.append({(None,) * (j == 0) + w + (None,) * (j == n - 1)
+                        for w, _ in paths})
+    marked, later = [None] * n, {}
+    for j in range(n - 1, -1, -1):
+        keys = {}
+        for p, a, b in windows[j]:
+            for q in [*reach[j + 1], None]:
+                count, bad = (1, q not in aut.accepting) if b is None else \
+                    later.get((a, b, delta[j + 1][q][b]), (0, 0))
+                if count:
+                    total, rejected = keys.get((p, a, q), (0, 0))
+                    keys[p, a, q] = (total + count, rejected + bad)
+        marked[j] = {key for key, (_, bad) in keys.items() if bad}
+        later = keys
+    starts = [(None, a, t) for a, t in enumerate(delta[0][aut.initial])]
+    closure, rejected = map(sum, zip(*(later.get(k, (0, 0)) for k in starts)))
+    sizes = (closure, closure - rejected, aut.signature.size)
+    key = next((k for k in starts if k in marked[0]), None)
+    if key is None:
+        return PossibilityResult(True, None, None, *sizes)
+    word = [key]
+    for j in range(1, n):
+        p, a, q = word[-1]
+        word.append(next(k for k in ((a, b, t)
+                                     for b, t in enumerate(delta[j][q]))
+                         if (p, a, k[1]) in windows[j - 1]
+                         and k in marked[j]))
+    values = sum((alphabet[j][k[1]] for j, k in enumerate(word)), ())
+    return PossibilityResult(False, State(aut.signature, values), 1, *sizes)
+
+
 def check_ideal_possibility(allowed, disallowed=None,
                             signature: Optional[Signature] = None
                             ) -> PossibilityResult:
@@ -343,10 +442,17 @@ def check_ideal_possibility(allowed, disallowed=None,
     Impossible means the merge closure of the allowed set contains a
     disallowed state: any merge-symmetric mapping would be forced to give
     that state a program preimage, so no program confines itself to the
-    allowed set. The answer depends on `allowed` alone. A `disallowed` set,
-    when given, must partition the specification universe with `allowed`;
-    None stands for the complement, which is never enumerated.
+    allowed set. The answer depends on `allowed` alone: a state set, or a
+    ChainAutomaton accepting it, which is decided by counting with no state
+    listed and so bounded by neither the state cap nor the universe. A
+    `disallowed` set, given only with a state set, must partition the
+    universe with `allowed`; None stands for the complement, never listed.
     """
+    if isinstance(allowed, ChainAutomaton):
+        if disallowed is not None:
+            raise ModelError("an automaton's disallowed states are the rest "
+                             "of its universe; pass no disallowed set")
+        return _automaton_possibility(allowed)
     allowed = frozenset(allowed)
     if disallowed is None:
         _, sig = _resolve_signature(allowed, signature)
@@ -363,13 +469,11 @@ def check_ideal_possibility(allowed, disallowed=None,
                 "allowed (%d) and disallowed (%d) do not partition the "
                 "%d-state specification universe"
                 % (len(allowed), len(disallowed), sig.size))
-    gens = merge_closure_generations(allowed, sig)
-    outside = [s for s, g in gens.items() if g]
-    if outside:
-        witness = min(outside, key=lambda s: s.values)
-        return PossibilityResult(False, witness, gens[witness], len(gens),
-                                 len(allowed), sig.size)
-    return PossibilityResult(True, None, None, len(gens),
+    closure = merge_closure(allowed, sig)
+    witness = min((s for s in closure if s not in allowed),
+                  key=lambda s: s.values, default=None)
+    return PossibilityResult(witness is None, witness,
+                             None if witness is None else 1, len(closure),
                              len(allowed), sig.size)
 
 

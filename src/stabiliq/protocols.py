@@ -10,17 +10,15 @@ for it exists.
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
 from .kernel import (BOOL, Action, And, Assign, BoolLit, Cmp, Domain, If, Lit,
                      ModelError, NotRef, Or, Process, Program, Signature,
-                     State, Universe, UniverseCapError, VarRef, VariableDecl,
-                     state_cap)
-from .mapping import (EnabledOutputMapping, HighestIdMapping, IdenticalMapping,
-                      StateMapping)
+                     State, Universe, VarRef, VariableDecl)
+from .mapping import (ChainAutomaton, EnabledOutputMapping, HighestIdMapping,
+                      IdenticalMapping, StateMapping, accepted_states)
 from . import specs as _specs
 from .specs import Specification
 
@@ -310,16 +308,21 @@ def make_abp() -> ProtocolBundle:
 class LeFixture:
     """The leader-election specification universe, partitioned.
 
-    allowed states have at most one leader, and only a contending one;
-    disallowed is the rest of the universe, built on first use and only
-    within the state cap; forced lists the states every input-complete
-    subset must contain: the elected outcomes for the two
-    singleton-contender inputs at the chain ends."""
+    automaton accepts the allowed states: at most one leader, and only a
+    contending one. It is all the impossibility check reads, so nothing is
+    listed for it. allowed and disallowed are the explicit state sets,
+    built on first use and only within the state cap; forced lists the
+    states every input-complete subset must contain: the elected outcomes
+    for the two singleton-contender inputs at the chain ends."""
 
     n: int
     signature: Signature
-    allowed: frozenset
+    automaton: ChainAutomaton
     forced: tuple
+
+    @functools.cached_property
+    def allowed(self) -> frozenset:
+        return accepted_states(self.automaton)
 
     @functools.cached_property
     def disallowed(self) -> frozenset:
@@ -340,40 +343,32 @@ class LeFixture:
         return self.signature.state(assignment)
 
 
+def _le_step(q, position, letter):
+    """Read one (contend, leader) letter: 0 before any leader, 1 after one
+    contending leader, None (dead) at a second or a non-contending one."""
+    contend, leader = letter
+    if not leader:
+        return q
+    return 1 if q == 0 and contend else None
+
+
 def make_le(n: int) -> LeFixture:
     """Build the leader-election fixture for a chain of n > 3 processes.
     Short chains are excluded: every window then sees every position, so
     the merge argument has no room to combine distant contenders.
 
-    Only the 2^n·(n+1) states with at most one leader are generated and
-    filtered, never the 4^n-state universe; that count must be within the
-    state cap."""
+    Builds the signature, the three-state automaton (no leader yet, one
+    contending leader, dead) and the two forced states; no state set."""
     if n <= 3:
         raise ModelError("leader election is considered for chains of "
                          "more than 3 processes")
-    candidates = (n + 1) << n
-    cap = state_cap()
-    if candidates > cap:
-        raise UniverseCapError(candidates, cap,
-                               "le candidate set (at most one leader)")
-    slots = []
-    for p in range(1, n + 1):
-        slots.append((p, "contend", BOOL))
-        slots.append((p, "leader", BOOL))
-    sig = Signature(slots)
-    allowed = set()
-    for leader in range(n + 1):  # 0: no leader
-        for contend in itertools.product((0, 1), repeat=n):
-            values = []
-            for p, c in enumerate(contend, start=1):
-                values += (c, 1 if p == leader else 0)
-            s = State(sig, tuple(values))
-            if _specs._le_allowed(s):
-                allowed.add(s)
-    fixture = LeFixture(n, sig, frozenset(allowed), ())
+    sig = Signature((p, name, BOOL) for p in range(1, n + 1)
+                    for name in ("contend", "leader"))
+    fixture = LeFixture(n, sig, ChainAutomaton(sig, 0, _le_step,
+                                               frozenset((0, 1))), ())
     s1 = fixture.forced_state([True] + [False] * (n - 1))
     s2 = fixture.forced_state([False] * (n - 1) + [True])
-    return LeFixture(n, sig, fixture.allowed, (s1, s2))
+    return replace(fixture, forced=(s1, s2))
 
 
 # --------------------------------------------------------------------------

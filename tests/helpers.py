@@ -8,6 +8,7 @@ for component structure. Slow is fine; these run on desk-size universes.
 """
 from __future__ import annotations
 
+import math
 import random
 
 from stabiliq import kernel
@@ -102,6 +103,27 @@ def brute_merge_closure(sig: Signature, states) -> frozenset:
         if nxt <= cur:
             return frozenset(cur)
         cur |= nxt
+
+
+def le_closed_form(n: int) -> dict:
+    """The le impossibility answer at chain length n, from counting alone.
+
+    Allowed: no leader (2^n contend patterns) or one contending leader
+    (n·2^(n-1)). A window of three positions holds at most one leader, so
+    the closure is every state whose leaders all contend and sit at least
+    3 apart: C(n-2(k-1), k) placements of k leaders, 2^(n-k) contend
+    patterns for the rest. The least disallowed member puts two leaders as
+    far right as that allows, at n-3 and n, and everything else false.
+    """
+    closure = sum(math.comb(n - 2 * (k - 1), k) << (n - k)
+                  for k in range((n + 2) // 3 + 1))
+    witness = " ".join(
+        "contend.p%d=%s leader.p%d=%s" % (p, v, p, v)
+        for p in range(1, n + 1)
+        for v in ["true" if p in (n - 3, n) else "false"])
+    return {"possible": False, "witness": witness, "generation": 1,
+            "closure_size": closure, "allowed_size": (n + 2) << (n - 1),
+            "universe_size": 4 ** n}
 
 
 def random_spec_instance(rng: random.Random, max_slots: int = 12):

@@ -1,10 +1,16 @@
 """Command line behavior: exit codes, report files, output shapes."""
 import json
+import math
 import re
+import sys
 
 import pytest
 
+import helpers
+from stabiliq import mapping, protocols
 from stabiliq.cli import main
+from stabiliq.kernel import Signature, UniverseCapError
+from stabiliq.mapping import format_spec_states
 
 
 def run(capsys, *argv):
@@ -127,41 +133,124 @@ def test_impossibility_leader_election(capsys, tmp_path):
     assert payload["allowed_size"] == 48
 
 
-def test_le_fixture_respects_the_cap_environment(capsys, monkeypatch):
-    # 2^9 * 10 candidate states are above a cap of 1000
-    monkeypatch.setenv("STABILIQ_STATE_CAP", "1000")
-    code, _, err = run(capsys, "impossibility", "--protocol", "le",
-                       "--n", "9")
-    assert code == 2
-    assert err.startswith("error: le candidate set (at most one leader) "
-                          "has 5120 states, above the cap of 1000;")
+def test_le_fixture_respects_the_cap_environment(monkeypatch):
+    # the explicit sets are listed only on demand, each within the cap:
+    # 2816 allowed states and the 262144-state universe at N = 9
+    fx = protocols.make_le(9)
+    monkeypatch.setenv("STABILIQ_STATE_CAP", "2815")
+    with pytest.raises(UniverseCapError,
+                       match="^allowed set has 2816 states, above the cap "
+                             "of 2815;"):
+        fx.allowed
+    monkeypatch.setenv("STABILIQ_STATE_CAP", "2816")
+    assert len(fx.allowed) == 2816
+    monkeypatch.setenv("STABILIQ_STATE_CAP", "262143")
+    with pytest.raises(UniverseCapError,
+                       match="^state universe has 262144 states, above the "
+                             "cap of 262143;"):
+        fx.disallowed
+    monkeypatch.setenv("STABILIQ_STATE_CAP", "262144")
+    assert len(fx.disallowed) == 262144 - 2816
 
 
-def test_le_fixture_respects_the_default_cap(capsys, monkeypatch):
+def test_le_fixture_respects_the_default_cap(capsys, monkeypatch, tmp_path):
+    # N = 40 lists nothing, so the default cap no longer refuses it
     monkeypatch.delenv("STABILIQ_STATE_CAP", raising=False)
-    code, _, err = run(capsys, "impossibility", "--protocol", "le",
-                       "--n", "40")
-    assert code == 2
-    assert err.startswith("error: le candidate set (at most one leader) "
-                          "has %d states, above the cap of 10000000;"
-                          % (41 << 40))
-    assert "state universe" not in err
-
-
-def test_merge_closure_respects_the_cap(capsys, monkeypatch):
-    # the 5120 le candidates fit under 6000; the 6144-state closure does not
-    monkeypatch.delenv("STABILIQ_STATE_CAP", raising=False)
-    uncapped = run(capsys, "impossibility", "--protocol", "le", "--n", "9")
-    assert uncapped[0] == 0
-    monkeypatch.setenv("STABILIQ_STATE_CAP", "6000")
+    path = tmp_path / "le40.json"
     code, out, err = run(capsys, "impossibility", "--protocol", "le",
-                         "--n", "9")
+                         "--n", "40", "--json", str(path))
+    expected = helpers.le_closed_form(40)
+    assert (code, err) == (0, "")
+    assert out.startswith("specification universe: le chain length 40  "
+                          "(%d states, %d allowed)\nverdict: impossible\n"
+                          "  witness: %s\n"
+                          % (4 ** 40, expected["allowed_size"],
+                             expected["witness"]))
+    payload = json.loads(path.read_text())
+    assert {k: payload[k] for k in expected} == expected
+
+
+def test_merge_closure_respects_the_cap(capsys, monkeypatch, tmp_path):
+    # a file pair is listed: le at N = 5 has 112 allowed states and a
+    # 136-state merge closure
+    fx = protocols.make_le(5)
+    allowed, disallowed = tmp_path / "allowed.txt", tmp_path / "rest.txt"
+    allowed.write_text(format_spec_states(fx.allowed))
+    disallowed.write_text(format_spec_states(fx.disallowed))
+    argv = ("impossibility", "--allowed-file", str(allowed),
+            "--disallowed-file", str(disallowed))
+    monkeypatch.delenv("STABILIQ_STATE_CAP", raising=False)
+    uncapped = run(capsys, *argv)
+    assert uncapped[0] == 0 and "verdict: impossible" in uncapped[1]
+    monkeypatch.setenv("STABILIQ_STATE_CAP", "135")
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: merge closure has 6144 states, above the "
-                          "cap of 6000;")
-    monkeypatch.setenv("STABILIQ_STATE_CAP", "6144")
-    assert run(capsys, "impossibility", "--protocol", "le",
-               "--n", "9") == uncapped
+    assert err.startswith("error: merge closure has 136 states, above the "
+                          "cap of 135;")
+    monkeypatch.setenv("STABILIQ_STATE_CAP", "136")
+    assert run(capsys, *argv) == uncapped
+
+
+def test_le_cli_lists_no_state(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a state set was listed")
+
+    monkeypatch.setattr(Signature, "states", refuse)
+    monkeypatch.setattr(mapping, "_assemble", refuse)
+    monkeypatch.setattr(protocols.LeFixture, "allowed", property(refuse))
+    path = tmp_path / "le9.json"
+    code, _, _ = run(capsys, "impossibility", "--protocol", "le", "--n", "9",
+                     "--json", str(path))
+    expected = helpers.le_closed_form(9)
+    payload = json.loads(path.read_text())
+    assert code == 0
+    assert {k: payload[k] for k in expected} == expected
+
+
+def largest_printable_le() -> int:
+    """The largest N whose 4^N states Python can print, or 0 when the
+    interpreter sets no digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return 0
+    n = int(limit / math.log10(4))
+    while 4 ** (n + 1) < 10 ** limit:
+        n += 1
+    while 4 ** n >= 10 ** limit:
+        n -= 1
+    return n
+
+
+def refuse_to_build(n):
+    raise AssertionError("the fixture was built")
+
+
+def test_le_counts_past_the_digit_limit_exit_2(capsys, monkeypatch):
+    n = largest_printable_le()
+    if not n:
+        pytest.skip("this interpreter prints ints of any length")
+    monkeypatch.setattr(protocols, "make_le", refuse_to_build)
+    code, out, err = run(capsys, "impossibility", "--protocol", "le",
+                         "--n", str(n + 1))
+    assert (code, out) == (2, "")
+    assert err == ("error: le at N = %d has 4^%d states, a count of more "
+                   "than %d digits, Python's limit for printing an int "
+                   "(PYTHONINTMAXSTRDIGITS)\n"
+                   % (n + 1, n + 1, sys.get_int_max_str_digits()))
+
+
+def test_le_counts_at_the_digit_limit_print(capsys, tmp_path):
+    n = largest_printable_le()
+    if not n:
+        pytest.skip("this interpreter prints ints of any length")
+    path = tmp_path / "le.json"
+    code, out, err = run(capsys, "impossibility", "--protocol", "le",
+                         "--n", str(n), "--json", str(path))
+    assert (code, err) == (0, "")
+    assert "(%d states, " % 4 ** n in out
+    payload = json.loads(path.read_text())
+    assert payload["universe_size"] == 4 ** n
+    assert payload["closure_size"] == helpers.le_closed_form(n)["closure_size"]
 
 
 def test_impossibility_from_state_files(capsys, tmp_path):

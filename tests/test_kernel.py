@@ -169,16 +169,23 @@ def test_successors_are_distinct_and_encoded_ascending():
 
 def test_extended_state_covers_the_window_only():
     cm = protocols.make_cm((2, 1, 3, 4)).program
-    s = cm.signature.parse_state(
+    sig = cm.signature
+    s = sig.parse_state(
         "access.p1=true access.p2=false access.p3=false access.p4=true")
-    assert kernel.extended_state(cm, s, 2) == {
+
+    def window(pos):
+        return {sig.slots[i][:2]: sig.slots[i][2].values[s.values[i]]
+                for i in sig.window_slots(pos)}
+
+    assert window(2) == {
         (1, "access"): "true", (2, "access"): "false", (3, "access"): "false"}
-    assert kernel.extended_state(cm, s, 1) == {
+    assert window(1) == {
         (1, "access"): "true", (2, "access"): "false"}
-    assert kernel.extended_state(cm, s, 4) == {
+    assert window(4) == {
         (3, "access"): "false", (4, "access"): "true"}
-    with pytest.raises(ModelError):
-        kernel.extended_state(cm, s, 5)
+    # no process sits at position 5: its window holds only its neighbor
+    assert 5 not in sig.positions
+    assert window(5) == {(4, "access"): "true"}
 
 
 def test_program_validation_rejects_bad_constructions():

@@ -12,12 +12,13 @@ from helpers import map_state
 from stabiliq import protocols
 from stabiliq.kernel import (BOOL, Domain, ModelError, Signature,
                              UniverseCapError)
-from stabiliq.mapping import (EnabledOutputMapping, HighestIdMapping,
-                              IdenticalMapping, MappingError,
-                              ProjectionMapping, check_ideal_possibility,
+from stabiliq.mapping import (ChainAutomaton, EnabledOutputMapping,
+                              HighestIdMapping, IdenticalMapping, MappingError,
+                              ProjectionMapping, accepted_states,
+                              check_ideal_possibility,
                               check_merge_symmetry, format_spec_states,
-                              merge_closure, merge_closure_generations,
-                              read_spec_state_sets, read_spec_states)
+                              merge_closure, read_spec_state_sets,
+                              read_spec_states)
 from stabiliq.specs import _le_allowed
 
 KNOWN_ANSWERS = Path(__file__).resolve().parents[1] / "bench" / \
@@ -112,11 +113,11 @@ def test_merge_closure_worked_example():
     s1 = spec_state(sig, (True, False, False, False))
     s2 = spec_state(sig, (False, False, False, True))
     s3 = spec_state(sig, (True, False, False, True))
-    gens = merge_closure_generations(frozenset([s1, s2]), sig)
-    assert gens[s1] == 0 and gens[s2] == 0
-    assert gens[s3] == 1
     closure = merge_closure(frozenset([s1, s2]), sig)
-    assert closure == frozenset(gens)
+    assert s1 in closure and s2 in closure
+    assert s3 in closure
+    # one merge step from the input already holds the whole closure
+    assert helpers.brute_merge_round(sig, {s1, s2}) | {s1, s2} == closure
     # each window of the merged state has a donor: left window from s1,
     # right window from s2, middle windows from either all-false flank
     assert spec_state(sig, (False, False, False, False)) in closure
@@ -212,7 +213,7 @@ def test_one_step_closure_against_the_brute_enumerator(instance):
     sig, states = instance
     brute = helpers.brute_merge_closure(sig, states)
     assert merge_closure(states, sig) == brute
-    assert max(merge_closure_generations(states, sig).values()) <= 1
+    assert helpers.brute_merge_round(sig, states) | states == brute
     complement = frozenset(s for s in sig.states() if s not in states)
     result = check_ideal_possibility(states, None, sig)
     assert result == check_ideal_possibility(states, complement, sig)
@@ -251,6 +252,81 @@ def test_le_impossibility_never_walks_the_universe(monkeypatch):
     assert result.witness.text() == known["witness"]
     assert result.generation == 1
     assert (result.allowed_size, result.universe_size) == (2816, 262144)
+
+
+def possibility_fields(result) -> dict:
+    return {"possible": result.possible,
+            "witness": None if result.witness is None
+            else result.witness.text(),
+            "generation": result.generation,
+            "closure_size": result.closure_size,
+            "allowed_size": result.allowed_size,
+            "universe_size": result.universe_size}
+
+
+@pytest.mark.parametrize("n", [4, 9, 64, 256])
+def test_le_automaton_matches_the_closed_form(n):
+    fx = protocols.make_le(n)
+    assert possibility_fields(check_ideal_possibility(fx.automaton)) == \
+        helpers.le_closed_form(n)
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_le_automaton_agrees_with_the_explicit_closure(n):
+    fx = protocols.make_le(n)
+    assert check_ideal_possibility(fx.automaton) == \
+        check_ideal_possibility(fx.allowed, None, fx.signature)
+
+
+@st.composite
+def chain_automata(draw):
+    """A random deterministic automaton over 3-6 positions, one slot of 2
+    or 3 values per position, 2-5 states, dead moves included."""
+    n = draw(st.integers(3, 6))
+    sig = Signature((p, "v", Domain("d", ("a", "b", "c")[:draw(
+        st.sampled_from((2, 3)))])) for p in range(1, n + 1))
+    states = draw(st.integers(2, 5))
+    # a draw of `states` stands for a dead move
+    moves = st.integers(0, states).map(lambda t: None if t == states else t)
+    table = {(q, p, (a,)): draw(moves) for p in sig.positions
+             for q in range(states) for a in range(sig.radices[p - 1])}
+    accepting = frozenset(draw(st.sets(st.integers(0, states - 1),
+                                       min_size=1)))
+    return ChainAutomaton(sig, 0, lambda q, p, a: table[q, p, a], accepting)
+
+
+def run_automaton(aut, state) -> bool:
+    """Whether aut accepts state, read one position at a time."""
+    q = aut.initial
+    for p, v in zip(aut.signature.positions, state.values):
+        q = None if q is None else aut.step(q, p, (v,))
+    return q in aut.accepting
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(chain_automata())
+def test_automaton_path_agrees_with_the_listed_language(aut):
+    sig = aut.signature
+    accepted = frozenset(s for s in sig.states() if run_automaton(aut, s))
+    assert accepted_states(aut) == accepted
+    result = check_ideal_possibility(aut)
+    assert result == check_ideal_possibility(accepted, None, sig)
+    brute = helpers.brute_merge_closure(sig, accepted)
+    least = min(brute - accepted, key=lambda s: s.values, default=None)
+    assert (result.witness, result.closure_size, result.allowed_size) == \
+        (least, len(brute), len(accepted))
+
+
+def test_chain_automaton_needs_slots_in_chain_order():
+    step = lambda q, p, a: q  # noqa: E731
+    shuffled = Signature([(2, "x", BOOL), (1, "x", BOOL)])
+    gapped = Signature([(1, "x", BOOL), (3, "x", BOOL)])
+    for sig in (shuffled, gapped):
+        with pytest.raises(ModelError):
+            ChainAutomaton(sig, 0, step, frozenset([0]))
+    fx = protocols.make_le(4)
+    with pytest.raises(ModelError):
+        check_ideal_possibility(fx.automaton, fx.disallowed)
 
 
 def test_check_ideal_possibility_on_leader_election():

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Optional
@@ -133,12 +134,10 @@ def _pif_coverage(program: Program, cap: Optional[int]) -> specs.Verdict:
     and report how much of the universe they cover. This is an analysis,
     not a property: it always completes, and the uncovered states are the
     finding."""
-    total = 0
-    uncovered = []
-    for state in kernel.universe(program, cap):
-        total += 1
-        if not specs.pif_prime(state):
-            uncovered.append(state)
+    total = program.signature.size
+    kernel.check_cap(total, cap=cap)
+    uncovered = [s for s in program.signature.states()
+                 if not specs.pif_prime(s)]
     notes = ["%d of %d states satisfy the extended wave predicates"
              % (total - len(uncovered), total)]
     if uncovered:
@@ -158,6 +157,12 @@ def _pif_coverage(program: Program, cap: Optional[int]) -> specs.Verdict:
 
 
 def cmd_verify(args) -> int:
+    for flag, checks in (("predicate", ("closed", "convergence")),
+                         ("invariant", ("stabilizing",)),
+                         ("stutter_policy", ("stabilizing", "ideal"))):
+        if getattr(args, flag) is not None and args.check not in checks:
+            raise UsageError("--%s does not apply to --check %s"
+                             % (flag.replace("_", "-"), args.check))
     program, bundle = _load(args)
     policy = POLICY_WORDS[args.stutter_policy] if args.stutter_policy else None
     default_pred = bundle.default_invariant if bundle is not None else "true"
@@ -221,6 +226,9 @@ def cmd_verify(args) -> int:
 # impossibility.
 
 def cmd_impossibility(args) -> int:
+    if args.protocol and (args.allowed_file or args.disallowed_file):
+        raise UsageError("give one of the two inputs: --protocol le with "
+                         "--n, or --allowed-file and --disallowed-file")
     if args.protocol == "le":
         if args.n is None:
             raise UsageError("le needs --n")
@@ -247,9 +255,6 @@ def cmd_impossibility(args) -> int:
         sig, (allowed, disallowed) = mappingmod.read_spec_state_sets(
             allowed_text, disallowed_text)
         subject = "%s / %s" % (args.allowed_file, args.disallowed_file)
-    elif args.protocol is not None:
-        raise UsageError("impossibility analysis ships a fixture for le "
-                         "only; others need --allowed-file/--disallowed-file")
     else:
         raise UsageError("provide --protocol le with --n, or both "
                          "--allowed-file and --disallowed-file")
@@ -442,9 +447,15 @@ def main(argv: Optional[list] = None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except (UsageError, UniverseCapError, ModelError, dsl.DslError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # stdout at devnull keeps the last flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed early", file=sys.stderr)
         return 2
 
 

@@ -27,8 +27,9 @@ POLICIES = ("uniform-random", "round-robin")
 class TransitionSystem:
     """The labeled transition graph over a program's full state universe.
 
-    Nodes are state ids, the canonical mixed-radix encoding, and `states[i]`
-    is the State with id i. Edges are stored as flat CSR arrays: the
+    Nodes are state ids, the canonical mixed-radix encoding; no State is
+    stored. `state(i)` decodes id i, and `states` iterates every State in
+    id order, decoding as it goes. Edges are stored as flat CSR arrays: the
     out-edges of node i are the indices k in `offsets[i]:offsets[i + 1]`,
     `targets[k]` is the target id, and `actions[k]` is an action id, an
     index into `program.action_order`. Each node's edges follow canonical
@@ -37,23 +38,24 @@ class TransitionSystem:
     keep separate edges; self-loops are retained.
     """
 
-    __slots__ = ("program", "signature", "states", "offsets", "targets",
-                 "actions")
+    __slots__ = ("program", "offsets", "targets", "actions")
 
-    def __init__(self, program: Program, states, offsets, targets, actions):
+    def __init__(self, program: Program, offsets, targets, actions):
         self.program = program
-        self.signature = program.signature
-        self.states = states
         self.offsets = offsets
         self.targets = targets
         self.actions = actions
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.offsets) - 1
 
     def state(self, i: int) -> State:
-        return self.states[i]
+        return self.program.signature.state_at(i)
+
+    @property
+    def states(self) -> Iterator[State]:
+        return self.program.signature.states()
 
     def label(self, k: int) -> tuple[int, str]:
         """The (position, action name) of edge k."""
@@ -82,20 +84,20 @@ def build_transition_system(program: Program,
 
     Edges come from the program's window tables (kernel.compile_windows):
     each position contributes the row its window code selects."""
-    universe = kernel.universe(program, cap)
+    kernel.check_cap(program.signature.size, cap=cap)
     tables = [(t.low_weight, t.span, t.rows)
               for t in kernel.compile_windows(program)]
     offsets = array("q", [0])
     targets: list[int] = []
     actions: list[int] = []
-    for sid in range(len(universe)):
+    for sid in range(program.signature.size):
         for low_weight, span, rows in tables:
             for action, delta in rows[sid // low_weight % span]:
                 targets.append(sid + delta)
                 actions.append(action)
         offsets.append(len(targets))
-    return TransitionSystem(program, tuple(universe), offsets,
-                            array("q", targets), array("i", actions))
+    return TransitionSystem(program, offsets, array("q", targets),
+                            array("i", actions))
 
 
 # --------------------------------------------------------------------------
@@ -194,7 +196,7 @@ def condense(ts: TransitionSystem) -> Condensation:
 def terminals(ts: TransitionSystem) -> list[State]:
     """States with no enabled action, in canonical order."""
     offsets = ts.offsets
-    return [ts.states[i] for i in range(ts.size)
+    return [ts.state(i) for i in range(ts.size)
             if offsets[i] == offsets[i + 1]]
 
 
@@ -282,7 +284,7 @@ def find_cycle(ts: TransitionSystem, nodes: Iterable[int],
                     ids = [u for u, _ in path[at:]]
                     labels = [in_label[u] for u in ids[1:]] + [(pos, name)]
                     return Cycle(
-                        tuple(ts.states[u] for u in ids), tuple(labels))
+                        tuple(map(ts.state, ids)), tuple(labels))
                 if color[w] == WHITE:
                     color[w] = GRAY
                     in_label[w] = (pos, name)
@@ -421,16 +423,15 @@ def induced_specification(program: Program, mapping,
                           cap: Optional[int] = None) -> InducedSpecification:
     ts = build_transition_system(program, cap)
     bound = mapping.bind(program)
-    mapped = [bound(s) for s in ts.states]
-    nodes = frozenset(mapped)
-    edges = set()
-    for i in range(ts.size):
-        ms = mapped[i]
-        for k in range(ts.offsets[i], ts.offsets[i + 1]):
-            mt = mapped[ts.targets[k]]
-            if ms != mt:
-                edges.add((ms, mt))
-    return InducedSpecification(bound.signature, nodes, frozenset(edges))
+    ids = bound.ids(ts)
+    # a source id repeats once per out-edge
+    pairs = set(zip(chain.from_iterable(map(
+        repeat, ids, map(sub, ts.offsets[1:], ts.offsets))),
+        map(ids.__getitem__, ts.targets)))
+    image = {m: bound.signature.state_at(m) for m in set(ids)}
+    edges = frozenset((image[m], image[n]) for m, n in pairs if m != n)
+    return InducedSpecification(bound.signature, frozenset(image.values()),
+                                edges)
 
 
 # --------------------------------------------------------------------------
@@ -468,7 +469,7 @@ def condensation_to_dot(ts: TransitionSystem, cond: Condensation,
            '  node [shape=box, fontname="monospace"];']
     bottoms = set(cond.bottoms)
     for c, comp in enumerate(cond.components):
-        sample = ts.states[comp[0]].text()
+        sample = ts.state(comp[0]).text()
         label = "%d state%s\\n%s" % (
             len(comp), "" if len(comp) == 1 else "s", _dot_escape(sample))
         attrs = ['label="%s"' % label]

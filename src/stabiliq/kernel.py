@@ -40,6 +40,16 @@ def state_cap(cap: Optional[int] = None) -> int:
         raise ModelError("the universe cap must be positive, not %d" % cap)
     return cap
 
+
+def check_cap(size: int, counted: str = "state universe",
+              cap: Optional[int] = None) -> None:
+    """Refuse to list a set of `size` states above state_cap(cap): raise
+    UniverseCapError naming the set as `counted`."""
+    cap = state_cap(cap)
+    if size > cap:
+        raise UniverseCapError(size, cap, counted)
+
+
 OFFSET_NAMES = {-1: "left", 0: "self", 1: "right"}
 VAR_KINDS = ("internal", "input", "output")
 
@@ -330,12 +340,6 @@ class Signature:
 
     # -- encoding ----------------------------------------------------------
 
-    def encode(self, values: tuple[int, ...]) -> int:
-        n = 0
-        for v, r in zip(values, self.radices):
-            n = n * r + v
-        return n
-
     def state_at(self, index: int) -> "State":
         if not 0 <= index < self.size:
             raise ModelError("state index %d out of range" % index)
@@ -442,7 +446,10 @@ class State:
 
     @property
     def index(self) -> int:
-        return self.sig.encode(self.values)
+        n = 0
+        for v, r in zip(self.values, self.sig.radices):
+            n = n * r + v
+        return n
 
     def text(self) -> str:
         return self.sig.format_state(self)
@@ -456,25 +463,6 @@ class State:
 
     def __repr__(self):
         return "<%s>" % self.sig.format_state(self)
-
-
-class Universe:
-    """A sized, iterable view of a program's full state universe."""
-
-    def __init__(self, sig: Signature, cap: Optional[int] = None):
-        cap = state_cap(cap)
-        if sig.size > cap:
-            raise UniverseCapError(sig.size, cap)
-        self.sig = sig
-
-    def __len__(self) -> int:
-        return self.sig.size
-
-    def __iter__(self) -> Iterator[State]:
-        return self.sig.states()
-
-    def __contains__(self, state) -> bool:
-        return isinstance(state, State) and state.sig == self.sig
 
 
 # --------------------------------------------------------------------------
@@ -525,11 +513,6 @@ class Program:
     @property
     def universe_size(self) -> int:
         return self.signature.size
-
-    def state(self, assignment_or_text) -> State:
-        if isinstance(assignment_or_text, str):
-            return self.signature.parse_state(assignment_or_text)
-        return self.signature.state(assignment_or_text)
 
     def __eq__(self, other):
         return (isinstance(other, Program) and self.name == other.name
@@ -728,9 +711,6 @@ class WindowTable:
     span: int
     rows: tuple
 
-    def row(self, sid: int) -> tuple:
-        return self.rows[sid // self.low_weight % self.span]
-
 
 def compile_windows(program: Program) -> tuple[WindowTable, ...]:
     """One WindowTable per position, in position order.
@@ -805,12 +785,6 @@ def successors(program: Program, state: State) -> list[State]:
         t = apply(program, state, pos, name)
         seen[t.values] = t
     return sorted(seen.values(), key=lambda s: s.values)
-
-
-def universe(program: Program, cap: Optional[int] = None) -> Universe:
-    """The full state universe as a sized iterable, in canonical order.
-    Raises UniverseCapError above the cap (default 10**7 states)."""
-    return Universe(program.signature, cap)
 
 
 def _check_state(program: Program, state: State) -> None:

@@ -21,6 +21,7 @@ decided by counting over its windows, and no state is listed at all.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -33,27 +34,43 @@ class MappingError(ModelError):
     """A mapping cannot be bound to the given program."""
 
 
+def _same(sid: int) -> int:
+    return sid
+
+
 class BoundMapping:
-    """A mapping specialized to one program: a target signature plus a
-    callable from program states to specification states."""
+    """A mapping specialized to one program: a target signature plus
+    id_of, which sends a program state id to its image's id under
+    `signature`. Calling it on a program State decodes that image."""
 
-    __slots__ = ("signature", "_fn", "_ids")
+    __slots__ = ("signature", "id_of")
 
-    def __init__(self, signature: Signature, fn: Callable[[State], State],
-                 ids=None):
+    def __init__(self, signature: Signature, id_of: Callable[[int], int]):
         self.signature = signature
-        self._fn = fn
-        self._ids = ids
+        self.id_of = id_of
 
     def __call__(self, state: State) -> State:
-        return self._fn(state)
+        return self.signature.state_at(self.id_of(state.index))
 
     def ids(self, ts) -> Sequence[int]:
         """The id, under `signature`, of each state's image, in ts order."""
-        if self._ids is not None:
-            return self._ids(ts)
-        encode, fn = self.signature.encode, self._fn
-        return array("q", [encode(fn(s).values) for s in ts.states])
+        if self.id_of is _same:  # the identity stores nothing per state
+            return range(ts.size)
+        return array("q", map(self.id_of, range(ts.size)))
+
+
+def _restriction(sig: Signature, slots) -> Callable[[int], int]:
+    """The id function of the restriction of sig's states to the given
+    slots: slot i's value index in a state id is id // weight % radix."""
+    digits = [(math.prod(sig.radices[i + 1:]), sig.radices[i]) for i in slots]
+
+    def id_of(sid: int) -> int:
+        out = 0
+        for weight, radix in digits:
+            out = out * radix + sid // weight % radix
+        return out
+
+    return id_of
 
 
 class StateMapping:
@@ -74,8 +91,7 @@ class IdenticalMapping(StateMapping):
                     raise MappingError(
                         "identical mapping needs all variables external; "
                         "%s.p%d is internal" % (v.name, proc.index))
-        return BoundMapping(program.signature, lambda s: s,
-                            lambda ts: range(ts.size))
+        return BoundMapping(program.signature, _same)
 
 
 class ProjectionMapping(StateMapping):
@@ -104,13 +120,9 @@ class ProjectionMapping(StateMapping):
             raise MappingError(
                 "projection names undeclared variables: %s"
                 % ", ".join(sorted(missing)))
-        sig = Signature(program.signature.slots[i] for i in keep)
-        keep = tuple(keep)
-
-        def fn(state: State) -> State:
-            return State(sig, tuple(state.values[i] for i in keep))
-
-        return BoundMapping(sig, fn)
+        psig = program.signature
+        return BoundMapping(Signature(psig.slots[i] for i in keep),
+                            _restriction(psig, keep))
 
 
 class HighestIdMapping(StateMapping):
@@ -133,23 +145,20 @@ class HighestIdMapping(StateMapping):
             if proc.var(self.access_var).domain.values != BOOL.values:
                 raise MappingError("%r must be boolean" % self.access_var)
             slots.append(psig.slot(proc.index, self.access_var))
-        pids = [p.pid for p in program.processes]
-        n = program.n
+        access = _restriction(psig, slots)
+        # ids are n-bit words, position i + 1 at bit n - 1 - i: a >> 1 and
+        # a << 1 align each left and right neighbor's access bit with it
+        pids, n = [p.pid for p in program.processes], program.n
+        left = sum(1 << n - 1 - i for i in range(1, n)
+                   if pids[i - 1] > pids[i])
+        right = sum(1 << n - 1 - i for i in range(n - 1)
+                    if pids[i + 1] > pids[i])
 
-        def fn(state: State) -> State:
-            out = []
-            for i in range(n):
-                mine = state.values[slots[i]] == 1
-                if mine:
-                    for j in (i - 1, i + 1):
-                        if 0 <= j < n and state.values[slots[j]] == 1 \
-                                and pids[j] > pids[i]:
-                            mine = False
-                            break
-                out.append(1 if mine else 0)
-            return State(sig, tuple(out))
+        def id_of(sid: int) -> int:
+            a = access(sid)
+            return a & ~(a >> 1 & left | a << 1 & right)
 
-        return BoundMapping(sig, fn)
+        return BoundMapping(sig, id_of)
 
 
 class EnabledOutputMapping(StateMapping):
@@ -161,20 +170,25 @@ class EnabledOutputMapping(StateMapping):
 
     def bind(self, program: Program) -> BoundMapping:
         sig = Signature((p.index, self.output, BOOL) for p in program.processes)
-        tables = kernel.compile_windows(program)
+        tables = [(t.low_weight, t.span, bytes(map(bool, t.rows)))
+                  for t in kernel.compile_windows(program)]
 
-        def fn(state: State) -> State:
-            sid = state.index
-            return State(sig, tuple(1 if t.row(sid) else 0 for t in tables))
+        def id_of(sid: int) -> int:
+            out = 0
+            for low_weight, span, enabled in tables:
+                out = out * 2 + enabled[sid // low_weight % span]
+            return out
 
-        return BoundMapping(sig, fn)
+        return BoundMapping(sig, id_of)
 
 
 def image_of_universe(program: Program, mapping: StateMapping,
                       cap: Optional[int] = None) -> frozenset:
     """The set of specification states with at least one program preimage."""
     bound = mapping.bind(program)
-    return frozenset(bound(s) for s in kernel.universe(program, cap))
+    kernel.check_cap(program.signature.size, cap=cap)
+    ids = set(map(bound.id_of, range(program.signature.size)))
+    return frozenset(map(bound.signature.state_at, ids))
 
 
 # --------------------------------------------------------------------------
@@ -234,9 +248,7 @@ def _assemble(sig: Signature, win_sets: dict):
             key = tuple(w[k] for k in left_at)
             if key in counts:
                 completions[w] = counts[key]
-    size, cap = sum(completions.values()), kernel.state_cap()
-    if size > cap:
-        raise kernel.UniverseCapError(size, cap, "merge closure")
+    kernel.check_cap(sum(completions.values()), "merge closure")
     alive = sorted(completions)
     values = [0] * len(sig.slots)
     last = len(positions) - 1
@@ -374,9 +386,7 @@ def _runs(aut: ChainAutomaton) -> tuple:
 
 def accepted_states(aut: ChainAutomaton) -> frozenset:
     """The automaton's language, listed only within kernel.state_cap()."""
-    size, cap = _automaton_possibility(aut).allowed_size, kernel.state_cap()
-    if size > cap:
-        raise kernel.UniverseCapError(size, cap, "allowed set")
+    kernel.check_cap(_automaton_possibility(aut).allowed_size, "allowed set")
     alphabet, delta, _, live = _runs(aut)
     words = [((), q) for q in live[0]]
     for j, letters in enumerate(alphabet):

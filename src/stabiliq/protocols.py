@@ -16,7 +16,7 @@ from typing import Optional
 
 from .kernel import (BOOL, Action, And, Assign, BoolLit, Cmp, Domain, If, Lit,
                      ModelError, NotRef, Or, Process, Program, Signature,
-                     State, Universe, VarRef, VariableDecl)
+                     State, VarRef, VariableDecl, check_cap)
 from .mapping import (ChainAutomaton, EnabledOutputMapping, HighestIdMapping,
                       IdenticalMapping, StateMapping, accepted_states)
 from . import specs as _specs
@@ -326,7 +326,8 @@ class LeFixture:
 
     @functools.cached_property
     def disallowed(self) -> frozenset:
-        return frozenset(s for s in Universe(self.signature)
+        check_cap(self.signature.size)
+        return frozenset(s for s in self.signature.states()
                          if s not in self.allowed)
 
     def forced_state(self, contend) -> State:

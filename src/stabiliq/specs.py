@@ -183,8 +183,8 @@ def _escaping_edge(ts: explorer.TransitionSystem, inside) -> Optional[dict]:
             if not inside[t]:
                 return {
                     "kind": "edge",
-                    "source": ts.states[i].text(),
-                    "target": ts.states[t].text(),
+                    "source": ts.state(i).text(),
+                    "target": ts.state(t).text(),
                     "action": _label(*ts.label(k)),
                 }
     return None
@@ -199,7 +199,7 @@ def _avoiding_computation(ts: explorer.TransitionSystem, inside
     offsets = ts.offsets
     for i in range(ts.size):
         if offsets[i] == offsets[i + 1] and not inside[i]:
-            return ({"kind": "terminal", "state": ts.states[i].text()},
+            return ({"kind": "terminal", "state": ts.state(i).text()},
                     "terminal state outside the invariant")
     outside = [i for i in range(ts.size) if not inside[i]]
     if explorer.has_cycle(offsets, ts.targets, outside):
@@ -305,7 +305,7 @@ def check_stabilizing(program: Program, mapping: StateMapping,
         if inv[i] and not allowed(ids[i]):
             return fail({
                 "kind": "disallowed-state",
-                "state": ts.states[i].text(),
+                "state": ts.state(i).text(),
                 "mapped": image(ids[i]).text(),
             })
 
@@ -321,8 +321,8 @@ def check_stabilizing(program: Program, mapping: StateMapping,
                     and not allowed_edge(ids[i], ids[t]):
                 return fail({
                     "kind": "disallowed-edge",
-                    "source": ts.states[i].text(),
-                    "target": ts.states[t].text(),
+                    "source": ts.state(i).text(),
+                    "target": ts.state(t).text(),
                     "action": _label(*ts.label(k)),
                     "mapped_source": image(ids[i]).text(),
                     "mapped_target": image(ids[t]).text(),
@@ -374,7 +374,7 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, ids, image,
     comp = cond.components[c]
     acc = spec.acceptance
     terminal = cond.trivial[c]
-    comp_texts = [ts.states[s].text() for s in comp[:4]]
+    comp_texts = [ts.state(s).text() for s in comp[:4]]
     where = "bottom component of %d state%s (%s%s)" % (
         len(comp), "" if len(comp) == 1 else "s", ", ".join(comp_texts),
         ", ..." if len(comp) > 4 else "")
@@ -388,7 +388,7 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, ids, image,
             return {"kind": "acceptance", "component": comp_texts,
                     "reason": "terminal state %s does not satisfy the "
                               "final-state condition"
-                              % ts.states[comp[0]].text()}
+                              % ts.state(comp[0]).text()}
         return None
 
     # CycleWithin and Recurrence both describe infinite behavior.
@@ -403,7 +403,7 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, ids, image,
                 return {"kind": "acceptance", "component": comp_texts,
                         "reason": "%s contains %s, outside the target "
                                   "cycle family%s"
-                                  % (where, ts.states[s].text(),
+                                  % (where, ts.state(s).text(),
                                      " (%s)" % acc.description
                                      if acc.description else "")}
         return None

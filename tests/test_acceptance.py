@@ -46,7 +46,7 @@ def test_conflict_manager_grants_stay_exclusive():
         cond = explorer.condense(ts)
         for c in cond.bottoms:
             comp = cond.components[c]
-            assert any(ts.states[i].values != ts.states[t].values
+            assert any(ts.state(i).values != ts.state(t).values
                        for i in comp for _, _, t in ts.edges(i))
         # divergence findings are reported under the documented policy
         verdict = check_ideal_stabilizing(program, bundle.mapping,
@@ -172,7 +172,7 @@ def test_handshake_reaches_one_legitimate_loop():
     # every loop state carries exactly one in-flight message whose bit
     # matches the sender's sequence number, checked by direct inspection
     for i in comp:
-        s = ts.states[i]
+        s = ts.state(i)
         data = s.value(1, "chpq")
         ack = s.value(2, "chqp")
         flying = [m for m in (data, ack) if m != "empty"]
@@ -181,7 +181,7 @@ def test_handshake_reaches_one_legitimate_loop():
         assert abp_legitimate(s)
     # the eight bit-matching one-message states form a closed invariant
     values = [helpers.state_values(s) for s in ts.states]
-    legit = {i for i in range(ts.size) if abp_legitimate(ts.states[i])}
+    legit = {i for i in range(ts.size) if abp_legitimate(ts.state(i))}
     assert len(legit) == 8
     for i in legit:
         assert all(t in legit for _, _, t in ts.edges(i)), values[i]

@@ -1,8 +1,11 @@
 """Command line behavior: exit codes, report files, output shapes."""
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -346,6 +349,51 @@ def test_help_exits_0(capsys):
     assert code == 0
     assert "verify" in out
     assert run(capsys, "verify", "--help")[0] == 0
+
+
+@pytest.mark.parametrize("check,flag,value", [
+    ("ideal", "--predicate", "true"),
+    ("closed", "--invariant", "x"),
+    ("convergence", "--stutter-policy", "allowed"),
+])
+def test_verify_refuses_a_flag_its_check_ignores(capsys, check, flag, value):
+    code, out, err = run(capsys, "verify", "--check", check,
+                         "--protocol", "la", "--n", "3", flag, value)
+    assert (code, out) == (2, "")
+    assert err == "error: %s does not apply to --check %s\n" % (flag, check)
+
+
+def test_impossibility_refuses_both_inputs(capsys, tmp_path):
+    allowed, disallowed = tmp_path / "allowed.txt", tmp_path / "rest.txt"
+    allowed.write_text("x.p1=true x.p2=false\n")
+    disallowed.write_text("x.p1=false x.p2=false\nx.p1=false x.p2=true\n"
+                          "x.p1=true x.p2=true\n")
+    code, out, err = run(capsys, "impossibility", "--protocol", "le",
+                         "--n", "5", "--allowed-file", str(allowed),
+                         "--disallowed-file", str(disallowed))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: give one of the two inputs")
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # the pipe's read end is closed before the command starts, so its first
+    # write to stdout fails
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stabiliq", "impossibility",
+             "--protocol", "le", "--n", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_universe_cap_exits_2(capsys):

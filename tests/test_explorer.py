@@ -5,8 +5,8 @@ from array import array
 import pytest
 
 import helpers
-from stabiliq import explorer, protocols, specs
-from stabiliq.kernel import UniverseCapError
+from stabiliq import explorer, kernel, protocols, specs
+from stabiliq.kernel import Signature, UniverseCapError
 from stabiliq.mapping import IdenticalMapping
 
 
@@ -48,6 +48,34 @@ def test_transition_system_matches_the_kernel_successors():
     succ = helpers.successor_table(prog)
     for i in range(ts.size):
         assert sorted({t for _, _, t in ts.edges(i)}) == succ[i]
+
+
+def test_build_decodes_no_state(monkeypatch):
+    # the CSR the interpreter gives, state by state, built before decoding
+    # is switched off; the build must reproduce it from ids alone
+    programs = [protocols.make_cm((2, 1, 3)).program,
+                protocols.make_alternator(6).program,
+                protocols.make_pif(5).program,
+                protocols.make_abp().program]
+    expected = []
+    for prog in programs:
+        offsets, targets, actions = [0], [], []
+        for s in prog.signature.states():
+            for pos, name in kernel.enabled_actions(prog, s):
+                targets.append(kernel.apply(prog, s, pos, name).index)
+                actions.append(prog.action_order.index((pos, name)))
+            offsets.append(len(targets))
+        expected.append((offsets, targets, actions))
+
+    def refuse(*args):
+        raise AssertionError("a state was decoded")
+
+    monkeypatch.setattr(Signature, "states", refuse)
+    monkeypatch.setattr(Signature, "state_at", refuse)
+    for prog, csr in zip(programs, expected):
+        ts = explorer.build_transition_system(prog)
+        assert (list(ts.offsets), list(ts.targets), list(ts.actions)) == csr
+        assert ts.size == prog.signature.size
 
 
 def test_transition_system_respects_the_cap():
@@ -275,7 +303,7 @@ def test_induced_specification_drops_stutter_edges():
     abp = protocols.make_abp()
     ind2 = explorer.induced_specification(abp.program, abp.mapping)
     ts = explorer.build_transition_system(abp.program)
-    plain = {(ts.states[i], ts.states[t])
+    plain = {(ts.state(i), ts.state(t))
              for i in range(ts.size) for _, _, t in ts.edges(i)
              if i != t}
     assert ind2.edges == frozenset(plain)

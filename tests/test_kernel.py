@@ -228,13 +228,14 @@ def test_program_positions_and_pids_validated():
 
 def test_universe_cap_and_env_override(monkeypatch):
     la = protocols.make_alternator(5).program
-    assert len(kernel.universe(la)) == 32
+    assert len(list(la.signature.states())) == 32
+    kernel.check_cap(la.signature.size, cap=32)
     with pytest.raises(UniverseCapError):
-        kernel.universe(la, cap=31)
+        kernel.check_cap(la.signature.size, cap=31)
     monkeypatch.setenv("STABILIQ_STATE_CAP", "16")
     assert kernel.state_cap() == 16
     with pytest.raises(UniverseCapError):
-        kernel.universe(la)
+        kernel.check_cap(la.signature.size)
     monkeypatch.setenv("STABILIQ_STATE_CAP", "not-a-number")
     with pytest.raises(ModelError):
         kernel.state_cap()
@@ -242,7 +243,6 @@ def test_universe_cap_and_env_override(monkeypatch):
 
 def test_universe_iterates_every_state_once():
     pif = protocols.make_pif(3).program
-    uni = kernel.universe(pif)
-    seen = [s.index for s in uni]
+    seen = [s.index for s in pif.signature.states()]
     assert seen == list(range(12))
-    assert len(uni) == 12
+    assert pif.signature.size == 12

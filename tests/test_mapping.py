@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import map_state
-from stabiliq import protocols
+from stabiliq import explorer, protocols
 from stabiliq.kernel import (BOOL, Domain, ModelError, Signature,
                              UniverseCapError)
 from stabiliq.mapping import (ChainAutomaton, EnabledOutputMapping,
@@ -34,6 +34,48 @@ def cm_state(bundle, bits):
 def in_bits(state):
     return tuple(state.value(p, "in") == "true"
                  for p in state.sig.positions)
+
+
+def _enabled_outputs(values):
+    enabled = helpers.la_reference_enabled(values)
+    return {(p, "in"): str(p in enabled).lower()
+            for p in range(1, len(values) + 1)}
+
+
+def _highest_id_outputs(values, pids=(2, 1, 3, 4)):
+    on = [v == "true" for v in values]
+    return {(p + 1, "in"): str(on[p] and not any(
+        0 <= q < len(on) and on[q] and pids[q] > pids[p]
+        for q in (p - 1, p + 1))).lower() for p in range(len(on))}
+
+
+IDS_CASES = {
+    "enabled-la5": (lambda: protocols.make_alternator(5).program,
+                    EnabledOutputMapping(), _enabled_outputs),
+    "highest-cm2134": (lambda: protocols.make_cm((2, 1, 3, 4)).program,
+                       HighestIdMapping(), _highest_id_outputs),
+    "projection-abp": (lambda: protocols.make_abp().program,
+                       ProjectionMapping(("ns", "nr")),
+                       lambda v: {(1, "ns"): v[0], (2, "nr"): v[2]}),
+    "identity-pif4": (lambda: protocols.make_pif(4).program,
+                      IdenticalMapping(),
+                      lambda v: {(p, "st"): x
+                                 for p, x in enumerate(v, start=1)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDS_CASES))
+def test_bound_ids_match_an_oracle_on_every_state(name):
+    build, mapping, oracle = IDS_CASES[name]
+    program = build()
+    bound = mapping.bind(program)
+    ids = bound.ids(explorer.build_transition_system(program))
+    states = list(program.signature.states())
+    assert len(ids) == len(states)
+    for i, s in enumerate(states):
+        want = bound.signature.state(oracle(helpers.state_values(s)))
+        assert ids[i] == want.index, s.text()
+        assert bound(s) == want, s.text()
 
 
 def test_highest_id_mapping_worked_example():

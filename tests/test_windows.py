@@ -32,7 +32,8 @@ def interpreter_bits(program, state):
 def assert_tables_match_interpreter(program):
     ts = explorer.build_transition_system(program)
     bound = EnabledOutputMapping().bind(program)
-    assert ts.states == tuple(program.signature.states())
+    assert tuple(map(ts.state, range(ts.size))) == \
+        tuple(program.signature.states())
     for i, s in enumerate(ts.states):
         assert list(ts.edges(i)) == interpreter_edges(program, s), s.text()
         assert bound(s).values == interpreter_bits(program, s), s.text()
@@ -82,11 +83,12 @@ def test_table_rows_hold_action_ids_and_id_deltas():
     # a position and its neighbors, so chain ends span two positions
     assert [t.span for t in tables] == [2 * 3, 2 * 3 * 3, 3 * 3 * 2, 3 * 2]
     idle = pif.signature.parse_state("st.p1=i st.p2=i st.p3=i st.p4=i")
-    ((action, delta),) = tables[0].row(idle.index)
+    codes = [idle.index // t.low_weight % t.span for t in tables]
+    ((action, delta),) = tables[0].rows[codes[0]]
     assert pif.action_order[action] == (1, "request")
     stepped = kernel.apply(pif, idle, 1, "request")
     assert idle.index + delta == stepped.index
-    assert all(t.row(idle.index) == () for t in tables[1:])
+    assert all(t.rows[c] == () for t, c in zip(tables[1:], codes[1:]))
 
 
 # --------------------------------------------------------------------------

@@ -250,22 +250,24 @@ class Cycle:
 
 
 def find_cycle(ts: TransitionSystem, nodes: Iterable[int],
-               edge_ok: Optional[Callable[[int, int, str, int], bool]] = None
-               ) -> Optional[Cycle]:
-    """First cycle in the subgraph induced by the given node ids and edge
-    filter (edge_ok(source, position, action, target)), or None. Self-loops
-    count as cycles of length one."""
-    keep = set(nodes)
+               edge_ok=None) -> Optional[Cycle]:
+    """First cycle in the subgraph on the given node ids and the edges k
+    with a true edge_ok[k] (all when None), or None. has_cycle decides
+    first; the depth-first search that builds the cycle runs only when
+    there is one. Self-loops count as cycles of length one."""
+    nodes = list(nodes)
     offsets, targets, actions = ts.offsets, ts.targets, ts.actions
+    if not has_cycle(offsets, targets, nodes, edge_ok):
+        return None
+    keep = set(nodes)
     order = ts.program.action_order
 
     def out_edges(v):
         for k in range(offsets[v], offsets[v + 1]):
             t = targets[k]
-            if t in keep:
+            if t in keep and (edge_ok is None or edge_ok[k]):
                 pos, name = order[actions[k]]
-                if edge_ok is None or edge_ok(v, pos, name, t):
-                    yield pos, name, t
+                yield pos, name, t
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color = dict.fromkeys(keep, WHITE)

@@ -1,8 +1,9 @@
 """Built-in protocol bundles: program, mapping, specifications, invariants.
 
-Each constructor assembles one of the chain protocols directly as kernel
-syntax trees, pairs it with its state mapping and its strict and ideal
-specifications, and names the invariant candidates the command line accepts.
+Each constructor parses its program from the protocol's shipped .gcp
+sample, the only definition of that program. It pairs the program with its
+state mapping and its strict and ideal specifications, and names the
+invariant candidates the command line accepts.
 The leader-election entry is deliberately not a program: it is a
 specification fixture for the impossibility engine, because no program
 for it exists.
@@ -14,17 +15,12 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
-from .kernel import (BOOL, Action, And, Assign, BoolLit, Cmp, Domain, If, Lit,
-                     ModelError, NotRef, Or, Process, Program, Signature,
-                     State, VarRef, VariableDecl, check_cap)
+from .dsl import parse_protocol
+from .kernel import BOOL, ModelError, Program, Signature, State, check_cap
 from .mapping import (ChainAutomaton, EnabledOutputMapping, HighestIdMapping,
                       IdenticalMapping, StateMapping, accepted_states)
 from . import specs as _specs
 from .specs import Specification
-
-BIT = Domain("bit", ("0", "1"))
-DATA_CHANNEL = Domain("datach", ("empty", "d0", "d1"))
-ACK_CHANNEL = Domain("ackch", ("empty", "a0", "a1"))
 
 
 @dataclass(frozen=True)
@@ -38,33 +34,12 @@ class ProtocolBundle:
     strict_spec: Optional[Specification]
     invariants: dict
     default_invariant: str
-    sample: str
 
     @property
     def spec(self) -> Specification:
         """The specification the protocol is advertised against: the ideal
         one, since that is the whole point of these constructions."""
         return self.ideal_spec
-
-
-def _self(name: str) -> VarRef:
-    return VarRef(0, name)
-
-
-def _left(name: str) -> VarRef:
-    return VarRef(-1, name)
-
-
-def _right(name: str) -> VarRef:
-    return VarRef(1, name)
-
-
-def _eq(a, b) -> Cmp:
-    return Cmp(a, "=", b)
-
-
-def _ne(a, b) -> Cmp:
-    return Cmp(a, "!=", b)
 
 
 # --------------------------------------------------------------------------
@@ -79,17 +54,10 @@ def make_cm(ids) -> ProtocolBundle:
         raise ModelError("the conflict manager needs at least 2 processes")
     if len(set(ids)) != len(ids):
         raise ModelError("process identifiers must be unique; got %r" % (ids,))
-    flip = Action(
-        name="flip",
-        guard=BoolLit(True),
-        command=(Assign(_self("access"), NotRef(_self("access"))),),
-    )
-    processes = [
-        Process(index=i, pid=pid,
-                vars=(VariableDecl("access", BOOL, "internal"),),
-                actions=(flip,))
-        for i, pid in enumerate(ids, start=1)]
-    program = Program("cm", processes)
+    processes = parse_protocol(sample_source("cm.gcp"),
+                               n=len(ids)).unwrap().processes
+    program = Program("cm", [replace(p, pid=pid)
+                             for p, pid in zip(processes, ids)])
     return ProtocolBundle(
         name="cm",
         program=program,
@@ -98,7 +66,6 @@ def make_cm(ids) -> ProtocolBundle:
         strict_spec=None,
         invariants={"true": lambda s: True},
         default_invariant="true",
-        sample="cm.gcp",
     )
 
 
@@ -111,41 +78,20 @@ def make_alternator(n: int) -> ProtocolBundle:
     the critical section exactly when its action is enabled."""
     if n < 3:
         raise ModelError("the alternator needs at least 3 processes")
-    x = VariableDecl("x", BOOL, "internal")
-
-    def toggle() -> tuple:
-        return (Assign(_self("x"), NotRef(_self("x"))),)
-
-    first = Action("step", _eq(_self("x"), _right("x")), toggle())
-    middle = Action(
-        "step",
-        And((_ne(_self("x"), _left("x")), _eq(_self("x"), _right("x")))),
-        toggle())
-    last = Action("step", _ne(_self("x"), _left("x")), toggle())
-    processes = []
-    for i in range(1, n + 1):
-        action = first if i == 1 else last if i == n else middle
-        processes.append(Process(index=i, pid=i, vars=(x,), actions=(action,)))
-    program = Program("alternator", processes)
     return ProtocolBundle(
         name="la",
-        program=program,
+        program=parse_protocol(sample_source("alternator.gcp"),
+                               n=n).unwrap(),
         mapping=EnabledOutputMapping(),
         ideal_spec=_specs.fdp_spec(n),
         strict_spec=None,
         invariants={"true": lambda s: True},
         default_invariant="true",
-        sample="alternator.gcp",
     )
 
 
 # --------------------------------------------------------------------------
 # Information propagation with feedback.
-
-ROOT_ST = Domain("rootst", ("i", "rq"))
-MID_ST = Domain("midst", ("i", "rq", "rp"))
-LEAF_ST = Domain("leafst", ("i", "rp"))
-
 
 def make_pif(n: int) -> ProtocolBundle:
     """Request waves travel left to right, reply waves travel back. The
@@ -155,54 +101,9 @@ def make_pif(n: int) -> ProtocolBundle:
         raise ModelError(
             "the propagation chain needs a root, a leaf, and at least "
             "one intermediate process")
-    st = _self("st")
-    left = _left("st")
-    right = _right("st")
-    root = Process(
-        index=1, pid=1,
-        vars=(VariableDecl("st", ROOT_ST, "output"),),
-        actions=(
-            Action("request",
-                   And((_eq(st, Lit("i")), _eq(right, Lit("i")))),
-                   (Assign(st, Lit("rq")),)),
-            Action("clear",
-                   And((_eq(st, Lit("rq")), _eq(right, Lit("rp")))),
-                   (Assign(st, Lit("i")),)),
-        ))
-    mid_actions = (
-        Action("forward",
-               And((_eq(left, Lit("rq")), _eq(st, Lit("i")),
-                    _eq(right, Lit("i")))),
-               (Assign(st, Lit("rq")),)),
-        Action("back",
-               And((_eq(left, Lit("rq")), _eq(st, Lit("rq")),
-                    _eq(right, Lit("rp")))),
-               (Assign(st, Lit("rp")),)),
-        Action("stop",
-               And((_eq(left, Lit("i")), _ne(st, Lit("i")))),
-               (Assign(st, Lit("i")),)),
-    )
-    processes = [root]
-    for j in range(2, n):
-        processes.append(Process(
-            index=j, pid=j,
-            vars=(VariableDecl("st", MID_ST, "output"),),
-            actions=mid_actions))
-    processes.append(Process(
-        index=n, pid=n,
-        vars=(VariableDecl("st", LEAF_ST, "output"),),
-        actions=(
-            Action("reflect",
-                   And((_eq(left, Lit("rq")), _eq(st, Lit("i")))),
-                   (Assign(st, Lit("rp")),)),
-            Action("reset",
-                   And((_eq(left, Lit("i")), _eq(st, Lit("rp")))),
-                   (Assign(st, Lit("i")),)),
-        )))
-    program = Program("pif", processes)
     return ProtocolBundle(
         name="pif",
-        program=program,
+        program=parse_protocol(sample_source("pif.gcp"), n=n).unwrap(),
         mapping=IdenticalMapping(),
         ideal_spec=_specs.ipif_spec(n),
         strict_spec=_specs.spif_spec(n),
@@ -212,7 +113,6 @@ def make_pif(n: int) -> ProtocolBundle:
             "true": lambda s: True,
         },
         default_invariant="rq-or-rp",
-        sample="pif.gcp",
     )
 
 
@@ -225,70 +125,9 @@ def make_abp() -> ProtocolBundle:
     message silently. The sender advances its bit only on a matching
     acknowledgment; the receiver adopts the incoming bit and always
     acknowledges it."""
-    ns = _self("ns")
-    chpq_p = _self("chpq")
-    chqp_p = _right("chqp")
-
-    def send_data() -> If:
-        return If(_eq(ns, Lit("0")),
-                  then=(Assign(chpq_p, Lit("d0")),),
-                  orelse=(Assign(chpq_p, Lit("d1")),))
-
-    next_action = Action(
-        name="next",
-        guard=_ne(chqp_p, Lit("empty")),
-        command=(
-            If(Or((And((_eq(chqp_p, Lit("a0")), _eq(ns, Lit("0")))),
-                   And((_eq(chqp_p, Lit("a1")), _eq(ns, Lit("1")))))),
-               then=(
-                   Assign(chqp_p, Lit("empty")),
-                   If(_eq(ns, Lit("0")),
-                      then=(Assign(ns, Lit("1")),),
-                      orelse=(Assign(ns, Lit("0")),)),
-                   If(_eq(chpq_p, Lit("empty")), then=(send_data(),)),
-               ),
-               orelse=(Assign(chqp_p, Lit("empty")),)),
-        ))
-    timeout = Action(
-        name="timeout",
-        guard=And((_eq(chpq_p, Lit("empty")), _eq(chqp_p, Lit("empty")))),
-        command=(send_data(),))
-    sender = Process(
-        index=1, pid=1,
-        vars=(VariableDecl("ns", BIT, "output"),
-              VariableDecl("chpq", DATA_CHANNEL, "output")),
-        actions=(next_action, timeout))
-
-    nr = _self("nr")
-    chqp_q = _self("chqp")
-    chpq_q = _left("chpq")
-    reply = Action(
-        name="reply",
-        guard=_ne(chpq_q, Lit("empty")),
-        command=(
-            If(_eq(chpq_q, Lit("d0")),
-               then=(
-                   Assign(nr, Lit("0")),
-                   Assign(chpq_q, Lit("empty")),
-                   If(_eq(chqp_q, Lit("empty")),
-                      then=(Assign(chqp_q, Lit("a0")),)),
-               ),
-               orelse=(
-                   Assign(nr, Lit("1")),
-                   Assign(chpq_q, Lit("empty")),
-                   If(_eq(chqp_q, Lit("empty")),
-                      then=(Assign(chqp_q, Lit("a1")),)),
-               )),
-        ))
-    receiver = Process(
-        index=2, pid=2,
-        vars=(VariableDecl("nr", BIT, "output"),
-              VariableDecl("chqp", ACK_CHANNEL, "output")),
-        actions=(reply,))
-    program = Program("abp", (sender, receiver))
     return ProtocolBundle(
         name="abp",
-        program=program,
+        program=parse_protocol(sample_source("abp.gcp")).unwrap(),
         mapping=IdenticalMapping(),
         ideal_spec=_specs.iabp_spec(),
         strict_spec=_specs.sabp_spec(),
@@ -297,7 +136,6 @@ def make_abp() -> ProtocolBundle:
             "true": lambda s: True,
         },
         default_invariant="legitimate",
-        sample="abp.gcp",
     )
 
 

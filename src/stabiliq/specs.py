@@ -19,7 +19,7 @@ import re
 import time
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import eq, not_, sub
 from typing import Callable, Optional
 
@@ -201,9 +201,10 @@ def _avoiding_computation(ts: explorer.TransitionSystem, inside
         if offsets[i] == offsets[i + 1] and not inside[i]:
             return ({"kind": "terminal", "state": ts.state(i).text()},
                     "terminal state outside the invariant")
-    outside = [i for i in range(ts.size) if not inside[i]]
-    if explorer.has_cycle(offsets, ts.targets, outside):
-        return (_cycle_witness(explorer.find_cycle(ts, outside)),
+    cycle = explorer.find_cycle(ts, [i for i in range(ts.size)
+                                     if not inside[i]])
+    if cycle is not None:
+        return (_cycle_witness(cycle),
                 "a computation can avoid the invariant forever")
     return None, None
 
@@ -241,30 +242,32 @@ def check_convergence(program: Program, pred: Callable[[State], bool],
     ts = ts if ts is not None else explorer.build_transition_system(program)
     witness, _ = _avoiding_computation(ts, [pred(s) for s in ts.states])
     stats = {"states": ts.size, "edges": ts.edge_count(),
-             "terminals": len(explorer.terminals(ts)),
+             "terminals": sum(map(eq, ts.offsets, ts.offsets[1:])),
              "elapsed_ms": clock.ms()}
     return Verdict("convergence", witness is None, witness, stats)
 
 
 def check_stabilizing(program: Program, mapping: StateMapping,
                       spec: Specification,
-                      invariant: Callable[[State], bool],
+                      invariant: Optional[Callable[[State], bool]],
                       ts: Optional[explorer.TransitionSystem] = None,
                       _check_name: str = "stabilizing") -> Verdict:
     """Does the program stabilize to the specification from the invariant?
 
-    The invariant is a predicate over program states. The verdict is the
-    conjunction of: the invariant is closed; every maximal computation
-    converges to it; inside it, states and non-stutter edges map into the
-    specification's allowed sets; every bottom component satisfies the
-    acceptance condition; and stutter divergence inside the invariant is
-    absent when the policy forbids it. Findings that the policy or an
-    obligation's mode exempts from gating are reported in the notes.
+    The invariant is a predicate over program states, or None for every
+    state (then no state is decoded for it). The verdict is the conjunction
+    of: the invariant is closed; every maximal computation converges to it;
+    inside it, states and non-stutter edges map into the specification's
+    allowed sets; every bottom component satisfies the acceptance
+    condition; and stutter divergence inside the invariant is absent when
+    the policy forbids it. Findings that the policy or an obligation's mode
+    exempts from gating are reported in the notes.
     """
     clock = _Clock()
     ts = ts if ts is not None else explorer.build_transition_system(program)
     bound = mapping.bind(program)
-    inv = [invariant(s) for s in ts.states]
+    inv = [True] * ts.size if invariant is None \
+        else [invariant(s) for s in ts.states]
     # Specification states are handled as ids; a State is decoded only for
     # a predicate or a witness, and each predicate sees each id once.
     ids = bound.ids(ts)
@@ -286,6 +289,13 @@ def check_stabilizing(program: Program, mapping: StateMapping,
         return Verdict(_check_name, False, witness, stats(), notes)
 
     offsets, targets = ts.offsets, ts.targets
+
+    def edge_ids():
+        """Per edge, its source's and its target's spec id, streamed (a
+        source repeats once per out-edge)."""
+        return (chain.from_iterable(map(repeat, ids,
+                                        map(sub, offsets[1:], offsets))),
+                map(ids.__getitem__, targets))
 
     # Closure: no edge may leave the invariant.
     escape = _escaping_edge(ts, inv)
@@ -331,25 +341,30 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     # Acceptance on every bottom component (all lie inside the invariant
     # once closure and convergence hold).
     accepts = functools.cache(lambda m: spec.acceptance.pred(image(m)))
+
+    @functools.cache
+    def masks(j: int) -> array:
+        """Per edge, the mask of obligations j..j+31 its image pair meets;
+        each edge_pred runs once a pair."""
+        chunk = spec.acceptance.obligations[j:j + 32]
+        bits = functools.cache(lambda m, n: sum(
+            1 << b for b, o in enumerate(chunk)
+            if o.edge_pred(image(m), image(n))))
+        return array("I", map(bits, *edge_ids()))
+
     for c in cond.bottoms:
         comp = cond.components[c]
         if not all(inv[s] for s in comp):
             continue
-        verdict = _check_acceptance(spec, ts, cond, c, ids, image, accepts,
+        verdict = _check_acceptance(spec, ts, cond, c, ids, accepts, masks,
                                     notes)
         if verdict is not None:
             return fail(verdict)
 
     # Stutter divergence: a cycle inside the invariant whose image never
     # changes. Always reported; gates the verdict only when forbidden.
-    members = [i for i in range(ts.size) if inv[i]]
-    # same[k]: edge k keeps its image (a source repeats once per out-edge)
-    same = bytes(map(eq, chain.from_iterable(map(
-        repeat, ids, map(sub, offsets[1:], offsets))),
-        map(ids.__getitem__, targets)))
-    stutter = explorer.find_cycle(
-        ts, members, lambda s, pos, name, t: ids[s] == ids[t]) \
-        if explorer.has_cycle(offsets, targets, members, same) else None
+    stutter = explorer.find_cycle(ts, [i for i in range(ts.size) if inv[i]],
+                                  bytes(map(eq, *edge_ids())))
     if stutter is None:
         notes.append("stutter divergence: none")
     else:
@@ -366,11 +381,12 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     return Verdict(_check_name, True, None, stats(), notes)
 
 
-def _check_acceptance(spec: Specification, ts, cond, c: int, ids, image,
-                      accepts, notes: list) -> Optional[dict]:
+def _check_acceptance(spec: Specification, ts, cond, c: int, ids, accepts,
+                      masks, notes: list) -> Optional[dict]:
     """Evaluate the acceptance condition on bottom component c; `accepts`
-    is its state predicate on spec ids. Returns a witness dict on a gating
-    violation, None otherwise; analyze findings go into notes."""
+    is its state predicate on spec ids and masks(j) the per-edge mask of
+    obligations j..j+31. Returns a witness dict on a gating violation,
+    None otherwise; analyze findings go into notes."""
     comp = cond.components[c]
     acc = spec.acceptance
     terminal = cond.trivial[c]
@@ -409,32 +425,14 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, ids, image,
         return None
 
     if isinstance(acc, Recurrence):
-        # The component's own CSR; per edge, a mask of the obligations (32
-        # at a time) its image pair meets, each edge_pred run once a pair.
-        degrees = [ts.offsets[v + 1] - ts.offsets[v] for v in comp]
-        heads = array("q", chain.from_iterable(
-            ts.targets[ts.offsets[v]:ts.offsets[v + 1]] for v in comp))
-        offsets = array("q", accumulate(degrees, initial=0))
-        targets = array("q", map(
-            dict(zip(comp, range(len(comp)))).__getitem__, heads))
         for j, obl in enumerate(acc.obligations):
-            if j % 32 == 0:
-                bits = functools.cache(
-                    lambda m, n, chunk=acc.obligations[j:j + 32]: sum(
-                        1 << b for b, o in enumerate(chunk)
-                        if o.edge_pred(image(m), image(n))))
-                tails = chain.from_iterable(map(repeat, comp, degrees))
-                masks = array("I", map(bits, map(ids.__getitem__, tails),
-                                       map(ids.__getitem__, heads)))
             bit = 1 << j % 32
-            clear = bytes(map(not_, map(bit.__and__, masks)))
-            if not explorer.has_cycle(offsets, targets, range(len(comp)),
-                                      clear):
+            clear = bytes(map(not_, map(bit.__and__, masks(j - j % 32))))
+            cycle = explorer.find_cycle(ts, comp, clear)
+            if cycle is None:
                 notes.append("obligation %r: recurs on every cycle of %s"
                              % (obl.name, where))
                 continue
-            cycle = explorer.find_cycle(ts, comp, lambda s, pos, name, t:
-                                        not bits(ids[s], ids[t]) & bit)
             enforced = obl.mode == "enforce" or (
                 obl.mode == "policy"
                 and spec.stutter_policy == DIVERGENCE_FORBIDDEN)
@@ -460,7 +458,7 @@ def check_ideal_stabilizing(program: Program, mapping: StateMapping,
                             ) -> Verdict:
     """check_stabilizing with the invariant `true`: every universe state is
     legitimate, so conformance and acceptance must hold from everywhere."""
-    return check_stabilizing(program, mapping, spec, lambda s: True, ts,
+    return check_stabilizing(program, mapping, spec, None, ts,
                              _check_name="ideal")
 
 

@@ -256,6 +256,26 @@ def la_reference_enabled(values: tuple) -> list:
     return out
 
 
+def _flip(values: tuple, j: int) -> tuple:
+    """The tuple with position j's bool value flipped."""
+    other = {"false": "true", "true": "false"}
+    return values[:j - 1] + (other[values[j - 1]],) + values[j:]
+
+
+def la_reference_moves(values: tuple) -> list:
+    """Moves of the alternator at the x values from position 1 to n: each
+    enabled position toggles its own bit with its step action."""
+    return [(j, "step", _flip(values, j))
+            for j in la_reference_enabled(values)]
+
+
+def cm_reference_moves(values: tuple) -> list:
+    """Moves of the conflict manager at the access values from position 1
+    to n: every position may always flip its own bit."""
+    return [(j, "flip", _flip(values, j))
+            for j in range(1, len(values) + 1)]
+
+
 # --------------------------------------------------------------------------
 # Component oracle: strongly connected sets via bitset reachability.
 

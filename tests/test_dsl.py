@@ -101,17 +101,14 @@ def test_unwrap_raises_with_the_diagnostics():
     assert "SYNTAX" in str(err.value)
 
 
-def test_samples_parse_equal_to_the_builtins():
-    pairs = [
-        ("cm.gcp", 4, protocols.make_cm((1, 2, 3, 4)).program),
-        ("alternator.gcp", 4, protocols.make_alternator(4).program),
-        ("pif.gcp", 4, protocols.make_pif(4).program),
-        ("abp.gcp", None, protocols.make_abp().program),
-    ]
-    for fname, n, builtin in pairs:
-        result = parse_protocol(protocols.sample_source(fname), n=n)
-        assert result.ok, (fname, [str(d) for d in result.diagnostics])
-        assert result.program == builtin, fname
+def test_cm_ids_land_in_order_on_the_positions():
+    # the one thing make_cm adds to its sample: the caller's identifiers
+    for ids in ((2, 1, 3, 4), (1, 2), (9, 4, 7)):
+        program = protocols.make_cm(ids).program
+        assert program.name == "cm"
+        assert [p.index for p in program.processes] == \
+            list(range(1, len(ids) + 1))
+        assert tuple(p.pid for p in program.processes) == ids
 
 
 def test_render_round_trip_on_every_builtin():

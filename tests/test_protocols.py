@@ -58,26 +58,37 @@ def test_spec_policies():
         DIVERGENCE_FORBIDDEN
 
 
-def test_wave_chain_agrees_with_the_reference_moves():
-    for n in (3, 4):
-        program = protocols.make_pif(n).program
-        for s in program.signature.states():
-            want = sorted(helpers.pif_reference_moves(
-                helpers.state_values(s)))
-            got = sorted((pos, name, helpers.state_values(
-                kernel.apply(program, s, pos, name)))
-                for pos, name in kernel.enabled_actions(program, s))
-            assert got == want, s.text()
-
-
-def test_handshake_agrees_with_the_reference_moves():
-    program = protocols.make_abp().program
+def _assert_moves(program, reference_moves):
+    """Every state's (position, action, successor) moves equal the ones
+    reference_moves restates by hand over the state's value tuple."""
     for s in program.signature.states():
-        want = sorted(helpers.abp_reference_moves(helpers.state_values(s)))
+        want = sorted(reference_moves(helpers.state_values(s)))
         got = sorted((pos, name, helpers.state_values(
             kernel.apply(program, s, pos, name)))
             for pos, name in kernel.enabled_actions(program, s))
         assert got == want, s.text()
+
+
+def test_alternator_agrees_with_the_reference_moves():
+    for n in (3, 4, 5, 6):
+        _assert_moves(protocols.make_alternator(n).program,
+                      helpers.la_reference_moves)
+
+
+def test_conflict_manager_agrees_with_the_reference_moves():
+    for ids in ((2, 1, 3, 4), (1, 2)):
+        _assert_moves(protocols.make_cm(ids).program,
+                      helpers.cm_reference_moves)
+
+
+def test_wave_chain_agrees_with_the_reference_moves():
+    for n in (3, 4):
+        _assert_moves(protocols.make_pif(n).program,
+                      helpers.pif_reference_moves)
+
+
+def test_handshake_agrees_with_the_reference_moves():
+    _assert_moves(protocols.make_abp().program, helpers.abp_reference_moves)
 
 
 def test_handshake_timeout_requires_silent_channels():

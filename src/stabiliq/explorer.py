@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import accumulate, chain, compress, repeat
-from operator import and_, sub
+from collections import defaultdict, deque
+from itertools import accumulate, chain, compress, islice, repeat
+from math import isqrt
+from operator import sub
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -203,38 +205,71 @@ def terminals(ts: TransitionSystem) -> list[State]:
 # --------------------------------------------------------------------------
 # Cycle search.
 
-def has_cycle(offsets, targets, nodes: Iterable[int], edge_ok=None) -> bool:
-    """Whether the subgraph on the given nodes and the edges k with a true
-    edge_ok[k] (all when None) has a cycle, decided by a linear Kahn peel."""
-    nodes = list(nodes)
-    inside = bytearray(len(offsets) - 1)
+def _bitset(nodes: Iterable[int], size: int) -> int:
+    """The nodes as an int, node v at bit size - 1 - v (text in id order)."""
+    text = bytearray(b"0") * size
     for v in nodes:
-        inside[v] = 1
-    if len(nodes) < len(inside):  # keep only the edges within the set
-        within = map(and_, chain.from_iterable(map(
-            repeat, inside, map(sub, offsets[1:], offsets))),
-            map(inside.__getitem__, targets))
-        edge_ok = bytes(within if edge_ok is None
-                        else map(and_, within, edge_ok))
-    # The kept edges' own CSR, built in C: v's are kept[first[v]:first[v+1]]
-    kept, first = targets, offsets
-    if edge_ok is not None:
-        first = list(map(list(accumulate(edge_ok, initial=0)).__getitem__,
-                         offsets))
-        kept = list(compress(targets, edge_ok))
-    indegree = [0] * len(inside)
-    for t in kept:
-        indegree[t] += 1
-    ready = [v for v in nodes if not indegree[v]]
-    left = len(nodes)
-    while ready:
-        v = ready.pop()
-        left -= 1
-        for t in kept[first[v]:first[v + 1]]:
-            indegree[t] -= 1
-            if not indegree[t]:
-                ready.append(t)
-    return left > 0
+        text[v] = 49  # b"1"
+    return int(text, 2) if size else 0
+
+
+class EdgeGroups:
+    """The edges of a CSR graph grouped once for many cycle questions: edge
+    k from v is in group (targets[k] - v, keys[k]), every key True when keys
+    is None, and each group is the bitset of its edges' targets."""
+
+    __slots__ = ("size", "groups")
+
+    def __init__(self, offsets, targets, keys=None):
+        self.size = size = len(offsets) - 1
+        # edge k's source: how many nodes after node 0 start their edges by k
+        starts = array("i", bytes(4 * (len(targets) + 1)))
+        for at in islice(offsets, 1, None):
+            starts[at] += 1
+        codes = zip(map(sub, targets, accumulate(starts)),
+                    repeat(True) if keys is None else keys)
+        members = defaultdict(lambda: array("i"))
+        deque(map(array.append, map(members.__getitem__, codes), targets), 0)
+        self.groups = {g: _bitset(members.pop(g), size) for g in list(members)}
+
+    def has_cycle(self, nodes: Iterable[int], keep: Callable = bool) -> bool:
+        """Whether the subgraph on the nodes and the edges whose key passes
+        keep has a cycle: iff a node survives rounds of alive &= OR over d of
+        shift(alive, d) & targets_d. After ceil(sqrt(|nodes|)) rounds, which
+        cap a deep DAG's bit work at O(|nodes|^1.5), a Kahn peel finishes."""
+        kept = {}  # per delta, the targets of the kept edges
+        for (d, key), bits in self.groups.items():
+            if keep(key):
+                kept[d] = kept.get(d, 0) | bits
+        alive = _bitset(nodes, self.size)
+        for _ in range(isqrt(max(alive.bit_count(), 1) - 1) + 1):
+            reached = 0
+            for d, bits in kept.items():
+                reached |= (alive >> d if d >= 0 else alive << -d) & bits
+            if reached & alive == alive:
+                return bool(alive)
+            alive &= reached
+        return self._peel(alive, kept)
+
+    def _peel(self, alive: int, kept: dict) -> bool:
+        """has_cycle on the bitsets alive and kept, by a linear Kahn peel."""
+        digits = "0%db" % self.size  # per delta, sources of edges within
+        rows = [(d, format(alive & ((bits & alive) << d if d >= 0 else (
+            bits & alive) >> -d), digits)) for d, bits in kept.items()]
+        indegree = [0] * self.size
+        for d, row in rows:
+            for v in compress(range(self.size), map("1".__eq__, row)):
+                indegree[v + d] += 1
+        ready = [v for v in compress(range(self.size), map(
+            "1".__eq__, format(alive, digits))) if not indegree[v]]
+        while ready:
+            v = ready.pop()
+            for d, row in rows:
+                if row[v] == "1":
+                    indegree[v + d] -= 1
+                    if not indegree[v + d]:
+                        ready.append(v + d)
+        return any(indegree)  # the nodes left on or after a cycle
 
 
 @dataclass(frozen=True)
@@ -245,19 +280,17 @@ class Cycle:
     states: tuple[State, ...]
     labels: tuple[tuple[int, str], ...]
 
-    def __len__(self):
-        return len(self.states)
-
 
 def find_cycle(ts: TransitionSystem, nodes: Iterable[int],
                edge_ok=None) -> Optional[Cycle]:
     """First cycle in the subgraph on the given node ids and the edges k
-    with a true edge_ok[k] (all when None), or None. has_cycle decides
-    first; the depth-first search that builds the cycle runs only when
-    there is one. Self-loops count as cycles of length one."""
+    with a true edge_ok[k] (all when None), or None. EdgeGroups.has_cycle
+    decides first; the depth-first search that builds the cycle runs only
+    when there is one. Self-loops count as cycles of length one."""
     nodes = list(nodes)
     offsets, targets, actions = ts.offsets, ts.targets, ts.actions
-    if not has_cycle(offsets, targets, nodes, edge_ok):
+    if not nodes or not EdgeGroups(
+            offsets, targets, edge_ok).has_cycle(nodes):
         return None
     keep = set(nodes)
     order = ts.program.action_order

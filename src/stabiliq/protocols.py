@@ -222,5 +222,9 @@ BUILDERS: dict = {
 
 
 def sample_source(filename: str) -> str:
-    """The text of a shipped .gcp sample file."""
-    return (resources.files("stabiliq") / "samples" / filename).read_text()
+    """The text of a shipped .gcp sample; a missing one is a ModelError."""
+    path = resources.files("stabiliq") / "samples" / filename
+    if not path.is_file():
+        raise ModelError("sample file %s is missing from the installed "
+                         "package" % path)
+    return path.read_text()

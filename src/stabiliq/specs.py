@@ -20,7 +20,7 @@ import time
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
-from operator import eq, not_, sub
+from operator import eq, sub
 from typing import Callable, Optional
 
 from . import explorer
@@ -343,14 +343,21 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     accepts = functools.cache(lambda m: spec.acceptance.pred(image(m)))
 
     @functools.cache
-    def masks(j: int) -> array:
-        """Per edge, the mask of obligations j..j+31 its image pair meets;
-        each edge_pred runs once a pair."""
-        chunk = spec.acceptance.obligations[j:j + 32]
-        bits = functools.cache(lambda m, n: sum(
-            1 << b for b, o in enumerate(chunk)
-            if o.edge_pred(image(m), image(n))))
-        return array("I", map(bits, *edge_ids()))
+    def masks() -> tuple:
+        """The distinct obligation masks (bit j: an image pair meets
+        obligation j), each edge's index among them, and the edges grouped
+        by that index. Each pair's images are decoded once."""
+        distinct: dict = {}
+
+        @functools.cache
+        def index(m: int, n: int) -> int:
+            s, t = image(m), image(n)
+            return distinct.setdefault(sum(
+                1 << j for j, o in enumerate(spec.acceptance.obligations)
+                if o.edge_pred(s, t)), len(distinct))
+        per_edge = array("I", map(index, *edge_ids()))
+        return (list(distinct), per_edge,
+                explorer.EdgeGroups(offsets, targets, per_edge))
 
     for c in cond.bottoms:
         comp = cond.components[c]
@@ -384,9 +391,10 @@ def check_stabilizing(program: Program, mapping: StateMapping,
 def _check_acceptance(spec: Specification, ts, cond, c: int, ids, accepts,
                       masks, notes: list) -> Optional[dict]:
     """Evaluate the acceptance condition on bottom component c; `accepts`
-    is its state predicate on spec ids and masks(j) the per-edge mask of
-    obligations j..j+31. Returns a witness dict on a gating violation,
-    None otherwise; analyze findings go into notes."""
+    is its state predicate on spec ids and masks() the obligation masks,
+    their per-edge index and the edges grouped by it. Returns a witness
+    dict on a gating violation, None otherwise; analyze findings go into
+    notes."""
     comp = cond.components[c]
     acc = spec.acceptance
     terminal = cond.trivial[c]
@@ -425,14 +433,15 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, ids, accepts,
         return None
 
     if isinstance(acc, Recurrence):
+        distinct, per_edge, groups = masks()
         for j, obl in enumerate(acc.obligations):
-            bit = 1 << j % 32
-            clear = bytes(map(not_, map(bit.__and__, masks(j - j % 32))))
-            cycle = explorer.find_cycle(ts, comp, clear)
-            if cycle is None:
+            clear = bytes(not mask >> j & 1 for mask in distinct)
+            if not groups.has_cycle(comp, clear.__getitem__):
                 notes.append("obligation %r: recurs on every cycle of %s"
                              % (obl.name, where))
                 continue
+            cycle = explorer.find_cycle(ts, comp, bytes(
+                map(clear.__getitem__, per_edge)))
             enforced = obl.mode == "enforce" or (
                 obl.mode == "policy"
                 and spec.stutter_policy == DIVERGENCE_FORBIDDEN)

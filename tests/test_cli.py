@@ -6,13 +6,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import helpers
 from stabiliq import mapping, protocols
 from stabiliq.cli import main
-from stabiliq.kernel import Signature, UniverseCapError
+from stabiliq.kernel import ModelError, Signature, UniverseCapError
 from stabiliq.mapping import format_spec_states
 
 
@@ -373,6 +374,22 @@ def test_impossibility_refuses_both_inputs(capsys, tmp_path):
                          "--disallowed-file", str(disallowed))
     assert (code, out) == (2, "")
     assert err.startswith("error: give one of the two inputs")
+
+
+def test_missing_sample_exits_2_naming_the_file(capsys, monkeypatch,
+                                               tmp_path):
+    # an installed package whose samples directory is empty
+    (tmp_path / "samples").mkdir()
+    monkeypatch.setattr(protocols, "resources",
+                        SimpleNamespace(files=lambda package: tmp_path))
+    missing = tmp_path / "samples" / "abp.gcp"
+    with pytest.raises(ModelError, match=re.escape(str(missing))):
+        protocols.sample_source("abp.gcp")
+    code, out, err = run(capsys, "verify", "--check", "ideal",
+                         "--protocol", "abp")
+    assert (code, out) == (2, "")
+    assert err == ("error: sample file %s is missing from the installed "
+                   "package\n" % missing)
 
 
 def test_closed_stdout_exits_2_without_a_traceback():

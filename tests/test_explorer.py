@@ -176,27 +176,83 @@ def test_find_cycle_replayable_and_filtered():
                                edge_ok=bytes(ts.edge_count())) is None
 
 
-def test_peel_agrees_with_the_component_oracle():
+def oracle_has_cycle(succ, nodes, kept_edge) -> bool:
+    """A cycle among the nodes over the edges (v, i) with kept_edge(v, i),
+    i indexing succ[v], from helpers.brute_sccs."""
+    inside = set(nodes)
+    kept = [sorted({t for i, t in enumerate(out) if v in inside
+                    and t in inside and kept_edge(v, i)})
+            for v, out in enumerate(succ)]
+    return any(len(c) > 1 or min(c) in kept[min(c)]
+               for c in helpers.brute_sccs(kept))
+
+
+def csr(succ):
+    offsets = array("q", [0])
+    for out in succ:
+        offsets.append(offsets[-1] + len(out))
+    return offsets, array("q", [t for out in succ for t in out])
+
+
+@pytest.fixture
+def peels(monkeypatch):
+    """One entry per run of the Kahn finisher."""
+    calls = []
+    peel = explorer.EdgeGroups._peel
+    monkeypatch.setattr(explorer.EdgeGroups, "_peel",
+                        lambda *args: calls.append(1) or peel(*args))
+    return calls
+
+
+def test_peel_agrees_with_the_component_oracle(peels):
+    # 0 -> ... -> 6 outlasts ceil(sqrt(9)) rounds, 7 <-> 8 is a cycle, and
+    # 9..11 lie outside the set with in-edges only from a survivor
+    succ = [[1], [2], [3], [4, 9, 10, 11], [5], [6], [7], [8], [7], [], [], []]
+    offsets, targets = csr(succ)
+    assert explorer.EdgeGroups(offsets, targets).has_cycle(range(9))
+    assert peels
     rng = random.Random(6)
     for _ in range(400):
         n = rng.randint(1, 12)
-        succ = [sorted(rng.sample(range(n), rng.randint(0, min(n, 4))))
+        # self-loops and parallel edges (same target, other key) included
+        succ = [sorted(rng.choices(range(n), k=rng.randint(0, 4)))
                 for _ in range(n)]
-        offsets = array("q", [0])
-        for out in succ:
-            offsets.append(offsets[-1] + len(out))
-        targets = array("q", [t for out in succ for t in out])
+        if rng.random() < 0.3:  # a long chain outlasts the round budget
+            succ = [out + [v + 1] if v + 1 < n else out
+                    for v, out in enumerate(succ)]
+        offsets, targets = csr(succ)
+        first = offsets.tolist()
         nodes = sorted(rng.sample(range(n), rng.randint(0, n)))
         edge_ok = bytes(rng.random() < 0.7 for _ in targets)
         for ok in (None, edge_ok):
-            kept = [[targets[k] for k in range(offsets[v], offsets[v + 1])
-                     if v in nodes and targets[k] in nodes
-                     and (ok is None or ok[k])] for v in range(n)]
-            cyclic = any(len(c) > 1 or min(c) in kept[min(c)]
-                         for c in helpers.brute_sccs(kept))
-            assert explorer.has_cycle(offsets, targets, nodes, ok) == cyclic
-            assert explorer.has_cycle(offsets, targets, iter(nodes),
-                                      ok) == cyclic
+            cyclic = oracle_has_cycle(succ, nodes, lambda v, i: ok is None
+                                      or ok[first[v] + i])
+            groups = explorer.EdgeGroups(offsets, targets, ok)
+            assert groups.has_cycle(nodes) == cyclic
+            assert groups.has_cycle(iter(nodes)) == cyclic
+        # one grouping answers every selection of keys
+        keys = [rng.randrange(4) for _ in targets]
+        groups = explorer.EdgeGroups(offsets, targets, keys)
+        for chosen in ({0}, {1, 2}, {0, 1, 2, 3}, set()):
+            cyclic = oracle_has_cycle(succ, nodes, lambda v, i:
+                                      keys[first[v] + i] in chosen)
+            assert groups.has_cycle(nodes, chosen.__contains__) == cyclic
+    assert peels  # the Kahn finisher ran on some survivors
+
+
+@pytest.mark.parametrize("back_edge", [False, True])
+def test_long_path_outlasts_the_round_budget(peels, back_edge):
+    # 0 -> 1 -> ... -> n-1, optionally closed by n-1 -> n/2: either way the
+    # first half peels one node a round, far past ceil(sqrt(n)) rounds
+    n = 100_000
+    succ_of = list(range(1, n)) + [n // 2] * back_edge
+    offsets = array("q", range(len(succ_of) + 1))
+    offsets.extend([len(succ_of)] * (n + 1 - len(offsets)))
+    targets = array("q", succ_of)
+    groups = explorer.EdgeGroups(offsets, targets)
+    assert groups.has_cycle(range(n)) == back_edge
+    assert peels == [1]
+    assert groups.has_cycle(range(n // 2, n)) == back_edge
 
 
 def test_cycles_outside_predicate():

@@ -132,5 +132,5 @@ def test_registry_and_samples():
         result = parse_protocol(text, n=4) if "abp" not in filename \
             else parse_protocol(text)
         assert result.ok, (filename, result.diagnostics)
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ModelError, match="nosuch.gcp is missing"):
         protocols.sample_source("nosuch.gcp")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import pif_classify
 from stabiliq import explorer, protocols
 from stabiliq.dsl import parse_protocol
@@ -410,3 +411,72 @@ def test_specification_callables_see_each_image_once():
     assert max(calls.values()) == 1
     assert {key[0] for key in calls} == \
         {"state", "edge"} | {o.name for o in obligations}
+
+
+def test_many_obligations_agree_with_the_component_oracle():
+    # 70 obligations, past 32 and 64 mask bits: o(3i) is met by every
+    # edge, o(3i+1) by none, and o(3i+2) by a scattering of image pairs
+    bundle = protocols.make_cm((1, 2, 3))
+    program = bundle.program
+    ts = explorer.build_transition_system(program)
+    bound = bundle.mapping.bind(program)
+
+    def met(j, s, t):
+        return (j % 3 == 0 or j % 3 == 2
+                and (s.index * 7 + t.index * 13 + j) % 5 < 4)
+
+    def spec(enforced):
+        return Specification("many", lambda s: True, lambda s, t: True,
+                             Recurrence(tuple(Obligation(
+                                 "o%d" % j, functools.partial(met, j),
+                                 "enforce" if j in enforced else "analyze")
+                                 for j in range(70))), DIVERGENCE_ALLOWED)
+
+    comp = range(ts.size)  # the one bottom component
+    assert explorer.condense(ts).bottoms == (0,)
+
+    def undischarged(j):
+        """Per state id, the targets of its edges that miss obligation j."""
+        return [[t for _, _, t in ts.edges(v)
+                 if not met(j, bound(ts.state(v)), bound(ts.state(t)))]
+                for v in comp]
+
+    def assert_cycle_in(j, texts):
+        ids = [program.signature.parse_state(x).index for x in texts]
+        succ = undischarged(j)
+        assert all(b in succ[a] for a, b in zip(ids, ids[1:] + ids[:1]))
+
+    verdict = check_ideal_stabilizing(program, bundle.mapping, spec(()))
+    assert verdict.holds
+    notes = {n.split("'")[1]: n for n in verdict.notes
+             if n.startswith("obligation")}
+    assert len(notes) == 70
+    cyclic = set()
+    for j in range(70):
+        note = notes["o%d" % j]
+        if any(len(c) > 1 or min(c) in undischarged(j)[min(c)]
+               for c in helpers.brute_sccs(undischarged(j))):
+            cyclic.add(j)
+            head = "obligation 'o%d' (analysis only): not discharged on " \
+                   "cycle " % j
+            assert note.startswith(head)
+            assert_cycle_in(j, note[len(head):].split(" -> "))
+        else:
+            assert note.startswith("obligation 'o%d': recurs on every "
+                                   "cycle of bottom component" % j)
+    assert {j for j in range(70) if j % 3 == 1} <= cyclic
+    assert not {j for j in range(70) if j % 3 == 0} & cyclic
+    assert {j for j in cyclic if j % 3 == 2} and \
+        {j for j in range(70) if j % 3 == 2} - cyclic
+
+    # the first enforced obligation that fails, o34, decides the verdict
+    verdict = check_ideal_stabilizing(program, bundle.mapping,
+                                      spec({33, 34, 67}))
+    assert not verdict.holds
+    reason = verdict.witness["reason"]
+    assert reason.startswith("cycle ") and \
+        reason.endswith(" never discharges obligation 'o34'")
+    assert_cycle_in(34, reason[len("cycle "):-len(
+        " never discharges obligation 'o34'")].split(" -> "))
+    assert [n.split("'")[1] for n in verdict.notes
+            if n.startswith("obligation")] == ["o%d" % j for j in range(34)]

@@ -2,21 +2,24 @@
 
 The transition system of a program has one node per universe state, arbitrary
 initial states included, because stabilization properties quantify over the
-whole universe rather than a reachable fragment. On top of the raw graph this
-module provides SCC condensation (bottom components are the finite-state
-stand-in for eventual behavior), terminal detection, cycle search restricted
-to arbitrary node and edge sets, reproducible simulation runs, and the
-mapping of computations and whole systems to specification sequences and
-graphs with stuttering eliminated.
+whole universe rather than a reachable fragment. A set of states is a
+bitset, one int with bit v for state id v, and so is the relation: per id
+delta d, the states with an edge to their id plus d. This module provides
+images (`post`, `pre`), SCC condensation (bottom components are the
+finite-state stand-in for eventual behavior), cycle questions restricted to
+arbitrary node and edge sets, reproducible simulation runs, and the mapping
+of computations and whole systems to specification sequences and graphs
+with stuttering eliminated.
 """
 from __future__ import annotations
 
 import random
-from array import array
 from collections import defaultdict, deque
-from itertools import accumulate, chain, compress, islice, repeat
+from collections.abc import Sequence
+from functools import cached_property
+from itertools import compress, count, repeat
 from math import isqrt
-from operator import sub
+from operator import add
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -26,31 +29,82 @@ from .kernel import ModelError, Program, Signature, State
 POLICIES = ("uniform-random", "round-robin")
 
 
+# --------------------------------------------------------------------------
+# Bitsets and images.
+
+_TEXT = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bitset(flags: Iterable) -> int:
+    """The bitset of the indices whose flag is true."""
+    return _bits(bytes(map(bool, flags)))
+
+
+def _bits(flags: bytes) -> int:
+    text = flags.translate(_TEXT)[::-1]  # flags of 0s and 1s
+    return int(text, 2) if text else 0
+
+
+def _flags(bits: int, size: int) -> bytes:
+    """Per index below size, 1 where bits has it and 0 elsewhere."""
+    return format(bits, "0%db" % size)[::-1].encode().translate(_FLAGS)
+
+
+def members(bits: int) -> list[int]:
+    """The indices in the bitset, ascending."""
+    return list(compress(count(), _flags(bits, 1)))
+
+
+def least(bits: int) -> int:
+    """The least index in a nonempty bitset."""
+    return (bits & -bits).bit_length() - 1
+
+
+def _shift(bits: int, d: int) -> int:
+    return bits << d if d >= 0 else bits >> -d
+
+
+def post(bits: int, rel: dict) -> int:
+    """The nodes with an edge from the set; rel maps each delta d to the
+    bitset of the sources of its edges, each v to v + d."""
+    out = 0
+    for d, sources in rel.items():
+        out |= _shift(bits & sources, d)
+    return out
+
+
+def pre(bits: int, rel: dict) -> int:
+    """The nodes with an edge into the set."""
+    out = 0
+    for d, sources in rel.items():
+        out |= _shift(bits, -d) & sources
+    return out
+
+
+# --------------------------------------------------------------------------
+# The transition system.
+
 class TransitionSystem:
     """The labeled transition graph over a program's full state universe.
 
-    Nodes are state ids, the canonical mixed-radix encoding; no State is
-    stored. `state(i)` decodes id i, and `states` iterates every State in
-    id order, decoding as it goes. Edges are stored as flat CSR arrays: the
-    out-edges of node i are the indices k in `offsets[i]:offsets[i + 1]`,
-    `targets[k]` is the target id, and `actions[k]` is an action id, an
-    index into `program.action_order`. Each node's edges follow canonical
-    action order. `edges(i)` decodes them to `(position, action name,
-    target id)` triples. Distinct actions with the same source and target
-    keep separate edges; self-loops are retained.
+    Nodes are state ids; no State is stored. `state(i)` decodes id i, and
+    `states` iterates every State in id order. `edges(i)` reads state i's
+    edges from the window tables (kernel.compile_windows) as (position,
+    action name, target id) triples, positions ascending, then row order;
+    distinct actions with the same source and target keep separate edges,
+    and self-loops are retained. `sources[d]` is the bitset of the states
+    with an edge to their id plus d, `full` that of every state and
+    `terminal` that of the states with no edge.
     """
 
-    __slots__ = ("program", "offsets", "targets", "actions")
+    __slots__ = ("program", "tables", "sources", "size", "full", "terminal")
 
-    def __init__(self, program: Program, offsets, targets, actions):
-        self.program = program
-        self.offsets = offsets
-        self.targets = targets
-        self.actions = actions
-
-    @property
-    def size(self) -> int:
-        return len(self.offsets) - 1
+    def __init__(self, program: Program, tables, sources: dict):
+        self.program, self.tables, self.sources = program, tables, sources
+        self.size = program.signature.size
+        self.full = (1 << self.size) - 1
+        self.terminal = self.full & ~pre(self.full, sources)
 
     def state(self, i: int) -> State:
         return self.program.signature.state_at(i)
@@ -59,217 +113,219 @@ class TransitionSystem:
     def states(self) -> Iterator[State]:
         return self.program.signature.states()
 
-    def label(self, k: int) -> tuple[int, str]:
-        """The (position, action name) of edge k."""
-        return self.program.action_order[self.actions[k]]
-
     def edges(self, i: int) -> Iterator[tuple[int, str, int]]:
-        """The out-edges of node i as (position, action name, target id)
-        triples, in canonical action order."""
         order = self.program.action_order
-        for k in range(self.offsets[i], self.offsets[i + 1]):
-            pos, name = order[self.actions[k]]
-            yield pos, name, self.targets[k]
+        for t in self.tables:
+            for action, delta in t.rows[i // t.low_weight % t.span]:
+                yield order[action] + (i + delta,)
 
     def edge_count(self) -> int:
-        return len(self.targets)
-
-    def __repr__(self):
-        return "TransitionSystem(%r, %d states, %d edges)" % (
-            self.program.name, self.size, self.edge_count())
+        # a window code selects its row in size / span states
+        return sum(self.size // t.span * sum(map(len, t.rows))
+                   for t in self.tables)
 
 
 def build_transition_system(program: Program,
                             cap: Optional[int] = None) -> TransitionSystem:
-    """Materialize the complete transition graph, one node per universe
-    state. Refuses universes above the size cap.
+    """The complete transition graph, one node per universe state. Refuses
+    universes above the size cap.
 
-    Edges come from the program's window tables (kernel.compile_windows):
-    each position contributes the row its window code selects."""
-    kernel.check_cap(program.signature.size, cap=cap)
-    tables = [(t.low_weight, t.span, t.rows)
-              for t in kernel.compile_windows(program)]
-    offsets = array("q", [0])
-    targets: list[int] = []
-    actions: list[int] = []
-    for sid in range(program.signature.size):
-        for low_weight, span, rows in tables:
-            for action, delta in rows[sid // low_weight % span]:
-                targets.append(sid + delta)
-                actions.append(action)
-        offsets.append(len(targets))
-    return TransitionSystem(program, offsets, array("q", targets),
-                            array("i", actions))
+    The states whose window code at a position is c form a periodic set: a
+    block of low_weight ids every span * low_weight ids. Each delta's
+    sources are one such pattern per table, tiled across the universe by
+    shift-or doubling."""
+    size = program.signature.size
+    kernel.check_cap(size, cap=cap)
+    tables = kernel.compile_windows(program)
+    sources: dict = {}
+    for t in tables:
+        patterns: dict = {}
+        for code, row in enumerate(t.rows):
+            for _, delta in row:
+                patterns[delta] = patterns.get(delta, 0) | (
+                    (1 << t.low_weight) - 1 << code * t.low_weight)
+        for delta, bits in patterns.items():
+            width = t.span * t.low_weight
+            while width < size:
+                bits |= bits << width
+                width *= 2
+            sources[delta] = sources.get(delta, 0) | bits & (1 << size) - 1
+    return TransitionSystem(program, tables, sources)
 
 
 # --------------------------------------------------------------------------
-# Strongly connected components.
+# Cycles and strongly connected components.
+
+def trim(nodes: int, rel: dict) -> int:
+    """What is left of the nodes once every node without a successor or a
+    predecessor among them goes, repeatedly: the nodes on a cycle and
+    between cycles. Rounds of nodes &= post(nodes) & pre(nodes) stop after
+    ceil(sqrt(|nodes|)), which caps a deep acyclic graph's bit work at
+    O(|nodes|^1.5), and a linear peel finishes."""
+    for _ in range(isqrt(max(nodes.bit_count(), 1) - 1) + 1):
+        kept = nodes & post(nodes, rel) & pre(nodes, rel)
+        if kept == nodes:
+            return nodes
+        nodes = kept
+    return _peel(nodes, rel)
+
+
+def _peel(alive: int, rel: dict) -> int:
+    """trim's linear finisher: count each node's predecessors in the set
+    and remove, one by one, the nodes left with none; then the same over
+    the reversed relation. The first pass keeps the nodes a cycle reaches,
+    and the second those of them that reach a cycle."""
+    for rel in rel, {-d: _shift(sources, d) for d, sources in rel.items()}:
+        size = alive.bit_length()
+        ins, rows = [0] * size, []
+        for d, sources in rel.items():
+            tails = alive & sources & _shift(alive, -d)
+            if tails:
+                rows.append((d, _flags(tails, size)))
+                ins = list(map(add, ins, _flags(_shift(tails, d), size)))
+        removed = bytearray(size)
+        ready = [v for v in members(alive) if not ins[v]]
+        while ready:
+            v = ready.pop()
+            removed[v] = 1
+            for d, tails in rows:
+                if tails[v]:
+                    ins[v + d] -= 1
+                    if not ins[v + d]:
+                        ready.append(v + d)
+        alive &= ~_bits(removed)
+    return alive
+
+
+def has_cycle(nodes: int, rel: dict) -> bool:
+    """Whether the subgraph on the nodes and the relation has a cycle (a
+    self-loop counts): iff its trim is nonempty."""
+    return bool(trim(nodes, rel))
+
+
+def group_edges(ts: TransitionSystem, nodes: int, key: Callable,
+                ids=None) -> dict:
+    """The edges with both ends in the nodes, grouped by (delta,
+    key(ids[source], ids[target])), ids the identity when None; each group
+    is the bitset of its edges' sources. key sees no other edge, and sees
+    parallel edges (one source, one target) once."""
+    ids = range(ts.size) if ids is None else ids
+    groups = {}
+    for d, sources in ts.sources.items():
+        inner = nodes & sources & _shift(nodes, -d)
+        tails = members(inner)
+        by_key = defaultdict(list)
+        keys = map(key, map(ids.__getitem__, tails),
+                   map(ids.__getitem__, map(d.__add__, tails)))
+        deque(map(list.append, map(by_key.__getitem__, keys), tails), 0)
+        for k, group in by_key.items():
+            text = bytearray(group[-1] + 1)
+            deque(map(text.__setitem__, group, repeat(1)), 0)
+            groups[d, k] = _bits(text)
+    return groups
+
+
+def select(groups: dict, keep: Callable = bool) -> dict:
+    """The relation of the groups whose key passes keep."""
+    rel: dict = {}
+    for (d, k), bits in groups.items():
+        if keep(k):
+            rel[d] = rel.get(d, 0) | bits
+    return rel
+
 
 class Condensation:
-    """SCC condensation of a transition system.
+    """SCC condensation of a transition system, held as bitsets: `singles`
+    holds the trivial components (one state, no self-loop), `cores` the
+    others. Ids follow a reverse topological order (the component DAG's
+    edges point from higher ids to lower) that starts with the bottoms, by
+    least state id; the other ids, `comp_of` and `comp_edges` are worked
+    out, edge by edge, only when asked for. `components[c]` is component
+    c's sorted state ids."""
 
-    Components are emitted in reverse topological order (every edge of the
-    component DAG points from a higher component id to a lower one), so
-    bottom components cluster at the low ids. A singleton component is
-    trivial when its state has no self-loop.
-    """
+    def __init__(self, ts: TransitionSystem, singles: int, cores: list):
+        self.ts, self.singles, self.cores = ts, singles, cores
+        # a terminal bottom is (its id, 0), its bitset made on demand
+        self._bottoms = sorted([(least(c), c) for c in cores if not post(
+            c, ts.sources) & ~c] + [(v, 0) for v in members(ts.terminal)])
+        self.bottoms = tuple(range(len(self._bottoms)))
+        self.components = _Components(self)
 
-    __slots__ = ("components", "comp_of", "comp_edges", "trivial", "bottoms")
+    def bits(self, c: int) -> int:
+        """Bottom component c's bitset."""
+        v, bits = self._bottoms[c]
+        return bits or 1 << v
 
-    def __init__(self, components, comp_of, comp_edges, trivial, bottoms):
-        self.components = components
-        self.comp_of = comp_of
-        self.comp_edges = comp_edges
-        self.trivial = trivial
-        self.bottoms = bottoms
+    @cached_property
+    def _numbered(self) -> tuple:
+        """Every component's state ids, comp_of and comp_edges."""
+        ts = self.ts
+        comps = [self.components[c] for c in self.bottoms]
+        comps += [tuple(members(c)) for c in self.cores
+                  if post(c, ts.sources) & ~c]
+        comps += [(v,) for v in members(self.singles & ~ts.terminal)]
+        comp_of = [0] * ts.size
+        for c, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = c
+        succ = [{comp_of[t] for v in comp for _, _, t in ts.edges(v)} - {c}
+                for c, comp in enumerate(comps)]
+        from graphlib import TopologicalSorter  # no other path needs it
+        # successors first; the bottoms, first in comps, are ready first
+        order = list(TopologicalSorter(dict(enumerate(succ))).static_order())
+        new = dict(zip(order, count()))
+        return ([comps[c] for c in order], tuple(new[c] for c in comp_of),
+                tuple(tuple(sorted(new[t] for t in succ[c])) for c in order))
 
-    def __repr__(self):
-        return "Condensation(%d components, %d bottom)" % (
-            len(self.components), len(self.bottoms))
+    comp_of = property(lambda self: self._numbered[1])
+    comp_edges = property(lambda self: self._numbered[2])
+
+class _Components(Sequence):
+    """A condensation's components by id, numbering all only for ids past
+    the bottoms."""
+
+    def __init__(self, cond: Condensation):
+        self._cond = cond
+
+    def __len__(self):
+        return self._cond.singles.bit_count() + len(self._cond.cores)
+
+    def __getitem__(self, c: int) -> tuple:
+        if 0 <= c < len(self._cond.bottoms):
+            return tuple(members(self._cond.bits(c)))
+        return self._cond._numbered[0][c]
 
 
 def condense(ts: TransitionSystem) -> Condensation:
-    """Tarjan's algorithm, iterative to survive deep universes."""
-    n = ts.size
-    offsets, targets = ts.offsets, ts.targets
-    UNSEEN = -1
-    index = [UNSEEN] * n
-    low = [0] * n
-    on_stack = bytearray(n)
-    scc_stack: list[int] = []
-    comp_of = [0] * n
-    components: list[tuple[int, ...]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != UNSEEN:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        scc_stack.append(root)
-        on_stack[root] = 1
-        # Each frame holds an iterator over its node's remaining targets.
-        work = [(root, iter(targets[offsets[root]:offsets[root + 1]]))]
-        while work:
-            v, out = work[-1]
-            for w in out:
-                if index[w] == UNSEEN:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    scc_stack.append(w)
-                    on_stack[w] = 1
-                    work.append((w, iter(targets[offsets[w]:offsets[w + 1]])))
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
+    """The SCCs by trimming and forward-backward search (Gentilini, Piazza
+    and Policriti, SODA 2003): trimmed nodes are trivial components; the
+    rest splits into a pivot's component (its forward set met with its
+    backward set), the rest of the forward set, and everything else, and
+    each part is trimmed and split again."""
+    rel = ts.sources
+    singles, cores, parts = 0, [], [ts.full]
+    while parts:
+        part = parts.pop()
+        core = trim(part, rel)
+        singles |= part & ~core
+        if core:
+            pivot = core & -core
+            forward = _reach(pivot, core, rel, post)
+            comp = _reach(pivot, forward, rel, pre)
+            if comp == pivot and not pivot & rel.get(0, 0):
+                singles |= comp
             else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = scc_stack.pop()
-                        on_stack[w] = 0
-                        comp_of[w] = len(components)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    components.append(tuple(sorted(comp)))
-    comp_edges = [set() for _ in components]
-    has_loop = [False] * len(components)
-    for s in range(n):
-        c = comp_of[s]
-        for t in targets[offsets[s]:offsets[s + 1]]:
-            if comp_of[t] == c:
-                has_loop[c] = True
-            else:
-                comp_edges[c].add(comp_of[t])
-    trivial = tuple(
-        len(comp) == 1 and not has_loop[c]
-        for c, comp in enumerate(components))
-    bottoms = tuple(c for c, out in enumerate(comp_edges) if not out)
-    return Condensation(
-        tuple(components), tuple(comp_of),
-        tuple(tuple(sorted(e)) for e in comp_edges), trivial, bottoms)
+                cores.append(comp)
+            parts += [forward & ~comp, core & ~forward]
+    return Condensation(ts, singles, cores)
 
 
-def terminals(ts: TransitionSystem) -> list[State]:
-    """States with no enabled action, in canonical order."""
-    offsets = ts.offsets
-    return [ts.state(i) for i in range(ts.size)
-            if offsets[i] == offsets[i + 1]]
-
-
-# --------------------------------------------------------------------------
-# Cycle search.
-
-def _bitset(nodes: Iterable[int], size: int) -> int:
-    """The nodes as an int, node v at bit size - 1 - v (text in id order)."""
-    text = bytearray(b"0") * size
-    for v in nodes:
-        text[v] = 49  # b"1"
-    return int(text, 2) if size else 0
-
-
-class EdgeGroups:
-    """The edges of a CSR graph grouped once for many cycle questions: edge
-    k from v is in group (targets[k] - v, keys[k]), every key True when keys
-    is None, and each group is the bitset of its edges' targets."""
-
-    __slots__ = ("size", "groups")
-
-    def __init__(self, offsets, targets, keys=None):
-        self.size = size = len(offsets) - 1
-        # edge k's source: how many nodes after node 0 start their edges by k
-        starts = array("i", bytes(4 * (len(targets) + 1)))
-        for at in islice(offsets, 1, None):
-            starts[at] += 1
-        codes = zip(map(sub, targets, accumulate(starts)),
-                    repeat(True) if keys is None else keys)
-        members = defaultdict(lambda: array("i"))
-        deque(map(array.append, map(members.__getitem__, codes), targets), 0)
-        self.groups = {g: _bitset(members.pop(g), size) for g in list(members)}
-
-    def has_cycle(self, nodes: Iterable[int], keep: Callable = bool) -> bool:
-        """Whether the subgraph on the nodes and the edges whose key passes
-        keep has a cycle: iff a node survives rounds of alive &= OR over d of
-        shift(alive, d) & targets_d. After ceil(sqrt(|nodes|)) rounds, which
-        cap a deep DAG's bit work at O(|nodes|^1.5), a Kahn peel finishes."""
-        kept = {}  # per delta, the targets of the kept edges
-        for (d, key), bits in self.groups.items():
-            if keep(key):
-                kept[d] = kept.get(d, 0) | bits
-        alive = _bitset(nodes, self.size)
-        for _ in range(isqrt(max(alive.bit_count(), 1) - 1) + 1):
-            reached = 0
-            for d, bits in kept.items():
-                reached |= (alive >> d if d >= 0 else alive << -d) & bits
-            if reached & alive == alive:
-                return bool(alive)
-            alive &= reached
-        return self._peel(alive, kept)
-
-    def _peel(self, alive: int, kept: dict) -> bool:
-        """has_cycle on the bitsets alive and kept, by a linear Kahn peel."""
-        digits = "0%db" % self.size  # per delta, sources of edges within
-        rows = [(d, format(alive & ((bits & alive) << d if d >= 0 else (
-            bits & alive) >> -d), digits)) for d, bits in kept.items()]
-        indegree = [0] * self.size
-        for d, row in rows:
-            for v in compress(range(self.size), map("1".__eq__, row)):
-                indegree[v + d] += 1
-        ready = [v for v in compress(range(self.size), map(
-            "1".__eq__, format(alive, digits))) if not indegree[v]]
-        while ready:
-            v = ready.pop()
-            for d, row in rows:
-                if row[v] == "1":
-                    indegree[v + d] -= 1
-                    if not indegree[v + d]:
-                        ready.append(v + d)
-        return any(indegree)  # the nodes left on or after a cycle
+def _reach(seed: int, within: int, rel: dict, step: Callable) -> int:
+    reached = frontier = seed
+    while frontier:
+        frontier = step(frontier, rel) & within & ~reached
+        reached |= frontier
+    return reached
 
 
 @dataclass(frozen=True)
@@ -281,52 +337,52 @@ class Cycle:
     labels: tuple[tuple[int, str], ...]
 
 
-def find_cycle(ts: TransitionSystem, nodes: Iterable[int],
-               edge_ok=None) -> Optional[Cycle]:
-    """First cycle in the subgraph on the given node ids and the edges k
-    with a true edge_ok[k] (all when None), or None. EdgeGroups.has_cycle
-    decides first; the depth-first search that builds the cycle runs only
-    when there is one. Self-loops count as cycles of length one."""
-    nodes = list(nodes)
-    offsets, targets, actions = ts.offsets, ts.targets, ts.actions
-    if not nodes or not EdgeGroups(
-            offsets, targets, edge_ok).has_cycle(nodes):
-        return None
-    keep = set(nodes)
-    order = ts.program.action_order
+def find_cycle(ts: TransitionSystem, nodes: int,
+               edge_ok: Optional[Callable[[int, int], bool]] = None
+               ) -> Optional[Cycle]:
+    """First cycle in the subgraph on the node bitset and the edges (s, t)
+    with a true edge_ok(s, t) (all when None; asked only about edges with
+    both ends in the set), or None. has_cycle decides before first_cycle
+    searches."""
+    rel = ts.sources if edge_ok is None else select(
+        group_edges(ts, nodes, edge_ok))
+    return first_cycle(ts, nodes, rel) if has_cycle(nodes, rel) else None
+
+
+def first_cycle(ts: TransitionSystem, nodes: int,
+                rel: dict) -> Optional[Cycle]:
+    """The cycle a depth-first search meets first in the subgraph on the
+    node bitset and the relation: starts in id order, edges in `edges`
+    order, self-loops as cycles of length one. None, after visiting every
+    node, when there is no cycle: has_cycle answers that for less."""
+    inside = _flags(nodes, ts.size)
+    kept = {d: _flags(rel.get(d, 0), ts.size) for d in ts.sources}
 
     def out_edges(v):
-        for k in range(offsets[v], offsets[v + 1]):
-            t = targets[k]
-            if t in keep and (edge_ok is None or edge_ok[k]):
-                pos, name = order[actions[k]]
+        for pos, name, t in ts.edges(v):
+            if inside[t] and kept[t - v][v]:
                 yield pos, name, t
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(keep, WHITE)
-    in_label: dict[int, tuple[int, str]] = {}
-    for start in sorted(keep):
-        if color[start] != WHITE:
+    done, at, in_label = set(), {}, {}  # at: a node on the path -> frame
+    for start in members(nodes):
+        if start in done:
             continue
-        color[start] = GRAY
         # Each frame holds a generator over its node's remaining edges.
-        path = [(start, out_edges(start))]
+        path, at[start] = [(start, out_edges(start))], 0
         while path:
             v, out = path[-1]
             for pos, name, w in out:
-                if color[w] == GRAY:
-                    at = next(k for k, (u, _) in enumerate(path) if u == w)
-                    ids = [u for u, _ in path[at:]]
+                if w in at:
+                    ids = [u for u, _ in path[at[w]:]]
                     labels = [in_label[u] for u in ids[1:]] + [(pos, name)]
-                    return Cycle(
-                        tuple(map(ts.state, ids)), tuple(labels))
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    in_label[w] = (pos, name)
+                    return Cycle(tuple(map(ts.state, ids)), tuple(labels))
+                if w not in done:
+                    at[w], in_label[w] = len(path), (pos, name)
                     path.append((w, out_edges(w)))
                     break
             else:
-                color[v] = BLACK
+                done.add(v)
+                del at[v]
                 path.pop()
     return None
 
@@ -352,9 +408,6 @@ class Computation:
         """True when the run is a complete computation: it either ended in
         a terminal state or closed a lasso (an infinite computation)."""
         return self.hit_terminal or self.lasso_start is not None
-
-    def __len__(self):
-        return len(self.states)
 
 
 def run(program: Program, start: State, steps: int, seed: int = 0,
@@ -422,9 +475,6 @@ class SpecSequence:
     states: tuple[State, ...]
     stutter_divergent: bool
 
-    def __len__(self):
-        return len(self.states)
-
 
 def image(comp: Computation, mapping) -> SpecSequence:
     """Map a computation to specification states and collapse consecutive
@@ -459,10 +509,11 @@ def induced_specification(program: Program, mapping,
     ts = build_transition_system(program, cap)
     bound = mapping.bind(program)
     ids = bound.ids(ts)
-    # a source id repeats once per out-edge
-    pairs = set(zip(chain.from_iterable(map(
-        repeat, ids, map(sub, ts.offsets[1:], ts.offsets))),
-        map(ids.__getitem__, ts.targets)))
+    pairs = set()
+    for d, sources in ts.sources.items():
+        tails = members(sources)
+        pairs.update(zip(map(ids.__getitem__, tails),
+                         map(ids.__getitem__, map(d.__add__, tails))))
     image = {m: bound.signature.state_at(m) for m in set(ids)}
     edges = frozenset((image[m], image[n]) for m, n in pairs if m != n)
     return InducedSpecification(bound.signature, frozenset(image.values()),
@@ -476,14 +527,18 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _digraph(name: str) -> list:
+    return ["digraph %s {" % name, "  rankdir=LR;",
+            '  node [shape=box, fontname="monospace"];']
+
+
 def to_dot(ts: TransitionSystem,
            color_pred: Optional[Callable[[State], bool]] = None,
            name: str = "ts") -> str:
     """Graphviz source for the transition system. Nodes are labeled with
     canonical state text; edges with `position:action`. States satisfying
     color_pred are filled."""
-    out = ["digraph %s {" % name, "  rankdir=LR;",
-           '  node [shape=box, fontname="monospace"];']
+    out = _digraph(name)
     for i, s in enumerate(ts.states):
         attrs = ['label="%s"' % _dot_escape(s.text())]
         if color_pred is not None and color_pred(s):
@@ -492,16 +547,14 @@ def to_dot(ts: TransitionSystem,
     for i in range(ts.size):
         for pos, action, t in ts.edges(i):
             out.append('  s%d -> s%d [label="%d:%s"];' % (i, t, pos, action))
-    out.append("}")
-    return "\n".join(out) + "\n"
+    return "\n".join(out) + "\n}\n"
 
 
 def condensation_to_dot(ts: TransitionSystem, cond: Condensation,
                         name: str = "condensation") -> str:
     """Graphviz source for the SCC DAG. Bottom components get a double
     border; labels show the component size and one sample state."""
-    out = ["digraph %s {" % name, "  rankdir=LR;",
-           '  node [shape=box, fontname="monospace"];']
+    out = _digraph(name)
     bottoms = set(cond.bottoms)
     for c, comp in enumerate(cond.components):
         sample = ts.state(comp[0]).text()
@@ -514,5 +567,4 @@ def condensation_to_dot(ts: TransitionSystem, cond: Condensation,
     for c, targets in enumerate(cond.comp_edges):
         for t in targets:
             out.append("  c%d -> c%d;" % (c, t))
-    out.append("}")
-    return "\n".join(out) + "\n"
+    return "\n".join(out) + "\n}\n"

@@ -17,10 +17,8 @@ from __future__ import annotations
 import functools
 import re
 import time
-from array import array
-from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
-from operator import eq, sub
+from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Optional
 
 from . import explorer
@@ -117,46 +115,31 @@ class Verdict:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "holds": self.holds,
-            "witness": self.witness,
-            "stats": dict(self.stats),
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
     def summary(self) -> str:
-        head = "%s: %s" % (self.check, "holds" if self.holds else "FAILS")
-        lines = [head]
+        lines = ["%s: %s" % (self.check, "holds" if self.holds else "FAILS")]
         if self.witness is not None:
             lines.append("  witness: %s" % _witness_text(self.witness))
-        for note in self.notes:
-            lines.append("  note: %s" % note)
-        return "\n".join(lines)
+        return "\n".join(lines + ["  note: %s" % note for note in self.notes])
+
+
+_WITNESS_TEXT = {
+    "edge": "edge {source} --{action}--> {target}",
+    "terminal": "terminal state {state}",
+    "cycle": "cycle through {path}",
+    "disallowed-state": "state {state} maps to disallowed {mapped}",
+    "disallowed-edge": "edge {source} --{action}--> {target} maps to "
+                       "disallowed {mapped_source} -> {mapped_target}",
+    "stutter-cycle": "image stays {image} around cycle {path}",
+    "acceptance": "{reason}",
+}
 
 
 def _witness_text(witness: dict) -> str:
-    kind = witness.get("kind", "?")
-    if kind == "edge":
-        return "edge %s --%s--> %s" % (
-            witness["source"], witness["action"], witness["target"])
-    if kind == "terminal":
-        return "terminal state %s" % witness["state"]
-    if kind == "cycle":
-        return "cycle through %s" % " -> ".join(witness["states"])
-    if kind == "disallowed-state":
-        return "state %s maps to disallowed %s" % (
-            witness["state"], witness["mapped"])
-    if kind == "disallowed-edge":
-        return "edge %s --%s--> %s maps to disallowed %s -> %s" % (
-            witness["source"], witness["action"], witness["target"],
-            witness["mapped_source"], witness["mapped_target"])
-    if kind == "stutter-cycle":
-        return "image stays %s around cycle %s" % (
-            witness["image"], " -> ".join(witness["states"]))
-    if kind == "acceptance":
-        return witness["reason"]
-    return repr(witness)
+    text = _WITNESS_TEXT.get(witness.get("kind"))
+    return repr(witness) if text is None else text.format(
+        path=" -> ".join(witness.get("states", ())), **witness)
 
 
 def _label(pos: int, name: str) -> str:
@@ -164,57 +147,43 @@ def _label(pos: int, name: str) -> str:
 
 
 def _cycle_witness(cycle: explorer.Cycle) -> dict:
-    return {
-        "kind": "cycle",
-        "states": [s.text() for s in cycle.states],
-        "actions": [_label(p, a) for p, a in cycle.labels],
-    }
+    return {"kind": "cycle", "states": [s.text() for s in cycle.states],
+            "actions": [_label(p, a) for p, a in cycle.labels]}
 
 
-def _escaping_edge(ts: explorer.TransitionSystem, inside) -> Optional[dict]:
+def _escaping_edge(ts: explorer.TransitionSystem, inside: int
+                   ) -> Optional[dict]:
     """The first edge from a state inside the set to one outside it, as an
     edge witness, or None when the set is closed."""
-    offsets, targets = ts.offsets, ts.targets
-    for i in range(ts.size):
-        if not inside[i]:
-            continue
-        for k in range(offsets[i], offsets[i + 1]):
-            t = targets[k]
-            if not inside[t]:
-                return {
-                    "kind": "edge",
-                    "source": ts.state(i).text(),
-                    "target": ts.state(t).text(),
-                    "action": _label(*ts.label(k)),
-                }
-    return None
+    leaving = inside & explorer.pre(ts.full & ~inside, ts.sources)
+    if not leaving:
+        return None
+    i = explorer.least(leaving)
+    pos, name, t = next(e for e in ts.edges(i) if not inside >> e[2] & 1)
+    return {"kind": "edge", "source": ts.state(i).text(),
+            "target": ts.state(t).text(), "action": _label(pos, name)}
 
 
-def _avoiding_computation(ts: explorer.TransitionSystem, inside
+def _avoiding_computation(ts: explorer.TransitionSystem, inside: int
                           ) -> tuple[Optional[dict], Optional[str]]:
     """A witness that some maximal computation never enters the set, with
     the note that names it, or (None, None). Under the no-fairness daemon
     the first terminal state outside the set is one, and so is any cycle
     through states outside it."""
-    offsets = ts.offsets
-    for i in range(ts.size):
-        if offsets[i] == offsets[i + 1] and not inside[i]:
-            return ({"kind": "terminal", "state": ts.state(i).text()},
-                    "terminal state outside the invariant")
-    cycle = explorer.find_cycle(ts, [i for i in range(ts.size)
-                                     if not inside[i]])
+    stuck = ts.terminal & ~inside
+    if stuck:
+        return ({"kind": "terminal",
+                 "state": ts.state(explorer.least(stuck)).text()},
+                "terminal state outside the invariant")
+    cycle = explorer.find_cycle(ts, ts.full & ~inside)
     if cycle is not None:
         return (_cycle_witness(cycle),
                 "a computation can avoid the invariant forever")
     return None, None
 
 
-class _Clock:
-    def __init__(self):
-        self.t0 = time.perf_counter()
-
-    def ms(self) -> float:
-        return round((time.perf_counter() - self.t0) * 1000.0, 3)
+def _ms_since(t0: float) -> float:
+    return round((time.perf_counter() - t0) * 1000.0, 3)
 
 
 # --------------------------------------------------------------------------
@@ -223,12 +192,13 @@ class _Clock:
 def check_closed(program: Program, pred: Callable[[State], bool],
                  ts: Optional[explorer.TransitionSystem] = None) -> Verdict:
     """Does no transition leave the predicate set?"""
-    clock = _Clock()
+    t0 = time.perf_counter()
     ts = ts if ts is not None else explorer.build_transition_system(program)
-    inside = [pred(s) for s in ts.states]
+    inside = explorer.bitset(map(pred, ts.states))
     witness = _escaping_edge(ts, inside)
     stats = {"states": ts.size, "edges": ts.edge_count(),
-             "predicate_states": sum(inside), "elapsed_ms": clock.ms()}
+             "predicate_states": inside.bit_count(),
+             "elapsed_ms": _ms_since(t0)}
     return Verdict("closed", witness is None, witness, stats)
 
 
@@ -238,12 +208,13 @@ def check_convergence(program: Program, pred: Callable[[State], bool],
     """Does every maximal computation from every universe state reach the
     predicate? Complete under no fairness: it fails exactly on a terminal
     state outside the predicate or a cycle avoiding it."""
-    clock = _Clock()
+    t0 = time.perf_counter()
     ts = ts if ts is not None else explorer.build_transition_system(program)
-    witness, _ = _avoiding_computation(ts, [pred(s) for s in ts.states])
+    witness, _ = _avoiding_computation(
+        ts, explorer.bitset(map(pred, ts.states)))
     stats = {"states": ts.size, "edges": ts.edge_count(),
-             "terminals": sum(map(eq, ts.offsets, ts.offsets[1:])),
-             "elapsed_ms": clock.ms()}
+             "terminals": ts.terminal.bit_count(),
+             "elapsed_ms": _ms_since(t0)}
     return Verdict("convergence", witness is None, witness, stats)
 
 
@@ -263,11 +234,11 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     the policy forbids it. Findings that the policy or an obligation's mode
     exempts from gating are reported in the notes.
     """
-    clock = _Clock()
+    t0 = time.perf_counter()
     ts = ts if ts is not None else explorer.build_transition_system(program)
     bound = mapping.bind(program)
-    inv = [True] * ts.size if invariant is None \
-        else [invariant(s) for s in ts.states]
+    inv = ts.full if invariant is None \
+        else explorer.bitset(map(invariant, ts.states))
     # Specification states are handled as ids; a State is decoded only for
     # a predicate or a witness, and each predicate sees each id once.
     ids = bound.ids(ts)
@@ -276,26 +247,14 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     notes = ["stutter policy: %s" % spec.stutter_policy]
 
     def stats() -> dict:
-        return {
-            "states": ts.size,
-            "edges": ts.edge_count(),
-            "invariant_states": sum(inv),
-            "components": len(cond.components),
-            "bottom_components": len(cond.bottoms),
-            "elapsed_ms": clock.ms(),
-        }
+        return {"states": ts.size, "edges": ts.edge_count(),
+                "invariant_states": inv.bit_count(),
+                "components": len(cond.components),
+                "bottom_components": len(cond.bottoms),
+                "elapsed_ms": _ms_since(t0)}
 
     def fail(witness: dict) -> Verdict:
         return Verdict(_check_name, False, witness, stats(), notes)
-
-    offsets, targets = ts.offsets, ts.targets
-
-    def edge_ids():
-        """Per edge, its source's and its target's spec id, streamed (a
-        source repeats once per out-edge)."""
-        return (chain.from_iterable(map(repeat, ids,
-                                        map(sub, offsets[1:], offsets))),
-                map(ids.__getitem__, targets))
 
     # Closure: no edge may leave the invariant.
     escape = _escaping_edge(ts, inv)
@@ -311,67 +270,57 @@ def check_stabilizing(program: Program, mapping: StateMapping,
 
     # State conformance inside the invariant.
     allowed = functools.cache(lambda m: spec.allowed_state(image(m)))
-    for i in range(ts.size):
-        if inv[i] and not allowed(ids[i]):
-            return fail({
-                "kind": "disallowed-state",
-                "state": ts.state(i).text(),
-                "mapped": image(ids[i]).text(),
-            })
+    for i in explorer.members(inv):
+        if not allowed(ids[i]):
+            return fail({"kind": "disallowed-state",
+                         "state": ts.state(i).text(),
+                         "mapped": image(ids[i]).text()})
+
+    # The invariant's edges, decoded once and grouped by the mask of their
+    # image pair: bit 0 a stutter, bit 1 a disallowed change, bit j + 2
+    # an edge that meets obligation j. Each pair is classified once.
+    obligations = getattr(spec.acceptance, "obligations", ())
+    masks: dict = {}
+
+    @functools.cache
+    def mask_index(m: int, n: int) -> int:
+        s, t = image(m), image(n)
+        mask = (m == n) | (m != n and not spec.allowed_edge(s, t)) << 1 | sum(
+            1 << j + 2 for j, o in enumerate(obligations) if o.edge_pred(s, t))
+        return masks.setdefault(mask, len(masks))
+
+    groups = explorer.group_edges(ts, inv, mask_index, ids)
+    mask_of = list(masks)
+
+    def edges_where(test: Callable[[int], bool]) -> dict:
+        return explorer.select(groups, lambda k: test(mask_of[k]))
 
     # Edge conformance: non-stutter images of invariant-internal edges.
-    allowed_edge = functools.cache(
-        lambda m, n: spec.allowed_edge(image(m), image(n)))
-    for i in range(ts.size):
-        if not inv[i]:
-            continue
-        for k in range(offsets[i], offsets[i + 1]):
-            t = targets[k]
-            if inv[t] and ids[i] != ids[t] \
-                    and not allowed_edge(ids[i], ids[t]):
-                return fail({
-                    "kind": "disallowed-edge",
-                    "source": ts.state(i).text(),
-                    "target": ts.state(t).text(),
-                    "action": _label(*ts.label(k)),
-                    "mapped_source": image(ids[i]).text(),
-                    "mapped_target": image(ids[t]).text(),
-                })
+    bad = edges_where(lambda m: m & 2)
+    if bad:
+        i = min(map(explorer.least, bad.values()))
+        pos, name, t = next(e for e in ts.edges(i)
+                            if mask_of[mask_index(ids[i], ids[e[2]])] & 2)
+        return fail({"kind": "disallowed-edge", "source": ts.state(i).text(),
+                     "target": ts.state(t).text(),
+                     "action": _label(pos, name),
+                     "mapped_source": image(ids[i]).text(),
+                     "mapped_target": image(ids[t]).text()})
 
     # Acceptance on every bottom component (all lie inside the invariant
     # once closure and convergence hold).
     accepts = functools.cache(lambda m: spec.acceptance.pred(image(m)))
-
-    @functools.cache
-    def masks() -> tuple:
-        """The distinct obligation masks (bit j: an image pair meets
-        obligation j), each edge's index among them, and the edges grouped
-        by that index. Each pair's images are decoded once."""
-        distinct: dict = {}
-
-        @functools.cache
-        def index(m: int, n: int) -> int:
-            s, t = image(m), image(n)
-            return distinct.setdefault(sum(
-                1 << j for j, o in enumerate(spec.acceptance.obligations)
-                if o.edge_pred(s, t)), len(distinct))
-        per_edge = array("I", map(index, *edge_ids()))
-        return (list(distinct), per_edge,
-                explorer.EdgeGroups(offsets, targets, per_edge))
-
     for c in cond.bottoms:
-        comp = cond.components[c]
-        if not all(inv[s] for s in comp):
-            continue
-        verdict = _check_acceptance(spec, ts, cond, c, ids, accepts, masks,
-                                    notes)
+        verdict = _check_acceptance(spec, ts, cond, c, ids, accepts,
+                                    edges_where, notes)
         if verdict is not None:
             return fail(verdict)
 
     # Stutter divergence: a cycle inside the invariant whose image never
     # changes. Always reported; gates the verdict only when forbidden.
-    stutter = explorer.find_cycle(ts, [i for i in range(ts.size) if inv[i]],
-                                  bytes(map(eq, *edge_ids())))
+    stays = edges_where(lambda m: m & 1)
+    stutter = explorer.first_cycle(ts, inv, stays) \
+        if explorer.has_cycle(inv, stays) else None
     if stutter is None:
         notes.append("stutter divergence: none")
     else:
@@ -389,15 +338,15 @@ def check_stabilizing(program: Program, mapping: StateMapping,
 
 
 def _check_acceptance(spec: Specification, ts, cond, c: int, ids, accepts,
-                      masks, notes: list) -> Optional[dict]:
+                      edges_where, notes: list) -> Optional[dict]:
     """Evaluate the acceptance condition on bottom component c; `accepts`
-    is its state predicate on spec ids and masks() the obligation masks,
-    their per-edge index and the edges grouped by it. Returns a witness
-    dict on a gating violation, None otherwise; analyze findings go into
-    notes."""
+    is its state predicate on spec ids and edges_where(test) the relation
+    of the invariant's edges whose obligation mask passes test. Returns a
+    witness dict on a gating violation, None otherwise; analyze findings
+    go into notes."""
     comp = cond.components[c]
     acc = spec.acceptance
-    terminal = cond.trivial[c]
+    terminal = bool(cond.bits(c) & ts.terminal)
     comp_texts = [ts.state(s).text() for s in comp[:4]]
     where = "bottom component of %d state%s (%s%s)" % (
         len(comp), "" if len(comp) == 1 else "s", ", ".join(comp_texts),
@@ -433,15 +382,14 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, ids, accepts,
         return None
 
     if isinstance(acc, Recurrence):
-        distinct, per_edge, groups = masks()
+        bits = cond.bits(c)
         for j, obl in enumerate(acc.obligations):
-            clear = bytes(not mask >> j & 1 for mask in distinct)
-            if not groups.has_cycle(comp, clear.__getitem__):
+            missed = edges_where(lambda mask: not mask >> j + 2 & 1)
+            if not explorer.has_cycle(bits, missed):
                 notes.append("obligation %r: recurs on every cycle of %s"
                              % (obl.name, where))
                 continue
-            cycle = explorer.find_cycle(ts, comp, bytes(
-                map(clear.__getitem__, per_edge)))
+            cycle = explorer.first_cycle(ts, bits, missed)
             enforced = obl.mode == "enforce" or (
                 obl.mode == "policy"
                 and spec.stutter_policy == DIVERGENCE_FORBIDDEN)

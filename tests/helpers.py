@@ -325,3 +325,12 @@ def brute_bottom_sccs(succ: list) -> list:
             # component, but it still is a bottom in the reachability sense
             out.append(comp)
     return out
+
+
+def bits(nodes) -> int:
+    """The node ids as a bitset, bit v for node v."""
+    digits = {}
+    for v in nodes:
+        digits[v] = "1"
+    return int("".join(digits.get(v, "0") for v in range(
+        max(digits, default=0), -1, -1)), 2)

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import helpers
-from stabiliq import mapping, protocols
+from stabiliq import explorer, mapping, protocols
 from stabiliq.cli import main
 from stabiliq.kernel import ModelError, Signature, UniverseCapError
 from stabiliq.mapping import format_spec_states
@@ -462,6 +462,41 @@ def test_obligation_cycle_output_is_pinned(capsys):
         "  stats: states=16  edges=64  invariant_states=16  components=1  "
         "bottom_components=1  elapsed_ms=*\n"
         "verify: FAILED\n")
+
+
+def test_each_cycle_question_is_decided_once(capsys, monkeypatch):
+    # one grouping per check; the witness search runs on a question the
+    # check has already decided, without deciding it again
+    groupings, decided, searched = [], [], []
+    group_edges, has_cycle = explorer.group_edges, explorer.has_cycle
+    first_cycle = explorer.first_cycle
+
+    def question(nodes, rel):
+        return nodes, tuple(sorted(rel.items()))
+
+    def deciding(nodes, rel):
+        decided.append((question(nodes, rel), has_cycle(nodes, rel)))
+        return decided[-1][1]
+
+    def searching(ts, nodes, rel):
+        searched.append(question(nodes, rel))
+        return first_cycle(ts, nodes, rel)
+
+    monkeypatch.setattr(explorer, "group_edges", lambda *args: (
+        groupings.append(1), group_edges(*args))[1])
+    monkeypatch.setattr(explorer, "has_cycle", deciding)
+    monkeypatch.setattr(explorer, "first_cycle", searching)
+    code, out, _ = run(capsys, "verify", "--check", "ideal",
+                       "--protocol", "cm", "--ids", "2,1,3,4")
+    assert code == 0 and "not discharged on cycle" in out
+    assert groupings == [1]
+    # three questions, each decided once: a cycle avoiding the invariant
+    # (none: every state is inside), a cycle that misses the obligation,
+    # and a stutter cycle; the last two have one, and each of those is
+    # searched once, after its decision
+    assert [q[0] for q, _ in decided] == [0, 0xFFFF, 0xFFFF]
+    assert searched == [q for q, cyclic in decided if cyclic]
+    assert len(searched) == 2
 
 
 def test_protocol_without_variables_exits_2(capsys, tmp_path):

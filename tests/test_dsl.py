@@ -151,7 +151,7 @@ def test_render_uses_symbolic_bounds_on_long_chains():
 
 def _transitions(program):
     ts = explorer.build_transition_system(program)
-    return ts.offsets, ts.targets, ts.actions
+    return [list(ts.edges(i)) for i in range(ts.size)]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -1,6 +1,6 @@
 """Transition systems, components, cycles, simulation, images, DOT."""
 import random
-from array import array
+from collections import defaultdict
 
 import pytest
 
@@ -51,31 +51,34 @@ def test_transition_system_matches_the_kernel_successors():
 
 
 def test_build_decodes_no_state(monkeypatch):
-    # the CSR the interpreter gives, state by state, built before decoding
-    # is switched off; the build must reproduce it from ids alone
+    # the edges the interpreter gives, state by state, listed before
+    # decoding is switched off; the relation must reproduce them from ids
     programs = [protocols.make_cm((2, 1, 3)).program,
                 protocols.make_alternator(6).program,
                 protocols.make_pif(5).program,
                 protocols.make_abp().program]
     expected = []
     for prog in programs:
-        offsets, targets, actions = [0], [], []
-        for s in prog.signature.states():
-            for pos, name in kernel.enabled_actions(prog, s):
-                targets.append(kernel.apply(prog, s, pos, name).index)
-                actions.append(prog.action_order.index((pos, name)))
-            offsets.append(len(targets))
-        expected.append((offsets, targets, actions))
+        expected.append([[(pos, name, kernel.apply(prog, s, pos, name).index)
+                          for pos, name in kernel.enabled_actions(prog, s)]
+                         for s in prog.signature.states()])
 
     def refuse(*args):
         raise AssertionError("a state was decoded")
 
     monkeypatch.setattr(Signature, "states", refuse)
     monkeypatch.setattr(Signature, "state_at", refuse)
-    for prog, csr in zip(programs, expected):
+    for prog, edges in zip(programs, expected):
         ts = explorer.build_transition_system(prog)
-        assert (list(ts.offsets), list(ts.targets), list(ts.actions)) == csr
+        assert [list(ts.edges(i)) for i in range(ts.size)] == edges
+        assert ts.edge_count() == sum(map(len, edges))
         assert ts.size == prog.signature.size
+        # the bitsets hold exactly the (source, target) pairs
+        assert {(v, v + d) for d, src in ts.sources.items()
+                for v in range(ts.size) if src >> v & 1} == \
+            {(v, t) for v, out in enumerate(edges) for _, _, t in out}
+        assert ts.terminal == helpers.bits(
+            v for v, out in enumerate(edges) if not out)
 
 
 def test_transition_system_respects_the_cap():
@@ -142,7 +145,7 @@ def test_condensation_on_every_small_builtin_agrees_with_the_oracle():
 def test_terminals():
     # the wave protocol never blocks
     pif = protocols.make_pif(4).program
-    assert explorer.terminals(explorer.build_transition_system(pif)) == []
+    assert explorer.build_transition_system(pif).terminal == 0
     # a single process comparing against a constant can block
     from stabiliq.dsl import parse_protocol
     prog = parse_protocol("""
@@ -154,14 +157,14 @@ def test_terminals():
       }
     """).unwrap()
     ts = explorer.build_transition_system(prog)
-    terms = explorer.terminals(ts)
-    assert [t.text() for t in terms] == ["x=true"]
+    assert [ts.state(i).text() for i in explorer.members(ts.terminal)] == \
+        ["x=true"]
 
 
 def test_find_cycle_replayable_and_filtered():
     abp = protocols.make_abp().program
     ts = explorer.build_transition_system(abp)
-    cycle = explorer.find_cycle(ts, range(ts.size))
+    cycle = explorer.find_cycle(ts, ts.full)
     assert cycle is not None
     k = len(cycle.states)
     assert k >= 1 and len(cycle.labels) == k
@@ -172,34 +175,65 @@ def test_find_cycle_replayable_and_filtered():
         assert kernel.apply(abp, cycle.states[i], pos, name) == \
             cycle.states[(i + 1) % k]
     # forbidding every edge leaves no cycle
-    assert explorer.find_cycle(ts, range(ts.size),
-                               edge_ok=bytes(ts.edge_count())) is None
+    assert explorer.find_cycle(ts, ts.full,
+                               edge_ok=lambda s, t: False) is None
 
 
-def oracle_has_cycle(succ, nodes, kept_edge) -> bool:
-    """A cycle among the nodes over the edges (v, i) with kept_edge(v, i),
-    i indexing succ[v], from helpers.brute_sccs."""
+def oracle_trim(succ, nodes, kept_edge) -> set:
+    """The nodes that a cycle reaches and that reach a cycle, among the
+    nodes over the edges (v, i) with kept_edge(v, i), i indexing succ[v];
+    the cycles from helpers.brute_sccs."""
     inside = set(nodes)
     kept = [sorted({t for i, t in enumerate(out) if v in inside
                     and t in inside and kept_edge(v, i)})
             for v, out in enumerate(succ)]
-    return any(len(c) > 1 or min(c) in kept[min(c)]
-               for c in helpers.brute_sccs(kept))
+    preds = [[u for u, out in enumerate(kept) if v in out]
+             for v in range(len(kept))]
+
+    def reached(step):
+        seen = {v for c in helpers.brute_sccs(kept)
+                if len(c) > 1 or min(c) in kept[min(c)] for v in c}
+        todo = list(seen)
+        while todo:
+            for w in step[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+    return reached(kept) & reached(preds)
 
 
-def csr(succ):
-    offsets = array("q", [0])
-    for out in succ:
-        offsets.append(offsets[-1] + len(out))
-    return offsets, array("q", [t for out in succ for t in out])
+def relation(succ, kept_edge=lambda v, i: True) -> dict:
+    """Per delta t - v, the bitset of the sources v of the kept edges."""
+    sources = defaultdict(list)
+    for v, out in enumerate(succ):
+        for i, t in enumerate(out):
+            if kept_edge(v, i):
+                sources[t - v].append(v)
+    return {d: helpers.bits(vs) for d, vs in sources.items()}
+
+
+class Graph:
+    """A successor table with what condense and the cycle questions read
+    of a transition system."""
+
+    def __init__(self, succ):
+        self.succ, self.size = succ, len(succ)
+        self.full = (1 << self.size) - 1
+        self.sources = relation(succ)
+        self.terminal = helpers.bits(v for v, out in enumerate(succ)
+                                     if not out)
+
+    def edges(self, v):
+        return [(v, "e%d" % i, t) for i, t in enumerate(self.succ[v])]
 
 
 @pytest.fixture
 def peels(monkeypatch):
-    """One entry per run of the Kahn finisher."""
+    """One entry per run of the linear finisher."""
     calls = []
-    peel = explorer.EdgeGroups._peel
-    monkeypatch.setattr(explorer.EdgeGroups, "_peel",
+    peel = explorer._peel
+    monkeypatch.setattr(explorer, "_peel",
                         lambda *args: calls.append(1) or peel(*args))
     return calls
 
@@ -208,8 +242,7 @@ def test_peel_agrees_with_the_component_oracle(peels):
     # 0 -> ... -> 6 outlasts ceil(sqrt(9)) rounds, 7 <-> 8 is a cycle, and
     # 9..11 lie outside the set with in-edges only from a survivor
     succ = [[1], [2], [3], [4, 9, 10, 11], [5], [6], [7], [8], [7], [], [], []]
-    offsets, targets = csr(succ)
-    assert explorer.EdgeGroups(offsets, targets).has_cycle(range(9))
+    assert explorer.has_cycle(helpers.bits(range(9)), relation(succ))
     assert peels
     rng = random.Random(6)
     for _ in range(400):
@@ -220,24 +253,70 @@ def test_peel_agrees_with_the_component_oracle(peels):
         if rng.random() < 0.3:  # a long chain outlasts the round budget
             succ = [out + [v + 1] if v + 1 < n else out
                     for v, out in enumerate(succ)]
-        offsets, targets = csr(succ)
-        first = offsets.tolist()
         nodes = sorted(rng.sample(range(n), rng.randint(0, n)))
-        edge_ok = bytes(rng.random() < 0.7 for _ in targets)
+        edge_ok = [[rng.random() < 0.7 for _ in out] for out in succ]
         for ok in (None, edge_ok):
-            cyclic = oracle_has_cycle(succ, nodes, lambda v, i: ok is None
-                                      or ok[first[v] + i])
-            groups = explorer.EdgeGroups(offsets, targets, ok)
-            assert groups.has_cycle(nodes) == cyclic
-            assert groups.has_cycle(iter(nodes)) == cyclic
-        # one grouping answers every selection of keys
-        keys = [rng.randrange(4) for _ in targets]
-        groups = explorer.EdgeGroups(offsets, targets, keys)
+            def kept(v, i):
+                return ok is None or ok[v][i]
+            trimmed = oracle_trim(succ, nodes, kept)
+            rel = relation(succ, kept)
+            assert explorer.trim(helpers.bits(nodes), rel) == \
+                helpers.bits(trimmed)
+            assert explorer.has_cycle(helpers.bits(nodes), rel) == \
+                bool(trimmed)
+        # one grouping answers every selection of keys; a key belongs to a
+        # (source, target) pair, so parallel edges share it
+        keys = {(v, t): rng.randrange(4)
+                for v, out in enumerate(succ) for t in out}
+        groups = explorer.group_edges(Graph(succ), helpers.bits(nodes),
+                                      lambda s, t: keys[s, t])
         for chosen in ({0}, {1, 2}, {0, 1, 2, 3}, set()):
-            cyclic = oracle_has_cycle(succ, nodes, lambda v, i:
-                                      keys[first[v] + i] in chosen)
-            assert groups.has_cycle(nodes, chosen.__contains__) == cyclic
-    assert peels  # the Kahn finisher ran on some survivors
+            cyclic = bool(oracle_trim(succ, nodes, lambda v, i:
+                                      keys[v, succ[v][i]] in chosen))
+            assert explorer.has_cycle(helpers.bits(nodes), explorer.select(
+                groups, chosen.__contains__)) == cyclic
+    assert peels  # the linear finisher ran on some survivors
+
+
+def assert_condensation_matches_the_oracle(succ):
+    """Components, bottoms and triviality against helpers.brute_sccs, and
+    the numbering: bottoms first by least state id, edges pointing down."""
+    cond = explorer.condense(Graph(succ))
+    comps = [set(c) for c in cond.components]
+    assert sorted(map(sorted, comps)) == \
+        sorted(map(sorted, helpers.brute_sccs(succ)))
+    assert len(comps) == len(cond.components)
+    assert sorted(map(sorted, (comps[c] for c in cond.bottoms))) == \
+        sorted(map(sorted, helpers.brute_bottom_sccs(succ)))
+    assert cond.bottoms == tuple(range(len(cond.bottoms)))
+    assert [min(comps[c]) for c in cond.bottoms] == \
+        sorted(min(comps[c]) for c in cond.bottoms)
+    for c in cond.bottoms:
+        assert cond.bits(c) == helpers.bits(comps[c])
+    # the trivial components are one state each, without a self-loop
+    assert cond.singles == helpers.bits(
+        min(c) for c in comps if len(c) == 1 and min(c) not in succ[min(c)])
+    for c, comp in enumerate(comps):
+        assert all(cond.comp_of[u] == c for u in comp)
+        assert all(t < c for t in cond.comp_edges[c])
+        assert set(cond.comp_edges[c]) == {
+            cond.comp_of[t] for u in comp for t in succ[u]} - {c}
+
+
+def test_condensation_agrees_with_the_oracle_on_random_graphs():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        # self-loops and parallel edges included, sparse to dense
+        succ = [sorted(rng.choices(range(n), k=rng.randint(0, 3)))
+                for _ in range(n)]
+        assert_condensation_matches_the_oracle(succ)
+    # many disjoint 2-cycles, alone and linked one way into a chain
+    pairs = [[v ^ 1] for v in range(1000)]
+    assert_condensation_matches_the_oracle(pairs)
+    assert_condensation_matches_the_oracle(
+        [out + [v + 1] if v % 2 and v + 1 < 1000 else out
+         for v, out in enumerate(pairs)])
 
 
 @pytest.mark.parametrize("back_edge", [False, True])
@@ -245,24 +324,55 @@ def test_long_path_outlasts_the_round_budget(peels, back_edge):
     # 0 -> 1 -> ... -> n-1, optionally closed by n-1 -> n/2: either way the
     # first half peels one node a round, far past ceil(sqrt(n)) rounds
     n = 100_000
-    succ_of = list(range(1, n)) + [n // 2] * back_edge
-    offsets = array("q", range(len(succ_of) + 1))
-    offsets.extend([len(succ_of)] * (n + 1 - len(offsets)))
-    targets = array("q", succ_of)
-    groups = explorer.EdgeGroups(offsets, targets)
-    assert groups.has_cycle(range(n)) == back_edge
+    rel = {1: (1 << n - 1) - 1}
+    if back_edge:
+        rel[n // 2 - (n - 1)] = 1 << n - 1
+    assert explorer.has_cycle((1 << n) - 1, rel) == back_edge
     assert peels == [1]
-    assert groups.has_cycle(range(n // 2, n)) == back_edge
+    assert explorer.has_cycle(helpers.bits(range(n // 2, n)),
+                              rel) == back_edge
+    # n trivial components on the path, the last a terminal bottom; the
+    # closed path's second half is one component, its only bottom
+    succ = [[v + 1] for v in range(n - 1)] + [[n // 2] if back_edge else []]
+    cond = explorer.condense(Graph(succ))
+    assert len(cond.components) == (n // 2 + 1 if back_edge else n)
+    assert cond.bottoms == (0,)
+    assert cond.components[0] == (tuple(range(n // 2, n)) if back_edge
+                                  else (n - 1,))
+    assert cond.singles == (1 << n // 2 if back_edge else 1 << n) - 1
+
+
+def test_a_cycle_question_reads_only_the_edges_of_its_nodes():
+    # the stutter question of stabilizing-pif10 asks about the 64 states
+    # of its invariant; its edge predicate must see no other source. The
+    # invariant is closed, its complement is not: neither question may see
+    # an edge that leaves its set
+    bundle = protocols.make_pif(10)
+    ts = explorer.build_transition_system(bundle.program)
+    inv = bundle.invariants[bundle.default_invariant]
+    inside = [i for i, s in enumerate(ts.states) if inv(s)]
+    assert len(inside) == 64
+    outside = sorted(set(range(ts.size)) - set(inside))
+    for nodes in (inside, outside):
+        seen = []
+
+        def stutter(s, t):
+            seen.append((s, t))
+            return s == t
+
+        assert explorer.find_cycle(ts, helpers.bits(nodes), stutter) is None
+        assert seen and {v for e in seen for v in e} <= set(nodes)
 
 
 def test_cycles_outside_predicate():
     pif = protocols.make_pif(4).program
     ts = explorer.build_transition_system(pif)
     # nothing cycles outside the wave states
-    outside = [i for i, s in enumerate(ts.states) if not specs.pif_wave(s)]
+    outside = helpers.bits(i for i, s in enumerate(ts.states)
+                           if not specs.pif_wave(s))
     assert explorer.find_cycle(ts, outside) is None
     # with no states excluded, the wave cycle itself is found
-    cyc = explorer.find_cycle(ts, range(ts.size))
+    cyc = explorer.find_cycle(ts, ts.full)
     assert cyc is not None and len(cyc.states) >= 2
 
 

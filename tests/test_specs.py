@@ -12,7 +12,9 @@ import helpers
 from helpers import pif_classify
 from stabiliq import explorer, protocols
 from stabiliq.dsl import parse_protocol
-from stabiliq.specs import (DIVERGENCE_ALLOWED, DIVERGENCE_FORBIDDEN,
+from stabiliq.mapping import IdenticalMapping
+from stabiliq.specs import (CycleWithin, DIVERGENCE_ALLOWED,
+                            DIVERGENCE_FORBIDDEN,
                             FiniteTerminal, Obligation, Recurrence,
                             Specification, abp_classify, abp_legitimate,
                             check_closed, check_convergence,
@@ -174,6 +176,40 @@ def test_check_convergence_fails_on_a_bad_terminal():
     verdict = check_convergence(program, lambda s: s.value(1, "x") == "false")
     assert not verdict.holds
     assert verdict.witness == {"kind": "terminal", "state": "x=true"}
+
+
+def test_terminal_and_cycling_bottoms_against_both_kinds_of_sequence():
+    # two bottoms: the cycle x=false y=true <-> x=true y=true (least id 1)
+    # and the terminal x=true y=false (id 2), reached from id 0
+    program = parse_protocol("""
+    protocol two() {
+      process p in 1..1 {
+        output x: bool;
+        output y: bool;
+        go: self.x = false && self.y = false -> self.x := true;
+        spin: self.y = true -> self.x := !self.x;
+      }
+    }
+    """).unwrap()
+
+    def verdict(acceptance):
+        spec = Specification("two", lambda s: True, lambda s, t: True,
+                             acceptance, DIVERGENCE_ALLOWED)
+        return check_ideal_stabilizing(program, IdenticalMapping(), spec)
+
+    infinite = verdict(CycleWithin(lambda s: True))
+    assert (infinite.stats["components"],
+            infinite.stats["bottom_components"]) == (3, 2)
+    assert infinite.witness["reason"] == (
+        "bottom component of 1 state (x=true y=false) is terminal, but the "
+        "specification's sequences are infinite")
+    assert verdict(FiniteTerminal(lambda s: True)).witness["reason"] == (
+        "bottom component of 2 states (x=false y=true, x=true y=true) "
+        "cycles forever, but the specification's sequences are finite")
+    # both bottoms fail: the one with the least state id reports
+    assert verdict(CycleWithin(lambda s: False)).witness["reason"] == (
+        "bottom component of 2 states (x=false y=true, x=true y=true) "
+        "contains x=false y=true, outside the target cycle family")
 
 
 def test_stabilizing_to_strict_waves():
@@ -411,6 +447,30 @@ def test_specification_callables_see_each_image_once():
     assert max(calls.values()) == 1
     assert {key[0] for key in calls} == \
         {"state", "edge"} | {o.name for o in obligations}
+
+
+def test_the_stutter_question_reads_only_the_invariant_edges(monkeypatch):
+    # stabilizing-pif10: the invariant holds 64 of 26,244 states, and the
+    # check's one grouping keys only edges leaving them (pif maps by
+    # identity, so the key sees state ids)
+    bundle = protocols.make_pif(10)
+    inv = bundle.invariants[bundle.default_invariant]
+    inside = {s.index for s in bundle.program.signature.states() if inv(s)}
+    assert len(inside) == 64
+    keyed = []
+    group_edges = explorer.group_edges
+
+    def recording(ts, nodes, key, ids):
+        def seen(m, n):
+            keyed.append(m)
+            return key(m, n)
+        return group_edges(ts, nodes, seen, ids)
+
+    monkeypatch.setattr(explorer, "group_edges", recording)
+    verdict = check_stabilizing(bundle.program, bundle.mapping,
+                                bundle.strict_spec, inv)
+    assert verdict.holds
+    assert keyed and set(keyed) <= inside
 
 
 def test_many_obligations_agree_with_the_component_oracle():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from stabiliq import explorer, kernel, protocols
 from stabiliq.dsl import parse_protocol
 from stabiliq.kernel import (
@@ -34,10 +35,13 @@ def assert_tables_match_interpreter(program):
     bound = EnabledOutputMapping().bind(program)
     assert tuple(map(ts.state, range(ts.size))) == \
         tuple(program.signature.states())
+    succ = helpers.successor_table(program)
     for i, s in enumerate(ts.states):
         assert list(ts.edges(i)) == interpreter_edges(program, s), s.text()
+        assert sorted({t for _, _, t in ts.edges(i)}) == succ[i], s.text()
         assert bound(s).values == interpreter_bits(program, s), s.text()
-    assert ts.edge_count() == ts.offsets[-1] == len(ts.actions)
+    assert ts.edge_count() == sum(len(interpreter_edges(program, s))
+                                  for s in program.signature.states())
 
 
 def _sample(filename, n):
@@ -58,9 +62,16 @@ def _silent_tail():
 
 
 PROGRAMS = {
+    "cm2": lambda: protocols.make_cm((1, 2)).program,
+    "cm3": lambda: protocols.make_cm((3, 1, 2)).program,
     "cm4": lambda: protocols.make_cm((2, 1, 3, 4)).program,
+    "cm5": lambda: protocols.make_cm((1, 2, 3, 4, 5)).program,
+    "la3": lambda: protocols.make_alternator(3).program,
     "la5": lambda: protocols.make_alternator(5).program,
+    "la8": lambda: protocols.make_alternator(8).program,
+    "pif3": lambda: protocols.make_pif(3).program,
     "pif5": lambda: protocols.make_pif(5).program,
+    "pif6": lambda: protocols.make_pif(6).program,
     "abp": lambda: protocols.make_abp().program,
     "cm.gcp": lambda: _sample("cm.gcp", 4),
     "alternator.gcp": lambda: _sample("alternator.gcp", 4),

@@ -24,7 +24,7 @@ import random
 import sys
 from typing import Optional
 
-from . import dsl, explorer, kernel, protocols, specs
+from . import dsl, explorer, protocols, specs
 from . import mapping as mappingmod
 from .kernel import (DEFAULT_STATE_CAP, ModelError, Program, State,
                      UniverseCapError)
@@ -103,14 +103,14 @@ def _load(args) -> tuple:
     return bundle.program, bundle
 
 
-def _invariants(bundle) -> dict:
-    if bundle is not None:
-        return bundle.invariants
-    return {"true": lambda s: True}
-
-
-def _resolve_predicate(bundle, name: str):
-    table = _invariants(bundle)
+def _resolve_predicate(bundle, name: Optional[str]):
+    """The named predicate, or the protocol's default invariant when the
+    name is empty; a protocol from a file has only "true"."""
+    if bundle is None:
+        table, default = {"true": lambda s: True}, "true"
+    else:
+        table, default = bundle.invariants, bundle.default_invariant
+    name = name or default
     if name not in table:
         raise UsageError("unknown predicate %r; available: %s"
                          % (name, ", ".join(sorted(table))))
@@ -129,31 +129,26 @@ def _mapping_for(program: Program, bundle):
 # --------------------------------------------------------------------------
 # verify.
 
-def _pif_coverage(program: Program, cap: Optional[int]) -> specs.Verdict:
-    """Classify every universe state against the extended wave predicates
-    and report how much of the universe they cover. This is an analysis,
-    not a property: it always completes, and the uncovered states are the
-    finding."""
-    total = program.signature.size
-    kernel.check_cap(total, cap=cap)
-    uncovered = [s for s in program.signature.states()
-                 if not specs.pif_prime(s)]
-    notes = ["%d of %d states satisfy the extended wave predicates"
-             % (total - len(uncovered), total)]
-    if uncovered:
-        notes.append("the extended wave predicates do not cover the "
-                     "universe; uncovered states follow")
-        for state in uncovered[:20]:
-            notes.append("uncovered: %s" % state.text())
-        if len(uncovered) > 20:
-            notes.append("... and %d more" % (len(uncovered) - 20))
-    else:
-        notes.append("the extended wave predicates cover the universe")
-    return specs.Verdict(
-        check="pif-coverage", holds=True, witness=None,
-        stats={"states": total, "covered": total - len(uncovered),
-               "uncovered": len(uncovered)},
-        notes=notes)
+def _selected_check(args, program: Program, bundle):
+    """The selected check as a function of the transition system. Every
+    usage error is raised here, before the universe is built."""
+    if args.check in ("closed", "convergence"):
+        pred = _resolve_predicate(bundle, args.predicate)
+        check = specs.check_closed if args.check == "closed" \
+            else specs.check_convergence
+        return lambda ts: check(program, pred, ts=ts)
+    if bundle is None:
+        raise UsageError("%s checks need a built-in protocol" % args.check)
+    spec = bundle.ideal_spec if args.check == "ideal" \
+        else bundle.strict_spec or bundle.ideal_spec
+    if args.stutter_policy is not None:
+        spec = spec.with_policy(POLICY_WORDS[args.stutter_policy])
+    if args.check == "ideal":
+        return lambda ts: specs.check_ideal_stabilizing(
+            program, bundle.mapping, spec, ts=ts)
+    invariant = _resolve_predicate(bundle, args.invariant)
+    return lambda ts: specs.check_stabilizing(
+        program, bundle.mapping, spec, invariant, ts=ts)
 
 
 def cmd_verify(args) -> int:
@@ -164,41 +159,14 @@ def cmd_verify(args) -> int:
             raise UsageError("--%s does not apply to --check %s"
                              % (flag.replace("_", "-"), args.check))
     program, bundle = _load(args)
-    policy = POLICY_WORDS[args.stutter_policy] if args.stutter_policy else None
-    default_pred = bundle.default_invariant if bundle is not None else "true"
-
     if args.check == "pif-coverage":
         if bundle is None or bundle.name != "pif":
             raise UsageError("pif-coverage applies to --protocol pif")
-        verdict = _pif_coverage(program, args.cap)
-    elif args.check == "closed":
-        pred = _resolve_predicate(bundle, args.predicate or default_pred)
-        ts = explorer.build_transition_system(program, cap=args.cap)
-        verdict = specs.check_closed(program, pred, ts=ts)
-    elif args.check == "convergence":
-        pred = _resolve_predicate(bundle, args.predicate or default_pred)
-        ts = explorer.build_transition_system(program, cap=args.cap)
-        verdict = specs.check_convergence(program, pred, ts=ts)
-    elif args.check == "stabilizing":
-        if bundle is None:
-            raise UsageError("stabilizing checks need a built-in protocol")
-        spec = bundle.strict_spec or bundle.ideal_spec
-        if policy is not None:
-            spec = spec.with_policy(policy)
-        invariant = _resolve_predicate(bundle, args.invariant
-                                       or bundle.default_invariant)
-        ts = explorer.build_transition_system(program, cap=args.cap)
-        verdict = specs.check_stabilizing(program, bundle.mapping, spec,
-                                          invariant, ts=ts)
-    else:  # ideal
-        if bundle is None:
-            raise UsageError("ideal checks need a built-in protocol")
-        spec = bundle.ideal_spec
-        if policy is not None:
-            spec = spec.with_policy(policy)
-        ts = explorer.build_transition_system(program, cap=args.cap)
-        verdict = specs.check_ideal_stabilizing(program, bundle.mapping,
-                                                spec, ts=ts)
+        verdict = specs.pif_coverage(program, args.cap)
+    else:
+        check = _selected_check(args, program, bundle)
+        verdict = check(explorer.build_transition_system(program,
+                                                         cap=args.cap))
 
     print("protocol %s  chain length %d  universe %d states"
           % (program.name, program.n, program.signature.size))

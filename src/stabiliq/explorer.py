@@ -90,18 +90,18 @@ class TransitionSystem:
 
     Nodes are state ids; no State is stored. `state(i)` decodes id i, and
     `states` iterates every State in id order. `edges(i)` reads state i's
-    edges from the window tables (kernel.compile_windows) as (position,
-    action name, target id) triples, positions ascending, then row order;
-    distinct actions with the same source and target keep separate edges,
-    and self-loops are retained. `sources[d]` is the bitset of the states
-    with an edge to their id plus d, `full` that of every state and
-    `terminal` that of the states with no edge.
+    edges from the program's window tables (`Program.windows`) as
+    (position, action name, target id) triples, positions ascending, then
+    row order; distinct actions with the same source and target keep
+    separate edges, and self-loops are retained. `sources[d]` is the bitset
+    of the states with an edge to their id plus d, `full` that of every
+    state and `terminal` that of the states with no edge.
     """
 
-    __slots__ = ("program", "tables", "sources", "size", "full", "terminal")
+    __slots__ = ("program", "sources", "size", "full", "terminal")
 
-    def __init__(self, program: Program, tables, sources: dict):
-        self.program, self.tables, self.sources = program, tables, sources
+    def __init__(self, program: Program, sources: dict):
+        self.program, self.sources = program, sources
         self.size = program.signature.size
         self.full = (1 << self.size) - 1
         self.terminal = self.full & ~pre(self.full, sources)
@@ -115,14 +115,19 @@ class TransitionSystem:
 
     def edges(self, i: int) -> Iterator[tuple[int, str, int]]:
         order = self.program.action_order
-        for t in self.tables:
-            for action, delta in t.rows[i // t.low_weight % t.span]:
-                yield order[action] + (i + delta,)
+        return (order[action] + (t,) for action, t in _moves(self.program, i))
 
     def edge_count(self) -> int:
         # a window code selects its row in size / span states
         return sum(self.size // t.span * sum(map(len, t.rows))
-                   for t in self.tables)
+                   for t in self.program.windows)
+
+
+def _moves(program: Program, i: int) -> list[tuple[int, int]]:
+    """State i's edges as (action id, target id) pairs, in `edges` order:
+    the rows its window codes select."""
+    return [(action, i + delta) for t in program.windows
+            for action, delta in t.rows[i // t.low_weight % t.span]]
 
 
 def build_transition_system(program: Program,
@@ -136,9 +141,8 @@ def build_transition_system(program: Program,
     shift-or doubling."""
     size = program.signature.size
     kernel.check_cap(size, cap=cap)
-    tables = kernel.compile_windows(program)
     sources: dict = {}
-    for t in tables:
+    for t in program.windows:
         patterns: dict = {}
         for code, row in enumerate(t.rows):
             for _, delta in row:
@@ -150,7 +154,7 @@ def build_transition_system(program: Program,
                 bits |= bits << width
                 width *= 2
             sources[delta] = sources.get(delta, 0) | bits & (1 << size) - 1
-    return TransitionSystem(program, tables, sources)
+    return TransitionSystem(program, sources)
 
 
 # --------------------------------------------------------------------------
@@ -338,14 +342,11 @@ class Cycle:
 
 
 def find_cycle(ts: TransitionSystem, nodes: int,
-               edge_ok: Optional[Callable[[int, int], bool]] = None
-               ) -> Optional[Cycle]:
-    """First cycle in the subgraph on the node bitset and the edges (s, t)
-    with a true edge_ok(s, t) (all when None; asked only about edges with
-    both ends in the set), or None. has_cycle decides before first_cycle
+               rel: Optional[dict] = None) -> Optional[Cycle]:
+    """First cycle in the subgraph on the node bitset and the relation
+    (every edge when None), or None. has_cycle decides before first_cycle
     searches."""
-    rel = ts.sources if edge_ok is None else select(
-        group_edges(ts, nodes, edge_ok))
+    rel = ts.sources if rel is None else rel
     return first_cycle(ts, nodes, rel) if has_cycle(nodes, rel) else None
 
 
@@ -354,7 +355,7 @@ def first_cycle(ts: TransitionSystem, nodes: int,
     """The cycle a depth-first search meets first in the subgraph on the
     node bitset and the relation: starts in id order, edges in `edges`
     order, self-loops as cycles of length one. None, after visiting every
-    node, when there is no cycle: has_cycle answers that for less."""
+    node, when there is no cycle: find_cycle asks has_cycle first."""
     inside = _flags(nodes, ts.size)
     kept = {d: _flags(rel.get(d, 0), ts.size) for d in ts.sources}
 
@@ -418,7 +419,8 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
     round-robin keeps a rotating pointer over the canonical action list and
     fires the first enabled action at or after it. Stops early at a terminal
     state or when a state repeats (the run is then a lasso and already shows
-    everything an extension could).
+    everything an extension could). It steps on state ids through the
+    window tables and decodes the states at the end.
     """
     if start.sig != program.signature:
         raise ModelError("start state does not belong to program %r"
@@ -431,36 +433,33 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
     rng = random.Random(seed)
     order = program.action_order
     pointer = 0
-    states = [start]
+    current = start.index
+    ids = [current]
     labels: list[tuple[int, str]] = []
-    seen = {start.values: 0}
+    seen = {current: 0}
     lasso_start = None
     hit_terminal = False
-    current = start
     while len(labels) < steps:
-        enabled = kernel.enabled_actions(program, current)
-        if not enabled:
+        moves = _moves(program, current)
+        if not moves:
             hit_terminal = True
             break
         if policy == "uniform-random":
-            pos, name = rng.choice(enabled)
+            action, current = rng.choice(moves)
         else:
-            enabled_set = set(enabled)
-            for k in range(len(order)):
-                cand = order[(pointer + k) % len(order)]
-                if cand in enabled_set:
-                    pos, name = cand
-                    pointer = (pointer + k + 1) % len(order)
-                    break
-        current = kernel.apply(program, current, pos, name)
-        states.append(current)
-        labels.append((pos, name))
-        if current.values in seen:
-            lasso_start = seen[current.values]
+            # the enabled action the fewest places at or after the pointer
+            action, current = min(
+                moves, key=lambda m: (m[0] - pointer) % len(order))
+            pointer = (action + 1) % len(order)
+        ids.append(current)
+        labels.append(order[action])
+        if current in seen:
+            lasso_start = seen[current]
             break
-        seen[current.values] = len(states) - 1
-    return Computation(program, tuple(states), tuple(labels),
-                       lasso_start, hit_terminal)
+        seen[current] = len(ids) - 1
+    states = tuple(map(program.signature.state_at, ids))
+    return Computation(program, states, tuple(labels), lasso_start,
+                       hit_terminal)
 
 
 # --------------------------------------------------------------------------
@@ -509,11 +508,10 @@ def induced_specification(program: Program, mapping,
     ts = build_transition_system(program, cap)
     bound = mapping.bind(program)
     ids = bound.ids(ts)
+    # the key sees every image pair; grouping by the pair itself would
+    # build one bitset per pair
     pairs = set()
-    for d, sources in ts.sources.items():
-        tails = members(sources)
-        pairs.update(zip(map(ids.__getitem__, tails),
-                         map(ids.__getitem__, map(d.__add__, tails))))
+    group_edges(ts, ts.full, lambda m, n: pairs.add((m, n)), ids)
     image = {m: bound.signature.state_at(m) for m in set(ids)}
     edges = frozenset((image[m], image[n]) for m, n in pairs if m != n)
     return InducedSpecification(bound.signature, frozenset(image.values()),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Optional, Union
 
 #: Refuse to enumerate universes larger than this unless told otherwise.
@@ -513,6 +514,12 @@ class Program:
     @property
     def universe_size(self) -> int:
         return self.signature.size
+
+    @cached_property
+    def windows(self) -> tuple["WindowTable", ...]:
+        """The program's window tables (compile_windows), compiled on first
+        use and shared by every reader: edges, simulation, mappings."""
+        return compile_windows(self)
 
     def __eq__(self, other):
         return (isinstance(other, Program) and self.name == other.name

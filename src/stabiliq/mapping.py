@@ -171,7 +171,7 @@ class EnabledOutputMapping(StateMapping):
     def bind(self, program: Program) -> BoundMapping:
         sig = Signature((p.index, self.output, BOOL) for p in program.processes)
         tables = [(t.low_weight, t.span, bytes(map(bool, t.rows)))
-                  for t in kernel.compile_windows(program)]
+                  for t in program.windows]
 
         def id_of(sid: int) -> int:
             out = 0

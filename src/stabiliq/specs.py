@@ -22,7 +22,7 @@ from itertools import repeat
 from typing import Callable, Optional
 
 from . import explorer
-from .kernel import Program, State
+from .kernel import Program, State, check_cap
 from .mapping import StateMapping
 
 DIVERGENCE_ALLOWED = "divergence-allowed"
@@ -280,27 +280,21 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     # image pair: bit 0 a stutter, bit 1 a disallowed change, bit j + 2
     # an edge that meets obligation j. Each pair is classified once.
     obligations = getattr(spec.acceptance, "obligations", ())
-    masks: dict = {}
 
     @functools.cache
-    def mask_index(m: int, n: int) -> int:
+    def mask(m: int, n: int) -> int:
         s, t = image(m), image(n)
-        mask = (m == n) | (m != n and not spec.allowed_edge(s, t)) << 1 | sum(
+        return (m == n) | (m != n and not spec.allowed_edge(s, t)) << 1 | sum(
             1 << j + 2 for j, o in enumerate(obligations) if o.edge_pred(s, t))
-        return masks.setdefault(mask, len(masks))
 
-    groups = explorer.group_edges(ts, inv, mask_index, ids)
-    mask_of = list(masks)
-
-    def edges_where(test: Callable[[int], bool]) -> dict:
-        return explorer.select(groups, lambda k: test(mask_of[k]))
+    groups = explorer.group_edges(ts, inv, mask, ids)
 
     # Edge conformance: non-stutter images of invariant-internal edges.
-    bad = edges_where(lambda m: m & 2)
+    bad = explorer.select(groups, lambda m: m & 2)
     if bad:
         i = min(map(explorer.least, bad.values()))
         pos, name, t = next(e for e in ts.edges(i)
-                            if mask_of[mask_index(ids[i], ids[e[2]])] & 2)
+                            if mask(ids[i], ids[e[2]]) & 2)
         return fail({"kind": "disallowed-edge", "source": ts.state(i).text(),
                      "target": ts.state(t).text(),
                      "action": _label(pos, name),
@@ -312,15 +306,14 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     accepts = functools.cache(lambda m: spec.acceptance.pred(image(m)))
     for c in cond.bottoms:
         verdict = _check_acceptance(spec, ts, cond, c, ids, accepts,
-                                    edges_where, notes)
+                                    groups, notes)
         if verdict is not None:
             return fail(verdict)
 
     # Stutter divergence: a cycle inside the invariant whose image never
     # changes. Always reported; gates the verdict only when forbidden.
-    stays = edges_where(lambda m: m & 1)
-    stutter = explorer.first_cycle(ts, inv, stays) \
-        if explorer.has_cycle(inv, stays) else None
+    stutter = explorer.find_cycle(
+        ts, inv, explorer.select(groups, lambda m: m & 1))
     if stutter is None:
         notes.append("stutter divergence: none")
     else:
@@ -338,10 +331,10 @@ def check_stabilizing(program: Program, mapping: StateMapping,
 
 
 def _check_acceptance(spec: Specification, ts, cond, c: int, ids, accepts,
-                      edges_where, notes: list) -> Optional[dict]:
+                      groups: dict, notes: list) -> Optional[dict]:
     """Evaluate the acceptance condition on bottom component c; `accepts`
-    is its state predicate on spec ids and edges_where(test) the relation
-    of the invariant's edges whose obligation mask passes test. Returns a
+    is its state predicate on spec ids and `groups` the invariant's edges
+    grouped by their image pair's mask (check_stabilizing). Returns a
     witness dict on a gating violation, None otherwise; analyze findings
     go into notes."""
     comp = cond.components[c]
@@ -384,12 +377,12 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, ids, accepts,
     if isinstance(acc, Recurrence):
         bits = cond.bits(c)
         for j, obl in enumerate(acc.obligations):
-            missed = edges_where(lambda mask: not mask >> j + 2 & 1)
-            if not explorer.has_cycle(bits, missed):
+            cycle = explorer.find_cycle(ts, bits, explorer.select(
+                groups, lambda mask: not mask >> j + 2 & 1))
+            if cycle is None:
                 notes.append("obligation %r: recurs on every cycle of %s"
                              % (obl.name, where))
                 continue
-            cycle = explorer.first_cycle(ts, bits, missed)
             enforced = obl.mode == "enforce" or (
                 obl.mode == "policy"
                 and spec.stutter_policy == DIVERGENCE_FORBIDDEN)
@@ -433,12 +426,20 @@ _PIF_RQ_PRIME = re.compile(r"q*i.*")
 _PIF_RP_STRICT = re.compile(r"q+p+")
 
 
-@functools.lru_cache(maxsize=16)
+_pif_last = [(None, ())]  # the last signature asked about and its letters
+
+
 def _pif_letters(sig) -> tuple:
-    """Per position: the slot of st and the letter of each value index."""
-    letter = {"i": "i", "rq": "q", "rp": "p"}
-    return tuple((i, [letter.get(v, "?") for v in sig.slots[i][2].values])
-                 for i in map(sig.slot, sig.positions, repeat("st")))
+    """Per position: the slot of st and the letter of each value index,
+    memoized by identity: an equal signature would compare slot by slot."""
+    last, letters = _pif_last[0]
+    if last is not sig:
+        letter = {"i": "i", "rq": "q", "rp": "p"}
+        letters = tuple(
+            (i, [letter.get(v, "?") for v in sig.slots[i][2].values])
+            for i in map(sig.slot, sig.positions, repeat("st")))
+        _pif_last[0] = sig, letters
+    return letters
 
 
 def _pif_word(state: State) -> str:
@@ -461,6 +462,31 @@ def _pif_rq_prime(state: State) -> bool:
 
 def _pif_rp_strict(state: State) -> bool:
     return _PIF_RP_STRICT.fullmatch(_pif_word(state)) is not None
+
+
+def pif_coverage(program: Program, cap: Optional[int] = None) -> Verdict:
+    """Classify every universe state against the extended wave predicates
+    and report how much of the universe they cover. This is an analysis,
+    not a property: it always completes, and the uncovered states are the
+    finding."""
+    sig = program.signature
+    check_cap(sig.size, cap=cap)
+    covered = explorer.bitset(map(pif_prime, sig.states()))
+    uncovered = explorer.members((1 << sig.size) - 1 & ~covered)
+    notes = ["%d of %d states satisfy the extended wave predicates"
+             % (covered.bit_count(), sig.size)]
+    if uncovered:
+        notes.append("the extended wave predicates do not cover the "
+                     "universe; uncovered states follow")
+        for i in uncovered[:20]:
+            notes.append("uncovered: %s" % sig.state_at(i).text())
+        if len(uncovered) > 20:
+            notes.append("... and %d more" % (len(uncovered) - 20))
+    else:
+        notes.append("the extended wave predicates cover the universe")
+    stats = {"states": sig.size, "covered": covered.bit_count(),
+             "uncovered": len(uncovered)}
+    return Verdict("pif-coverage", True, None, stats, notes)
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,35 @@ def successor_table(program) -> list:
             for s in sig.states()]
 
 
+def reference_run(program, start: State, steps: int, seed: int,
+                  policy: str) -> tuple:
+    """The central daemon stepped through the interpreter: (states,
+    labels, lasso_start, hit_terminal) of a run as explorer.run defines
+    it. uniform-random draws among the enabled actions, in canonical
+    order, with random.Random(seed); round-robin fires the first enabled
+    action at or after a pointer into the canonical action list, then
+    moves the pointer past it."""
+    rng, order, pointer = random.Random(seed), program.action_order, 0
+    states, labels, first_seen = [start], [], {start: 0}
+    while len(labels) < steps:
+        enabled = kernel.enabled_actions(program, states[-1])
+        if not enabled:
+            return tuple(states), tuple(labels), None, True
+        if policy == "uniform-random":
+            label = rng.choice(enabled)
+        else:
+            label = next(order[k % len(order)]
+                         for k in range(pointer, pointer + len(order))
+                         if order[k % len(order)] in enabled)
+            pointer = order.index(label) + 1
+        states.append(kernel.apply(program, states[-1], *label))
+        labels.append(label)
+        if states[-1] in first_seen:
+            return tuple(states), tuple(labels), first_seen[states[-1]], False
+        first_seen[states[-1]] = len(states) - 1
+    return tuple(states), tuple(labels), None, False
+
+
 # --------------------------------------------------------------------------
 # Convergence oracle: enumerate maximal paths with lasso detection.
 

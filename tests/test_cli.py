@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import helpers
-from stabiliq import explorer, mapping, protocols
+from stabiliq import explorer, kernel, mapping, protocols
 from stabiliq.cli import main
 from stabiliq.kernel import ModelError, Signature, UniverseCapError
 from stabiliq.mapping import format_spec_states
@@ -497,6 +497,19 @@ def test_each_cycle_question_is_decided_once(capsys, monkeypatch):
     assert [q[0] for q, _ in decided] == [0, 0xFFFF, 0xFFFF]
     assert searched == [q for q, cyclic in decided if cyclic]
     assert len(searched) == 2
+
+
+def test_the_window_tables_are_compiled_once(capsys, monkeypatch):
+    # the transition system and the enabled-output mapping share the
+    # program's tables
+    compiled = []
+    compile_windows = kernel.compile_windows
+    monkeypatch.setattr(kernel, "compile_windows", lambda program: (
+        compiled.append(program), compile_windows(program))[1])
+    code, out, _ = run(capsys, "verify", "--check", "ideal",
+                       "--protocol", "la", "--n", "5")
+    assert code == 0 and "ideal: holds" in out
+    assert len(compiled) == 1
 
 
 def test_protocol_without_variables_exits_2(capsys, tmp_path):

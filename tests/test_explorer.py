@@ -5,7 +5,8 @@ from collections import defaultdict
 import pytest
 
 import helpers
-from stabiliq import explorer, kernel, protocols, specs
+from stabiliq import cli, explorer, kernel, protocols, specs
+from stabiliq.dsl import parse_protocol
 from stabiliq.kernel import Signature, UniverseCapError
 from stabiliq.mapping import IdenticalMapping
 
@@ -175,8 +176,8 @@ def test_find_cycle_replayable_and_filtered():
         assert kernel.apply(abp, cycle.states[i], pos, name) == \
             cycle.states[(i + 1) % k]
     # forbidding every edge leaves no cycle
-    assert explorer.find_cycle(ts, ts.full,
-                               edge_ok=lambda s, t: False) is None
+    assert explorer.find_cycle(ts, ts.full, explorer.select(
+        explorer.group_edges(ts, ts.full, lambda s, t: False))) is None
 
 
 def oracle_trim(succ, nodes, kept_edge) -> set:
@@ -344,8 +345,8 @@ def test_long_path_outlasts_the_round_budget(peels, back_edge):
 
 def test_a_cycle_question_reads_only_the_edges_of_its_nodes():
     # the stutter question of stabilizing-pif10 asks about the 64 states
-    # of its invariant; its edge predicate must see no other source. The
-    # invariant is closed, its complement is not: neither question may see
+    # of its invariant; the grouping key must see no other source. The
+    # invariant is closed, its complement is not: neither grouping may see
     # an edge that leaves its set
     bundle = protocols.make_pif(10)
     ts = explorer.build_transition_system(bundle.program)
@@ -360,8 +361,10 @@ def test_a_cycle_question_reads_only_the_edges_of_its_nodes():
             seen.append((s, t))
             return s == t
 
-        assert explorer.find_cycle(ts, helpers.bits(nodes), stutter) is None
+        groups = explorer.group_edges(ts, helpers.bits(nodes), stutter)
         assert seen and {v for e in seen for v in e} <= set(nodes)
+        assert explorer.find_cycle(ts, helpers.bits(nodes),
+                                   explorer.select(groups)) is None
 
 
 def test_cycles_outside_predicate():
@@ -393,6 +396,51 @@ def test_run_round_robin_wave_trace():
     assert len(comp.states) == 11
     assert texts[-1] == texts[0]
     assert comp.maximal and not comp.hit_terminal
+
+
+SIMULATED = {
+    "cm": lambda: protocols.make_cm((2, 1, 3, 4)).program,
+    "la": lambda: protocols.make_alternator(6).program,
+    "pif": lambda: protocols.make_pif(5).program,
+    "abp": lambda: protocols.make_abp().program,
+    "cm.gcp": lambda: sample_program("cm.gcp", 4),
+    "alternator.gcp": lambda: sample_program("alternator.gcp", 5),
+    "pif.gcp": lambda: sample_program("pif.gcp", 4),
+    "abp.gcp": lambda: sample_program("abp.gcp"),
+}
+
+
+def sample_program(name, n=None):
+    return parse_protocol(protocols.sample_source(name), n=n).unwrap()
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATED))
+def test_run_steps_like_the_interpreter(monkeypatch, name):
+    # every start form of `simulate` that applies (a seeded random state,
+    # all-idle, all-false), both policies, seeds 0-4, zero and 40 steps;
+    # the tables alone must give the interpreter's run
+    program = SIMULATED[name]()
+    cases = []
+    for text in ("random", "all-idle", "all-false"):
+        for seed in range(5):
+            try:
+                start = cli._start_state(program, text, seed)
+            except cli.UsageError:
+                continue
+            for policy in explorer.POLICIES:
+                cases += [(start, 0, seed, policy), (start, 40, seed, policy)]
+    expected = [helpers.reference_run(program, *case) for case in cases]
+    assert any(labels for _, labels, _, _ in expected)
+
+    def refuse(*args):
+        raise AssertionError("the interpreter was called")
+
+    monkeypatch.setattr(kernel, "enabled_actions", refuse)
+    monkeypatch.setattr(kernel, "apply", refuse)
+    for case, want in zip(cases, expected):
+        comp = explorer.run(program, *case)
+        assert (comp.states, comp.labels, comp.lasso_start,
+                comp.hit_terminal) == want, case
 
 
 def test_run_is_deterministic_per_seed():

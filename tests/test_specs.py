@@ -12,6 +12,7 @@ import helpers
 from helpers import pif_classify
 from stabiliq import explorer, protocols
 from stabiliq.dsl import parse_protocol
+from stabiliq.kernel import Signature
 from stabiliq.mapping import IdenticalMapping
 from stabiliq.specs import (CycleWithin, DIVERGENCE_ALLOWED,
                             DIVERGENCE_FORBIDDEN,
@@ -20,8 +21,9 @@ from stabiliq.specs import (CycleWithin, DIVERGENCE_ALLOWED,
                             check_closed, check_convergence,
                             check_ideal_stabilizing, check_stabilizing,
                             fdp_spec, iabp_spec, ipif_spec, le_spec,
-                            _pif_rp_strict, _pif_rq_prime, pif_prime,
-                            pif_wave, sabp_spec, spif_spec, udp_spec)
+                            _pif_rp_strict, _pif_rq_prime, pif_coverage,
+                            pif_prime, pif_wave, sabp_spec, spif_spec,
+                            udp_spec)
 
 
 def pif_state(n, *letters):
@@ -89,6 +91,38 @@ def pif_states(draw):
 @given(pif_states())
 def test_wave_words_agree_with_the_classifier_on_long_chains(state):
     assert_words_match_the_classifier(state)
+
+
+def test_a_second_equal_program_is_not_compared_slot_by_slot(monkeypatch):
+    # the predicate pass over a second, equal pif program must find its
+    # wave letters without comparing its signature with the first one
+    first = protocols.make_pif(6).program.signature
+    expected = [pif_wave(s) for s in first.states()]
+    second = protocols.make_pif(6).program.signature
+    assert second == first and second is not first
+
+    def refuse(self, other):
+        raise AssertionError("Signature.__eq__ was called")
+
+    monkeypatch.setattr(Signature, "__eq__", refuse)
+    assert [pif_wave(s) for s in second.states()] == expected
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_pif_coverage_lists_the_first_uncovered_states(n):
+    program = protocols.make_pif(n).program
+    uncovered = [s.text() for s in program.signature.states()
+                 if not {tag for tag, *_ in pif_classify(s)} & {"RQ'", "RP'"}]
+    size = program.signature.size
+    verdict = pif_coverage(program)
+    assert verdict.holds and verdict.witness is None
+    assert verdict.stats == {"states": size,
+                             "covered": size - len(uncovered),
+                             "uncovered": len(uncovered)}
+    assert [note[len("uncovered: "):] for note in verdict.notes
+            if note.startswith("uncovered: ")] == uncovered[:20]
+    more = "... and %d more" % (len(uncovered) - 20)
+    assert (verdict.notes[-1] == more) == (len(uncovered) > 20)
 
 
 def test_abp_classify_fixtures():

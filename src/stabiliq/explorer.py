@@ -46,14 +46,14 @@ def _bits(flags: bytes) -> int:
     return int(text, 2) if text else 0
 
 
-def _flags(bits: int, size: int) -> bytes:
+def flags(bits: int, size: int) -> bytes:
     """Per index below size, 1 where bits has it and 0 elsewhere."""
     return format(bits, "0%db" % size)[::-1].encode().translate(_FLAGS)
 
 
 def members(bits: int) -> list[int]:
     """The indices in the bitset, ascending."""
-    return list(compress(count(), _flags(bits, 1)))
+    return list(compress(count(), flags(bits, 1)))
 
 
 def least(bits: int) -> int:
@@ -185,8 +185,8 @@ def _peel(alive: int, rel: dict) -> int:
         for d, sources in rel.items():
             tails = alive & sources & _shift(alive, -d)
             if tails:
-                rows.append((d, _flags(tails, size)))
-                ins = list(map(add, ins, _flags(_shift(tails, d), size)))
+                rows.append((d, flags(tails, size)))
+                ins = list(map(add, ins, flags(_shift(tails, d), size)))
         removed = bytearray(size)
         ready = [v for v in members(alive) if not ins[v]]
         while ready:
@@ -356,8 +356,8 @@ def first_cycle(ts: TransitionSystem, nodes: int,
     node bitset and the relation: starts in id order, edges in `edges`
     order, self-loops as cycles of length one. None, after visiting every
     node, when there is no cycle: find_cycle asks has_cycle first."""
-    inside = _flags(nodes, ts.size)
-    kept = {d: _flags(rel.get(d, 0), ts.size) for d in ts.sources}
+    inside = flags(nodes, ts.size)
+    kept = {d: flags(rel.get(d, 0), ts.size) for d in ts.sources}
 
     def out_edges(v):
         for pos, name, t in ts.edges(v):

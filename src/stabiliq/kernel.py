@@ -15,7 +15,9 @@ immutable after construction and all operations are pure functions.
 from __future__ import annotations
 
 import itertools
+import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Optional, Union
@@ -311,13 +313,8 @@ class Signature:
                 raise ModelError("duplicate slot %s.p%d" % (name, pos))
             self.index_of[key] = i
         self.radices = tuple(len(dom) for _, _, dom in slots)
-        size = 1
-        for r in self.radices:
-            size *= r
-        self.size = size
-        counts = {}
-        for _, name, _ in slots:
-            counts[name] = counts.get(name, 0) + 1
+        self.size = math.prod(self.radices)
+        counts = Counter(name for _, name, _ in slots)
         self._unique = {name for name, c in counts.items() if c == 1}
         self.positions = tuple(sorted({pos for pos, _, _ in slots}))
         self._windows = {}
@@ -733,9 +730,7 @@ def compile_windows(program: Program) -> tuple[WindowTable, ...]:
         window = sig.window_slots(proc.index)
         lo = window[0] if window else 0
         hi = window[-1] + 1 if window else 0
-        low_weight = 1
-        for r in radices[hi:]:
-            low_weight *= r
+        low_weight = math.prod(radices[hi:])
         values = [0] * len(radices)
         rows = []
         for code, combo in enumerate(

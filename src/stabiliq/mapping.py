@@ -23,10 +23,12 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import kernel
+from .explorer import members
 from .kernel import BOOL, Domain, ModelError, Program, Signature, State
 
 
@@ -182,15 +184,6 @@ class EnabledOutputMapping(StateMapping):
         return BoundMapping(sig, id_of)
 
 
-def image_of_universe(program: Program, mapping: StateMapping,
-                      cap: Optional[int] = None) -> frozenset:
-    """The set of specification states with at least one program preimage."""
-    bound = mapping.bind(program)
-    kernel.check_cap(program.signature.size, cap=cap)
-    ids = set(map(bound.id_of, range(program.signature.size)))
-    return frozenset(map(bound.signature.state_at, ids))
-
-
 # --------------------------------------------------------------------------
 # Merge closure.
 #
@@ -314,10 +307,13 @@ def check_merge_symmetry(program: Program, mapping: StateMapping,
     taken over the program's universe, so a universe above the state cap
     raises UniverseCapError, and so does a merge closure above it.
     """
-    sig = mapping.bind(program).signature
-    image = image_of_universe(program, mapping)
+    bound, size = mapping.bind(program), program.signature.size
+    kernel.check_cap(size)
+    image = frozenset(map(bound.signature.state_at,
+                          set(map(bound.id_of, range(size)))))
     base = image if spec_states is None else spec_states
-    return min((c for c in merge_closure(base, sig) if c not in image),
+    return min((c for c in merge_closure(base, bound.signature)
+                if c not in image),
                key=lambda s: s.values, default=None)
 
 
@@ -350,7 +346,7 @@ class ChainAutomaton:
     in `accepting`. Slots must be grouped by position, over consecutive
     positions in order, so canonical order is the order of letter words."""
 
-    __slots__ = ("signature", "initial", "step", "accepting")
+    __slots__ = ("signature", "initial", "step", "accepting", "_cuts")
 
     def __init__(self, signature: Signature, initial, step: Callable,
                  accepting):
@@ -360,17 +356,57 @@ class ChainAutomaton:
                              "position, over consecutive positions in order")
         self.signature, self.initial, self.step = signature, initial, step
         self.accepting = frozenset(accepting)
+        # per position, where its letter starts and ends in a value tuple
+        self._cuts = [(p, bisect_left(order, p), bisect_right(order, p))
+                      for p in ps]
+
+    def bits(self) -> int:
+        """The bitset of the accepted state ids, listing no state: from the
+        last position back, each automaton state's accepted suffixes, where
+        letter a before suffixes of width W shifts them by a·W (the shifted
+        parts are disjoint, so their sum is their OR)."""
+        alphabet, delta, _, _ = _runs(self)
+        suffix, width = dict.fromkeys(self.accepting, 1), 1
+        for letters, moves in zip(alphabet[::-1], delta[::-1]):
+            suffix = {q: sum(suffix.get(t, 0) << a * width
+                             for a, t in enumerate(row))
+                      for q, row in moves.items()}
+            width *= len(letters)
+        return suffix[self.initial]
+
+
+class ChainPredicate:
+    """A state predicate as a ChainAutomaton, which build(signature) makes;
+    the last is kept by signature identity (an equal one would compare slot
+    by slot). Called on a State it runs the automaton over the state's
+    letters; bits(signature) decodes no state."""
+
+    def __init__(self, build: Callable[[Signature], ChainAutomaton]):
+        self.build, self._last = build, (None, None)
+
+    def automaton(self, sig: Signature) -> ChainAutomaton:
+        if self._last[0] is not sig:
+            self._last = sig, self.build(sig)
+        return self._last[1]
+
+    def __call__(self, state: State) -> bool:
+        aut = self.automaton(state.sig)
+        q = aut.initial
+        for p, lo, hi in aut._cuts:
+            q = None if q is None else aut.step(q, p, state.values[lo:hi])
+        return q in aut.accepting
+
+    def bits(self, sig: Signature) -> int:
+        return self.automaton(sig).bits()
 
 
 def _runs(aut: ChainAutomaton) -> tuple:
     """Per position, its letters in lexicographic order and the successor
     of each automaton state reached so far (and of None, dead) under each;
     per prefix length, the states reached and those that can still accept."""
-    radices = {}
-    for (p, _, _), r in zip(aut.signature.slots, aut.signature.radices):
-        radices.setdefault(p, []).append(r)
-    alphabet = [list(itertools.product(*map(range, radices[p])))
-                for p in aut.signature.positions]
+    radices = aut.signature.radices
+    alphabet = [list(itertools.product(*map(range, radices[lo:hi])))
+                for _, lo, hi in aut._cuts]
     reach, delta = [{aut.initial}], []
     for p, letters in zip(aut.signature.positions, alphabet):
         delta.append({q: [aut.step(q, p, a) for a in letters]
@@ -387,12 +423,7 @@ def _runs(aut: ChainAutomaton) -> tuple:
 def accepted_states(aut: ChainAutomaton) -> frozenset:
     """The automaton's language, listed only within kernel.state_cap()."""
     kernel.check_cap(_automaton_possibility(aut).allowed_size, "allowed set")
-    alphabet, delta, _, live = _runs(aut)
-    words = [((), q) for q in live[0]]
-    for j, letters in enumerate(alphabet):
-        words = [(w + letters[a], t) for w, q in words
-                 for a, t in enumerate(delta[j][q]) if t in live[j + 1]]
-    return frozenset(State(aut.signature, w) for w, _ in words)
+    return frozenset(map(aut.signature.state_at, members(aut.bits())))
 
 
 def _automaton_possibility(aut: ChainAutomaton) -> PossibilityResult:
@@ -562,9 +593,3 @@ def read_spec_state_sets(*texts: str):
     sig = Signature(slots)
     sets = [frozenset(sig.state(row) for row in rows) for rows in per_text]
     return sig, sets
-
-
-def read_spec_states(text: str):
-    """Parse one spec-state file; returns (signature, frozenset of states)."""
-    sig, sets = read_spec_state_sets(text)
-    return sig, sets[0]

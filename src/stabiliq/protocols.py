@@ -11,7 +11,7 @@ for it exists.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Optional
 
@@ -31,9 +31,10 @@ class ProtocolBundle:
     program: Program
     mapping: StateMapping
     ideal_spec: Specification
-    strict_spec: Optional[Specification]
-    invariants: dict
-    default_invariant: str
+    strict_spec: Optional[Specification] = None
+    invariants: dict = field(
+        default_factory=lambda: {"true": _specs.every_state})
+    default_invariant: str = "true"
 
     @property
     def spec(self) -> Specification:
@@ -63,9 +64,6 @@ def make_cm(ids) -> ProtocolBundle:
         program=program,
         mapping=HighestIdMapping(),
         ideal_spec=_specs.udp_spec(len(ids)),
-        strict_spec=None,
-        invariants={"true": lambda s: True},
-        default_invariant="true",
     )
 
 
@@ -84,9 +82,6 @@ def make_alternator(n: int) -> ProtocolBundle:
                                n=n).unwrap(),
         mapping=EnabledOutputMapping(),
         ideal_spec=_specs.fdp_spec(n),
-        strict_spec=None,
-        invariants={"true": lambda s: True},
-        default_invariant="true",
     )
 
 
@@ -109,8 +104,8 @@ def make_pif(n: int) -> ProtocolBundle:
         strict_spec=_specs.spif_spec(n),
         invariants={
             "rq-or-rp": _specs.pif_wave,
-            "root-idle": lambda s: s.value(1, "st") == "i",
-            "true": lambda s: True,
+            "root-idle": _specs.pif_root_idle,
+            "true": _specs.every_state,
         },
         default_invariant="rq-or-rp",
     )
@@ -133,7 +128,7 @@ def make_abp() -> ProtocolBundle:
         strict_spec=_specs.sabp_spec(),
         invariants={
             "legitimate": _specs.abp_legitimate,
-            "true": lambda s: True,
+            "true": _specs.every_state,
         },
         default_invariant="legitimate",
     )
@@ -182,15 +177,6 @@ class LeFixture:
         return self.signature.state(assignment)
 
 
-def _le_step(q, position, letter):
-    """Read one (contend, leader) letter: 0 before any leader, 1 after one
-    contending leader, None (dead) at a second or a non-contending one."""
-    contend, leader = letter
-    if not leader:
-        return q
-    return 1 if q == 0 and contend else None
-
-
 def make_le(n: int) -> LeFixture:
     """Build the leader-election fixture for a chain of n > 3 processes.
     Short chains are excluded: every window then sees every position, so
@@ -203,8 +189,7 @@ def make_le(n: int) -> LeFixture:
                          "more than 3 processes")
     sig = Signature((p, name, BOOL) for p in range(1, n + 1)
                     for name in ("contend", "leader"))
-    fixture = LeFixture(n, sig, ChainAutomaton(sig, 0, _le_step,
-                                               frozenset((0, 1))), ())
+    fixture = LeFixture(n, sig, _specs.le_allowed.automaton(sig), ())
     s1 = fixture.forced_state([True] + [False] * (n - 1))
     s2 = fixture.forced_state([False] * (n - 1) + [True])
     return replace(fixture, forced=(s1, s2))

@@ -15,15 +15,13 @@ policy) are reported in the notes.
 from __future__ import annotations
 
 import functools
-import re
 import time
 from dataclasses import asdict, dataclass, field, replace
-from itertools import repeat
 from typing import Callable, Optional
 
 from . import explorer
-from .kernel import Program, State, check_cap
-from .mapping import StateMapping
+from .kernel import Program, Signature, State, check_cap
+from .mapping import ChainAutomaton, ChainPredicate, StateMapping
 
 DIVERGENCE_ALLOWED = "divergence-allowed"
 DIVERGENCE_FORBIDDEN = "divergence-forbidden"
@@ -186,6 +184,15 @@ def _ms_since(t0: float) -> float:
     return round((time.perf_counter() - t0) * 1000.0, 3)
 
 
+def _holds(pred: Callable[[State], bool], sig: Signature) -> int:
+    """The bitset of the states of sig that satisfy pred: a ChainPredicate's
+    from its automaton, any other callable's by running it on every state,
+    the one place a predicate is run state by state."""
+    if isinstance(pred, ChainPredicate):
+        return pred.bits(sig)
+    return explorer.bitset(map(pred, sig.states()))
+
+
 # --------------------------------------------------------------------------
 # Core checks.
 
@@ -194,7 +201,7 @@ def check_closed(program: Program, pred: Callable[[State], bool],
     """Does no transition leave the predicate set?"""
     t0 = time.perf_counter()
     ts = ts if ts is not None else explorer.build_transition_system(program)
-    inside = explorer.bitset(map(pred, ts.states))
+    inside = _holds(pred, ts.program.signature)
     witness = _escaping_edge(ts, inside)
     stats = {"states": ts.size, "edges": ts.edge_count(),
              "predicate_states": inside.bit_count(),
@@ -211,7 +218,7 @@ def check_convergence(program: Program, pred: Callable[[State], bool],
     t0 = time.perf_counter()
     ts = ts if ts is not None else explorer.build_transition_system(program)
     witness, _ = _avoiding_computation(
-        ts, explorer.bitset(map(pred, ts.states)))
+        ts, _holds(pred, ts.program.signature))
     stats = {"states": ts.size, "edges": ts.edge_count(),
              "terminals": ts.terminal.bit_count(),
              "elapsed_ms": _ms_since(t0)}
@@ -238,9 +245,9 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     ts = ts if ts is not None else explorer.build_transition_system(program)
     bound = mapping.bind(program)
     inv = ts.full if invariant is None \
-        else explorer.bitset(map(invariant, ts.states))
+        else _holds(invariant, ts.program.signature)
     # Specification states are handled as ids; a State is decoded only for
-    # a predicate or a witness, and each predicate sees each id once.
+    # an edge callable or a witness, and each one sees each id pair once.
     ids = bound.ids(ts)
     image = functools.cache(bound.signature.state_at)
     cond = explorer.condense(ts)
@@ -268,10 +275,11 @@ def check_stabilizing(program: Program, mapping: StateMapping,
         notes.append(note)
         return fail(witness)
 
-    # State conformance inside the invariant.
-    allowed = functools.cache(lambda m: spec.allowed_state(image(m)))
+    # State conformance inside the invariant, read off the allowed ids.
+    sig = bound.signature
+    allowed = explorer.flags(_holds(spec.allowed_state, sig), sig.size)
     for i in explorer.members(inv):
-        if not allowed(ids[i]):
+        if not allowed[ids[i]]:
             return fail({"kind": "disallowed-state",
                          "state": ts.state(i).text(),
                          "mapped": image(ids[i]).text()})
@@ -303,7 +311,8 @@ def check_stabilizing(program: Program, mapping: StateMapping,
 
     # Acceptance on every bottom component (all lie inside the invariant
     # once closure and convergence hold).
-    accepts = functools.cache(lambda m: spec.acceptance.pred(image(m)))
+    pred = getattr(spec.acceptance, "pred", None)
+    accepts = pred and explorer.flags(_holds(pred, sig), sig.size)
     for c in cond.bottoms:
         verdict = _check_acceptance(spec, ts, cond, c, ids, accepts,
                                     groups, notes)
@@ -333,7 +342,7 @@ def check_stabilizing(program: Program, mapping: StateMapping,
 def _check_acceptance(spec: Specification, ts, cond, c: int, ids, accepts,
                       groups: dict, notes: list) -> Optional[dict]:
     """Evaluate the acceptance condition on bottom component c; `accepts`
-    is its state predicate on spec ids and `groups` the invariant's edges
+    flags its state predicate per spec id and `groups` the invariant's edges
     grouped by their image pair's mask (check_stabilizing). Returns a
     witness dict on a gating violation, None otherwise; analyze findings
     go into notes."""
@@ -350,7 +359,7 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, ids, accepts,
             return {"kind": "acceptance", "component": comp_texts,
                     "reason": "%s cycles forever, but the specification's "
                               "sequences are finite" % where}
-        if not accepts(ids[comp[0]]):
+        if not accepts[ids[comp[0]]]:
             return {"kind": "acceptance", "component": comp_texts,
                     "reason": "terminal state %s does not satisfy the "
                               "final-state condition"
@@ -365,7 +374,7 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, ids, accepts,
 
     if isinstance(acc, CycleWithin):
         for s in comp:
-            if not accepts(ids[s]):
+            if not accepts[ids[s]]:
                 return {"kind": "acceptance", "component": comp_texts,
                         "reason": "%s contains %s, outside the target "
                                   "cycle family%s"
@@ -413,109 +422,106 @@ def check_ideal_stabilizing(program: Program, mapping: StateMapping,
 
 
 # --------------------------------------------------------------------------
-# Wave predicates for the information-propagation chain.
+# State predicates as chain automata.
 
-# Each family is a regular language over the chain word, one letter per
-# position: i for idle, q for rq, p for rp. RQ(l, m) is q^l i^(m-l) p^(N-m)
-# with m > l, RP(k) is q^k p^(N-k) with 0 < k < N, RQ'(l, m) is RQ(l, m)
-# with an arbitrary tail, and RP'(k) is q^k p followed by no idle letter.
-
-_PIF_WAVE = re.compile(r"q*i+p*|q+p+")
-_PIF_PRIME = re.compile(r"q*i.*|q+p[^i]*")
-_PIF_RQ_PRIME = re.compile(r"q*i.*")
-_PIF_RP_STRICT = re.compile(r"q+p+")
+#: Every state: the invariant `true`.
+every_state = ChainPredicate(
+    lambda sig: ChainAutomaton(sig, 0, lambda q, p, a: 0, (0,)))
 
 
-_pif_last = [(None, ())]  # the last signature asked about and its letters
+# Each wave family is a regular language over the chain word, one letter
+# per position: i for idle, q for rq, p for rp. RQ(l, m) is
+# q^l i^(m-l) p^(N-m) with m > l, RP(k) is q^k p^(N-k) with 0 < k < N,
+# RQ'(l, m) is RQ(l, m) with an arbitrary tail, and RP'(k) is q^k p
+# followed by no idle letter. A deterministic automaton on the chain's one
+# slot per position, st, reads each: it starts in S, moves[q] lists q's
+# moves as letter-target pairs ("qQiI": q to Q, i to I), the rest are dead.
+
+_PIF_LETTER = {"i": "i", "rq": "q", "rp": "p"}
 
 
-def _pif_letters(sig) -> tuple:
-    """Per position: the slot of st and the letter of each value index,
-    memoized by identity: an equal signature would compare slot by slot."""
-    last, letters = _pif_last[0]
-    if last is not sig:
-        letter = {"i": "i", "rq": "q", "rp": "p"}
-        letters = tuple(
-            (i, [letter.get(v, "?") for v in sig.slots[i][2].values])
-            for i in map(sig.slot, sig.positions, repeat("st")))
-        _pif_last[0] = sig, letters
-    return letters
+def _pif_word(moves: dict, accepting: str) -> ChainPredicate:
+    """The predicate that holds when the automaton accepts the word."""
+    moves = {q: dict(zip(m[::2], m[1::2])) for q, m in moves.items()}
+
+    def build(sig: Signature) -> ChainAutomaton:
+        word = {p: [_PIF_LETTER.get(v) for v in dom.values]
+                for p, _, dom in sig.slots}
+        return ChainAutomaton(sig, "S", lambda q, p, a: moves[q].get(
+            word[p][a[0]]), accepting)
+
+    return ChainPredicate(build)
 
 
-def _pif_word(state: State) -> str:
-    return "".join([t[state.values[i]] for i, t in _pif_letters(state.sig)])
-
-
-def pif_wave(state: State) -> bool:
-    """The strict wave family: some RQ(l, m) or RP(k) instance holds."""
-    return _PIF_WAVE.fullmatch(_pif_word(state)) is not None
-
-
-def pif_prime(state: State) -> bool:
-    """The relaxed family: some RQ'(l, m) or RP'(k) instance holds."""
-    return _PIF_PRIME.fullmatch(_pif_word(state)) is not None
-
-
-def _pif_rq_prime(state: State) -> bool:
-    return _PIF_RQ_PRIME.fullmatch(_pif_word(state)) is not None
-
-
-def _pif_rp_strict(state: State) -> bool:
-    return _PIF_RP_STRICT.fullmatch(_pif_word(state)) is not None
+#: q*i+p* or q+p+: the strict family, some RQ(l, m) or RP(k) instance.
+pif_wave = _pif_word({"S": "qQiI", "Q": "qQiIpP", "I": "iIpP", "P": "pP"},
+                     "IP")
+#: q*i.* or q+p[^i]*: the relaxed family, some RQ'(l, m) or RP'(k).
+pif_prime = _pif_word({"S": "qQiA", "Q": "qQiApT", "A": "iAqApA",
+                       "T": "qTpT"}, "AT")
+#: q*i.*: some RQ'(l, m) instance.
+_pif_rq_prime = _pif_word({"S": "qSiA", "A": "iAqApA"}, "A")
+#: q+p+: some RP(k) instance.
+_pif_rp_strict = _pif_word({"S": "qQ", "Q": "qQpP", "P": "pP"}, "P")
+#: i.*: the root is idle.
+pif_root_idle = _pif_word({"S": "iA", "A": "iAqApA"}, "A")
 
 
 def pif_coverage(program: Program, cap: Optional[int] = None) -> Verdict:
     """Classify every universe state against the extended wave predicates
     and report how much of the universe they cover. This is an analysis,
     not a property: it always completes, and the uncovered states are the
-    finding."""
+    finding. Only the first 20 uncovered states are decoded."""
     sig = program.signature
     check_cap(sig.size, cap=cap)
-    covered = explorer.bitset(map(pif_prime, sig.states()))
-    uncovered = explorer.members((1 << sig.size) - 1 & ~covered)
+    uncovered = (1 << sig.size) - 1 & ~pif_prime.bits(sig)
+    count = uncovered.bit_count()
     notes = ["%d of %d states satisfy the extended wave predicates"
-             % (covered.bit_count(), sig.size)]
+             % (sig.size - count, sig.size)]
     if uncovered:
         notes.append("the extended wave predicates do not cover the "
                      "universe; uncovered states follow")
-        for i in uncovered[:20]:
-            notes.append("uncovered: %s" % sig.state_at(i).text())
-        if len(uncovered) > 20:
-            notes.append("... and %d more" % (len(uncovered) - 20))
+        for _ in range(min(count, 20)):
+            notes.append("uncovered: %s"
+                         % sig.state_at(explorer.least(uncovered)).text())
+            uncovered &= uncovered - 1  # drop the least
+        if count > 20:
+            notes.append("... and %d more" % (count - 20))
     else:
         notes.append("the extended wave predicates cover the universe")
-    stats = {"states": sig.size, "covered": covered.bit_count(),
-             "uncovered": len(uncovered)}
+    stats = {"states": sig.size, "covered": sig.size - count,
+             "uncovered": count}
     return Verdict("pif-coverage", True, None, stats, notes)
 
 
-# --------------------------------------------------------------------------
-# Alternating-bit classification.
+def _abp_automaton(sig: Signature) -> ChainAutomaton:
+    """Exactly one message in flight, and its bit is the sender's ns. The
+    sender's letter (ns, chpq) fixes what the receiver's letter (nr, chqp)
+    must hold: no ack after a data message of bit ns, else the ack of ns."""
+    ns, chpq, _, chqp = [dom.values for _, _, dom in sig.slots]
 
-def abp_classify(state: State) -> str:
-    """"legitimate-SABP" when exactly one message is in flight and its bit
-    equals the sender's sequence number; "transient" otherwise."""
-    ns = state.value(1, "ns")
-    chpq = state.value(1, "chpq")
-    chqp = state.value(2, "chqp")
-    data = chpq != "empty"
-    ack = chqp != "empty"
-    if data == ack:
-        return "transient"
-    payload = chpq[-1] if data else chqp[-1]
-    return "legitimate-SABP" if payload == ns else "transient"
+    def step(q, p, a):
+        if q != "sender":
+            return "legitimate" if chqp[a[1]] == q else None
+        data, bit = chpq[a[1]], ns[a[0]]
+        return "a" + bit if data == "empty" else \
+            "empty" if data == "d" + bit else None
+
+    return ChainAutomaton(sig, "sender", step, ("legitimate",))
 
 
-def abp_legitimate(state: State) -> bool:
-    return abp_classify(state) == "legitimate-SABP"
+#: The alternating-bit protocol's legitimate (SABP) states.
+abp_legitimate = ChainPredicate(_abp_automaton)
 
 
 # --------------------------------------------------------------------------
 # Specification builders.
 
-def _no_adjacent_true(state: State) -> bool:
-    vals = state.values
-    return all(not (vals[i] and vals[i + 1]) for i in range(len(vals) - 1))
+#: No two neighbors both hold a nonzero value: the last one read is the
+#: automaton state.
+_no_adjacent_true = ChainPredicate(lambda sig: ChainAutomaton(
+    sig, False, lambda q, p, a: None if q and a[0] else bool(a[0]),
+    (False, True)))
 
 
 def _dining_obligations(n: int, fairness: bool) -> tuple:
@@ -550,13 +556,8 @@ def fdp_spec(n: int) -> Specification:
     obligations. Whether per-process fairness survives the unfair central
     daemon is an analysis question, so those obligations report rather
     than gate."""
-    return Specification(
-        name="FDP",
-        allowed_state=_no_adjacent_true,
-        allowed_edge=lambda s, t: True,
-        acceptance=Recurrence(_dining_obligations(n, fairness=True)),
-        stutter_policy=DIVERGENCE_ALLOWED,
-    )
+    return replace(udp_spec(n), name="FDP", acceptance=Recurrence(
+        _dining_obligations(n, fairness=True)))
 
 
 def spif_spec(n: int) -> Specification:
@@ -580,13 +581,8 @@ def ipif_spec(n: int) -> Specification:
             return _pif_rp_strict(t)
         return True
 
-    return Specification(
-        name="IPIF",
-        allowed_state=pif_prime,
-        allowed_edge=allowed_edge,
-        acceptance=CycleWithin(pif_wave, "RQ/RP wave cycle"),
-        stutter_policy=DIVERGENCE_FORBIDDEN,
-    )
+    return replace(spif_spec(n), name="IPIF", allowed_state=pif_prime,
+                   allowed_edge=allowed_edge)
 
 
 def sabp_spec() -> Specification:
@@ -604,24 +600,22 @@ def sabp_spec() -> Specification:
 def iabp_spec() -> Specification:
     """Ideal alternating-bit: every universe state allowed, every sequence
     eventually rides the legitimate handshake."""
-    return Specification(
-        name="IABP",
-        allowed_state=lambda s: True,
-        allowed_edge=lambda s, t: True,
-        acceptance=CycleWithin(abp_legitimate, "alternating-bit handshake"),
-        stutter_policy=DIVERGENCE_FORBIDDEN,
-    )
+    return replace(sabp_spec(), name="IABP", allowed_state=every_state)
 
 
-def _le_leaders(state: State) -> list:
-    return [p for p in state.sig.positions if state.value(p, "leader") == "true"]
+def _le_step(q, position, letter):
+    """Read one (contend, leader) letter: 0 before any leader, 1 after one
+    contending leader, None (dead) at a second or a non-contending one."""
+    contend, leader = letter
+    if not leader:
+        return q
+    return 1 if q == 0 and contend else None
 
 
-def _le_allowed(state: State) -> bool:
-    leaders = _le_leaders(state)
-    if len(leaders) > 1:
-        return False
-    return all(state.value(p, "contend") == "true" for p in leaders)
+#: At most one leader, and only a contending one: the allowed states of
+#: le_spec, and the automaton the leader-election fixture is decided by.
+le_allowed = ChainPredicate(
+    lambda sig: ChainAutomaton(sig, 0, _le_step, (0, 1)))
 
 
 def le_spec(n: int) -> Specification:
@@ -634,8 +628,9 @@ def le_spec(n: int) -> Specification:
 
     return Specification(
         name="LE",
-        allowed_state=_le_allowed,
+        allowed_state=le_allowed,
         allowed_edge=allowed_edge,
-        acceptance=FiniteTerminal(lambda s: len(_le_leaders(s)) == 1),
+        acceptance=FiniteTerminal(lambda s: [
+            s.value(p, "leader") for p in s.sig.positions].count("true") == 1),
         stutter_policy=DIVERGENCE_FORBIDDEN,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 from stabiliq import kernel
 from stabiliq.kernel import Signature, State
@@ -237,6 +238,58 @@ def pif_classify(state: State) -> frozenset:
         if vals[k] == "rp" and all(v != "i" for v in vals[k + 1:]):
             out.add(("RP'", k))
     return frozenset(out)
+
+
+# --------------------------------------------------------------------------
+# State predicates restated over a State, one value at a time: the oracles
+# the chain automata in stabiliq.specs are checked against.
+
+_PIF_LETTER = {"i": "i", "rq": "q", "rp": "p"}
+
+#: Each wave family as a regular expression over the chain word, one
+#: letter per position: i for idle, q for rq, p for rp.
+PIF_REGEXES = {
+    "pif_wave": re.compile(r"q*i+p*|q+p+"),
+    "pif_prime": re.compile(r"q*i.*|q+p[^i]*"),
+    "_pif_rq_prime": re.compile(r"q*i.*"),
+    "_pif_rp_strict": re.compile(r"q+p+"),
+    "pif_root_idle": re.compile(r"i.*"),
+}
+
+
+def pif_word_matches(name: str, state: State) -> bool:
+    """Whether the state's chain word matches the named family's regex."""
+    word = "".join(_PIF_LETTER[state.value(p, "st")]
+                   for p in state.sig.positions)
+    return PIF_REGEXES[name].fullmatch(word) is not None
+
+
+def abp_classify(state: State) -> str:
+    """"legitimate-SABP" when exactly one message is in flight and its bit
+    equals the sender's sequence number; "transient" otherwise."""
+    ns = state.value(1, "ns")
+    chpq = state.value(1, "chpq")
+    chqp = state.value(2, "chqp")
+    data = chpq != "empty"
+    ack = chqp != "empty"
+    if data == ack:
+        return "transient"
+    payload = chpq[-1] if data else chqp[-1]
+    return "legitimate-SABP" if payload == ns else "transient"
+
+
+def no_adjacent_true(state: State) -> bool:
+    """No two consecutive slots both hold a nonzero value index."""
+    vals = state.values
+    return all(not (vals[i] and vals[i + 1]) for i in range(len(vals) - 1))
+
+
+def le_allowed(state: State) -> bool:
+    """At most one leader, and that one contending."""
+    leaders = [p for p in state.sig.positions
+               if state.value(p, "leader") == "true"]
+    return len(leaders) <= 1 and all(
+        state.value(p, "contend") == "true" for p in leaders)
 
 
 def map_state(mapping, program, state: State) -> State:

@@ -110,6 +110,34 @@ protocol toggle(N) {
     assert "unknown predicate" in err
 
 
+def test_true_holds_on_a_file_protocol_with_a_variable_free_process(
+        capsys, tmp_path):
+    # position 2 declares no variable, so the signature skips it and no
+    # chain automaton reads it: `true` must still hold everywhere
+    src = tmp_path / "gap.gcp"
+    src.write_text("""
+protocol gap() {
+  process a in 1..1 {
+    output x: bool;
+    go: self.x = false -> self.x := true;
+  }
+  process b in 2..2 {
+  }
+  process c in 3..3 {
+    output y: bool;
+    flip: self.y = false -> self.y := true;
+  }
+}
+""")
+    for check in ("closed", "convergence"):
+        code, out, _ = run(capsys, "verify", "--check", check,
+                           "--file", str(src))
+        assert code == 0, out
+    code, out, _ = run(capsys, "export-dot", "--color", "true",
+                       "--file", str(src))
+    assert code == 0 and out.count("fillcolor") == 4
+
+
 def test_verify_file_diagnostics_exit_2(capsys, tmp_path):
     src = tmp_path / "broken.gcp"
     src.write_text("protocol broken(N) {\n  process p in 1..N {\n"

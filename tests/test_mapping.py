@@ -1,4 +1,5 @@
 """State mappings, merge closure, merge symmetry, possibility analysis."""
+import itertools
 import json
 import random
 from pathlib import Path
@@ -12,14 +13,13 @@ from helpers import map_state
 from stabiliq import explorer, protocols
 from stabiliq.kernel import (BOOL, Domain, ModelError, Signature,
                              UniverseCapError)
-from stabiliq.mapping import (ChainAutomaton, EnabledOutputMapping,
+from stabiliq.mapping import (ChainAutomaton, ChainPredicate,
+                              EnabledOutputMapping,
                               HighestIdMapping, IdenticalMapping, MappingError,
                               ProjectionMapping, accepted_states,
                               check_ideal_possibility,
                               check_merge_symmetry, format_spec_states,
-                              merge_closure, read_spec_state_sets,
-                              read_spec_states)
-from stabiliq.specs import _le_allowed
+                              merge_closure, read_spec_state_sets)
 
 KNOWN_ANSWERS = Path(__file__).resolve().parents[1] / "bench" / \
     "known_answers.json"
@@ -277,7 +277,8 @@ def test_one_step_closure_against_the_brute_enumerator(instance):
 def test_le_allowed_matches_the_universe_filter(n):
     fx = protocols.make_le(n)
     universe = frozenset(fx.signature.states())
-    assert fx.allowed == frozenset(s for s in universe if _le_allowed(s))
+    assert fx.allowed == frozenset(s for s in universe
+                                   if helpers.le_allowed(s))
     assert fx.disallowed == universe - fx.allowed
 
 
@@ -321,28 +322,56 @@ def test_le_automaton_agrees_with_the_explicit_closure(n):
 
 
 @st.composite
-def chain_automata(draw):
-    """A random deterministic automaton over 3-6 positions, one slot of 2
-    or 3 values per position, 2-5 states, dead moves included."""
-    n = draw(st.integers(3, 6))
-    sig = Signature((p, "v", Domain("d", ("a", "b", "c")[:draw(
-        st.sampled_from((2, 3)))])) for p in range(1, n + 1))
+def chain_automata(draw, width=1):
+    """A random deterministic automaton over 3-6 positions (3-4 when
+    width > 1), `width` slots of 2 or 3 values per position, 2-5 states,
+    dead moves included."""
+    n = draw(st.integers(3, 6 if width == 1 else 4))
+    sig = Signature((p, "v%d" % k, Domain("d", ("a", "b", "c")[:draw(
+        st.sampled_from((2, 3)))])) for p in range(1, n + 1)
+        for k in range(width))
     states = draw(st.integers(2, 5))
     # a draw of `states` stands for a dead move
     moves = st.integers(0, states).map(lambda t: None if t == states else t)
-    table = {(q, p, (a,)): draw(moves) for p in sig.positions
-             for q in range(states) for a in range(sig.radices[p - 1])}
+    table = {(q, p, letter): draw(moves) for p in sig.positions
+             for q in range(states)
+             for letter in itertools.product(*map(
+                 range, sig.radices[(p - 1) * width:p * width]))}
     accepting = frozenset(draw(st.sets(st.integers(0, states - 1),
                                        min_size=1)))
     return ChainAutomaton(sig, 0, lambda q, p, a: table[q, p, a], accepting)
 
 
 def run_automaton(aut, state) -> bool:
-    """Whether aut accepts state, read one position at a time."""
+    """Whether aut accepts state, read one position at a time: a letter is
+    the position's values in slot order."""
     q = aut.initial
-    for p, v in zip(aut.signature.positions, state.values):
-        q = None if q is None else aut.step(q, p, (v,))
+    for p in aut.signature.positions:
+        letter = tuple(v for (at, _, _), v in zip(aut.signature.slots,
+                                                  state.values) if at == p)
+        q = None if q is None else aut.step(q, p, letter)
     return q in aut.accepting
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(chain_automata(), chain_automata(width=2)))
+def test_automaton_bits_are_the_states_it_accepts(aut):
+    states = list(aut.signature.states())
+    expected = [run_automaton(aut, s) for s in states]
+    assert aut.bits() == explorer.bitset(expected)
+    assert [ChainPredicate(lambda sig: aut)(s) for s in states] == expected
+
+
+def test_an_automaton_with_no_accepting_run_has_no_bits():
+    sig = Signature((p, name, BOOL) for p in range(1, 5)
+                    for name in ("x", "y"))
+    # 0 dies on any letter with a true slot, and 1, the accepting state,
+    # is never reached
+    aut = ChainAutomaton(sig, 0, lambda q, p, a: None if any(a) else 0,
+                         frozenset([1]))
+    assert aut.bits() == 0
+    assert accepted_states(aut) == frozenset()
+    assert not any(map(ChainPredicate(lambda sig: aut), sig.states()))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -415,9 +444,6 @@ def test_spec_state_files_round_trip():
     assert back == frozenset(
         sig.state({(p, n): s.value(p, n) for p, n, _ in sig.slots})
         for s in fx.forced)
-    # and through the single-set reader against the fixture signature
-    again = read_spec_states(text)
-    assert len(again) == 2
 
 
 def test_spec_state_files_infer_one_signature_for_all_sets():

@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import pif_classify
-from stabiliq import explorer, protocols
+from helpers import abp_classify, pif_classify
+from stabiliq import explorer, protocols, specs
 from stabiliq.dsl import parse_protocol
-from stabiliq.kernel import Signature
-from stabiliq.mapping import IdenticalMapping
+from stabiliq.kernel import BOOL, Signature
+from stabiliq.mapping import ChainPredicate, IdenticalMapping
 from stabiliq.specs import (CycleWithin, DIVERGENCE_ALLOWED,
                             DIVERGENCE_FORBIDDEN,
                             FiniteTerminal, Obligation, Recurrence,
-                            Specification, abp_classify, abp_legitimate,
+                            Specification, abp_legitimate,
                             check_closed, check_convergence,
                             check_ideal_stabilizing, check_stabilizing,
                             fdp_spec, iabp_spec, ipif_spec, le_spec,
@@ -106,6 +106,91 @@ def test_a_second_equal_program_is_not_compared_slot_by_slot(monkeypatch):
 
     monkeypatch.setattr(Signature, "__eq__", refuse)
     assert [pif_wave(s) for s in second.states()] == expected
+
+
+def _signature_of(subject: str) -> Signature:
+    """pif<N> and le<N>: the program or fixture signature; abp; adj<N>:
+    N boolean outputs, the signature the dining specifications read."""
+    if subject == "abp":
+        return protocols.make_abp().program.signature
+    n = int(subject[len(subject.rstrip("0123456789")):])
+    if subject.startswith("pif"):
+        return pif_signature(n)
+    if subject.startswith("le"):
+        return protocols.make_le(n).signature
+    return Signature((p, "in", BOOL) for p in range(1, n + 1))
+
+
+PREDICATE_ORACLES = [
+    *((name, "pif%d" % n, functools.partial(helpers.pif_word_matches, name))
+      for n in range(3, 11) for name in helpers.PIF_REGEXES),
+    ("abp_legitimate", "abp",
+     lambda s: abp_classify(s) == "legitimate-SABP"),
+    *(("_no_adjacent_true", "adj%d" % n, helpers.no_adjacent_true)
+      for n in range(3, 13)),
+    *(("le_allowed", "le%d" % n, helpers.le_allowed) for n in range(4, 8)),
+    *(("every_state", subject, lambda s: True)
+      for subject in ("pif3", "pif10", "abp", "adj12", "le7")),
+]
+
+
+@pytest.mark.parametrize("name, subject, oracle", PREDICATE_ORACLES,
+                         ids=["%s-%s" % case[:2] for case in PREDICATE_ORACLES])
+def test_built_in_predicates_agree_with_their_oracles(name, subject, oracle):
+    pred = getattr(specs, name)
+    assert isinstance(pred, ChainPredicate)
+    sig = _signature_of(subject)
+    expected = [oracle(s) for s in sig.states()]
+    assert pred.bits(sig) == explorer.bitset(expected)
+    assert [pred(s) for s in sig.states()] == expected
+
+
+def test_every_built_in_predicate_is_a_chain_predicate():
+    bundles = [protocols.make_cm((2, 1, 3)), protocols.make_alternator(4),
+               protocols.make_pif(4), protocols.make_abp()]
+    for bundle in bundles:
+        for spec in (bundle.ideal_spec, bundle.strict_spec):
+            if spec is not None:
+                assert isinstance(spec.allowed_state, ChainPredicate)
+                acceptance = getattr(spec.acceptance, "pred", None)
+                assert acceptance is None or \
+                    isinstance(acceptance, ChainPredicate)
+        for pred in bundle.invariants.values():
+            assert isinstance(pred, ChainPredicate)
+    assert isinstance(le_spec(4).allowed_state, ChainPredicate)
+
+
+def test_the_wave_invariant_is_decided_without_listing_states(monkeypatch):
+    # stabilizing-pif10 with its rq-or-rp invariant, closure, convergence
+    # and coverage: no predicate is run state by state
+    bundle = protocols.make_pif(10)
+    program, wave = bundle.program, bundle.invariants["rq-or-rp"]
+    ts = explorer.build_transition_system(program)
+
+    def refuse(self):
+        raise AssertionError("a predicate was run on every state")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Signature, "states", refuse)
+        verdict = check_stabilizing(program, bundle.mapping,
+                                    bundle.strict_spec, wave, ts=ts)
+        closed = check_closed(program, wave, ts)
+        converges = check_convergence(program, wave, ts)
+        coverage = pif_coverage(program)
+    assert verdict.holds and verdict.stats["invariant_states"] == 64
+    assert closed.holds and converges.holds
+    assert coverage.stats["uncovered"] == sum(
+        not helpers.pif_word_matches("pif_prime", s)
+        for s in program.signature.states())
+    # a plain callable goes through the per-state fallback to the same
+    # verdicts
+    plain = functools.partial(helpers.pif_word_matches, "pif_wave")
+    assert _pinned(check_stabilizing(program, bundle.mapping,
+                                     bundle.strict_spec, plain, ts=ts)) == \
+        _pinned(verdict)
+    assert _pinned(check_closed(program, plain, ts)) == _pinned(closed)
+    assert _pinned(check_convergence(program, plain, ts)) == \
+        _pinned(converges)
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -16,10 +16,10 @@ from __future__ import annotations
 import random
 from collections import defaultdict, deque
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, count, repeat
 from math import isqrt
-from operator import add
+from operator import add, or_
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -52,8 +52,15 @@ def flags(bits: int, size: int) -> bytes:
 
 
 def members(bits: int) -> list[int]:
-    """The indices in the bitset, ascending."""
-    return list(compress(count(), flags(bits, 1)))
+    """The indices in the bitset, ascending. Under 1,024 members and under
+    one bit in 32 are peeled from the top, else read off the set's text."""
+    if bits.bit_count() >= min(bits.bit_length() >> 5, 1024):
+        return list(compress(count(), flags(bits, 1)))
+    out = []
+    while bits:
+        out.append(bits.bit_length() - 1)
+        bits ^= 1 << out[-1]
+    return out[::-1]
 
 
 def least(bits: int) -> int:
@@ -63,6 +70,19 @@ def least(bits: int) -> int:
 
 def _shift(bits: int, d: int) -> int:
     return bits << d if d >= 0 else bits >> -d
+
+
+def periodic(codes: Iterable[int], low_weight: int, span: int,
+             size: int) -> int:
+    """The ids below size with id // low_weight % span among the codes: a
+    block per code every span * low_weight ids, tiled by shift-or doubling."""
+    bits, width = 0, span * low_weight
+    for code in codes:
+        bits |= (1 << low_weight) - 1 << code * low_weight
+    while width < size:
+        bits |= bits << width
+        width *= 2
+    return bits & (1 << size) - 1
 
 
 def post(bits: int, rel: dict) -> int:
@@ -80,6 +100,20 @@ def pre(bits: int, rel: dict) -> int:
     for d, sources in rel.items():
         out |= _shift(bits, -d) & sources
     return out
+
+
+def within(nodes: int, rel: dict) -> dict:
+    """The relation's edges with both ends in the set, empty deltas left
+    out."""
+    return {d: e for d, sources in rel.items()
+            if (e := nodes & sources & _shift(nodes, -d))}
+
+
+def crossing(rel: dict, parts: list) -> dict:
+    """Per delta, the relation's edges whose ends lie in different parts, a
+    partition of the nodes: the ends differ on some part but the last."""
+    return {d: e & reduce(or_, (p ^ _shift(p, -d) for p in parts[:-1]), 0)
+            for d, e in rel.items()}
 
 
 # --------------------------------------------------------------------------
@@ -135,25 +169,19 @@ def build_transition_system(program: Program,
     """The complete transition graph, one node per universe state. Refuses
     universes above the size cap.
 
-    The states whose window code at a position is c form a periodic set: a
-    block of low_weight ids every span * low_weight ids. Each delta's
-    sources are one such pattern per table, tiled across the universe by
-    shift-or doubling."""
+    The states whose window code at a position is c form a periodic set,
+    so each delta's sources are one `periodic` set per table."""
     size = program.signature.size
     kernel.check_cap(size, cap=cap)
     sources: dict = {}
     for t in program.windows:
-        patterns: dict = {}
+        codes = defaultdict(set)
         for code, row in enumerate(t.rows):
             for _, delta in row:
-                patterns[delta] = patterns.get(delta, 0) | (
-                    (1 << t.low_weight) - 1 << code * t.low_weight)
-        for delta, bits in patterns.items():
-            width = t.span * t.low_weight
-            while width < size:
-                bits |= bits << width
-                width *= 2
-            sources[delta] = sources.get(delta, 0) | bits & (1 << size) - 1
+                codes[delta].add(code)
+        for delta, group in codes.items():
+            sources[delta] = sources.get(delta, 0) | periodic(
+                group, t.low_weight, t.span, size)
     return TransitionSystem(program, sources)
 
 
@@ -182,11 +210,9 @@ def _peel(alive: int, rel: dict) -> int:
     for rel in rel, {-d: _shift(sources, d) for d, sources in rel.items()}:
         size = alive.bit_length()
         ins, rows = [0] * size, []
-        for d, sources in rel.items():
-            tails = alive & sources & _shift(alive, -d)
-            if tails:
-                rows.append((d, flags(tails, size)))
-                ins = list(map(add, ins, flags(_shift(tails, d), size)))
+        for d, tails in within(alive, rel).items():
+            rows.append((d, flags(tails, size)))
+            ins = list(map(add, ins, flags(_shift(tails, d), size)))
         removed = bytearray(size)
         ready = [v for v in members(alive) if not ins[v]]
         while ready:
@@ -215,8 +241,7 @@ def group_edges(ts: TransitionSystem, nodes: int, key: Callable,
     parallel edges (one source, one target) once."""
     ids = range(ts.size) if ids is None else ids
     groups = {}
-    for d, sources in ts.sources.items():
-        inner = nodes & sources & _shift(nodes, -d)
+    for d, inner in within(nodes, ts.sources).items():
         tails = members(inner)
         by_key = defaultdict(list)
         keys = map(key, map(ids.__getitem__, tails),

@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import kernel
+from . import explorer, kernel
 from .explorer import members
 from .kernel import BOOL, Domain, ModelError, Program, Signature, State
 
@@ -43,27 +46,46 @@ def _same(sid: int) -> int:
 class BoundMapping:
     """A mapping specialized to one program: a target signature plus
     id_of, which sends a program state id to its image's id under
-    `signature`. Calling it on a program State decodes that image."""
+    `signature`. Calling it on a program State decodes that image.
+    letters(size), if given, builds slot_bits without mapping a state."""
 
-    __slots__ = ("signature", "id_of")
+    __slots__ = ("signature", "id_of", "_letters")
 
-    def __init__(self, signature: Signature, id_of: Callable[[int], int]):
+    def __init__(self, signature: Signature, id_of: Callable[[int], int],
+                 letters: Optional[Callable[[int], list]] = None):
         self.signature = signature
         self.id_of = id_of
+        self._letters = letters
 
     def __call__(self, state: State) -> State:
         return self.signature.state_at(self.id_of(state.index))
 
+    identity = property(lambda self: self.id_of is _same)
+
     def ids(self, ts) -> Sequence[int]:
         """The id, under `signature`, of each state's image, in ts order."""
-        if self.id_of is _same:  # the identity stores nothing per state
+        if self.identity:  # the identity stores nothing per state
             return range(ts.size)
         return array("q", map(self.id_of, range(ts.size)))
 
+    def slot_bits(self, size: int) -> list[list[int]]:
+        """Per specification slot i and value a, the bitset of the program
+        states below size whose image has value a at slot i; without
+        letters, read here off every state's image id."""
+        if self._letters is not None:
+            return self._letters(size)
+        radices = self.signature.radices
+        images = array("q", map(self.id_of, range(size)))
+        return [[explorer.bitset(m // w % r == a for m in images)
+                 for a in range(r)] for w, r in (
+                     (math.prod(radices[i + 1:]), r)
+                     for i, r in enumerate(radices))]
 
-def _restriction(sig: Signature, slots) -> Callable[[int], int]:
-    """The id function of the restriction of sig's states to the given
-    slots: slot i's value index in a state id is id // weight % radix."""
+
+def _restriction(sig: Signature, slots) -> tuple[Callable, Callable]:
+    """The id function and the letters of the restriction of sig's states
+    to the given slots; a slot's value a shows in one periodic set, as
+    slot i's value in a state id is id // weight % radix."""
     digits = [(math.prod(sig.radices[i + 1:]), sig.radices[i]) for i in slots]
 
     def id_of(sid: int) -> int:
@@ -72,7 +94,11 @@ def _restriction(sig: Signature, slots) -> Callable[[int], int]:
             out = out * radix + sid // weight % radix
         return out
 
-    return id_of
+    def letters(size: int) -> list[list[int]]:
+        return [[explorer.periodic((a,), weight, radix, size)
+                 for a in range(radix)] for weight, radix in digits]
+
+    return id_of, letters
 
 
 class StateMapping:
@@ -93,7 +119,9 @@ class IdenticalMapping(StateMapping):
                     raise MappingError(
                         "identical mapping needs all variables external; "
                         "%s.p%d is internal" % (v.name, proc.index))
-        return BoundMapping(program.signature, _same)
+        sig = program.signature
+        return BoundMapping(sig, _same,
+                            _restriction(sig, range(len(sig.slots)))[1])
 
 
 class ProjectionMapping(StateMapping):
@@ -124,7 +152,7 @@ class ProjectionMapping(StateMapping):
                 % ", ".join(sorted(missing)))
         psig = program.signature
         return BoundMapping(Signature(psig.slots[i] for i in keep),
-                            _restriction(psig, keep))
+                            *_restriction(psig, keep))
 
 
 class HighestIdMapping(StateMapping):
@@ -147,7 +175,7 @@ class HighestIdMapping(StateMapping):
             if proc.var(self.access_var).domain.values != BOOL.values:
                 raise MappingError("%r must be boolean" % self.access_var)
             slots.append(psig.slot(proc.index, self.access_var))
-        access = _restriction(psig, slots)
+        access, access_bits = _restriction(psig, slots)
         # ids are n-bit words, position i + 1 at bit n - 1 - i: a >> 1 and
         # a << 1 align each left and right neighbor's access bit with it
         pids, n = [p.pid for p in program.processes], program.n
@@ -160,7 +188,14 @@ class HighestIdMapping(StateMapping):
             a = access(sid)
             return a & ~(a >> 1 & left | a << 1 & right)
 
-        return BoundMapping(sig, id_of)
+        def letters(size: int) -> list[list[int]]:
+            a = [on for _, on in access_bits(size)]
+            outs = [a[i] & ~reduce(or_, (a[j] for j in (i - 1, i + 1)
+                                         if 0 <= j < n and pids[j] > pids[i]),
+                                   0) for i in range(n)]
+            return [[(1 << size) - 1 & ~out, out] for out in outs]
+
+        return BoundMapping(sig, id_of, letters)
 
 
 class EnabledOutputMapping(StateMapping):
@@ -181,7 +216,13 @@ class EnabledOutputMapping(StateMapping):
                 out = out * 2 + enabled[sid // low_weight % span]
             return out
 
-        return BoundMapping(sig, id_of)
+        def letters(size: int) -> list[list[int]]:
+            return [[explorer.periodic(
+                [c for c, e in enumerate(enabled) if e == a], low_weight,
+                span, size) for a in (0, 1)]
+                for low_weight, span, enabled in tables]
+
+        return BoundMapping(sig, id_of, letters)
 
 
 # --------------------------------------------------------------------------
@@ -360,12 +401,27 @@ class ChainAutomaton:
         self._cuts = [(p, bisect_left(order, p), bisect_right(order, p))
                       for p in ps]
 
-    def bits(self) -> int:
+    def bits(self, letters: Optional[list] = None) -> int:
         """The bitset of the accepted state ids, listing no state: from the
         last position back, each automaton state's accepted suffixes, where
         letter a before suffixes of width W shifts them by a·W (the shifted
-        parts are disjoint, so their sum is their OR)."""
+        parts are disjoint, so their sum is their OR).
+
+        Given a mapping's letters (BoundMapping.slot_bits), it is the
+        bitset of the program states whose image it accepts: a forward pass
+        holds per automaton state the states whose image prefix leads
+        there, met with each position's letter sets."""
         alphabet, delta, _, _ = _runs(self)
+        if letters is not None:
+            held = {self.initial: -1}  # -1: every state
+            for (_, lo, hi), word, moves in zip(self._cuts, alphabet, delta):
+                sets = [reduce(and_, map(list.__getitem__, letters[lo:hi], a))
+                        for a in word]
+                held, after = defaultdict(int), held
+                for q, states in after.items():
+                    for t, bits in zip(moves[q], sets):
+                        held[t] |= states & bits
+            return sum(held[q] for q in self.accepting)
         suffix, width = dict.fromkeys(self.accepting, 1), 1
         for letters, moves in zip(alphabet[::-1], delta[::-1]):
             suffix = {q: sum(suffix.get(t, 0) << a * width
@@ -396,8 +452,8 @@ class ChainPredicate:
             q = None if q is None else aut.step(q, p, state.values[lo:hi])
         return q in aut.accepting
 
-    def bits(self, sig: Signature) -> int:
-        return self.automaton(sig).bits()
+    def bits(self, sig: Signature, letters: Optional[list] = None) -> int:
+        return self.automaton(sig).bits(letters)
 
 
 def _runs(aut: ChainAutomaton) -> tuple:

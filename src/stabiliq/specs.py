@@ -17,11 +17,14 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
+from operator import or_
 from typing import Callable, Optional
 
 from . import explorer
 from .kernel import Program, Signature, State, check_cap
-from .mapping import ChainAutomaton, ChainPredicate, StateMapping
+from .mapping import (BoundMapping, ChainAutomaton, ChainPredicate,
+                      StateMapping)
 
 DIVERGENCE_ALLOWED = "divergence-allowed"
 DIVERGENCE_FORBIDDEN = "divergence-forbidden"
@@ -72,6 +75,26 @@ class FiniteTerminal:
 
 
 Acceptance = object  # CycleWithin | Recurrence | FiniteTerminal
+
+
+# Local edge predicates, which check_stabilizing decides on image bitsets
+# with no image pair listed; any other callable runs once per image pair.
+
+def every_edge(s: State, t: State) -> bool:
+    """The allowed_edge that allows every change."""
+    return True
+
+
+@dataclass(frozen=True)
+class Changes:
+    """Holds when the image changes at some slot in `slots` (indices into
+    the specification signature; every slot when None)."""
+
+    slots: Optional[tuple] = None
+
+    def __call__(self, s: State, t: State) -> bool:
+        slots = range(len(s.values)) if self.slots is None else self.slots
+        return any(s.values[i] != t.values[i] for i in slots)
 
 
 @dataclass(frozen=True)
@@ -193,6 +216,61 @@ def _holds(pred: Callable[[State], bool], sig: Signature) -> int:
     return explorer.bitset(map(pred, sig.states()))
 
 
+def _image_holds(pred: Callable[[State], bool], bound: BoundMapping,
+                 letters: list, ts: explorer.TransitionSystem) -> int:
+    """The program states whose image satisfies pred: under the identity
+    pred's own bitset, else a ChainPredicate's automaton run over the image
+    letters, or any other callable's flags read through every image id."""
+    if bound.identity:
+        return _holds(pred, bound.signature)
+    if isinstance(pred, ChainPredicate):
+        return pred.bits(bound.signature, letters)
+    ok = explorer.flags(_holds(pred, bound.signature), bound.signature.size)
+    return explorer.bitset(map(ok.__getitem__, bound.ids(ts)))
+
+
+def _edge_relations(ts: explorer.TransitionSystem, bound: BoundMapping,
+                    letters: list, inv: int, spec: Specification) -> tuple:
+    """Over the invariant's edges, the relations of the stutters and of the
+    disallowed changes, and per obligation a function that builds the
+    relation of the edges that miss it (one at a time: each is about as
+    large as the transition system). A local form is a union of the slots'
+    changes, each the edges crossing that slot's value sets; plain
+    callables read one grouping by the mask of the image pair, made only
+    for them."""
+    inner = explorer.within(inv, ts.sources)
+    changed = [explorer.crossing(inner, values) for values in letters]
+
+    def union(slots: Optional[tuple]) -> dict:
+        slots = range(len(letters)) if slots is None else slots
+        return {d: reduce(or_, (changed[i][d] for i in slots), 0)
+                for d in inner}
+
+    preds = [spec.allowed_edge] + [
+        o.edge_pred for o in getattr(spec.acceptance, "obligations", ())]
+    met = [inner if p is every_edge else union(p.slots)
+           if isinstance(p, Changes) else None for p in preds]
+    plain = [k for k, rel in enumerate(met) if rel is None]
+    if plain:
+        image = functools.cache(bound.signature.state_at)
+
+        @functools.cache
+        def mask(m: int, n: int) -> int:  # a stutter is an allowed edge
+            return sum(1 << k for k in plain if k == 0 and m == n
+                       or preds[k](image(m), image(n)))
+
+        groups = explorer.group_edges(ts, inv, mask, bound.ids(ts))
+        for k in plain:
+            met[k] = explorer.select(groups, lambda m, k=k: m >> k & 1)
+
+    def minus(rel: dict, drop: dict) -> dict:
+        return {d: r for d, e in rel.items() if (r := e & ~drop.get(d, 0))}
+
+    moved = union(None)
+    return (minus(inner, moved), minus(moved, met[0]),
+            [functools.partial(minus, inner, rel) for rel in met[1:]])
+
+
 # --------------------------------------------------------------------------
 # Core checks.
 
@@ -246,10 +324,6 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     bound = mapping.bind(program)
     inv = ts.full if invariant is None \
         else _holds(invariant, ts.program.signature)
-    # Specification states are handled as ids; a State is decoded only for
-    # an edge callable or a witness, and each one sees each id pair once.
-    ids = bound.ids(ts)
-    image = functools.cache(bound.signature.state_at)
     cond = explorer.condense(ts)
     notes = ["stutter policy: %s" % spec.stutter_policy]
 
@@ -275,59 +349,45 @@ def check_stabilizing(program: Program, mapping: StateMapping,
         notes.append(note)
         return fail(witness)
 
-    # State conformance inside the invariant, read off the allowed ids.
-    sig = bound.signature
-    allowed = explorer.flags(_holds(spec.allowed_state, sig), sig.size)
-    for i in explorer.members(inv):
-        if not allowed[ids[i]]:
-            return fail({"kind": "disallowed-state",
-                         "state": ts.state(i).text(),
-                         "mapped": image(ids[i]).text()})
-
-    # The invariant's edges, decoded once and grouped by the mask of their
-    # image pair: bit 0 a stutter, bit 1 a disallowed change, bit j + 2
-    # an edge that meets obligation j. Each pair is classified once.
-    obligations = getattr(spec.acceptance, "obligations", ())
-
-    @functools.cache
-    def mask(m: int, n: int) -> int:
-        s, t = image(m), image(n)
-        return (m == n) | (m != n and not spec.allowed_edge(s, t)) << 1 | sum(
-            1 << j + 2 for j, o in enumerate(obligations) if o.edge_pred(s, t))
-
-    groups = explorer.group_edges(ts, inv, mask, ids)
+    # State conformance inside the invariant. Specification states are
+    # read as image letters, per slot and value the program states showing
+    # it; a State is decoded only for a plain callable or a witness.
+    letters = bound.slot_bits(ts.size)
+    bad = inv & ~_image_holds(spec.allowed_state, bound, letters, ts)
+    if bad:
+        state = ts.state(explorer.least(bad))
+        return fail({"kind": "disallowed-state", "state": state.text(),
+                     "mapped": bound(state).text()})
 
     # Edge conformance: non-stutter images of invariant-internal edges.
-    bad = explorer.select(groups, lambda m: m & 2)
+    stutters, bad, unmet = _edge_relations(ts, bound, letters, inv, spec)
     if bad:
         i = min(map(explorer.least, bad.values()))
         pos, name, t = next(e for e in ts.edges(i)
-                            if mask(ids[i], ids[e[2]]) & 2)
-        return fail({"kind": "disallowed-edge", "source": ts.state(i).text(),
-                     "target": ts.state(t).text(),
-                     "action": _label(pos, name),
-                     "mapped_source": image(ids[i]).text(),
-                     "mapped_target": image(ids[t]).text()})
+                            if bad.get(e[2] - i, 0) >> i & 1)
+        source, target = ts.state(i), ts.state(t)
+        return fail({"kind": "disallowed-edge", "source": source.text(),
+                     "target": target.text(), "action": _label(pos, name),
+                     "mapped_source": bound(source).text(),
+                     "mapped_target": bound(target).text()})
 
     # Acceptance on every bottom component (all lie inside the invariant
     # once closure and convergence hold).
     pred = getattr(spec.acceptance, "pred", None)
-    accepts = pred and explorer.flags(_holds(pred, sig), sig.size)
+    accepts = pred and _image_holds(pred, bound, letters, ts)
     for c in cond.bottoms:
-        verdict = _check_acceptance(spec, ts, cond, c, ids, accepts,
-                                    groups, notes)
+        verdict = _check_acceptance(spec, ts, cond, c, accepts, unmet, notes)
         if verdict is not None:
             return fail(verdict)
 
     # Stutter divergence: a cycle inside the invariant whose image never
     # changes. Always reported; gates the verdict only when forbidden.
-    stutter = explorer.find_cycle(
-        ts, inv, explorer.select(groups, lambda m: m & 1))
+    stutter = explorer.find_cycle(ts, inv, stutters)
     if stutter is None:
         notes.append("stutter divergence: none")
     else:
         witness = dict(_cycle_witness(stutter), kind="stutter-cycle",
-                       image=image(ids[stutter.states[0].index]).text())
+                       image=bound(stutter.states[0]).text())
         if spec.stutter_policy == DIVERGENCE_FORBIDDEN:
             notes.append("stutter divergence: found, forbidden by policy")
             return fail(witness)
@@ -339,13 +399,13 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     return Verdict(_check_name, True, None, stats(), notes)
 
 
-def _check_acceptance(spec: Specification, ts, cond, c: int, ids, accepts,
-                      groups: dict, notes: list) -> Optional[dict]:
+def _check_acceptance(spec: Specification, ts, cond, c: int, accepts,
+                      unmet: list, notes: list) -> Optional[dict]:
     """Evaluate the acceptance condition on bottom component c; `accepts`
-    flags its state predicate per spec id and `groups` the invariant's edges
-    grouped by their image pair's mask (check_stabilizing). Returns a
-    witness dict on a gating violation, None otherwise; analyze findings
-    go into notes."""
+    is the bitset of the program states whose image satisfies its state
+    predicate and `unmet[j]()` the relation of the invariant's edges that
+    miss obligation j (check_stabilizing). Returns a witness dict on a
+    gating violation, None otherwise; analyze findings go into notes."""
     comp = cond.components[c]
     acc = spec.acceptance
     terminal = bool(cond.bits(c) & ts.terminal)
@@ -359,7 +419,7 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, ids, accepts,
             return {"kind": "acceptance", "component": comp_texts,
                     "reason": "%s cycles forever, but the specification's "
                               "sequences are finite" % where}
-        if not accepts[ids[comp[0]]]:
+        if not accepts >> comp[0] & 1:
             return {"kind": "acceptance", "component": comp_texts,
                     "reason": "terminal state %s does not satisfy the "
                               "final-state condition"
@@ -373,21 +433,21 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, ids, accepts,
                           "sequences are infinite" % where}
 
     if isinstance(acc, CycleWithin):
-        for s in comp:
-            if not accepts[ids[s]]:
-                return {"kind": "acceptance", "component": comp_texts,
-                        "reason": "%s contains %s, outside the target "
-                                  "cycle family%s"
-                                  % (where, ts.state(s).text(),
-                                     " (%s)" % acc.description
-                                     if acc.description else "")}
+        outside = cond.bits(c) & ~accepts
+        if outside:
+            s = explorer.least(outside)
+            return {"kind": "acceptance", "component": comp_texts,
+                    "reason": "%s contains %s, outside the target "
+                              "cycle family%s"
+                              % (where, ts.state(s).text(),
+                                 " (%s)" % acc.description
+                                 if acc.description else "")}
         return None
 
     if isinstance(acc, Recurrence):
         bits = cond.bits(c)
-        for j, obl in enumerate(acc.obligations):
-            cycle = explorer.find_cycle(ts, bits, explorer.select(
-                groups, lambda mask: not mask >> j + 2 & 1))
+        for obl, missed in zip(acc.obligations, unmet):
+            cycle = explorer.find_cycle(ts, bits, missed())
             if cycle is None:
                 notes.append("obligation %r: recurs on every cycle of %s"
                              % (obl.name, where))
@@ -525,14 +585,10 @@ _no_adjacent_true = ChainPredicate(lambda sig: ChainAutomaton(
 
 
 def _dining_obligations(n: int, fairness: bool) -> tuple:
-    obligations = [Obligation(
-        "output-activity", lambda s, t: s != t, mode="policy")]
+    obligations = [Obligation("output-activity", Changes(), mode="policy")]
     if fairness:
-        for j in range(1, n + 1):
-            obligations.append(Obligation(
-                "activity-p%d" % j,
-                lambda s, t, i=j - 1: s.values[i] != t.values[i],
-                mode="analyze"))
+        obligations += [Obligation("activity-p%d" % j, Changes((j - 1,)),
+                                   mode="analyze") for j in range(1, n + 1)]
     return tuple(obligations)
 
 
@@ -545,7 +601,7 @@ def udp_spec(n: int) -> Specification:
     return Specification(
         name="UDP",
         allowed_state=_no_adjacent_true,
-        allowed_edge=lambda s, t: True,
+        allowed_edge=every_edge,
         acceptance=Recurrence(_dining_obligations(n, fairness=False)),
         stutter_policy=DIVERGENCE_ALLOWED,
     )
@@ -566,7 +622,7 @@ def spif_spec(n: int) -> Specification:
     return Specification(
         name="SPIF",
         allowed_state=pif_wave,
-        allowed_edge=lambda s, t: True,
+        allowed_edge=every_edge,
         acceptance=CycleWithin(pif_wave, "RQ/RP wave cycle"),
         stutter_policy=DIVERGENCE_FORBIDDEN,
     )
@@ -591,7 +647,7 @@ def sabp_spec() -> Specification:
     return Specification(
         name="SABP",
         allowed_state=abp_legitimate,
-        allowed_edge=lambda s, t: True,
+        allowed_edge=every_edge,
         acceptance=CycleWithin(abp_legitimate, "alternating-bit handshake"),
         stutter_policy=DIVERGENCE_FORBIDDEN,
     )

@@ -493,8 +493,9 @@ def test_obligation_cycle_output_is_pinned(capsys):
 
 
 def test_each_cycle_question_is_decided_once(capsys, monkeypatch):
-    # one grouping per check; the witness search runs on a question the
-    # check has already decided, without deciding it again
+    # no grouping: UDP's allowed edges and its obligation are local forms,
+    # read off the image bitsets; the witness search runs on a question
+    # the check has already decided, without deciding it again
     groupings, decided, searched = [], [], []
     group_edges, has_cycle = explorer.group_edges, explorer.has_cycle
     first_cycle = explorer.first_cycle
@@ -517,7 +518,7 @@ def test_each_cycle_question_is_decided_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--check", "ideal",
                        "--protocol", "cm", "--ids", "2,1,3,4")
     assert code == 0 and "not discharged on cycle" in out
-    assert groupings == [1]
+    assert groupings == []
     # three questions, each decided once: a cycle avoiding the invariant
     # (none: every state is inside), a cycle that misses the obligation,
     # and a stutter cycle; the last two have one, and each of those is
@@ -525,6 +526,30 @@ def test_each_cycle_question_is_decided_once(capsys, monkeypatch):
     assert [q[0] for q, _ in decided] == [0, 0xFFFF, 0xFFFF]
     assert searched == [q for q, cyclic in decided if cyclic]
     assert len(searched) == 2
+
+
+def test_the_alternator_at_14_maps_no_state(capsys, monkeypatch):
+    # ideal-la14 decides FDP on image bitsets: neither the per-state image
+    # ids nor a per-pair grouping is ever built
+    def refuse(*args):
+        raise AssertionError("a state was mapped or an edge grouped")
+
+    monkeypatch.setattr(mapping.BoundMapping, "ids", refuse)
+    monkeypatch.setattr(explorer, "group_edges", refuse)
+    code, out, _ = run(capsys, "verify", "--check", "ideal",
+                       "--protocol", "la", "--n", "14")
+    sig = protocols.make_alternator(14).program.signature
+    where = "bottom component of 16384 states (%s, ...)" % ", ".join(
+        sig.state_at(i).text() for i in range(4))
+    notes = ["stutter policy: divergence-allowed"] + [
+        "obligation %r: recurs on every cycle of %s" % (name, where)
+        for name in ["output-activity"] + ["activity-p%d" % j
+                                           for j in range(1, 15)]] + [
+        "stutter divergence: none"]
+    assert code == 0
+    assert [line[len("  note: "):] for line in out.splitlines()
+            if line.startswith("  note: ")] == notes
+    assert "ideal: holds" in out and out.endswith("verify: ok\n")
 
 
 def test_the_window_tables_are_compiled_once(capsys, monkeypatch):

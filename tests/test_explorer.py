@@ -1,4 +1,5 @@
 """Transition systems, components, cycles, simulation, images, DOT."""
+import itertools
 import random
 from collections import defaultdict
 
@@ -9,6 +10,21 @@ from stabiliq import cli, explorer, kernel, protocols, specs
 from stabiliq.dsl import parse_protocol
 from stabiliq.kernel import Signature, UniverseCapError
 from stabiliq.mapping import IdenticalMapping
+
+
+@pytest.mark.parametrize("size,count", [
+    (0, 0), (1, 1), (64, 1), (64, 2), (64, 64), (1000, 10), (1000, 31),
+    (1000, 32), (1000, 500), (26244, 64), (26244, 1023), (100000, 1023),
+    (100000, 1024), (100000, 5000)])
+def test_members_peel_a_sparse_set_and_read_a_dense_one(size, count):
+    # both branches of members against the compress form over every index
+    rng = random.Random(size * 7919 + count)
+    chosen = rng.sample(range(size), count)
+    bits = sum(1 << v for v in chosen)
+    want = list(itertools.compress(range(size), (
+        bits >> v & 1 for v in range(size))))
+    assert want == sorted(chosen)
+    assert explorer.members(bits) == want
 
 
 def test_transition_system_counts():

@@ -13,7 +13,7 @@ from helpers import map_state
 from stabiliq import explorer, protocols
 from stabiliq.kernel import (BOOL, Domain, ModelError, Signature,
                              UniverseCapError)
-from stabiliq.mapping import (ChainAutomaton, ChainPredicate,
+from stabiliq.mapping import (BoundMapping, ChainAutomaton, ChainPredicate,
                               EnabledOutputMapping,
                               HighestIdMapping, IdenticalMapping, MappingError,
                               ProjectionMapping, accepted_states,
@@ -76,6 +76,39 @@ def test_bound_ids_match_an_oracle_on_every_state(name):
         want = bound.signature.state(oracle(helpers.state_values(s)))
         assert ids[i] == want.index, s.text()
         assert bound(s) == want, s.text()
+
+
+SLOT_BITS_CASES = {
+    **{"cm%s" % "".join(map(str, ids)): (
+        lambda ids=ids: protocols.make_cm(ids).program, HighestIdMapping())
+       for ids in ((1, 2, 3), (2, 1, 3, 4), (1, 2, 3, 4, 5, 6))},
+    **{"la%d" % n: (lambda n=n: protocols.make_alternator(n).program,
+                    EnabledOutputMapping()) for n in range(3, 13)},
+    **{"pif%d" % n: (lambda n=n: protocols.make_pif(n).program,
+                     IdenticalMapping()) for n in range(3, 9)},
+    "abp": (lambda: protocols.make_abp().program, IdenticalMapping()),
+    "projection-abp": (lambda: protocols.make_abp().program,
+                       ProjectionMapping(("ns", "chqp"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_BITS_CASES))
+def test_slot_bits_are_the_images_of_every_state(name):
+    # per slot and value, the program states whose image shows that value
+    # there, built from periodic patterns without mapping a state; a
+    # mapping bound with id_of alone builds the same sets by mapping each
+    build, mapping = SLOT_BITS_CASES[name]
+    program = build()
+    bound = mapping.bind(program)
+    size = program.signature.size
+    images = [bound.signature.state_at(bound.id_of(i)).values
+              for i in range(size)]
+    want = [[helpers.bits(i for i, v in enumerate(images) if v[k] == a)
+             for a in range(radix)]
+            for k, radix in enumerate(bound.signature.radices)]
+    assert bound.slot_bits(size) == want
+    bare = BoundMapping(bound.signature, bound.id_of)
+    assert bare.slot_bits(size) == want
 
 
 def test_highest_id_mapping_worked_example():

@@ -13,13 +13,15 @@ from helpers import abp_classify, pif_classify
 from stabiliq import explorer, protocols, specs
 from stabiliq.dsl import parse_protocol
 from stabiliq.kernel import BOOL, Signature
-from stabiliq.mapping import ChainPredicate, IdenticalMapping
+from stabiliq.mapping import (ChainPredicate, IdenticalMapping,
+                              ProjectionMapping)
 from stabiliq.specs import (CycleWithin, DIVERGENCE_ALLOWED,
                             DIVERGENCE_FORBIDDEN,
                             FiniteTerminal, Obligation, Recurrence,
                             Specification, abp_legitimate,
                             check_closed, check_convergence,
                             check_ideal_stabilizing, check_stabilizing,
+                            every_state,
                             fdp_spec, iabp_spec, ipif_spec, le_spec,
                             _pif_rp_strict, _pif_rq_prime, pif_coverage,
                             pif_prime, pif_wave, sabp_spec, spif_spec,
@@ -569,27 +571,111 @@ def test_specification_callables_see_each_image_once():
 
 
 def test_the_stutter_question_reads_only_the_invariant_edges(monkeypatch):
-    # stabilizing-pif10: the invariant holds 64 of 26,244 states, and the
-    # check's one grouping keys only edges leaving them (pif maps by
+    # stabilizing-pif10: the invariant holds 64 of 26,244 states. SPIF's
+    # edge predicates are local forms read off the image bitsets, so the
+    # check groups no edge; with plain callables it makes one grouping,
+    # which keys only edges leaving the 64 invariant states (pif maps by
     # identity, so the key sees state ids)
     bundle = protocols.make_pif(10)
     inv = bundle.invariants[bundle.default_invariant]
     inside = {s.index for s in bundle.program.signature.states() if inv(s)}
     assert len(inside) == 64
-    keyed = []
+    groupings, keyed = [], []
     group_edges = explorer.group_edges
 
     def recording(ts, nodes, key, ids):
+        groupings.append(nodes)
+
         def seen(m, n):
             keyed.append(m)
             return key(m, n)
         return group_edges(ts, nodes, seen, ids)
 
     monkeypatch.setattr(explorer, "group_edges", recording)
-    verdict = check_stabilizing(bundle.program, bundle.mapping,
-                                bundle.strict_spec, inv)
-    assert verdict.holds
-    assert keyed and set(keyed) <= inside
+    spec = bundle.strict_spec
+    local = check_stabilizing(bundle.program, bundle.mapping, spec, inv)
+    assert local.holds and groupings == [] and keyed == []
+    plain = replace(
+        spec, allowed_state=lambda s: spec.allowed_state(s),
+        allowed_edge=lambda s, t: spec.allowed_edge(s, t),
+        acceptance=CycleWithin(lambda s: spec.acceptance.pred(s),
+                               spec.acceptance.description))
+    verdict = check_stabilizing(bundle.program, bundle.mapping, plain, inv)
+    assert verdict.holds and verdict.notes == local.notes
+    assert len(groupings) == 1 and keyed and set(keyed) <= inside
+
+
+def _local_form_cases():
+    """(program, mapping) per case: the built-in mappings on cm, la, pif
+    and abp, and a projection."""
+    cases = [(protocols.make_cm(ids), None) for ids in
+             ((1, 2, 3), (2, 1, 3, 4), tuple(range(1, 7)))]
+    cases += [(protocols.make_alternator(n), None) for n in range(3, 13)]
+    cases += [(protocols.make_pif(n), None) for n in range(3, 9)]
+    cases += [(protocols.make_abp(), None),
+              (protocols.make_abp(), ProjectionMapping(("ns", "nr")))]
+    for bundle, mapping in cases:
+        yield bundle.program, mapping or bundle.mapping
+
+
+def _as_plain(pred):
+    return lambda s, t: pred(s, t)
+
+
+def _relations(ts, bound, letters, inv, spec) -> tuple:
+    stutter, bad, unmet = specs._edge_relations(ts, bound, letters, inv, spec)
+    return stutter, bad, [missed() for missed in unmet]
+
+
+def test_local_edge_forms_agree_with_the_per_pair_grouping():
+    # the stutter relation against a grouping keyed by m == n; the
+    # disallowed changes and every Changes obligation against the same
+    # specifications with each form wrapped as a plain callable, over the
+    # full invariant and one that is not closed
+    for program, mapping in _local_form_cases():
+        ts = explorer.build_transition_system(program)
+        bound = mapping.bind(program)
+        letters = bound.slot_bits(ts.size)
+        slots = tuple(range(len(bound.signature.slots)))
+        changes = [specs.Changes(), *(specs.Changes((i,)) for i in slots),
+                   specs.Changes(slots[::2])]
+        spec = Specification("local", every_state, specs.every_edge,
+                             Recurrence(tuple(
+                                 Obligation("o%d" % j, c)
+                                 for j, c in enumerate(changes))))
+        plain = replace(spec, acceptance=Recurrence(tuple(
+            replace(o, edge_pred=_as_plain(o.edge_pred))
+            for o in spec.acceptance.obligations)))
+        for inv in (ts.full, ts.full & ~helpers.bits(range(0, ts.size, 3))):
+            stutters = explorer.select(explorer.group_edges(
+                ts, inv, lambda m, n: m == n, bound.ids(ts)))
+            for allowed in (specs.every_edge, specs.Changes((0,)),
+                            specs.Changes(slots[1:])):
+                got = _relations(ts, bound, letters, inv,
+                                 replace(spec, allowed_edge=allowed))
+                want = _relations(ts, bound, letters, inv, replace(
+                    plain, allowed_edge=_as_plain(allowed)))
+                assert got == want, (program.name, allowed)
+                assert got[0] == stutters, program.name
+
+
+def test_composed_predicates_agree_with_the_mapped_states():
+    # allowed_state and the acceptance predicate as program bitsets, from
+    # the automaton run over the image letters (or the predicate's own
+    # bitset under the identity), against the predicate on each image
+    for program, mapping in _local_form_cases():
+        ts = explorer.build_transition_system(program)
+        bound = mapping.bind(program)
+        letters = bound.slot_bits(ts.size)
+        preds = [specs._no_adjacent_true, every_state, lambda s: s.index % 3]
+        if program.name == "pif":
+            preds += [pif_wave, pif_prime]
+        if program.name == "abp" and bound.identity:
+            preds.append(abp_legitimate)
+        for pred in preds:
+            want = helpers.bits(i for i, s in enumerate(ts.states)
+                                if pred(bound(s)))
+            assert specs._image_holds(pred, bound, letters, ts) == want
 
 
 def test_many_obligations_agree_with_the_component_oracle():

@@ -533,10 +533,8 @@ def induced_specification(program: Program, mapping,
     ts = build_transition_system(program, cap)
     bound = mapping.bind(program)
     ids = bound.ids(ts)
-    # the key sees every image pair; grouping by the pair itself would
-    # build one bitset per pair
-    pairs = set()
-    group_edges(ts, ts.full, lambda m, n: pairs.add((m, n)), ids)
+    pairs = {(ids[v], ids[v + d]) for d, tails in ts.sources.items()
+             for v in members(tails)}
     image = {m: bound.signature.state_at(m) for m in set(ids)}
     edges = frozenset((image[m], image[n]) for m, n in pairs if m != n)
     return InducedSpecification(bound.signature, frozenset(image.values()),

@@ -27,7 +27,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from operator import and_
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import explorer, kernel
@@ -44,37 +44,48 @@ def _same(sid: int) -> int:
 
 
 class BoundMapping:
-    """A mapping specialized to one program: a target signature plus
-    id_of, which sends a program state id to its image's id under
-    `signature`. Calling it on a program State decodes that image.
-    letters(size), if given, builds slot_bits without mapping a state."""
+    """A mapping specialized to one program: a target signature and, per
+    slot of it, a digit table (low_weight, span, values), by which the
+    slot's value in the image of program state sid is
+    values[sid // low_weight % span]. id_of sends a program state id to its
+    image's id under `signature`; unless given, it is the fold of the
+    tables, or with no tables the identity (a program's own states).
+    Calling the binding on a program State decodes that image."""
 
-    __slots__ = ("signature", "id_of", "_letters")
+    __slots__ = ("signature", "id_of", "digits")
 
-    def __init__(self, signature: Signature, id_of: Callable[[int], int],
-                 letters: Optional[Callable[[int], list]] = None):
-        self.signature = signature
-        self.id_of = id_of
-        self._letters = letters
+    def __init__(self, signature: Signature,
+                 id_of: Optional[Callable[[int], int]] = None,
+                 digits: Optional[list] = None):
+        self.signature, self.digits = signature, digits
+        tables = [d + (r,) for d, r in zip(digits or (), signature.radices)]
+
+        def fold(sid: int) -> int:
+            out = 0
+            for low_weight, span, values, radix in tables:
+                out = out * radix + values[sid // low_weight % span]
+            return out
+
+        self.id_of = id_of or (_same if digits is None else fold)
 
     def __call__(self, state: State) -> State:
         return self.signature.state_at(self.id_of(state.index))
 
-    identity = property(lambda self: self.id_of is _same)
-
     def ids(self, ts) -> Sequence[int]:
         """The id, under `signature`, of each state's image, in ts order."""
-        if self.identity:  # the identity stores nothing per state
-            return range(ts.size)
         return array("q", map(self.id_of, range(ts.size)))
 
     def slot_bits(self, size: int) -> list[list[int]]:
         """Per specification slot i and value a, the bitset of the program
-        states below size whose image has value a at slot i; without
-        letters, read here off every state's image id."""
-        if self._letters is not None:
-            return self._letters(size)
+        states below size whose image has value a at slot i: the periodic
+        set of the codes the slot's table sends to a; without tables, read
+        off every state's image id."""
         radices = self.signature.radices
+        if self.digits is not None:
+            return [[explorer.periodic(
+                [c for c, v in enumerate(values) if v == a], weight, span,
+                size) for a in range(r)]
+                for (weight, span, values), r in zip(self.digits, radices)]
         images = array("q", map(self.id_of, range(size)))
         return [[explorer.bitset(m // w % r == a for m in images)
                  for a in range(r)] for w, r in (
@@ -82,23 +93,10 @@ class BoundMapping:
                      for i, r in enumerate(radices))]
 
 
-def _restriction(sig: Signature, slots) -> tuple[Callable, Callable]:
-    """The id function and the letters of the restriction of sig's states
-    to the given slots; a slot's value a shows in one periodic set, as
-    slot i's value in a state id is id // weight % radix."""
-    digits = [(math.prod(sig.radices[i + 1:]), sig.radices[i]) for i in slots]
-
-    def id_of(sid: int) -> int:
-        out = 0
-        for weight, radix in digits:
-            out = out * radix + sid // weight % radix
-        return out
-
-    def letters(size: int) -> list[list[int]]:
-        return [[explorer.periodic((a,), weight, radix, size)
-                 for a in range(radix)] for weight, radix in digits]
-
-    return id_of, letters
+def _copies(sig: Signature, slots) -> list:
+    """The digit tables that copy the given slots of sig's states."""
+    return [(math.prod(sig.radices[i + 1:]), sig.radices[i],
+             range(sig.radices[i])) for i in slots]
 
 
 class StateMapping:
@@ -120,8 +118,7 @@ class IdenticalMapping(StateMapping):
                         "identical mapping needs all variables external; "
                         "%s.p%d is internal" % (v.name, proc.index))
         sig = program.signature
-        return BoundMapping(sig, _same,
-                            _restriction(sig, range(len(sig.slots)))[1])
+        return BoundMapping(sig, _same, _copies(sig, range(len(sig.slots))))
 
 
 class ProjectionMapping(StateMapping):
@@ -152,7 +149,7 @@ class ProjectionMapping(StateMapping):
                 % ", ".join(sorted(missing)))
         psig = program.signature
         return BoundMapping(Signature(psig.slots[i] for i in keep),
-                            *_restriction(psig, keep))
+                            digits=_copies(psig, keep))
 
 
 class HighestIdMapping(StateMapping):
@@ -167,35 +164,28 @@ class HighestIdMapping(StateMapping):
     def bind(self, program: Program) -> BoundMapping:
         sig = Signature((p.index, self.output, BOOL) for p in program.processes)
         psig = program.signature
-        slots = []
+        access, pids = {}, {p.index: p.pid for p in program.processes}
         for proc in program.processes:
             if self.access_var not in {v.name for v in proc.vars}:
                 raise MappingError(
                     "process %d lacks variable %r" % (proc.index, self.access_var))
             if proc.var(self.access_var).domain.values != BOOL.values:
                 raise MappingError("%r must be boolean" % self.access_var)
-            slots.append(psig.slot(proc.index, self.access_var))
-        access, access_bits = _restriction(psig, slots)
-        # ids are n-bit words, position i + 1 at bit n - 1 - i: a >> 1 and
-        # a << 1 align each left and right neighbor's access bit with it
-        pids, n = [p.pid for p in program.processes], program.n
-        left = sum(1 << n - 1 - i for i in range(1, n)
-                   if pids[i - 1] > pids[i])
-        right = sum(1 << n - 1 - i for i in range(n - 1)
-                    if pids[i + 1] > pids[i])
-
-        def id_of(sid: int) -> int:
-            a = access(sid)
-            return a & ~(a >> 1 & left | a << 1 & right)
-
-        def letters(size: int) -> list[list[int]]:
-            a = [on for _, on in access_bits(size)]
-            outs = [a[i] & ~reduce(or_, (a[j] for j in (i - 1, i + 1)
-                                         if 0 <= j < n and pids[j] > pids[i]),
-                                   0) for i in range(n)]
-            return [[(1 << size) - 1 & ~out, out] for out in outs]
-
-        return BoundMapping(sig, id_of, letters)
+            access[proc.index] = psig.slot(proc.index, self.access_var)
+        # the rule, once per valuation of p's window, in window code order
+        radices, values, digits = psig.radices, [0] * len(psig.slots), []
+        for p in pids:
+            window = psig.window_slots(p)
+            lo, hi = window[0], window[-1] + 1
+            rivals = [access[q] for q in (p - 1, p + 1)
+                      if q in pids and pids[q] > pids[p]]
+            outs = bytearray()
+            for combo in itertools.product(*map(range, radices[lo:hi])):
+                values[lo:hi] = combo
+                outs.append(values[access[p]] and not any(
+                    values[i] for i in rivals))
+            digits.append((math.prod(radices[hi:]), len(outs), outs))
+        return BoundMapping(sig, digits=digits)
 
 
 class EnabledOutputMapping(StateMapping):
@@ -207,22 +197,9 @@ class EnabledOutputMapping(StateMapping):
 
     def bind(self, program: Program) -> BoundMapping:
         sig = Signature((p.index, self.output, BOOL) for p in program.processes)
-        tables = [(t.low_weight, t.span, bytes(map(bool, t.rows)))
-                  for t in program.windows]
-
-        def id_of(sid: int) -> int:
-            out = 0
-            for low_weight, span, enabled in tables:
-                out = out * 2 + enabled[sid // low_weight % span]
-            return out
-
-        def letters(size: int) -> list[list[int]]:
-            return [[explorer.periodic(
-                [c for c, e in enumerate(enabled) if e == a], low_weight,
-                span, size) for a in (0, 1)]
-                for low_weight, span, enabled in tables]
-
-        return BoundMapping(sig, id_of, letters)
+        return BoundMapping(sig, digits=[
+            (t.low_weight, t.span, bytes(map(bool, t.rows)))
+            for t in program.windows])
 
 
 # --------------------------------------------------------------------------

@@ -207,25 +207,19 @@ def _ms_since(t0: float) -> float:
     return round((time.perf_counter() - t0) * 1000.0, 3)
 
 
-def _holds(pred: Callable[[State], bool], sig: Signature) -> int:
-    """The bitset of the states of sig that satisfy pred: a ChainPredicate's
-    from its automaton, any other callable's by running it on every state,
-    the one place a predicate is run state by state."""
-    if isinstance(pred, ChainPredicate):
-        return pred.bits(sig)
-    return explorer.bitset(map(pred, sig.states()))
-
-
-def _image_holds(pred: Callable[[State], bool], bound: BoundMapping,
-                 letters: list, ts: explorer.TransitionSystem) -> int:
-    """The program states whose image satisfies pred: under the identity
-    pred's own bitset, else a ChainPredicate's automaton run over the image
-    letters, or any other callable's flags read through every image id."""
-    if bound.identity:
-        return _holds(pred, bound.signature)
+def _holds(pred: Callable[[State], bool], bound: BoundMapping,
+           ts: explorer.TransitionSystem, letters: Optional[list] = None
+           ) -> int:
+    """The bitset of the program states whose image satisfies pred: a
+    ChainPredicate's from its automaton, run over the image letters when
+    given; any other callable's by running it on every specification state,
+    the one place a predicate is run state by state, its flags read through
+    every image id. A program-side predicate (an invariant) is read through
+    the program's own binding, BoundMapping(program.signature)."""
     if isinstance(pred, ChainPredicate):
         return pred.bits(bound.signature, letters)
-    ok = explorer.flags(_holds(pred, bound.signature), bound.signature.size)
+    sig = bound.signature
+    ok = explorer.flags(explorer.bitset(map(pred, sig.states())), sig.size)
     return explorer.bitset(map(ok.__getitem__, bound.ids(ts)))
 
 
@@ -279,7 +273,7 @@ def check_closed(program: Program, pred: Callable[[State], bool],
     """Does no transition leave the predicate set?"""
     t0 = time.perf_counter()
     ts = ts if ts is not None else explorer.build_transition_system(program)
-    inside = _holds(pred, ts.program.signature)
+    inside = _holds(pred, BoundMapping(ts.program.signature), ts)
     witness = _escaping_edge(ts, inside)
     stats = {"states": ts.size, "edges": ts.edge_count(),
              "predicate_states": inside.bit_count(),
@@ -296,7 +290,7 @@ def check_convergence(program: Program, pred: Callable[[State], bool],
     t0 = time.perf_counter()
     ts = ts if ts is not None else explorer.build_transition_system(program)
     witness, _ = _avoiding_computation(
-        ts, _holds(pred, ts.program.signature))
+        ts, _holds(pred, BoundMapping(ts.program.signature), ts))
     stats = {"states": ts.size, "edges": ts.edge_count(),
              "terminals": ts.terminal.bit_count(),
              "elapsed_ms": _ms_since(t0)}
@@ -323,7 +317,7 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     ts = ts if ts is not None else explorer.build_transition_system(program)
     bound = mapping.bind(program)
     inv = ts.full if invariant is None \
-        else _holds(invariant, ts.program.signature)
+        else _holds(invariant, BoundMapping(ts.program.signature), ts)
     cond = explorer.condense(ts)
     notes = ["stutter policy: %s" % spec.stutter_policy]
 
@@ -353,7 +347,7 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     # read as image letters, per slot and value the program states showing
     # it; a State is decoded only for a plain callable or a witness.
     letters = bound.slot_bits(ts.size)
-    bad = inv & ~_image_holds(spec.allowed_state, bound, letters, ts)
+    bad = inv & ~_holds(spec.allowed_state, bound, ts, letters)
     if bad:
         state = ts.state(explorer.least(bad))
         return fail({"kind": "disallowed-state", "state": state.text(),
@@ -374,7 +368,7 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     # Acceptance on every bottom component (all lie inside the invariant
     # once closure and convergence hold).
     pred = getattr(spec.acceptance, "pred", None)
-    accepts = pred and _image_holds(pred, bound, letters, ts)
+    accepts = pred and _holds(pred, bound, ts, letters)
     for c in cond.bottoms:
         verdict = _check_acceptance(spec, ts, cond, c, accepts, unmet, notes)
         if verdict is not None:

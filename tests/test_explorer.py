@@ -529,6 +529,14 @@ def test_induced_specification_drops_stutter_edges():
     for s, t in induced.edges:
         assert s != t
     assert all(n in induced.nodes for e in induced.edges for n in e)
+    # exactly the images of the program states and of the program edges
+    # whose ends map apart
+    bound = cm.mapping.bind(cm.program)
+    ts = explorer.build_transition_system(cm.program)
+    moved = {(bound(ts.state(i)), bound(ts.state(t)))
+             for i in range(ts.size) for _, _, t in ts.edges(i)}
+    assert induced.edges == {(s, t) for s, t in moved if s != t}
+    assert induced.nodes == {bound(s) for s in ts.states}
     # identity mapping induces exactly the non-loop program edges
     abp = protocols.make_abp()
     ind2 = explorer.induced_specification(abp.program, abp.mapping)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import helpers
 from helpers import map_state
 from stabiliq import explorer, protocols
+from stabiliq.dsl import parse_protocol
 from stabiliq.kernel import (BOOL, Domain, ModelError, Signature,
                              UniverseCapError)
 from stabiliq.mapping import (BoundMapping, ChainAutomaton, ChainPredicate,
@@ -49,7 +50,30 @@ def _highest_id_outputs(values, pids=(2, 1, 3, 4)):
         for q in (p - 1, p + 1))).lower() for p in range(len(on))}
 
 
+# A conflict manager whose processes hold a tri-valued variable before the
+# access bit, with ids out of order: the highest-id table reads access from
+# inside a window of six slots, not one
+CM_TRI = """
+protocol cmt(N) {
+  domain tri = { lo, mid, hi };
+  ids = [2, 1, 3, 4];
+  process p in 1..N {
+    var t: tri;
+    var access: bool;
+    flip: true -> self.access := !self.access;
+    turn: self.t = lo -> self.t := mid;
+  }
+}
+"""
+
+
+def _cm_tri():
+    return parse_protocol(CM_TRI, n=4).unwrap()
+
+
 IDS_CASES = {
+    "highest-cm-tri": (_cm_tri, HighestIdMapping(),
+                       lambda v: _highest_id_outputs(v[1::2])),
     "enabled-la5": (lambda: protocols.make_alternator(5).program,
                     EnabledOutputMapping(), _enabled_outputs),
     "highest-cm2134": (lambda: protocols.make_cm((2, 1, 3, 4)).program,
@@ -89,6 +113,7 @@ SLOT_BITS_CASES = {
     "abp": (lambda: protocols.make_abp().program, IdenticalMapping()),
     "projection-abp": (lambda: protocols.make_abp().program,
                        ProjectionMapping(("ns", "chqp"))),
+    "cm-tri": (_cm_tri, HighestIdMapping()),
 }
 
 

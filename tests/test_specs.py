@@ -661,8 +661,8 @@ def test_local_edge_forms_agree_with_the_per_pair_grouping():
 
 def test_composed_predicates_agree_with_the_mapped_states():
     # allowed_state and the acceptance predicate as program bitsets, from
-    # the automaton run over the image letters (or the predicate's own
-    # bitset under the identity), against the predicate on each image
+    # the automaton run over the image letters, against the predicate on
+    # each image
     for program, mapping in _local_form_cases():
         ts = explorer.build_transition_system(program)
         bound = mapping.bind(program)
@@ -670,12 +670,12 @@ def test_composed_predicates_agree_with_the_mapped_states():
         preds = [specs._no_adjacent_true, every_state, lambda s: s.index % 3]
         if program.name == "pif":
             preds += [pif_wave, pif_prime]
-        if program.name == "abp" and bound.identity:
+        if program.name == "abp" and isinstance(mapping, IdenticalMapping):
             preds.append(abp_legitimate)
         for pred in preds:
             want = helpers.bits(i for i, s in enumerate(ts.states)
                                 if pred(bound(s)))
-            assert specs._image_holds(pred, bound, letters, ts) == want
+            assert specs._holds(pred, bound, ts, letters) == want
 
 
 def test_many_obligations_agree_with_the_component_oracle():

@@ -107,7 +107,7 @@ def _resolve_predicate(bundle, name: Optional[str]):
     """The named predicate, or the protocol's default invariant when the
     name is empty; a protocol from a file has only "true"."""
     if bundle is None:
-        table, default = {"true": lambda s: True}, "true"
+        table, default = {"true": specs.every_state}, "true"
     else:
         table, default = bundle.invariants, bundle.default_invariant
     name = name or default
@@ -322,8 +322,7 @@ def cmd_export_dot(args) -> int:
     else:
         text = explorer.to_dot(ts, color_pred=color_pred, name=program.name)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        _write(args.output, text)
         print("wrote %s  (%d states, %d edges)"
               % (args.output, ts.size, ts.edge_count()))
     else:
@@ -334,10 +333,16 @@ def cmd_export_dot(args) -> int:
 # --------------------------------------------------------------------------
 # Plumbing.
 
+def _write(path: str, text: str):
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(str(exc))
+
+
 def _write_json(path: str, report: dict):
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+    _write(path, json.dumps(report, indent=2) + "\n")
     print("json report: %s" % path)
 
 

@@ -8,8 +8,7 @@ delta d, the states with an edge to their id plus d. This module provides
 images (`post`, `pre`), SCC condensation (bottom components are the
 finite-state stand-in for eventual behavior), cycle questions restricted to
 arbitrary node and edge sets, reproducible simulation runs, and the mapping
-of computations and whole systems to specification sequences and graphs
-with stuttering eliminated.
+of computations to specification sequences with stuttering eliminated.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import kernel
-from .kernel import ModelError, Program, Signature, State
+from .kernel import ModelError, Program, State
 
 POLICIES = ("uniform-random", "round-robin")
 
@@ -227,12 +226,6 @@ def _peel(alive: int, rel: dict) -> int:
     return alive
 
 
-def has_cycle(nodes: int, rel: dict) -> bool:
-    """Whether the subgraph on the nodes and the relation has a cycle (a
-    self-loop counts): iff its trim is nonempty."""
-    return bool(trim(nodes, rel))
-
-
 def group_edges(ts: TransitionSystem, nodes: int, key: Callable,
                 ids=None) -> dict:
     """The edges with both ends in the nodes, grouped by (delta,
@@ -368,49 +361,24 @@ class Cycle:
 
 def find_cycle(ts: TransitionSystem, nodes: int,
                rel: Optional[dict] = None) -> Optional[Cycle]:
-    """First cycle in the subgraph on the node bitset and the relation
-    (every edge when None), or None. has_cycle decides before first_cycle
-    searches."""
+    """A cycle in the subgraph on the node bitset and the relation (every
+    edge when None), or None when its trim is empty. From the trim's least
+    node, a walk takes each node's first edge, in `edges` order, that stays
+    in the trim and in the relation (every trimmed node has one) until a
+    node repeats; the loop of that lasso is the cycle."""
     rel = ts.sources if rel is None else rel
-    return first_cycle(ts, nodes, rel) if has_cycle(nodes, rel) else None
-
-
-def first_cycle(ts: TransitionSystem, nodes: int,
-                rel: dict) -> Optional[Cycle]:
-    """The cycle a depth-first search meets first in the subgraph on the
-    node bitset and the relation: starts in id order, edges in `edges`
-    order, self-loops as cycles of length one. None, after visiting every
-    node, when there is no cycle: find_cycle asks has_cycle first."""
-    inside = flags(nodes, ts.size)
-    kept = {d: flags(rel.get(d, 0), ts.size) for d in ts.sources}
-
-    def out_edges(v):
-        for pos, name, t in ts.edges(v):
-            if inside[t] and kept[t - v][v]:
-                yield pos, name, t
-
-    done, at, in_label = set(), {}, {}  # at: a node on the path -> frame
-    for start in members(nodes):
-        if start in done:
-            continue
-        # Each frame holds a generator over its node's remaining edges.
-        path, at[start] = [(start, out_edges(start))], 0
-        while path:
-            v, out = path[-1]
-            for pos, name, w in out:
-                if w in at:
-                    ids = [u for u, _ in path[at[w]:]]
-                    labels = [in_label[u] for u in ids[1:]] + [(pos, name)]
-                    return Cycle(tuple(map(ts.state, ids)), tuple(labels))
-                if w not in done:
-                    at[w], in_label[w] = len(path), (pos, name)
-                    path.append((w, out_edges(w)))
-                    break
-            else:
-                done.add(v)
-                del at[v]
-                path.pop()
-    return None
+    core = trim(nodes, rel)
+    if not core:
+        return None
+    v, at, path = least(core), {}, []
+    while v not in at:
+        at[v] = len(path)
+        pos, name, t = next(e for e in ts.edges(v) if core >> e[2] & 1
+                            and rel.get(e[2] - v, 0) >> v & 1)
+        path.append((v, (pos, name)))
+        v = t
+    ids, labels = zip(*path[at[v]:])
+    return Cycle(tuple(map(ts.state, ids)), labels)
 
 
 # --------------------------------------------------------------------------
@@ -514,31 +482,6 @@ def image(comp: Computation, mapping) -> SpecSequence:
         tail = mapped[comp.lasso_start:]
         divergent = all(m == tail[0] for m in tail)
     return SpecSequence(tuple(seq), divergent)
-
-
-@dataclass(frozen=True)
-class InducedSpecification:
-    """The image of a whole transition system: every specification state
-    with a preimage, and every non-stutter image of a program edge. The
-    program ideally stabilizes, by construction, to the specification this
-    graph denotes."""
-
-    signature: Signature
-    nodes: frozenset
-    edges: frozenset
-
-
-def induced_specification(program: Program, mapping,
-                          cap: Optional[int] = None) -> InducedSpecification:
-    ts = build_transition_system(program, cap)
-    bound = mapping.bind(program)
-    ids = bound.ids(ts)
-    pairs = {(ids[v], ids[v + d]) for d, tails in ts.sources.items()
-             for v in members(tails)}
-    image = {m: bound.signature.state_at(m) for m in set(ids)}
-    edges = frozenset((image[m], image[n]) for m, n in pairs if m != n)
-    return InducedSpecification(bound.signature, frozenset(image.values()),
-                                edges)
 
 
 # --------------------------------------------------------------------------

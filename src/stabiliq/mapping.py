@@ -12,8 +12,9 @@ state, the assembled state must itself have a program preimage. One
 assembly step yields the merge closure of a state set: a state is admitted
 only when each of its windows already occurs, so admitting it adds no window
 and a second step admits nothing new. The closure is thus the set of states
-whose every window occurs in the input, and it is assembled window by window
-along the chain, never by scanning the universe. A specification whose
+whose every window occurs in the input: the language of a window automaton
+(regular model checking, Bouajjani, Jonsson, Nilsson and Touili, CAV 2000),
+listed along the chain, never by scanning the universe. A specification whose
 closure of allowed states reaches a disallowed state admits no ideally
 stabilizing program at all. An allowed set given as a ChainAutomaton is
 decided by counting over its windows, and no state is listed at all.
@@ -28,10 +29,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import explorer, kernel
-from .explorer import members
 from .kernel import BOOL, Domain, ModelError, Program, Signature, State
 
 
@@ -211,74 +211,6 @@ class EnabledOutputMapping(StateMapping):
 # member of the set agrees with the candidate on that whole window; the
 # candidate is then the consistent assembly of those members.
 
-def _window_sets(sig: Signature, states) -> dict:
-    """Per position, the set of extended windows the states show."""
-    return {p: {tuple(s.values[i] for i in sig.window_slots(p))
-                for s in states}
-            for p in sig.positions}
-
-
-def _assemble(sig: Signature, win_sets: dict):
-    """Yield the value tuples of the states of sig whose extended window at
-    every position lies in win_sets[position].
-
-    Such a state is a chain of windows, one per position in order, in which
-    each window agrees with the next on the slots they share. The windows
-    holding any one slot are consecutive in that chain, so agreement between
-    neighbors is agreement everywhere. A right-to-left pass keeps only the
-    windows from which the chain can be finished, so the left-to-right walk
-    never backtracks: O(N·|windows|) to prune plus O(N) per state yielded,
-    and the universe is never scanned. The same pass counts the chains, so
-    a closure above kernel.state_cap() raises UniverseCapError before
-    anything is yielded.
-    """
-    positions = sig.positions
-    slots = [sig.window_slots(p) for p in positions]
-    # links[j]: where the slots shared by windows j and j+1 sit in each
-    links = []
-    for left, right in zip(slots, slots[1:]):
-        shared = [i for i in left if i in right]
-        links.append((tuple(left.index(i) for i in shared),
-                      tuple(right.index(i) for i in shared)))
-    # successors[j]: the finishable windows of position j+1, grouped by
-    # their values on the slots shared with position j; completions maps
-    # each finishable window of the current position to the number of
-    # chains that finish from it
-    successors = [None] * len(links)
-    completions = dict.fromkeys(win_sets[positions[-1]], 1)
-    for j in range(len(links) - 1, -1, -1):
-        left_at, right_at = links[j]
-        successors[j] = groups = {}
-        counts = {}
-        for w in sorted(completions):
-            key = tuple(w[k] for k in right_at)
-            groups.setdefault(key, []).append(w)
-            counts[key] = counts.get(key, 0) + completions[w]
-        completions = {}
-        for w in win_sets[positions[j]]:
-            key = tuple(w[k] for k in left_at)
-            if key in counts:
-                completions[w] = counts[key]
-    kernel.check_cap(sum(completions.values()), "merge closure")
-    alive = sorted(completions)
-    values = [0] * len(sig.slots)
-    last = len(positions) - 1
-    stack = [iter(alive)]
-    while stack:
-        j = len(stack) - 1
-        w = next(stack[j], None)
-        if w is None:
-            stack.pop()
-            continue
-        for i, v in zip(slots[j], w):
-            values[i] = v
-        if j == last:
-            yield tuple(values)
-        else:
-            stack.append(iter(
-                successors[j][tuple(w[k] for k in links[j][0])]))
-
-
 def _resolve_signature(states, signature):
     states = list(states)
     if signature is None:
@@ -299,11 +231,36 @@ def merge_closure(states, signature: Optional[Signature] = None) -> frozenset:
     every one of its windows already occurs in the input, so admitting it
     adds no window, and a second step could admit only what the first did.
     The closure is exactly the set of states whose every extended window
-    occurs in the input, the input among them.
+    occurs in the input, the input among them: the language of a window
+    automaton, listed under the state cap. Its state is the last two
+    (position, letter) pairs; each letter checks the window of the
+    position before, and the last letter its own position's too. Slots not
+    grouped by position are put into chain order and then put back.
     """
     states, sig = _resolve_signature(states, signature)
-    return frozenset(State(sig, values)
-                     for values in _assemble(sig, _window_sets(sig, states)))
+    order = sorted(range(len(sig.slots)), key=lambda i: sig.slots[i][0])
+    chain = Signature(sig.slots[i] for i in order)
+    seen = {(p, tuple(s.values[order[i]] for i in chain.window_slots(p)))
+            for s in states for p in chain.positions}
+    last = chain.positions[-1]
+
+    def occurs(p, near) -> bool:
+        """Whether p's window, read off the (position, letter) pairs near
+        it, occurs in the input."""
+        return (p, sum((a for at, a in near if abs(at - p) <= 1), ())) in seen
+
+    def step(q, p, a):
+        near = q + ((p, a),)
+        if len(near) > 1 and not occurs(near[-2][0], near) \
+                or p == last and not occurs(p, near):
+            return None
+        return True if p == last else near[-2:]
+
+    back = sorted(range(len(order)), key=order.__getitem__)
+    words = _language(ChainAutomaton(chain, (), step, (True,)),
+                      "merge closure")
+    return frozenset(State(sig, tuple(map(w.__getitem__, back)))
+                     for w in words)
 
 
 def merge_closure_generations(states, signature=None) -> dict:
@@ -358,25 +315,26 @@ class PossibilityResult:
 
 class ChainAutomaton:
     """A deterministic automaton that reads a specification state along the
-    chain, one letter per position: the position's value tuple, in slot
-    order. step(q, position, letter) is the next automaton state, or None
-    (dead); the automaton accepts the states whose run from `initial` ends
-    in `accepting`. Slots must be grouped by position, over consecutive
-    positions in order, so canonical order is the order of letter words."""
+    chain, one letter per position that has slots: the position's value
+    tuple, in slot order. step(q, position, letter) is the next automaton
+    state, or None (dead); the automaton accepts the states whose run from
+    `initial` ends in `accepting`. Slots must be grouped by position, in
+    position order, so canonical order is the order of letter words; a
+    position with no slot, a gap, is not read."""
 
     __slots__ = ("signature", "initial", "step", "accepting", "_cuts")
 
     def __init__(self, signature: Signature, initial, step: Callable,
                  accepting):
-        order, ps = [p for p, _, _ in signature.slots], signature.positions
-        if order != sorted(order) or ps[-1] - ps[0] != len(ps) - 1:
+        order = [p for p, _, _ in signature.slots]
+        if order != sorted(order):
             raise ModelError("a chain automaton needs its slots grouped by "
-                             "position, over consecutive positions in order")
+                             "position, in position order")
         self.signature, self.initial, self.step = signature, initial, step
         self.accepting = frozenset(accepting)
         # per position, where its letter starts and ends in a value tuple
         self._cuts = [(p, bisect_left(order, p), bisect_right(order, p))
-                      for p in ps]
+                      for p in signature.positions]
 
     def bits(self, letters: Optional[list] = None) -> int:
         """The bitset of the accepted state ids, listing no state: from the
@@ -453,10 +411,36 @@ def _runs(aut: ChainAutomaton) -> tuple:
     return alphabet, delta, reach, live[::-1]
 
 
+def _language(aut: ChainAutomaton, counted: str) -> Iterator[tuple]:
+    """The value tuples of the states the automaton accepts, in canonical
+    order. A path count over `_runs`' live sets applies the state cap
+    first; the lexicographic walk then enters live automaton states only,
+    so it never backtracks: O(N) per state listed."""
+    alphabet, delta, _, live = _runs(aut)
+    paths = dict.fromkeys(live[-1], 1)
+    for moves, alive in zip(delta[::-1], live[-2::-1]):
+        paths = {q: sum(paths.get(t, 0) for t in moves[q]) for q in alive}
+    kernel.check_cap(paths.get(aut.initial, 0), counted)
+    word, stack = [()] * len(alphabet), [zip(alphabet[0],
+                                              delta[0][aut.initial])]
+    while stack:
+        j = len(stack)  # the top iterator chooses letter j - 1
+        for letter, t in stack[-1]:
+            if t in live[j]:
+                word[j - 1] = letter
+                if j == len(alphabet):
+                    yield sum(word, ())
+                else:
+                    stack.append(zip(alphabet[j], delta[j][t]))
+                break
+        else:
+            stack.pop()
+
+
 def accepted_states(aut: ChainAutomaton) -> frozenset:
     """The automaton's language, listed only within kernel.state_cap()."""
-    kernel.check_cap(_automaton_possibility(aut).allowed_size, "allowed set")
-    return frozenset(map(aut.signature.state_at, members(aut.bits())))
+    return frozenset(State(aut.signature, values)
+                     for values in _language(aut, "allowed set"))
 
 
 def _automaton_possibility(aut: ChainAutomaton) -> PossibilityResult:
@@ -526,6 +510,11 @@ def check_ideal_possibility(allowed, disallowed=None,
         if disallowed is not None:
             raise ModelError("an automaton's disallowed states are the rest "
                              "of its universe; pass no disallowed set")
+        ps = allowed.signature.positions
+        if ps[-1] - ps[0] != len(ps) - 1:
+            raise ModelError("an automaton over a signature with a position "
+                             "gap reads letter windows that are not "
+                             "position windows; pass its states")
         return _automaton_possibility(allowed)
     allowed = frozenset(allowed)
     if disallowed is None:

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from . import explorer
 from .kernel import Program, Signature, State, check_cap
 from .mapping import (BoundMapping, ChainAutomaton, ChainPredicate,
-                      StateMapping)
+                      StateMapping, _same)
 
 DIVERGENCE_ALLOWED = "divergence-allowed"
 DIVERGENCE_FORBIDDEN = "divergence-forbidden"
@@ -214,12 +214,15 @@ def _holds(pred: Callable[[State], bool], bound: BoundMapping,
     ChainPredicate's from its automaton, run over the image letters when
     given; any other callable's by running it on every specification state,
     the one place a predicate is run state by state, its flags read through
-    every image id. A program-side predicate (an invariant) is read through
-    the program's own binding, BoundMapping(program.signature)."""
+    every image id unless the binding is the identity. A program-side
+    predicate (an invariant) is read through the program's own binding,
+    BoundMapping(program.signature)."""
     if isinstance(pred, ChainPredicate):
         return pred.bits(bound.signature, letters)
-    sig = bound.signature
-    ok = explorer.flags(explorer.bitset(map(pred, sig.states())), sig.size)
+    bits = explorer.bitset(map(pred, bound.signature.states()))
+    if bound.id_of is _same:
+        return bits
+    ok = explorer.flags(bits, bound.signature.size)
     return explorer.bitset(map(ok.__getitem__, bound.ids(ts)))
 
 
@@ -662,25 +665,7 @@ def _le_step(q, position, letter):
     return 1 if q == 0 and contend else None
 
 
-#: At most one leader, and only a contending one: the allowed states of
-#: le_spec, and the automaton the leader-election fixture is decided by.
+#: At most one leader, and only a contending one: the automaton the
+#: leader-election fixture is decided by.
 le_allowed = ChainPredicate(
     lambda sig: ChainAutomaton(sig, 0, _le_step, (0, 1)))
-
-
-def le_spec(n: int) -> Specification:
-    """Leader election as finite sequences: inputs never change, at most one
-    contending process holds leader, and every sequence terminates with a
-    leader elected."""
-    def allowed_edge(s: State, t: State) -> bool:
-        return all(s.value(p, "contend") == t.value(p, "contend")
-                   for p in s.sig.positions)
-
-    return Specification(
-        name="LE",
-        allowed_state=le_allowed,
-        allowed_edge=allowed_edge,
-        acceptance=FiniteTerminal(lambda s: [
-            s.value(p, "leader") for p in s.sig.positions].count("true") == 1),
-        stutter_policy=DIVERGENCE_FORBIDDEN,
-    )

@@ -228,7 +228,7 @@ def test_le_cli_lists_no_state(capsys, monkeypatch, tmp_path):
         raise AssertionError("a state set was listed")
 
     monkeypatch.setattr(Signature, "states", refuse)
-    monkeypatch.setattr(mapping, "_assemble", refuse)
+    monkeypatch.setattr(mapping, "_language", refuse)
     monkeypatch.setattr(protocols.LeFixture, "allowed", property(refuse))
     path = tmp_path / "le9.json"
     code, _, _ = run(capsys, "impossibility", "--protocol", "le", "--n", "9",
@@ -351,6 +351,17 @@ def test_export_dot_condensed(capsys, tmp_path):
                        "--condensed", "-o", str(path))
     assert code == 0
     assert path.read_text().count("peripheries=2") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--check", "ideal", "--protocol", "la", "--n", "3", "--json"),
+    ("impossibility", "--protocol", "le", "--n", "4", "--json"),
+    ("export-dot", "--protocol", "cm", "--ids", "1,2", "-o")])
+def test_an_unwritable_output_path_exits_2(capsys, tmp_path, argv):
+    path = str(tmp_path / "missing" / "out")
+    code, _, err = run(capsys, *argv, path)
+    assert code == 2
+    assert err == "error: [Errno 2] No such file or directory: %r\n" % path
 
 
 def test_usage_errors_exit_2(capsys):
@@ -494,38 +505,32 @@ def test_obligation_cycle_output_is_pinned(capsys):
 
 def test_each_cycle_question_is_decided_once(capsys, monkeypatch):
     # no grouping: UDP's allowed edges and its obligation are local forms,
-    # read off the image bitsets; the witness search runs on a question
-    # the check has already decided, without deciding it again
-    groupings, decided, searched = [], [], []
-    group_edges, has_cycle = explorer.group_edges, explorer.has_cycle
-    first_cycle = explorer.first_cycle
+    # read off the image bitsets; each cycle question trims its nodes once
+    # and reads its witness off that trim, searching nothing again
+    groupings, trims, asked = [], [], []
+    group_edges, trim = explorer.group_edges, explorer.trim
+    find_cycle = explorer.find_cycle
 
-    def question(nodes, rel):
-        return nodes, tuple(sorted(rel.items()))
-
-    def deciding(nodes, rel):
-        decided.append((question(nodes, rel), has_cycle(nodes, rel)))
-        return decided[-1][1]
-
-    def searching(ts, nodes, rel):
-        searched.append(question(nodes, rel))
-        return first_cycle(ts, nodes, rel)
+    def asking(ts, nodes, rel=None):
+        before = len(trims)
+        cycle = find_cycle(ts, nodes, rel)
+        asked.append((nodes, trims[before:], cycle is not None))
+        return cycle
 
     monkeypatch.setattr(explorer, "group_edges", lambda *args: (
         groupings.append(1), group_edges(*args))[1])
-    monkeypatch.setattr(explorer, "has_cycle", deciding)
-    monkeypatch.setattr(explorer, "first_cycle", searching)
+    monkeypatch.setattr(explorer, "trim", lambda nodes, rel: (
+        trims.append(nodes), trim(nodes, rel))[1])
+    monkeypatch.setattr(explorer, "find_cycle", asking)
     code, out, _ = run(capsys, "verify", "--check", "ideal",
                        "--protocol", "cm", "--ids", "2,1,3,4")
     assert code == 0 and "not discharged on cycle" in out
     assert groupings == []
-    # three questions, each decided once: a cycle avoiding the invariant
+    # three questions, each trimmed once: a cycle avoiding the invariant
     # (none: every state is inside), a cycle that misses the obligation,
-    # and a stutter cycle; the last two have one, and each of those is
-    # searched once, after its decision
-    assert [q[0] for q, _ in decided] == [0, 0xFFFF, 0xFFFF]
-    assert searched == [q for q, cyclic in decided if cyclic]
-    assert len(searched) == 2
+    # and a stutter cycle; the last two have one
+    assert asked == [(0, [0], False), (0xFFFF, [0xFFFF], True),
+                     (0xFFFF, [0xFFFF], True)]
 
 
 def test_the_alternator_at_14_maps_no_state(capsys, monkeypatch):

@@ -196,6 +196,40 @@ def test_find_cycle_replayable_and_filtered():
         explorer.group_edges(ts, ts.full, lambda s, t: False))) is None
 
 
+@pytest.mark.parametrize("make", [
+    protocols.make_abp, lambda: protocols.make_pif(4),
+    lambda: protocols.make_cm((2, 1, 3)), lambda: protocols.make_alternator(4)])
+def test_find_cycle_witnesses_replay_on_random_subgraphs(make):
+    # random node sets and edge selections of a real transition system: a
+    # witness exactly when the oracle trim is not empty, inside the nodes,
+    # along edges of the relation, and replayable through the kernel
+    program = make().program
+    ts = explorer.build_transition_system(program)
+    succ = [[t for _, _, t in ts.edges(v)] for v in range(ts.size)]
+    rng = random.Random(ts.size)
+    for _ in range(60):
+        nodes = rng.sample(range(ts.size), rng.randint(0, ts.size))
+        keys = {(v, t): rng.randrange(3) for v, out in enumerate(succ)
+                for t in out}
+        chosen = set(rng.sample(range(3), rng.randint(1, 3)))
+        groups = explorer.group_edges(ts, helpers.bits(nodes),
+                                      lambda s, t: keys[s, t])
+        for rel, kept in ((None, lambda v, i: True),
+                          (explorer.select(groups, chosen.__contains__),
+                           lambda v, i: keys[v, succ[v][i]] in chosen)):
+            cycle = explorer.find_cycle(ts, helpers.bits(nodes), rel)
+            assert (cycle is None) == (not oracle_trim(succ, nodes, kept))
+            if cycle is None:
+                continue
+            k = len(cycle.states)
+            for i, (pos, name) in enumerate(cycle.labels):
+                s, t = cycle.states[i], cycle.states[(i + 1) % k]
+                assert s.index in nodes
+                assert kernel.apply(program, s, pos, name) == t
+                assert (rel or ts.sources).get(t.index - s.index, 0) \
+                    >> s.index & 1
+
+
 def oracle_trim(succ, nodes, kept_edge) -> set:
     """The nodes that a cycle reaches and that reach a cycle, among the
     nodes over the edges (v, i) with kept_edge(v, i), i indexing succ[v];
@@ -244,6 +278,21 @@ class Graph:
     def edges(self, v):
         return [(v, "e%d" % i, t) for i, t in enumerate(self.succ[v])]
 
+    def state(self, v):
+        return v
+
+
+def assert_cycle_of(succ, nodes, rel, cycle):
+    """The witness is a cycle of the subgraph: distinct states in the
+    nodes, and each label (v, "e<i>") names edge i of v, whose target is
+    the next state and whose delta the relation keeps for v."""
+    k = len(cycle.states)
+    assert k == len(cycle.labels) == len(set(cycle.states)) >= 1
+    for i, (v, (pos, name)) in enumerate(zip(cycle.states, cycle.labels)):
+        t = cycle.states[(i + 1) % k]
+        assert v in nodes and pos == v and succ[v][int(name[1:])] == t
+        assert rel.get(t - v, 0) >> v & 1
+
 
 @pytest.fixture
 def peels(monkeypatch):
@@ -259,7 +308,7 @@ def test_peel_agrees_with_the_component_oracle(peels):
     # 0 -> ... -> 6 outlasts ceil(sqrt(9)) rounds, 7 <-> 8 is a cycle, and
     # 9..11 lie outside the set with in-edges only from a survivor
     succ = [[1], [2], [3], [4, 9, 10, 11], [5], [6], [7], [8], [7], [], [], []]
-    assert explorer.has_cycle(helpers.bits(range(9)), relation(succ))
+    assert explorer.trim(helpers.bits(range(9)), relation(succ))
     assert peels
     rng = random.Random(6)
     for _ in range(400):
@@ -279,8 +328,12 @@ def test_peel_agrees_with_the_component_oracle(peels):
             rel = relation(succ, kept)
             assert explorer.trim(helpers.bits(nodes), rel) == \
                 helpers.bits(trimmed)
-            assert explorer.has_cycle(helpers.bits(nodes), rel) == \
-                bool(trimmed)
+            # a witness exactly when the trim is not empty, and a cycle of
+            # the subgraph
+            cycle = explorer.find_cycle(Graph(succ), helpers.bits(nodes), rel)
+            assert (cycle is None) == (not trimmed)
+            if cycle is not None:
+                assert_cycle_of(succ, nodes, rel, cycle)
         # one grouping answers every selection of keys; a key belongs to a
         # (source, target) pair, so parallel edges share it
         keys = {(v, t): rng.randrange(4)
@@ -290,8 +343,12 @@ def test_peel_agrees_with_the_component_oracle(peels):
         for chosen in ({0}, {1, 2}, {0, 1, 2, 3}, set()):
             cyclic = bool(oracle_trim(succ, nodes, lambda v, i:
                                       keys[v, succ[v][i]] in chosen))
-            assert explorer.has_cycle(helpers.bits(nodes), explorer.select(
-                groups, chosen.__contains__)) == cyclic
+            rel = explorer.select(groups, chosen.__contains__)
+            assert bool(explorer.trim(helpers.bits(nodes), rel)) == cyclic
+            cycle = explorer.find_cycle(Graph(succ), helpers.bits(nodes), rel)
+            assert (cycle is None) == (not cyclic)
+            if cycle is not None:
+                assert_cycle_of(succ, nodes, rel, cycle)
     assert peels  # the linear finisher ran on some survivors
 
 
@@ -331,6 +388,7 @@ def test_condensation_agrees_with_the_oracle_on_random_graphs():
     # many disjoint 2-cycles, alone and linked one way into a chain
     pairs = [[v ^ 1] for v in range(1000)]
     assert_condensation_matches_the_oracle(pairs)
+    assert explorer.find_cycle(Graph(pairs), (1 << 1000) - 1).states == (0, 1)
     assert_condensation_matches_the_oracle(
         [out + [v + 1] if v % 2 and v + 1 < 1000 else out
          for v, out in enumerate(pairs)])
@@ -344,13 +402,17 @@ def test_long_path_outlasts_the_round_budget(peels, back_edge):
     rel = {1: (1 << n - 1) - 1}
     if back_edge:
         rel[n // 2 - (n - 1)] = 1 << n - 1
-    assert explorer.has_cycle((1 << n) - 1, rel) == back_edge
+    assert bool(explorer.trim((1 << n) - 1, rel)) == back_edge
     assert peels == [1]
-    assert explorer.has_cycle(helpers.bits(range(n // 2, n)),
-                              rel) == back_edge
+    assert bool(explorer.trim(helpers.bits(range(n // 2, n)),
+                              rel)) == back_edge
+    # the witness walks the whole closed half, one edge per node
+    succ = [[v + 1] for v in range(n - 1)] + [[n // 2] if back_edge else []]
+    cycle = explorer.find_cycle(Graph(succ), (1 << n) - 1)
+    assert (cycle and cycle.states) == (tuple(range(n // 2, n)) if back_edge
+                                        else None)
     # n trivial components on the path, the last a terminal bottom; the
     # closed path's second half is one component, its only bottom
-    succ = [[v + 1] for v in range(n - 1)] + [[n // 2] if back_edge else []]
     cond = explorer.condense(Graph(succ))
     assert len(cond.components) == (n // 2 + 1 if back_edge else n)
     assert cond.bottoms == (0,)
@@ -520,31 +582,6 @@ def test_image_of_a_moving_run_is_not_divergent():
     seq = explorer.image(comp, pif.mapping)
     assert len(seq.states) == 11
     assert not seq.stutter_divergent
-
-
-def test_induced_specification_drops_stutter_edges():
-    cm = protocols.make_cm((2, 1, 3, 4))
-    induced = explorer.induced_specification(cm.program, cm.mapping)
-    # the image universe: conflict-free patterns reachable as images
-    for s, t in induced.edges:
-        assert s != t
-    assert all(n in induced.nodes for e in induced.edges for n in e)
-    # exactly the images of the program states and of the program edges
-    # whose ends map apart
-    bound = cm.mapping.bind(cm.program)
-    ts = explorer.build_transition_system(cm.program)
-    moved = {(bound(ts.state(i)), bound(ts.state(t)))
-             for i in range(ts.size) for _, _, t in ts.edges(i)}
-    assert induced.edges == {(s, t) for s, t in moved if s != t}
-    assert induced.nodes == {bound(s) for s in ts.states}
-    # identity mapping induces exactly the non-loop program edges
-    abp = protocols.make_abp()
-    ind2 = explorer.induced_specification(abp.program, abp.mapping)
-    ts = explorer.build_transition_system(abp.program)
-    plain = {(ts.state(i), ts.state(t))
-             for i in range(ts.size) for _, _, t in ts.edges(i)
-             if i != t}
-    assert ind2.edges == frozenset(plain)
 
 
 def test_dot_output_shapes():

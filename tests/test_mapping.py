@@ -380,21 +380,24 @@ def test_le_automaton_agrees_with_the_explicit_closure(n):
 
 
 @st.composite
-def chain_automata(draw, width=1):
+def chain_automata(draw, width=1, gaps=False):
     """A random deterministic automaton over 3-6 positions (3-4 when
-    width > 1), `width` slots of 2 or 3 values per position, 2-5 states,
-    dead moves included."""
+    width > 1), numbered 1..n or, with gaps, drawn from 1..9; `width`
+    slots of 2 or 3 values per position, 2-5 states, dead moves
+    included."""
     n = draw(st.integers(3, 6 if width == 1 else 4))
+    positions = sorted(draw(st.sets(st.integers(1, 9), min_size=n,
+                                    max_size=n))) if gaps else range(1, n + 1)
     sig = Signature((p, "v%d" % k, Domain("d", ("a", "b", "c")[:draw(
-        st.sampled_from((2, 3)))])) for p in range(1, n + 1)
+        st.sampled_from((2, 3)))])) for p in positions
         for k in range(width))
     states = draw(st.integers(2, 5))
     # a draw of `states` stands for a dead move
     moves = st.integers(0, states).map(lambda t: None if t == states else t)
-    table = {(q, p, letter): draw(moves) for p in sig.positions
-             for q in range(states)
+    table = {(q, p, letter): draw(moves)
+             for j, p in enumerate(sig.positions) for q in range(states)
              for letter in itertools.product(*map(
-                 range, sig.radices[(p - 1) * width:p * width]))}
+                 range, sig.radices[j * width:(j + 1) * width]))}
     accepting = frozenset(draw(st.sets(st.integers(0, states - 1),
                                        min_size=1)))
     return ChainAutomaton(sig, 0, lambda q, p, a: table[q, p, a], accepting)
@@ -411,13 +414,24 @@ def run_automaton(aut, state) -> bool:
     return q in aut.accepting
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.one_of(chain_automata(), chain_automata(width=2)))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(chain_automata(), chain_automata(width=2),
+                 chain_automata(gaps=True)))
 def test_automaton_bits_are_the_states_it_accepts(aut):
-    states = list(aut.signature.states())
+    # gapped signatures included: each present position is read, and the
+    # possibility check, whose letter windows would not be position
+    # windows, refuses them
+    sig = aut.signature
+    states = list(sig.states())
     expected = [run_automaton(aut, s) for s in states]
     assert aut.bits() == explorer.bitset(expected)
+    assert aut.bits(BoundMapping(sig).slot_bits(sig.size)) == aut.bits()
     assert [ChainPredicate(lambda sig: aut)(s) for s in states] == expected
+    assert accepted_states(aut) == frozenset(
+        itertools.compress(states, expected))
+    if sig.positions[-1] - sig.positions[0] >= len(sig.positions):
+        with pytest.raises(ModelError):
+            check_ideal_possibility(aut)
 
 
 def test_an_automaton_with_no_accepting_run_has_no_bits():
@@ -449,10 +463,14 @@ def test_automaton_path_agrees_with_the_listed_language(aut):
 def test_chain_automaton_needs_slots_in_chain_order():
     step = lambda q, p, a: q  # noqa: E731
     shuffled = Signature([(2, "x", BOOL), (1, "x", BOOL)])
-    gapped = Signature([(1, "x", BOOL), (3, "x", BOOL)])
-    for sig in (shuffled, gapped):
-        with pytest.raises(ModelError):
-            ChainAutomaton(sig, 0, step, frozenset([0]))
+    with pytest.raises(ModelError):
+        ChainAutomaton(shuffled, 0, step, frozenset([0]))
+    # a gap is read past, but the possibility check refuses it
+    gapped = ChainAutomaton(Signature([(1, "x", BOOL), (3, "x", BOOL)]), 0,
+                            step, frozenset([0]))
+    assert gapped.bits() == 0b1111
+    with pytest.raises(ModelError):
+        check_ideal_possibility(gapped)
     fx = protocols.make_le(4)
     with pytest.raises(ModelError):
         check_ideal_possibility(fx.automaton, fx.disallowed)

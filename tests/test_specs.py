@@ -13,7 +13,7 @@ from helpers import abp_classify, pif_classify
 from stabiliq import explorer, protocols, specs
 from stabiliq.dsl import parse_protocol
 from stabiliq.kernel import BOOL, Signature
-from stabiliq.mapping import (ChainPredicate, IdenticalMapping,
+from stabiliq.mapping import (BoundMapping, ChainPredicate, IdenticalMapping,
                               ProjectionMapping)
 from stabiliq.specs import (CycleWithin, DIVERGENCE_ALLOWED,
                             DIVERGENCE_FORBIDDEN,
@@ -22,7 +22,7 @@ from stabiliq.specs import (CycleWithin, DIVERGENCE_ALLOWED,
                             check_closed, check_convergence,
                             check_ideal_stabilizing, check_stabilizing,
                             every_state,
-                            fdp_spec, iabp_spec, ipif_spec, le_spec,
+                            fdp_spec, iabp_spec, ipif_spec,
                             _pif_rp_strict, _pif_rq_prime, pif_coverage,
                             pif_prime, pif_wave, sabp_spec, spif_spec,
                             udp_spec)
@@ -159,7 +159,6 @@ def test_every_built_in_predicate_is_a_chain_predicate():
                     isinstance(acceptance, ChainPredicate)
         for pred in bundle.invariants.values():
             assert isinstance(pred, ChainPredicate)
-    assert isinstance(le_spec(4).allowed_state, ChainPredicate)
 
 
 def test_the_wave_invariant_is_decided_without_listing_states(monkeypatch):
@@ -193,6 +192,30 @@ def test_the_wave_invariant_is_decided_without_listing_states(monkeypatch):
     assert _pinned(check_closed(program, plain, ts)) == _pinned(closed)
     assert _pinned(check_convergence(program, plain, ts)) == \
         _pinned(converges)
+
+
+def test_a_plain_predicate_builds_no_image_ids(monkeypatch):
+    # a program-side predicate is read through the identity binding, so a
+    # plain callable's flags are already the program states' bitset
+    def refuse(self, ts):
+        raise AssertionError("an image id was built per state")
+
+    monkeypatch.setattr(BoundMapping, "ids", refuse)
+    program = protocols.make_alternator(4).program
+    ts = explorer.build_transition_system(program)
+    for pred in (lambda s: True, lambda s: s.value(1, "x") == "false"):
+        inside = [pred(s) for s in ts.states]
+        leaving = next(((i, t) for i in range(ts.size)
+                        for _, _, t in ts.edges(i)
+                        if inside[i] and not inside[t]), None)
+        closed = check_closed(program, pred, ts)
+        assert closed.stats["predicate_states"] == sum(inside)
+        assert (closed.witness and (closed.witness["source"],
+                                    closed.witness["target"])) == (
+            leaving and tuple(ts.state(v).text() for v in leaving))
+        succ = [[t for _, _, t in ts.edges(i)] for i in range(ts.size)]
+        assert check_convergence(program, pred, ts).holds != \
+            helpers.exists_path_avoiding(succ, [not ok for ok in inside])
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -430,35 +453,6 @@ def test_stabilizing_rejects_an_open_invariant():
     assert not verdict.holds
     assert verdict.witness["kind"] == "edge"
     assert "invariant is not closed" in verdict.notes
-
-
-def test_leader_election_spec_shape():
-    spec = le_spec(3)
-    fx = protocols.make_le(4)
-    sig = fx.signature
-
-    def st(contend, leader):
-        values = {}
-        for p, c in enumerate(contend, start=1):
-            values[(p, "contend")] = "true" if c else "false"
-        for p, b in enumerate(leader, start=1):
-            values[(p, "leader")] = "true" if b else "false"
-        return sig.state(values)
-
-    one = st((True, False, False, True), (True, False, False, False))
-    two = st((True, False, False, True), (True, False, False, True))
-    rogue = st((False, False, False, False), (True, False, False, False))
-    assert spec.allowed_state(one)
-    assert not spec.allowed_state(two)
-    assert not spec.allowed_state(rogue)
-    assert spec.allowed_edge(one, st((True, False, False, True),
-                                     (False, False, False, False)))
-    assert not spec.allowed_edge(one, st((True, True, False, True),
-                                         (True, False, False, False)))
-    assert isinstance(spec.acceptance, FiniteTerminal)
-    assert spec.acceptance.pred(one)
-    assert not spec.acceptance.pred(st((True, False, False, True),
-                                       (False, False, False, False)))
 
 
 def test_verdicts_serialize_to_json():

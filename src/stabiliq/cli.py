@@ -73,6 +73,8 @@ def _load(args) -> tuple:
     """Resolve the protocol options to (program, bundle-or-None)."""
     if (args.protocol is None) == (args.file is None):
         raise UsageError("choose exactly one of --protocol and --file")
+    if args.ids is not None and args.protocol != "cm":
+        raise UsageError("--ids applies only to --protocol cm")
     if args.file is not None:
         try:
             with open(args.file) as handle:
@@ -311,6 +313,8 @@ def cmd_simulate(args) -> int:
 # export-dot.
 
 def cmd_export_dot(args) -> int:
+    if args.condensed and args.color is not None:
+        raise UsageError("--color does not apply to --condensed")
     program, bundle = _load(args)
     ts = explorer.build_transition_system(program, cap=args.cap)
     color_pred = None

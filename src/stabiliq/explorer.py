@@ -67,7 +67,7 @@ def least(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _shift(bits: int, d: int) -> int:
+def shift(bits: int, d: int) -> int:
     return bits << d if d >= 0 else bits >> -d
 
 
@@ -75,9 +75,12 @@ def periodic(codes: Iterable[int], low_weight: int, span: int,
              size: int) -> int:
     """The ids below size with id // low_weight % span among the codes: a
     block per code every span * low_weight ids, tiled by shift-or doubling."""
-    bits, width = 0, span * low_weight
-    for code in codes:
-        bits |= (1 << low_weight) - 1 << code * low_weight
+    width = span * low_weight
+    if low_weight == 1:  # a flag per code: linear even as wide as the universe
+        bits = bitset(map(set(codes).__contains__, range(span)))
+    else:
+        bits = reduce(or_, ((1 << low_weight) - 1 << code * low_weight
+                            for code in codes), 0)
     while width < size:
         bits |= bits << width
         width *= 2
@@ -89,7 +92,7 @@ def post(bits: int, rel: dict) -> int:
     bitset of the sources of its edges, each v to v + d."""
     out = 0
     for d, sources in rel.items():
-        out |= _shift(bits & sources, d)
+        out |= shift(bits & sources, d)
     return out
 
 
@@ -97,7 +100,7 @@ def pre(bits: int, rel: dict) -> int:
     """The nodes with an edge into the set."""
     out = 0
     for d, sources in rel.items():
-        out |= _shift(bits, -d) & sources
+        out |= shift(bits, -d) & sources
     return out
 
 
@@ -105,13 +108,13 @@ def within(nodes: int, rel: dict) -> dict:
     """The relation's edges with both ends in the set, empty deltas left
     out."""
     return {d: e for d, sources in rel.items()
-            if (e := nodes & sources & _shift(nodes, -d))}
+            if (e := nodes & sources & shift(nodes, -d))}
 
 
 def crossing(rel: dict, parts: list) -> dict:
     """Per delta, the relation's edges whose ends lie in different parts, a
     partition of the nodes: the ends differ on some part but the last."""
-    return {d: e & reduce(or_, (p ^ _shift(p, -d) for p in parts[:-1]), 0)
+    return {d: e & reduce(or_, (p ^ shift(p, -d) for p in parts[:-1]), 0)
             for d, e in rel.items()}
 
 
@@ -206,12 +209,12 @@ def _peel(alive: int, rel: dict) -> int:
     and remove, one by one, the nodes left with none; then the same over
     the reversed relation. The first pass keeps the nodes a cycle reaches,
     and the second those of them that reach a cycle."""
-    for rel in rel, {-d: _shift(sources, d) for d, sources in rel.items()}:
+    for rel in rel, {-d: shift(sources, d) for d, sources in rel.items()}:
         size = alive.bit_length()
         ins, rows = [0] * size, []
         for d, tails in within(alive, rel).items():
             rows.append((d, flags(tails, size)))
-            ins = list(map(add, ins, flags(_shift(tails, d), size)))
+            ins = list(map(add, ins, flags(shift(tails, d), size)))
         removed = bytearray(size)
         ready = [v for v in members(alive) if not ins[v]]
         while ready:
@@ -226,33 +229,18 @@ def _peel(alive: int, rel: dict) -> int:
     return alive
 
 
-def group_edges(ts: TransitionSystem, nodes: int, key: Callable,
-                ids=None) -> dict:
-    """The edges with both ends in the nodes, grouped by (delta,
-    key(ids[source], ids[target])), ids the identity when None; each group
-    is the bitset of its edges' sources. key sees no other edge, and sees
-    parallel edges (one source, one target) once."""
-    ids = range(ts.size) if ids is None else ids
-    groups = {}
+def edges_where(ts: TransitionSystem, nodes: int, keep: Callable) -> dict:
+    """The relation of the edges with both ends in the nodes whose (source
+    id, target id) passes keep. keep sees no other edge, and sees parallel
+    edges (one source, one target) once."""
+    rel = {}
     for d, inner in within(nodes, ts.sources).items():
         tails = members(inner)
-        by_key = defaultdict(list)
-        keys = map(key, map(ids.__getitem__, tails),
-                   map(ids.__getitem__, map(d.__add__, tails)))
-        deque(map(list.append, map(by_key.__getitem__, keys), tails), 0)
-        for k, group in by_key.items():
-            text = bytearray(group[-1] + 1)
-            deque(map(text.__setitem__, group, repeat(1)), 0)
-            groups[d, k] = _bits(text)
-    return groups
-
-
-def select(groups: dict, keep: Callable = bool) -> dict:
-    """The relation of the groups whose key passes keep."""
-    rel: dict = {}
-    for (d, k), bits in groups.items():
-        if keep(k):
-            rel[d] = rel.get(d, 0) | bits
+        text = bytearray(tails[-1] + 1)
+        kept = compress(tails, map(keep, tails, map(d.__add__, tails)))
+        deque(map(text.__setitem__, kept, repeat(1)), 0)
+        if bits := _bits(text):
+            rel[d] = bits
     return rel
 
 

@@ -47,26 +47,26 @@ class BoundMapping:
     """A mapping specialized to one program: a target signature and, per
     slot of it, a digit table (low_weight, span, values), by which the
     slot's value in the image of program state sid is
-    values[sid // low_weight % span]. id_of sends a program state id to its
-    image's id under `signature`; unless given, it is the fold of the
-    tables, or with no tables the identity (a program's own states).
-    Calling the binding on a program State decodes that image."""
+    values[sid // low_weight % span]. No tables means the identity on a
+    program's own states: every slot is copied. id_of sends a program state
+    id to its image's id under `signature`, the fold of the tables. Calling
+    the binding on a program State decodes that image."""
 
     __slots__ = ("signature", "id_of", "digits")
 
-    def __init__(self, signature: Signature,
-                 id_of: Optional[Callable[[int], int]] = None,
-                 digits: Optional[list] = None):
-        self.signature, self.digits = signature, digits
-        tables = [d + (r,) for d, r in zip(digits or (), signature.radices)]
+    def __init__(self, signature: Signature, digits: Optional[list] = None):
+        self.signature, self.id_of = signature, _same
+        self.digits = digits or _copies(signature, range(len(signature.slots)))
+        if digits is not None:
+            tables = [d + (r,) for d, r in zip(digits, signature.radices)]
 
-        def fold(sid: int) -> int:
-            out = 0
-            for low_weight, span, values, radix in tables:
-                out = out * radix + values[sid // low_weight % span]
-            return out
+            def fold(sid: int) -> int:
+                out = 0
+                for low_weight, span, values, radix in tables:
+                    out = out * radix + values[sid // low_weight % span]
+                return out
 
-        self.id_of = id_of or (_same if digits is None else fold)
+            self.id_of = fold
 
     def __call__(self, state: State) -> State:
         return self.signature.state_at(self.id_of(state.index))
@@ -78,19 +78,11 @@ class BoundMapping:
     def slot_bits(self, size: int) -> list[list[int]]:
         """Per specification slot i and value a, the bitset of the program
         states below size whose image has value a at slot i: the periodic
-        set of the codes the slot's table sends to a; without tables, read
-        off every state's image id."""
-        radices = self.signature.radices
-        if self.digits is not None:
-            return [[explorer.periodic(
-                [c for c, v in enumerate(values) if v == a], weight, span,
-                size) for a in range(r)]
-                for (weight, span, values), r in zip(self.digits, radices)]
-        images = array("q", map(self.id_of, range(size)))
-        return [[explorer.bitset(m // w % r == a for m in images)
-                 for a in range(r)] for w, r in (
-                     (math.prod(radices[i + 1:]), r)
-                     for i, r in enumerate(radices))]
+        set of the codes the slot's table sends to a."""
+        return [[explorer.periodic(
+            [c for c, v in enumerate(values) if v == a], weight, span, size)
+            for a in range(r)] for (weight, span, values), r in zip(
+                self.digits, self.signature.radices)]
 
 
 def _copies(sig: Signature, slots) -> list:
@@ -117,8 +109,7 @@ class IdenticalMapping(StateMapping):
                     raise MappingError(
                         "identical mapping needs all variables external; "
                         "%s.p%d is internal" % (v.name, proc.index))
-        sig = program.signature
-        return BoundMapping(sig, _same, _copies(sig, range(len(sig.slots))))
+        return BoundMapping(program.signature)
 
 
 class ProjectionMapping(StateMapping):

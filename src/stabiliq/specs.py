@@ -98,6 +98,18 @@ class Changes:
 
 
 @dataclass(frozen=True)
+class Leaves:
+    """Holds unless the image leaves `source` for a state in neither
+    `source` nor `target` (two state predicates)."""
+
+    source: Callable[[State], bool]
+    target: Callable[[State], bool]
+
+    def __call__(self, s: State, t: State) -> bool:
+        return not self.source(s) or self.source(t) or self.target(t)
+
+
+@dataclass(frozen=True)
 class Specification:
     """A problem specification over external-variable states.
 
@@ -231,10 +243,11 @@ def _edge_relations(ts: explorer.TransitionSystem, bound: BoundMapping,
     """Over the invariant's edges, the relations of the stutters and of the
     disallowed changes, and per obligation a function that builds the
     relation of the edges that miss it (one at a time: each is about as
-    large as the transition system). A local form is a union of the slots'
-    changes, each the edges crossing that slot's value sets; plain
-    callables read one grouping by the mask of the image pair, made only
-    for them."""
+    large as the transition system). Changes is a union of the slots'
+    changes, each the edges crossing that slot's value sets, and Leaves
+    drops the edges from its source set to outside both sets. A plain
+    callable runs once per image pair of the edges, through its own cache
+    (for allowed_edge a stutter pair is allowed)."""
     inner = explorer.within(inv, ts.sources)
     changed = [explorer.crossing(inner, values) for values in letters]
 
@@ -243,22 +256,27 @@ def _edge_relations(ts: explorer.TransitionSystem, bound: BoundMapping,
         return {d: reduce(or_, (changed[i][d] for i in slots), 0)
                 for d in inner}
 
+    def leaves(p: Leaves) -> dict:
+        a = _holds(p.source, bound, ts, letters)
+        ok = a | _holds(p.target, bound, ts, letters)
+        return {d: e & ~(a & ~explorer.shift(ok, -d))
+                for d, e in inner.items()}
+
+    image = functools.cache(bound.signature.state_at)
+    ids = functools.cache(bound.ids)  # made once, and only for a callable
+
+    def plain(p: Callable, stutter: bool) -> dict:
+        meets = functools.cache(lambda m, n: stutter and m == n
+                                or p(image(m), image(n)))
+        at = ids(ts)
+        return explorer.edges_where(ts, inv, lambda v, w: meets(at[v], at[w]))
+
     preds = [spec.allowed_edge] + [
         o.edge_pred for o in getattr(spec.acceptance, "obligations", ())]
     met = [inner if p is every_edge else union(p.slots)
-           if isinstance(p, Changes) else None for p in preds]
-    plain = [k for k, rel in enumerate(met) if rel is None]
-    if plain:
-        image = functools.cache(bound.signature.state_at)
-
-        @functools.cache
-        def mask(m: int, n: int) -> int:  # a stutter is an allowed edge
-            return sum(1 << k for k in plain if k == 0 and m == n
-                       or preds[k](image(m), image(n)))
-
-        groups = explorer.group_edges(ts, inv, mask, bound.ids(ts))
-        for k in plain:
-            met[k] = explorer.select(groups, lambda m, k=k: m >> k & 1)
+           if isinstance(p, Changes) else leaves(p)
+           if isinstance(p, Leaves) else plain(p, k == 0)
+           for k, p in enumerate(preds)]
 
     def minus(rel: dict, drop: dict) -> dict:
         return {d: r for d, e in rel.items() if (r := e & ~drop.get(d, 0))}
@@ -403,24 +421,25 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, accepts,
     predicate and `unmet[j]()` the relation of the invariant's edges that
     miss obligation j (check_stabilizing). Returns a witness dict on a
     gating violation, None otherwise; analyze findings go into notes."""
-    comp = cond.components[c]
-    acc = spec.acceptance
-    terminal = bool(cond.bits(c) & ts.terminal)
-    comp_texts = [ts.state(s).text() for s in comp[:4]]
+    bits, acc = cond.bits(c), spec.acceptance
+    size, terminal, rest = bits.bit_count(), bool(bits & ts.terminal), bits
+    for _ in range(4):  # all but the least four states
+        rest &= rest - 1
+    comp_texts = [ts.state(s).text() for s in explorer.members(bits ^ rest)]
     where = "bottom component of %d state%s (%s%s)" % (
-        len(comp), "" if len(comp) == 1 else "s", ", ".join(comp_texts),
-        ", ..." if len(comp) > 4 else "")
+        size, "" if size == 1 else "s", ", ".join(comp_texts),
+        ", ..." if size > 4 else "")
 
     if isinstance(acc, FiniteTerminal):
         if not terminal:
             return {"kind": "acceptance", "component": comp_texts,
                     "reason": "%s cycles forever, but the specification's "
                               "sequences are finite" % where}
-        if not accepts >> comp[0] & 1:
+        if not accepts & bits:  # a terminal bottom is one state
             return {"kind": "acceptance", "component": comp_texts,
                     "reason": "terminal state %s does not satisfy the "
                               "final-state condition"
-                              % ts.state(comp[0]).text()}
+                              % comp_texts[0]}
         return None
 
     # CycleWithin and Recurrence both describe infinite behavior.
@@ -430,7 +449,7 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, accepts,
                           "sequences are infinite" % where}
 
     if isinstance(acc, CycleWithin):
-        outside = cond.bits(c) & ~accepts
+        outside = bits & ~accepts
         if outside:
             s = explorer.least(outside)
             return {"kind": "acceptance", "component": comp_texts,
@@ -442,7 +461,6 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, accepts,
         return None
 
     if isinstance(acc, Recurrence):
-        bits = cond.bits(c)
         for obl, missed in zip(acc.obligations, unmet):
             cycle = explorer.find_cycle(ts, bits, missed())
             if cycle is None:
@@ -629,13 +647,8 @@ def ipif_spec(n: int) -> Specification:
     """The relaxed wave specification: every state satisfies RP' or RQ',
     leaving the RQ' family lands in a strict RP state, and every sequence
     ends up riding the strict wave cycle."""
-    def allowed_edge(s: State, t: State) -> bool:
-        if _pif_rq_prime(s) and not _pif_rq_prime(t):
-            return _pif_rp_strict(t)
-        return True
-
     return replace(spif_spec(n), name="IPIF", allowed_state=pif_prime,
-                   allowed_edge=allowed_edge)
+                   allowed_edge=Leaves(_pif_rq_prime, _pif_rp_strict))
 
 
 def sabp_spec() -> Specification:

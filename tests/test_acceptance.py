@@ -84,10 +84,9 @@ def test_alternator_neighborhoods_enable_at_most_one():
         for c in cond.bottoms:
             comp = helpers.bits(cond.components[c])
             for j in range(n):
-                cycle = explorer.find_cycle(ts, comp, explorer.select(
-                    explorer.group_edges(ts, comp, lambda s, t:
-                                         mapped[s].values[j]
-                                         == mapped[t].values[j])))
+                cycle = explorer.find_cycle(ts, comp, explorer.edges_where(
+                    ts, comp, lambda s, t:
+                    mapped[s].values[j] == mapped[t].values[j]))
                 if cycle is not None:
                     starving.append((n, j + 1))
     if starving:

@@ -403,6 +403,21 @@ def test_verify_refuses_a_flag_its_check_ignores(capsys, check, flag, value):
     assert err == "error: %s does not apply to --check %s\n" % (flag, check)
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["export-dot", "--protocol", "la", "--n", "3", "--condensed",
+      "--color", "true"], "--color does not apply to --condensed"),
+    (["verify", "--check", "ideal", "--protocol", "la", "--n", "3",
+      "--ids", "1,2,3"], "--ids applies only to --protocol cm"),
+    (["simulate", "--protocol", "abp", "--ids", "1"],
+     "--ids applies only to --protocol cm"),
+    (["export-dot", "--file", str(Path(protocols.__file__).parent
+                                  / "samples" / "alternator.gcp"),
+      "--n", "3", "--ids", "1,2,3"], "--ids applies only to --protocol cm"),
+])
+def test_a_flag_the_command_would_ignore_exits_2(capsys, argv, error):
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % error)
+
+
 def test_impossibility_refuses_both_inputs(capsys, tmp_path):
     allowed, disallowed = tmp_path / "allowed.txt", tmp_path / "rest.txt"
     allowed.write_text("x.p1=true x.p2=false\n")
@@ -504,11 +519,11 @@ def test_obligation_cycle_output_is_pinned(capsys):
 
 
 def test_each_cycle_question_is_decided_once(capsys, monkeypatch):
-    # no grouping: UDP's allowed edges and its obligation are local forms,
-    # read off the image bitsets; each cycle question trims its nodes once
-    # and reads its witness off that trim, searching nothing again
-    groupings, trims, asked = [], [], []
-    group_edges, trim = explorer.group_edges, explorer.trim
+    # no edge filter: UDP's allowed edges and its obligation are local
+    # forms, read off the image bitsets; each cycle question trims its nodes
+    # once and reads its witness off that trim, searching nothing again
+    filters, trims, asked = [], [], []
+    edges_where, trim = explorer.edges_where, explorer.trim
     find_cycle = explorer.find_cycle
 
     def asking(ts, nodes, rel=None):
@@ -517,15 +532,15 @@ def test_each_cycle_question_is_decided_once(capsys, monkeypatch):
         asked.append((nodes, trims[before:], cycle is not None))
         return cycle
 
-    monkeypatch.setattr(explorer, "group_edges", lambda *args: (
-        groupings.append(1), group_edges(*args))[1])
+    monkeypatch.setattr(explorer, "edges_where", lambda *args: (
+        filters.append(1), edges_where(*args))[1])
     monkeypatch.setattr(explorer, "trim", lambda nodes, rel: (
         trims.append(nodes), trim(nodes, rel))[1])
     monkeypatch.setattr(explorer, "find_cycle", asking)
     code, out, _ = run(capsys, "verify", "--check", "ideal",
                        "--protocol", "cm", "--ids", "2,1,3,4")
     assert code == 0 and "not discharged on cycle" in out
-    assert groupings == []
+    assert filters == []
     # three questions, each trimmed once: a cycle avoiding the invariant
     # (none: every state is inside), a cycle that misses the obligation,
     # and a stutter cycle; the last two have one
@@ -535,12 +550,12 @@ def test_each_cycle_question_is_decided_once(capsys, monkeypatch):
 
 def test_the_alternator_at_14_maps_no_state(capsys, monkeypatch):
     # ideal-la14 decides FDP on image bitsets: neither the per-state image
-    # ids nor a per-pair grouping is ever built
+    # ids nor a per-pair edge filter is ever built
     def refuse(*args):
-        raise AssertionError("a state was mapped or an edge grouped")
+        raise AssertionError("a state was mapped or an edge filtered")
 
     monkeypatch.setattr(mapping.BoundMapping, "ids", refuse)
-    monkeypatch.setattr(explorer, "group_edges", refuse)
+    monkeypatch.setattr(explorer, "edges_where", refuse)
     code, out, _ = run(capsys, "verify", "--check", "ideal",
                        "--protocol", "la", "--n", "14")
     sig = protocols.make_alternator(14).program.signature

@@ -192,8 +192,8 @@ def test_find_cycle_replayable_and_filtered():
         assert kernel.apply(abp, cycle.states[i], pos, name) == \
             cycle.states[(i + 1) % k]
     # forbidding every edge leaves no cycle
-    assert explorer.find_cycle(ts, ts.full, explorer.select(
-        explorer.group_edges(ts, ts.full, lambda s, t: False))) is None
+    assert explorer.find_cycle(ts, ts.full, explorer.edges_where(
+        ts, ts.full, lambda s, t: False)) is None
 
 
 @pytest.mark.parametrize("make", [
@@ -212,10 +212,10 @@ def test_find_cycle_witnesses_replay_on_random_subgraphs(make):
         keys = {(v, t): rng.randrange(3) for v, out in enumerate(succ)
                 for t in out}
         chosen = set(rng.sample(range(3), rng.randint(1, 3)))
-        groups = explorer.group_edges(ts, helpers.bits(nodes),
-                                      lambda s, t: keys[s, t])
+        selected = explorer.edges_where(
+            ts, helpers.bits(nodes), lambda s, t: keys[s, t] in chosen)
         for rel, kept in ((None, lambda v, i: True),
-                          (explorer.select(groups, chosen.__contains__),
+                          (selected,
                            lambda v, i: keys[v, succ[v][i]] in chosen)):
             cycle = explorer.find_cycle(ts, helpers.bits(nodes), rel)
             assert (cycle is None) == (not oracle_trim(succ, nodes, kept))
@@ -334,16 +334,15 @@ def test_peel_agrees_with_the_component_oracle(peels):
             assert (cycle is None) == (not trimmed)
             if cycle is not None:
                 assert_cycle_of(succ, nodes, rel, cycle)
-        # one grouping answers every selection of keys; a key belongs to a
+        # each selection of keys is one edge filter; a key belongs to a
         # (source, target) pair, so parallel edges share it
         keys = {(v, t): rng.randrange(4)
                 for v, out in enumerate(succ) for t in out}
-        groups = explorer.group_edges(Graph(succ), helpers.bits(nodes),
-                                      lambda s, t: keys[s, t])
         for chosen in ({0}, {1, 2}, {0, 1, 2, 3}, set()):
             cyclic = bool(oracle_trim(succ, nodes, lambda v, i:
                                       keys[v, succ[v][i]] in chosen))
-            rel = explorer.select(groups, chosen.__contains__)
+            rel = explorer.edges_where(Graph(succ), helpers.bits(nodes),
+                                       lambda s, t: keys[s, t] in chosen)
             assert bool(explorer.trim(helpers.bits(nodes), rel)) == cyclic
             cycle = explorer.find_cycle(Graph(succ), helpers.bits(nodes), rel)
             assert (cycle is None) == (not cyclic)
@@ -423,9 +422,9 @@ def test_long_path_outlasts_the_round_budget(peels, back_edge):
 
 def test_a_cycle_question_reads_only_the_edges_of_its_nodes():
     # the stutter question of stabilizing-pif10 asks about the 64 states
-    # of its invariant; the grouping key must see no other source. The
-    # invariant is closed, its complement is not: neither grouping may see
-    # an edge that leaves its set
+    # of its invariant; the edge filter must see no other source. The
+    # invariant is closed, its complement is not: neither filter may see an
+    # edge that leaves its set
     bundle = protocols.make_pif(10)
     ts = explorer.build_transition_system(bundle.program)
     inv = bundle.invariants[bundle.default_invariant]
@@ -439,10 +438,9 @@ def test_a_cycle_question_reads_only_the_edges_of_its_nodes():
             seen.append((s, t))
             return s == t
 
-        groups = explorer.group_edges(ts, helpers.bits(nodes), stutter)
+        rel = explorer.edges_where(ts, helpers.bits(nodes), stutter)
         assert seen and {v for e in seen for v in e} <= set(nodes)
-        assert explorer.find_cycle(ts, helpers.bits(nodes),
-                                   explorer.select(groups)) is None
+        assert explorer.find_cycle(ts, helpers.bits(nodes), rel) is None
 
 
 def test_cycles_outside_predicate():

@@ -120,8 +120,9 @@ SLOT_BITS_CASES = {
 @pytest.mark.parametrize("name", sorted(SLOT_BITS_CASES))
 def test_slot_bits_are_the_images_of_every_state(name):
     # per slot and value, the program states whose image shows that value
-    # there, built from periodic patterns without mapping a state; a
-    # mapping bound with id_of alone builds the same sets by mapping each
+    # there, built from periodic patterns without mapping a state; the
+    # same mapping written as one table per slot over every state (low
+    # weight 1, span the universe) builds the same sets
     build, mapping = SLOT_BITS_CASES[name]
     program = build()
     bound = mapping.bind(program)
@@ -132,8 +133,11 @@ def test_slot_bits_are_the_images_of_every_state(name):
              for a in range(radix)]
             for k, radix in enumerate(bound.signature.radices)]
     assert bound.slot_bits(size) == want
-    bare = BoundMapping(bound.signature, bound.id_of)
+    bare = BoundMapping(bound.signature, [
+        (1, size, [v[k] for v in images]) for k in range(len(want))])
     assert bare.slot_bits(size) == want
+    assert list(map(bare.id_of, range(size))) == \
+        list(map(bound.id_of, range(size)))
 
 
 def test_highest_id_mapping_worked_example():

@@ -13,8 +13,8 @@ from helpers import abp_classify, pif_classify
 from stabiliq import explorer, protocols, specs
 from stabiliq.dsl import parse_protocol
 from stabiliq.kernel import BOOL, Signature
-from stabiliq.mapping import (BoundMapping, ChainPredicate, IdenticalMapping,
-                              ProjectionMapping)
+from stabiliq.mapping import (BoundMapping, ChainAutomaton, ChainPredicate,
+                              IdenticalMapping, ProjectionMapping)
 from stabiliq.specs import (CycleWithin, DIVERGENCE_ALLOWED,
                             DIVERGENCE_FORBIDDEN,
                             FiniteTerminal, Obligation, Recurrence,
@@ -567,28 +567,27 @@ def test_specification_callables_see_each_image_once():
 def test_the_stutter_question_reads_only_the_invariant_edges(monkeypatch):
     # stabilizing-pif10: the invariant holds 64 of 26,244 states. SPIF's
     # edge predicates are local forms read off the image bitsets, so the
-    # check groups no edge; with plain callables it makes one grouping,
-    # which keys only edges leaving the 64 invariant states (pif maps by
-    # identity, so the key sees state ids)
+    # check filters no edge; with plain callables it runs one edge filter,
+    # which sees only edges leaving the 64 invariant states
     bundle = protocols.make_pif(10)
     inv = bundle.invariants[bundle.default_invariant]
     inside = {s.index for s in bundle.program.signature.states() if inv(s)}
     assert len(inside) == 64
-    groupings, keyed = [], []
-    group_edges = explorer.group_edges
+    filters, keyed = [], []
+    edges_where = explorer.edges_where
 
-    def recording(ts, nodes, key, ids):
-        groupings.append(nodes)
+    def recording(ts, nodes, keep):
+        filters.append(nodes)
 
-        def seen(m, n):
-            keyed.append(m)
-            return key(m, n)
-        return group_edges(ts, nodes, seen, ids)
+        def seen(v, w):
+            keyed.append(v)
+            return keep(v, w)
+        return edges_where(ts, nodes, seen)
 
-    monkeypatch.setattr(explorer, "group_edges", recording)
+    monkeypatch.setattr(explorer, "edges_where", recording)
     spec = bundle.strict_spec
     local = check_stabilizing(bundle.program, bundle.mapping, spec, inv)
-    assert local.holds and groupings == [] and keyed == []
+    assert local.holds and filters == [] and keyed == []
     plain = replace(
         spec, allowed_state=lambda s: spec.allowed_state(s),
         allowed_edge=lambda s, t: spec.allowed_edge(s, t),
@@ -596,7 +595,7 @@ def test_the_stutter_question_reads_only_the_invariant_edges(monkeypatch):
                                spec.acceptance.description))
     verdict = check_stabilizing(bundle.program, bundle.mapping, plain, inv)
     assert verdict.holds and verdict.notes == local.notes
-    assert len(groupings) == 1 and keyed and set(keyed) <= inside
+    assert len(filters) == 1 and keyed and set(keyed) <= inside
 
 
 def _local_form_cases():
@@ -621,36 +620,79 @@ def _relations(ts, bound, letters, inv, spec) -> tuple:
     return stutter, bad, [missed() for missed in unmet]
 
 
+#: The first, and the last, letter's first value is 0: Leaves sets that
+#: every case's image leaves somewhere.
+_first_zero = ChainPredicate(lambda sig: ChainAutomaton(
+    sig, "S", lambda q, p, a: not a[0] if q == "S" else q, (True,)))
+_last_zero = ChainPredicate(lambda sig: ChainAutomaton(
+    sig, "S", lambda q, p, a: not a[0], (True,)))
+
+
 def test_local_edge_forms_agree_with_the_per_pair_grouping():
-    # the stutter relation against a grouping keyed by m == n; the
-    # disallowed changes and every Changes obligation against the same
-    # specifications with each form wrapped as a plain callable, over the
-    # full invariant and one that is not closed
+    # the stutter relation against an edge filter by image id; the
+    # disallowed changes and every Changes and Leaves obligation against
+    # the same specifications with each form wrapped as a plain callable,
+    # over the full invariant and one that is not closed
+    leaves = (specs.Leaves(_first_zero, _last_zero),
+              specs.Leaves(specs._no_adjacent_true, _last_zero))
+    violated, cases = Counter(), 0
     for program, mapping in _local_form_cases():
+        cases += 1
         ts = explorer.build_transition_system(program)
         bound = mapping.bind(program)
-        letters = bound.slot_bits(ts.size)
+        letters, ids = bound.slot_bits(ts.size), bound.ids(ts)
         slots = tuple(range(len(bound.signature.slots)))
-        changes = [specs.Changes(), *(specs.Changes((i,)) for i in slots),
-                   specs.Changes(slots[::2])]
+        forms = [specs.Changes(), *(specs.Changes((i,)) for i in slots),
+                 specs.Changes(slots[::2]), *leaves]
         spec = Specification("local", every_state, specs.every_edge,
                              Recurrence(tuple(
                                  Obligation("o%d" % j, c)
-                                 for j, c in enumerate(changes))))
+                                 for j, c in enumerate(forms))))
         plain = replace(spec, acceptance=Recurrence(tuple(
             replace(o, edge_pred=_as_plain(o.edge_pred))
             for o in spec.acceptance.obligations)))
         for inv in (ts.full, ts.full & ~helpers.bits(range(0, ts.size, 3))):
-            stutters = explorer.select(explorer.group_edges(
-                ts, inv, lambda m, n: m == n, bound.ids(ts)))
+            stutters = explorer.edges_where(
+                ts, inv, lambda v, w: ids[v] == ids[w])
+            assert _relations(ts, bound, letters, inv, spec) == \
+                _relations(ts, bound, letters, inv, plain), program.name
             for allowed in (specs.every_edge, specs.Changes((0,)),
-                            specs.Changes(slots[1:])):
-                got = _relations(ts, bound, letters, inv,
-                                 replace(spec, allowed_edge=allowed))
+                            specs.Changes(slots[1:]), *leaves):
+                got = _relations(ts, bound, letters, inv, replace(
+                    spec, allowed_edge=allowed, acceptance=Recurrence(())))
                 want = _relations(ts, bound, letters, inv, replace(
-                    plain, allowed_edge=_as_plain(allowed)))
+                    spec, allowed_edge=_as_plain(allowed),
+                    acceptance=Recurrence(())))
                 assert got == want, (program.name, allowed)
                 assert got[0] == stutters, program.name
+                if allowed in leaves:
+                    violated[leaves.index(allowed), inv == ts.full] += \
+                        bool(got[1])
+    # every case leaves the first pair of sets over the full invariant, and
+    # each form finds violating edges under both invariants
+    assert violated[0, True] == cases
+    assert len(violated) == 4 and all(violated.values())
+
+
+def test_ipif_holds_on_image_bitsets_alone(monkeypatch):
+    # IPIF's recovery rule is the local form Leaves(RQ', RP): under the
+    # rq-or-rp invariant the check holds with no image id and no edge
+    # filter, with the verdict and notes of its plain-callable wrapper
+    def refuse(*args):
+        raise AssertionError("a state was mapped or an edge filtered")
+
+    for n in range(3, 11):
+        bundle = protocols.make_pif(n)
+        inv, spec = bundle.invariants["rq-or-rp"], ipif_spec(n)
+        plain = check_stabilizing(bundle.program, bundle.mapping, replace(
+            spec, allowed_edge=_as_plain(spec.allowed_edge)), inv)
+        with monkeypatch.context() as patch:
+            patch.setattr(BoundMapping, "ids", refuse)
+            patch.setattr(explorer, "edges_where", refuse)
+            local = check_stabilizing(bundle.program, bundle.mapping, spec,
+                                      inv)
+        assert local.holds, n
+        assert (local.witness, local.notes) == (plain.witness, plain.notes)
 
 
 def test_composed_predicates_agree_with_the_mapped_states():

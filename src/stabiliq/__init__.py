@@ -12,7 +12,7 @@ all, and a tiny protocol language round-trips the built-in examples.
 from .dsl import ParseResult, parse_protocol, render
 from .explorer import build_transition_system, condense, run
 from .kernel import (BOOL, Action, Domain, ModelError, Process, Program,
-                     State, VariableDecl)
+                     State, VariableDecl, replace)
 from .mapping import (EnabledOutputMapping, HighestIdMapping,
                       IdenticalMapping, ProjectionMapping,
                       check_ideal_possibility, check_merge_symmetry,
@@ -31,6 +31,7 @@ __all__ = [
     "check_ideal_possibility", "check_ideal_stabilizing",
     "check_merge_symmetry", "check_stabilizing", "condense",
     "make_abp", "make_alternator", "make_cm", "make_le", "make_pif",
-    "merge_closure", "parse_protocol", "render", "run", "VariableDecl",
+    "merge_closure", "parse_protocol", "render", "replace", "run",
+    "VariableDecl",
     "__version__",
 ]

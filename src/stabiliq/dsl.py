@@ -29,12 +29,12 @@ canonical text that parses back to a structurally equal program.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .kernel import (BOOL, OFFSET_NAMES, Action, And, Assign, BoolLit, Cmp,
                      Domain, If, Lit, ModelError, Not, NotRef, Or, Process,
-                     Program, ProgramError, VarRef, VariableDecl)
+                     Program, ProgramError, VarRef, VariableDecl, factory,
+                     record)
 
 OFFSETS = {word: offset for offset, word in OFFSET_NAMES.items()}
 RESERVED = frozenset(
@@ -42,7 +42,7 @@ RESERVED = frozenset(
     "self left right true false bool".split())
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     severity: str
     line: int
@@ -55,7 +55,7 @@ class Diagnostic:
             self.line, self.col, self.severity, self.message, self.code)
 
 
-@dataclass
+@record(frozen=False)
 class ParseResult:
     program: Optional[Program]
     diagnostics: list
@@ -88,7 +88,7 @@ class _Abort(Exception):
 # --------------------------------------------------------------------------
 # Tokens.
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str  # ident | int | punct | eof
     text: str
@@ -148,14 +148,14 @@ def _tokenize(src: str) -> list:
 # --------------------------------------------------------------------------
 # Parser.
 
-@dataclass
+@record(frozen=False)
 class _Group:
     name: str
     tok: _Token
     lo: tuple
     hi: tuple
-    vars: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
+    vars: list = factory(list)
+    actions: list = factory(list)
 
 
 class _Parser:

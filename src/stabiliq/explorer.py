@@ -15,11 +15,10 @@ from __future__ import annotations
 import random
 from collections import defaultdict, deque
 from collections.abc import Sequence
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import compress, count, repeat
 from math import isqrt
 from operator import add, or_
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import kernel
@@ -338,7 +337,7 @@ def _reach(seed: int, within: int, rel: dict, step: Callable) -> int:
     return reached
 
 
-@dataclass(frozen=True)
+@kernel.record
 class Cycle:
     """A concrete cycle: labels[i] takes states[i] to states[(i+1) % k],
     so it replays through the kernel."""
@@ -353,16 +352,21 @@ def find_cycle(ts: TransitionSystem, nodes: int,
     edge when None), or None when its trim is empty. From the trim's least
     node, a walk takes each node's first edge, in `edges` order, that stays
     in the trim and in the relation (every trimmed node has one) until a
-    node repeats; the loop of that lasso is the cycle."""
+    node repeats; the loop of that lasso is the cycle. Bits are read off
+    little-endian byte views, made once, as a shift copies the whole int."""
     rel = ts.sources if rel is None else rel
     core = trim(nodes, rel)
     if not core:
         return None
+    width = (ts.size + 7) // 8
+    inside = core.to_bytes(width, "little")
+    view = cache(lambda d: rel.get(d, 0).to_bytes(width, "little"))
     v, at, path = least(core), {}, []
     while v not in at:
         at[v] = len(path)
-        pos, name, t = next(e for e in ts.edges(v) if core >> e[2] & 1
-                            and rel.get(e[2] - v, 0) >> v & 1)
+        pos, name, t = next(e for e in ts.edges(v)
+                            if inside[e[2] >> 3] >> (e[2] & 7) & 1
+                            and view(e[2] - v)[v >> 3] >> (v & 7) & 1)
         path.append((v, (pos, name)))
         v = t
     ids, labels = zip(*path[at[v]:])
@@ -372,7 +376,7 @@ def find_cycle(ts: TransitionSystem, nodes: int,
 # --------------------------------------------------------------------------
 # Simulation.
 
-@dataclass(frozen=True)
+@kernel.record
 class Computation:
     """A simulated run. labels[i] takes states[i] to states[i+1]. When the
     run revisits a state, the repeat occurrence is kept as the final state
@@ -446,7 +450,7 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
 # --------------------------------------------------------------------------
 # Specification images.
 
-@dataclass(frozen=True)
+@kernel.record
 class SpecSequence:
     """A computation's image: mapped states with stuttering eliminated.
     stutter_divergent marks an infinite computation whose image is eventually

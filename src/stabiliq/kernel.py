@@ -18,8 +18,8 @@ import itertools
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from operator import attrgetter
 from typing import Iterator, Mapping, Optional, Union
 
 #: Refuse to enumerate universes larger than this unless told otherwise.
@@ -92,7 +92,64 @@ class UniverseCapError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
+# --------------------------------------------------------------------------
+# Value classes.
+
+class FrozenError(AttributeError):
+    """A field of a frozen record was assigned or deleted."""
+
+
+class factory(partial):
+    """A record field's default, called afresh for each instance."""
+
+
+def record(cls=None, *, frozen: bool = True):
+    """Class decorator: the annotated names are the fields, class attributes
+    their defaults. Adds __init__ (then __post_init__), a Name(a=1) repr, an
+    __eq__ on same-class field tuples; if frozen, a hash and no setattr."""
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    names = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+    makers = {n: d if isinstance(d, factory) else (lambda d=d: d)
+              for n, d in vars(cls).items() if n in names}
+    values = attrgetter(*names)  # a value, not a 1-tuple, for one field
+    post = getattr(cls, "__post_init__", lambda self: None)
+
+    def __init__(self, *args, **kwargs):
+        try:
+            args += tuple(kwargs.pop(n) if n in kwargs else makers[n]()
+                          for n in names[len(args):])
+        except KeyError as name:
+            raise TypeError("%s needs %s" % (cls.__name__, name)) from None
+        if kwargs or len(args) > len(names):
+            raise TypeError("%s takes only %s" % (cls.__name__, names))
+        self.__dict__.update(zip(names, args))
+        post(self)
+
+    def __eq__(self, other):
+        return values(self) == values(other) \
+            if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (n, getattr(self, n)) for n in names))
+
+    def refuse(self, name, value=None):
+        raise FrozenError("cannot assign to field %r" % name)
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = (lambda self: hash(values(self))) if frozen else None
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of record obj with some fields changed; its checks run again."""
+    return type(obj)(**{n: getattr(obj, n) for n in obj._fields} | changes)
+
+
+@record
 class Domain:
     """A named, ordered, finite set of values. Values are plain strings."""
 
@@ -124,7 +181,7 @@ class Domain:
 BOOL = Domain("bool", ("false", "true"))
 
 
-@dataclass(frozen=True)
+@record
 class VariableDecl:
     """A variable owned by one process.
 
@@ -153,7 +210,7 @@ class VariableDecl:
 # and are resolved to concrete state slots per process position, so one AST
 # can be shared by every process of a group.
 
-@dataclass(frozen=True)
+@record
 class VarRef:
     offset: int
     name: str
@@ -163,28 +220,28 @@ class VarRef:
             raise ModelError("variable reference offset must be -1, 0 or 1")
 
 
-@dataclass(frozen=True)
+@record
 class Lit:
     """A domain value literal used as a comparison or assignment operand."""
 
     value: str
 
 
-@dataclass(frozen=True)
+@record
 class NotRef:
     """Boolean negation of a bool-domain variable, e.g. `!self.access`."""
 
     ref: VarRef
 
 
-@dataclass(frozen=True)
+@record
 class BoolLit:
     """A constant guard: `true` or `false`."""
 
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class Cmp:
     left: Union[VarRef, Lit]
     op: str  # "=" or "!="
@@ -195,17 +252,17 @@ class Cmp:
             raise ModelError("comparison operator must be '=' or '!='")
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     expr: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class And:
     items: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     items: tuple["Expr", ...]
 
@@ -213,13 +270,13 @@ class Or:
 Expr = Union[BoolLit, Cmp, Not, And, Or]
 
 
-@dataclass(frozen=True)
+@record
 class Assign:
     target: VarRef
     value: Union[Lit, VarRef, NotRef]
 
 
-@dataclass(frozen=True)
+@record
 class If:
     cond: Expr
     then: tuple["Stmt", ...]
@@ -229,7 +286,7 @@ class If:
 Stmt = Union[Assign, If]
 
 
-@dataclass(frozen=True)
+@record
 class Action:
     """A named guarded command: when the guard holds, the command may fire.
 
@@ -242,7 +299,7 @@ class Action:
     command: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Process:
     """One chain position: its index (1-based), integer identifier, variables
     and actions. The pid is only meaningful to identifier-based mappings."""
@@ -267,7 +324,7 @@ class Process:
         raise ModelError("process %d has no variable %r" % (self.index, name))
 
 
-@dataclass(frozen=True)
+@record
 class Problem:
     """One broken rule in an action, found at one process position.
 
@@ -697,7 +754,7 @@ def _exec_stmts(program: Program, pos: int, stmts, values: list) -> None:
 # --------------------------------------------------------------------------
 # Window tables: the actions of each position compiled over its window.
 
-@dataclass(frozen=True)
+@record
 class WindowTable:
     """The actions of one position, compiled over every valuation of the
     position's window (its own slots and both neighbors').

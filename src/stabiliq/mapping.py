@@ -26,7 +26,6 @@ import math
 from collections import defaultdict
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -283,7 +282,7 @@ def check_merge_symmetry(program: Program, mapping: StateMapping,
                key=lambda s: s.values, default=None)
 
 
-@dataclass(frozen=True)
+@kernel.record
 class PossibilityResult:
     """Outcome of the ideal-stabilization necessary-condition check.
 

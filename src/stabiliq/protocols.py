@@ -11,19 +11,19 @@ for it exists.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Optional
 
 from .dsl import parse_protocol
-from .kernel import BOOL, ModelError, Program, Signature, State, check_cap
+from .kernel import (BOOL, ModelError, Program, Signature, State, check_cap,
+                     factory, record, replace)
 from .mapping import (ChainAutomaton, EnabledOutputMapping, HighestIdMapping,
                       IdenticalMapping, StateMapping, accepted_states)
 from . import specs as _specs
 from .specs import Specification
 
 
-@dataclass(frozen=True)
+@record
 class ProtocolBundle:
     """Everything the workbench knows about one built-in protocol."""
 
@@ -32,8 +32,7 @@ class ProtocolBundle:
     mapping: StateMapping
     ideal_spec: Specification
     strict_spec: Optional[Specification] = None
-    invariants: dict = field(
-        default_factory=lambda: {"true": _specs.every_state})
+    invariants: dict = factory(lambda: {"true": _specs.every_state})
     default_invariant: str = "true"
 
     @property
@@ -137,7 +136,7 @@ def make_abp() -> ProtocolBundle:
 # --------------------------------------------------------------------------
 # Leader election: a specification fixture, not a program.
 
-@dataclass(frozen=True)
+@record
 class LeFixture:
     """The leader-election specification universe, partitioned.
 

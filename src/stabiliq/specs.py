@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
 from operator import or_
 from typing import Callable, Optional
 
-from . import explorer
-from .kernel import Program, Signature, State, check_cap
+from . import explorer, kernel
+from .kernel import Program, Signature, State, check_cap, replace
 from .mapping import (BoundMapping, ChainAutomaton, ChainPredicate,
                       StateMapping, _same)
 
@@ -38,7 +37,7 @@ OBLIGATION_MODES = ("enforce", "policy", "analyze")
 # --------------------------------------------------------------------------
 # Acceptance conditions on eventual behavior.
 
-@dataclass(frozen=True)
+@kernel.record
 class CycleWithin:
     """Every bottom component must be nonterminal and stay inside the given
     family of specification states (the target cycle family)."""
@@ -47,7 +46,7 @@ class CycleWithin:
     description: str = ""
 
 
-@dataclass(frozen=True)
+@kernel.record
 class Obligation:
     """A recurrence obligation: every cycle of every bottom component must
     contain at least one edge whose mapped endpoints satisfy edge_pred."""
@@ -61,12 +60,12 @@ class Obligation:
             raise ValueError("unknown obligation mode %r" % self.mode)
 
 
-@dataclass(frozen=True)
+@kernel.record
 class Recurrence:
     obligations: tuple[Obligation, ...]
 
 
-@dataclass(frozen=True)
+@kernel.record
 class FiniteTerminal:
     """Every bottom component must be a terminal state satisfying pred:
     the specification's sequences are finite."""
@@ -85,7 +84,7 @@ def every_edge(s: State, t: State) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@kernel.record
 class Changes:
     """Holds when the image changes at some slot in `slots` (indices into
     the specification signature; every slot when None)."""
@@ -97,7 +96,7 @@ class Changes:
         return any(s.values[i] != t.values[i] for i in slots)
 
 
-@dataclass(frozen=True)
+@kernel.record
 class Leaves:
     """Holds unless the image leaves `source` for a state in neither
     `source` nor `target` (two state predicates)."""
@@ -109,7 +108,7 @@ class Leaves:
         return not self.source(s) or self.source(t) or self.target(t)
 
 
-@dataclass(frozen=True)
+@kernel.record
 class Specification:
     """A problem specification over external-variable states.
 
@@ -135,7 +134,7 @@ class Specification:
 # --------------------------------------------------------------------------
 # Verdicts.
 
-@dataclass
+@kernel.record(frozen=False)
 class Verdict:
     """Outcome of one check. witness is None exactly when the check holds;
     otherwise it is a small JSON-ready dict with canonical state texts.
@@ -145,10 +144,11 @@ class Verdict:
     holds: bool
     witness: Optional[dict]
     stats: dict
-    notes: list = field(default_factory=list)
+    notes: list = kernel.factory(list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        from copy import deepcopy  # only the JSON report needs it
+        return deepcopy({n: getattr(self, n) for n in self._fields})
 
     def summary(self) -> str:
         lines = ["%s: %s" % (self.check, "holds" if self.holds else "FAILS")]
@@ -268,7 +268,7 @@ def _edge_relations(ts: explorer.TransitionSystem, bound: BoundMapping,
     def plain(p: Callable, stutter: bool) -> dict:
         meets = functools.cache(lambda m, n: stutter and m == n
                                 or p(image(m), image(n)))
-        at = ids(ts)
+        at = range(ts.size) if bound.id_of is _same else ids(ts)
         return explorer.edges_where(ts, inv, lambda v, w: meets(at[v], at[w]))
 
     preds = [spec.allowed_edge] + [

@@ -467,6 +467,20 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # the value classes are built with no generated source, so importing
+    # the command line in a fresh interpreter loads neither module
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import sys; before = set(sys.modules); import stabiliq.cli; "
+             "print(sorted({'dataclasses', 'inspect'} "
+             "& (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 def test_universe_cap_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--check", "ideal",
                        "--protocol", "la", "--n", "8", "--cap", "100")

@@ -1,11 +1,12 @@
 """Kernel semantics: domains, signatures, state encoding, action firing."""
 import pytest
 
-from stabiliq import explorer, kernel, protocols
+from stabiliq import explorer, kernel, protocols, replace, specs
 from stabiliq.kernel import (
     BOOL, Action, And, Assign, BoolLit, Cmp, DisabledActionError, Domain,
-    If, Lit, ModelError, NotRef, Process, Program, Signature, UniverseCapError,
-    VarRef, VariableDecl)
+    If, Lit, ModelError, NotRef, Or, Process, Program, Signature,
+    UniverseCapError, VarRef, VariableDecl)
+from stabiliq.specs import Verdict
 
 ST3 = Domain("st3", ("i", "rq", "rp"))
 
@@ -246,3 +247,84 @@ def test_universe_iterates_every_state_once():
     seen = [s.index for s in pif.signature.states()]
     assert seen == list(range(12))
     assert pif.signature.size == 12
+
+
+# --------------------------------------------------------------------------
+# Value classes (kernel.record).
+
+def _guard():
+    return Cmp(VarRef(0, "x"), "=", Lit("true"))
+
+
+def test_equal_frozen_records_are_equal_and_hash_the_same():
+    a, b = And((_guard(),)), And((_guard(),))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert And((_guard(), BoolLit(True))) != a
+    assert If(BoolLit(True), ()) == If(cond=BoolLit(True), then=(), orelse=())
+
+
+def test_records_of_different_classes_are_unequal():
+    # the same field tuple in another class compares unequal
+    assert And((_guard(),)) != Or((_guard(),))
+    assert And((_guard(),)).__eq__(Or((_guard(),))) is NotImplemented
+    assert len({And((_guard(),)), Or((_guard(),))}) == 2
+
+
+def test_frozen_records_refuse_assignment():
+    ref = VarRef(0, "x")
+    with pytest.raises(AttributeError, match="cannot assign to field 'name'"):
+        ref.name = "y"
+    with pytest.raises(AttributeError):
+        del ref.offset
+    with pytest.raises(AttributeError):
+        ref.extra = 1
+    assert ref == VarRef(0, "x")
+
+
+def test_mutable_records_get_fresh_defaults_and_no_hash():
+    first = Verdict("closed", True, None, {"states": 2})
+    second = Verdict("closed", True, None, {"states": 2})
+    first.notes.append("a note")
+    assert (first.notes, second.notes) == (["a note"], [])
+    second.holds = False
+    assert first != second
+    with pytest.raises(TypeError):
+        hash(first)
+    # to_dict copies every container
+    out = first.to_dict()
+    out["notes"].append("more")
+    out["stats"]["states"] = 3
+    assert first.notes == ["a note"] and first.stats == {"states": 2}
+
+
+def test_record_arguments_by_position_keyword_and_default():
+    decl = VariableDecl("x", BOOL)
+    assert decl.kind == "internal"
+    assert decl == VariableDecl(domain=BOOL, name="x", kind="internal")
+    with pytest.raises(TypeError):
+        VariableDecl("x")  # domain missing
+    with pytest.raises(TypeError):
+        VariableDecl("x", BOOL, "internal", "extra")
+    with pytest.raises(TypeError):
+        VariableDecl("x", BOOL, name="y")  # name given twice
+    with pytest.raises(ModelError):  # __post_init__ runs
+        VariableDecl("x", BOOL, "secret")
+
+
+def test_replace_runs_the_checks_again():
+    spec = specs.udp_spec(3)
+    renamed = replace(spec, name="other")
+    assert (renamed.name, renamed.allowed_state) == \
+        ("other", spec.allowed_state)
+    assert spec.name == "UDP"
+    with pytest.raises(ValueError, match="unknown stutter policy 'bogus'"):
+        replace(spec, stutter_policy="bogus")
+    with pytest.raises(TypeError):
+        replace(spec, no_such_field=1)
+
+
+def test_record_repr_has_the_dataclass_form():
+    assert repr(VarRef(0, "x")) == "VarRef(offset=0, name='x')"
+    assert repr(Assign(VarRef(1, "x"), Lit("true"))) == (
+        "Assign(target=VarRef(offset=1, name='x'), value=Lit(value='true'))")
+    assert repr(BoolLit(True)) == "BoolLit(value=True)"

@@ -2,7 +2,6 @@
 import functools
 import json
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import abp_classify, pif_classify
-from stabiliq import explorer, protocols, specs
+from stabiliq import explorer, protocols, replace, specs
 from stabiliq.dsl import parse_protocol
 from stabiliq.kernel import BOOL, Signature
 from stabiliq.mapping import (BoundMapping, ChainAutomaton, ChainPredicate,
@@ -693,6 +692,30 @@ def test_ipif_holds_on_image_bitsets_alone(monkeypatch):
                                       inv)
         assert local.holds, n
         assert (local.witness, local.notes) == (plain.witness, plain.notes)
+
+
+def test_a_plain_edge_callable_under_the_identity_builds_no_image_ids(
+        monkeypatch):
+    # pif's mapping is the identity, so a plain allowed_edge is read over
+    # the invariant's edges by their state ids, and its verdict is the one
+    # of SPIF's local form every_edge
+    def refuse(self, ts):
+        raise AssertionError("an image id was built per state")
+
+    pairs = []
+    for n in range(3, 8):
+        bundle = protocols.make_pif(n)
+        inv, spec = bundle.invariants["rq-or-rp"], bundle.strict_spec
+        assert spec.allowed_edge is specs.every_edge
+        local = check_stabilizing(bundle.program, bundle.mapping, spec, inv)
+        with monkeypatch.context() as patch:
+            patch.setattr(BoundMapping, "ids", refuse)
+            plain = check_stabilizing(bundle.program, bundle.mapping, replace(
+                spec, allowed_edge=lambda s, t: not pairs.append((s, t))),
+                inv)
+        assert (plain.holds, plain.witness, plain.notes) == \
+            (local.holds, local.witness, local.notes), n
+    assert pairs  # the callable ran
 
 
 def test_composed_predicates_agree_with_the_mapped_states():

@@ -9,29 +9,32 @@ an ideally stabilizing implementation of a specification can exist at
 all, and a tiny protocol language round-trips the built-in examples.
 """
 
-from .dsl import ParseResult, parse_protocol, render
-from .explorer import build_transition_system, condense, run
-from .kernel import (BOOL, Action, Domain, ModelError, Process, Program,
-                     State, VariableDecl, replace)
-from .mapping import (EnabledOutputMapping, HighestIdMapping,
-                      IdenticalMapping, ProjectionMapping,
-                      check_ideal_possibility, check_merge_symmetry,
-                      merge_closure)
-from .protocols import make_abp, make_alternator, make_cm, make_le, make_pif
-from .specs import (Specification, Verdict, check_closed, check_convergence,
-                    check_ideal_stabilizing, check_stabilizing)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "Action", "BOOL", "Domain", "EnabledOutputMapping", "HighestIdMapping",
-    "IdenticalMapping", "ModelError", "ParseResult", "Process", "Program",
-    "ProjectionMapping", "Specification", "State", "Verdict",
-    "build_transition_system", "check_closed", "check_convergence",
-    "check_ideal_possibility", "check_ideal_stabilizing",
-    "check_merge_symmetry", "check_stabilizing", "condense",
-    "make_abp", "make_alternator", "make_cm", "make_le", "make_pif",
-    "merge_closure", "parse_protocol", "render", "replace", "run",
-    "VariableDecl",
-    "__version__",
-]
+#: Each public name's module, imported on the name's first use (PEP 562).
+_HOME = {name: module for module, names in {
+    "dsl": "ParseResult parse_protocol render",
+    "explorer": "build_transition_system condense run",
+    "kernel": "BOOL Action Domain ModelError Process Program State "
+              "VariableDecl replace",
+    "mapping": "EnabledOutputMapping HighestIdMapping IdenticalMapping "
+               "ProjectionMapping check_ideal_possibility "
+               "check_merge_symmetry merge_closure",
+    "protocols": "make_abp make_alternator make_cm make_le make_pif",
+    "specs": "Specification Verdict check_closed check_convergence "
+             "check_ideal_stabilizing check_stabilizing",
+}.items() for name in names.split()}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # from .module import name, which -X importtime times like any import
+    module = __import__(_HOME[name], globals(), None, (name,), 1)
+    return globals().setdefault(name, getattr(module, name))  # hook runs once
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

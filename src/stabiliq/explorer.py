@@ -312,6 +312,7 @@ def condense(ts: TransitionSystem) -> Condensation:
     backward set), the rest of the forward set, and everything else, and
     each part is trimmed and split again."""
     rel = ts.sources
+    back = {-d: shift(sources, d) for d, sources in rel.items()}
     singles, cores, parts = 0, [], [ts.full]
     while parts:
         part = parts.pop()
@@ -319,8 +320,8 @@ def condense(ts: TransitionSystem) -> Condensation:
         singles |= part & ~core
         if core:
             pivot = core & -core
-            forward = _reach(pivot, core, rel, post)
-            comp = _reach(pivot, forward, rel, pre)
+            forward = _reach(pivot, core, rel)
+            comp = _reach(pivot, forward, back)
             if comp == pivot and not pivot & rel.get(0, 0):
                 singles |= comp
             else:
@@ -329,12 +330,23 @@ def condense(ts: TransitionSystem) -> Condensation:
     return Condensation(ts, singles, cores)
 
 
-def _reach(seed: int, within: int, rel: dict, step: Callable) -> int:
-    reached = frontier = seed
-    while frontier:
-        frontier = step(frontier, rel) & within & ~reached
-        reached |= frontier
-    return reached
+def _reach(seed: int, nodes: int, rel: dict) -> int:
+    """The nodes the seed reaches inside the nodes, by doubling ladders:
+    rung (step, chain) of delta d holds the v whose d-edges run v, v + d,
+    ..., v + step inside, for d != 0 (a self-loop's chain never empties)."""
+    ladder = []
+    for d, sources in rel.items():
+        chain, step = sources & nodes & shift(nodes, -d), d
+        while d and chain:
+            ladder.append((step, chain))
+            chain &= shift(chain, -step)
+            step *= 2
+    reached = 0
+    while reached != seed:
+        reached = seed
+        for step, chain in ladder:
+            seed |= shift(seed & chain, step)
+    return seed
 
 
 @kernel.record

@@ -30,7 +30,7 @@ from functools import reduce
 from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from . import explorer, kernel
+from . import kernel
 from .kernel import BOOL, Domain, ModelError, Program, Signature, State
 
 
@@ -78,6 +78,7 @@ class BoundMapping:
         """Per specification slot i and value a, the bitset of the program
         states below size whose image has value a at slot i: the periodic
         set of the codes the slot's table sends to a."""
+        from . import explorer
         return [[explorer.periodic(
             [c for c, v in enumerate(values) if v == a], weight, span, size)
             for a in range(r)] for (weight, span, values), r in zip(

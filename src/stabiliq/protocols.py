@@ -11,10 +11,8 @@ for it exists.
 from __future__ import annotations
 
 import functools
-from importlib import resources
 from typing import Optional
 
-from .dsl import parse_protocol
 from .kernel import (BOOL, ModelError, Program, Signature, State, check_cap,
                      factory, record, replace)
 from .mapping import (ChainAutomaton, EnabledOutputMapping, HighestIdMapping,
@@ -54,8 +52,7 @@ def make_cm(ids) -> ProtocolBundle:
         raise ModelError("the conflict manager needs at least 2 processes")
     if len(set(ids)) != len(ids):
         raise ModelError("process identifiers must be unique; got %r" % (ids,))
-    processes = parse_protocol(sample_source("cm.gcp"),
-                               n=len(ids)).unwrap().processes
+    processes = _parse_sample("cm.gcp", len(ids)).processes
     program = Program("cm", [replace(p, pid=pid)
                              for p, pid in zip(processes, ids)])
     return ProtocolBundle(
@@ -77,8 +74,7 @@ def make_alternator(n: int) -> ProtocolBundle:
         raise ModelError("the alternator needs at least 3 processes")
     return ProtocolBundle(
         name="la",
-        program=parse_protocol(sample_source("alternator.gcp"),
-                               n=n).unwrap(),
+        program=_parse_sample("alternator.gcp", n),
         mapping=EnabledOutputMapping(),
         ideal_spec=_specs.fdp_spec(n),
     )
@@ -97,7 +93,7 @@ def make_pif(n: int) -> ProtocolBundle:
             "one intermediate process")
     return ProtocolBundle(
         name="pif",
-        program=parse_protocol(sample_source("pif.gcp"), n=n).unwrap(),
+        program=_parse_sample("pif.gcp", n),
         mapping=IdenticalMapping(),
         ideal_spec=_specs.ipif_spec(n),
         strict_spec=_specs.spif_spec(n),
@@ -121,7 +117,7 @@ def make_abp() -> ProtocolBundle:
     acknowledges it."""
     return ProtocolBundle(
         name="abp",
-        program=parse_protocol(sample_source("abp.gcp")).unwrap(),
+        program=_parse_sample("abp.gcp"),
         mapping=IdenticalMapping(),
         ideal_spec=_specs.iabp_spec(),
         strict_spec=_specs.sabp_spec(),
@@ -207,8 +203,15 @@ BUILDERS: dict = {
 
 def sample_source(filename: str) -> str:
     """The text of a shipped .gcp sample; a missing one is a ModelError."""
+    from importlib import resources  # pulls in pathlib, zipfile, tempfile
     path = resources.files("stabiliq") / "samples" / filename
     if not path.is_file():
         raise ModelError("sample file %s is missing from the installed "
                          "package" % path)
     return path.read_text()
+
+
+def _parse_sample(filename: str, n: Optional[int] = None) -> Program:
+    """A shipped sample's program; only the builders import the DSL."""
+    from .dsl import parse_protocol
+    return parse_protocol(sample_source(filename), n=n).unwrap()

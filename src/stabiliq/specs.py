@@ -20,7 +20,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Optional
 
-from . import explorer, kernel
+from . import kernel  # explorer only in the functions that search a system
 from .kernel import Program, Signature, State, check_cap, replace
 from .mapping import (BoundMapping, ChainAutomaton, ChainPredicate,
                       StateMapping, _same)
@@ -188,6 +188,7 @@ def _escaping_edge(ts: explorer.TransitionSystem, inside: int
                    ) -> Optional[dict]:
     """The first edge from a state inside the set to one outside it, as an
     edge witness, or None when the set is closed."""
+    from . import explorer
     leaving = inside & explorer.pre(ts.full & ~inside, ts.sources)
     if not leaving:
         return None
@@ -203,6 +204,7 @@ def _avoiding_computation(ts: explorer.TransitionSystem, inside: int
     the note that names it, or (None, None). Under the no-fairness daemon
     the first terminal state outside the set is one, and so is any cycle
     through states outside it."""
+    from . import explorer
     stuck = ts.terminal & ~inside
     if stuck:
         return ({"kind": "terminal",
@@ -229,6 +231,7 @@ def _holds(pred: Callable[[State], bool], bound: BoundMapping,
     every image id unless the binding is the identity. A program-side
     predicate (an invariant) is read through the program's own binding,
     BoundMapping(program.signature)."""
+    from . import explorer
     if isinstance(pred, ChainPredicate):
         return pred.bits(bound.signature, letters)
     bits = explorer.bitset(map(pred, bound.signature.states()))
@@ -248,6 +251,7 @@ def _edge_relations(ts: explorer.TransitionSystem, bound: BoundMapping,
     drops the edges from its source set to outside both sets. A plain
     callable runs once per image pair of the edges, through its own cache
     (for allowed_edge a stutter pair is allowed)."""
+    from . import explorer
     inner = explorer.within(inv, ts.sources)
     changed = [explorer.crossing(inner, values) for values in letters]
 
@@ -292,6 +296,7 @@ def _edge_relations(ts: explorer.TransitionSystem, bound: BoundMapping,
 def check_closed(program: Program, pred: Callable[[State], bool],
                  ts: Optional[explorer.TransitionSystem] = None) -> Verdict:
     """Does no transition leave the predicate set?"""
+    from . import explorer
     t0 = time.perf_counter()
     ts = ts if ts is not None else explorer.build_transition_system(program)
     inside = _holds(pred, BoundMapping(ts.program.signature), ts)
@@ -308,6 +313,7 @@ def check_convergence(program: Program, pred: Callable[[State], bool],
     """Does every maximal computation from every universe state reach the
     predicate? Complete under no fairness: it fails exactly on a terminal
     state outside the predicate or a cycle avoiding it."""
+    from . import explorer
     t0 = time.perf_counter()
     ts = ts if ts is not None else explorer.build_transition_system(program)
     witness, _ = _avoiding_computation(
@@ -334,6 +340,7 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     the policy forbids it. Findings that the policy or an obligation's mode
     exempts from gating are reported in the notes.
     """
+    from . import explorer
     t0 = time.perf_counter()
     ts = ts if ts is not None else explorer.build_transition_system(program)
     bound = mapping.bind(program)
@@ -421,6 +428,7 @@ def _check_acceptance(spec: Specification, ts, cond, c: int, accepts,
     predicate and `unmet[j]()` the relation of the invariant's edges that
     miss obligation j (check_stabilizing). Returns a witness dict on a
     gating violation, None otherwise; analyze findings go into notes."""
+    from . import explorer
     bits, acc = cond.bits(c), spec.acceptance
     size, terminal, rest = bits.bit_count(), bool(bits & ts.terminal), bits
     for _ in range(4):  # all but the least four states
@@ -547,6 +555,7 @@ def pif_coverage(program: Program, cap: Optional[int] = None) -> Verdict:
     and report how much of the universe they cover. This is an analysis,
     not a property: it always completes, and the uncovered states are the
     finding. Only the first 20 uncovered states are decoded."""
+    from . import explorer
     sig = program.signature
     check_cap(sig.size, cap=cap)
     uncovered = (1 << sig.size) - 1 & ~pif_prime.bits(sig)

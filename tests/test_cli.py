@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -434,8 +433,8 @@ def test_missing_sample_exits_2_naming_the_file(capsys, monkeypatch,
                                                tmp_path):
     # an installed package whose samples directory is empty
     (tmp_path / "samples").mkdir()
-    monkeypatch.setattr(protocols, "resources",
-                        SimpleNamespace(files=lambda package: tmp_path))
+    monkeypatch.setattr("importlib.resources.files",
+                        lambda package: tmp_path)
     missing = tmp_path / "samples" / "abp.gcp"
     with pytest.raises(ModelError, match=re.escape(str(missing))):
         protocols.sample_source("abp.gcp")

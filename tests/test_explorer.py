@@ -393,6 +393,26 @@ def test_condensation_agrees_with_the_oracle_on_random_graphs():
          for v, out in enumerate(pairs)])
 
 
+def test_condensation_agrees_with_the_oracle_on_self_loops_and_long_runs():
+    # forward-backward search follows each delta's runs by doubling; a
+    # self-loop's run never ends, so self-loops sit beside long runs of
+    # one delta here: a looped cycle, and random runs closed by back edges
+    assert_condensation_matches_the_oracle(
+        [[v, (v + 1) % 200] for v in range(200)])
+    rng = random.Random(19)
+    for _ in range(12):
+        n = rng.randint(40, 160)
+        succ = [[v] if rng.random() < 0.5 else [] for v in range(n)]
+        for d in rng.sample([1, 2, 3, -1, -4], 3):
+            start = rng.randrange(n)
+            for v in range(start, start + rng.randint(n // 4, n)):
+                if 0 <= v < n and 0 <= v + d < n:
+                    succ[v].append(v + d)
+        for _ in range(rng.randint(0, 3)):
+            succ[rng.randrange(n)].append(rng.randrange(n))
+        assert_condensation_matches_the_oracle([sorted(out) for out in succ])
+
+
 @pytest.mark.parametrize("back_edge", [False, True])
 def test_long_path_outlasts_the_round_budget(peels, back_edge):
     # 0 -> 1 -> ... -> n-1, optionally closed by n-1 -> n/2: either way the

@@ -1,0 +1,94 @@
+"""What each entry point loads: the package imports its modules on demand,
+and the command line compiles all of them before argparse and json."""
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stabiliq
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: The public names, as the package listed them when it imported every
+#: module up front.
+PUBLIC = {
+    "Action", "BOOL", "Domain", "EnabledOutputMapping", "HighestIdMapping",
+    "IdenticalMapping", "ModelError", "ParseResult", "Process", "Program",
+    "ProjectionMapping", "Specification", "State", "Verdict",
+    "build_transition_system", "check_closed", "check_convergence",
+    "check_ideal_possibility", "check_ideal_stabilizing",
+    "check_merge_symmetry", "check_stabilizing", "condense",
+    "make_abp", "make_alternator", "make_cm", "make_le", "make_pif",
+    "merge_closure", "parse_protocol", "render", "replace", "run",
+    "VariableDecl", "__version__",
+}
+
+
+def fresh(code: str, *flags: str):
+    """Run code in a fresh interpreter on this checkout's package and return
+    the JSON value of its last output line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+LOADED = ("import json, sys; print(json.dumps(sorted(m for m in sys.modules "
+          "if m in {names!r} or m.startswith('stabiliq.'))))")
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import stabiliq; " + LOADED.format(names=set())
+    assert fresh(code) == []
+
+
+def test_the_leader_election_fixture_parses_nothing_and_explores_nothing():
+    # without site, nothing preloads importlib.resources
+    code = "import stabiliq; stabiliq.make_le(9); " + LOADED.format(
+        names={"importlib.resources"})
+    assert fresh(code, "-S") == ["stabiliq.kernel", "stabiliq.mapping",
+                                 "stabiliq.protocols", "stabiliq.specs"]
+
+
+def test_a_program_bundle_builds_without_the_explorer():
+    code = "import stabiliq; stabiliq.make_alternator(14); " + \
+        LOADED.format(names=set())
+    loaded = fresh(code, "-S")
+    assert "stabiliq.dsl" in loaded and "stabiliq.explorer" not in loaded
+
+
+def test_the_command_line_compiles_the_package_before_argparse_and_json():
+    code = ("import sys; before = sorted({'argparse', 'json'} & "
+            "set(sys.modules)); import stabiliq.cli; order = "
+            "list(sys.modules); import json; print(json.dumps([before, "
+            "order]))")
+    before, order = fresh(code, "-S")
+    assert before == []  # neither was loaded before
+    package = ["stabiliq." + m.name for m in
+               pkgutil.iter_modules(stabiliq.__path__)
+               if m.name not in ("cli", "__main__")]
+    assert len(package) == 6
+    first = min(order.index("argparse"), order.index("json"))
+    assert all(order.index(m) < first for m in package)
+
+
+def test_every_public_name_resolves():
+    assert set(stabiliq.__all__) == PUBLIC
+    assert PUBLIC <= set(dir(stabiliq))
+    for name in stabiliq.__all__:
+        assert getattr(stabiliq, name) is not None
+    assert stabiliq.make_le is stabiliq.protocols.make_le
+    namespace = {}
+    exec("from stabiliq import *", namespace)
+    assert PUBLIC <= set(namespace)
+    assert namespace["condense"] is stabiliq.explorer.condense
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        stabiliq.no_such_name
+    with pytest.raises(ImportError):
+        exec("from stabiliq import no_such_name", {})

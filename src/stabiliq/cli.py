@@ -48,7 +48,7 @@ class UsageError(ValueError):
 # --------------------------------------------------------------------------
 # Protocol selection.
 
-def _add_protocol_options(sub: argparse.ArgumentParser):
+def _add_protocol_options(sub: argparse.ArgumentParser, cap: bool = True):
     sub.add_argument("--protocol", choices=sorted(protocols.BUILDERS),
                      help="a built-in protocol")
     sub.add_argument("--file", metavar="PATH",
@@ -57,10 +57,11 @@ def _add_protocol_options(sub: argparse.ArgumentParser):
                      help="chain length for sized protocols")
     sub.add_argument("--ids", metavar="I,J,...",
                      help="process identifiers for cm, highest priority wins")
-    sub.add_argument("--cap", type=int, metavar="STATES",
-                     help="universe size cap (default %d, or the "
-                          "STABILIQ_STATE_CAP environment variable)"
-                          % DEFAULT_STATE_CAP)
+    if cap:  # for the commands that list a universe
+        sub.add_argument("--cap", type=int, metavar="STATES",
+                         help="universe size cap (default %d, or the "
+                              "STABILIQ_STATE_CAP environment variable)"
+                              % DEFAULT_STATE_CAP)
 
 
 def _parse_ids(text: str) -> tuple:
@@ -78,12 +79,7 @@ def _load(args) -> tuple:
     if args.ids is not None and args.protocol != "cm":
         raise UsageError("--ids applies only to --protocol cm")
     if args.file is not None:
-        try:
-            with open(args.file) as handle:
-                source = handle.read()
-        except OSError as exc:
-            raise UsageError(str(exc))
-        result = dsl.parse_protocol(source, n=args.n)
+        result = dsl.parse_protocol(_read(args.file), n=args.n)
         if not result.ok:
             raise UsageError("%s does not parse:\n%s" % (
                 args.file, "\n".join(str(d) for d in result.diagnostics)))
@@ -217,15 +213,8 @@ def cmd_impossibility(args) -> int:
         allowed, disallowed = fixture.automaton, None
         subject = "le chain length %d" % args.n
     elif args.allowed_file and args.disallowed_file:
-        try:
-            with open(args.allowed_file) as handle:
-                allowed_text = handle.read()
-            with open(args.disallowed_file) as handle:
-                disallowed_text = handle.read()
-        except OSError as exc:
-            raise UsageError(str(exc))
         sig, (allowed, disallowed) = mappingmod.read_spec_state_sets(
-            allowed_text, disallowed_text)
+            _read(args.allowed_file), _read(args.disallowed_file))
         subject = "%s / %s" % (args.allowed_file, args.disallowed_file)
     else:
         raise UsageError("provide --protocol le with --n, or both "
@@ -339,6 +328,16 @@ def cmd_export_dot(args) -> int:
 # --------------------------------------------------------------------------
 # Plumbing.
 
+def _read(path: str) -> str:
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise UsageError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise UsageError("cannot read %s: %s" % (path, exc))
+
+
 def _write(path: str, text: str):
     try:
         with open(path, "w") as handle:
@@ -391,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser(
         "simulate", help="run the central daemon and print the trace")
-    _add_protocol_options(p_sim)
+    _add_protocol_options(p_sim, cap=False)
     p_sim.add_argument("--from", dest="start", default="random",
                        metavar="STATE",
                        help="start state: canonical var=value text, "

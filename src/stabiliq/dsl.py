@@ -22,14 +22,15 @@ self, left, or right, which keeps the neighbor-only communication model a
 syntactic fact.
 
 parse_protocol returns a ParseResult carrying the validated kernel Program
-or error diagnostics with stable codes. The parser builds kernel nodes, and
-kernel.Program checks the rules on guards and commands; each problem it
-reports is placed at the source token of its node. render produces
+or error diagnostics with stable codes, each placed at a source token. The
+parser builds kernel nodes, and kernel.Program checks the rules on guards
+and commands; each problem it reports is placed at the source token of its
+node. render produces
 canonical text that parses back to a structurally equal program.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .kernel import (BOOL, OFFSET_NAMES, Action, And, Assign, BoolLit, Cmp,
                      Domain, If, Lit, ModelError, Not, NotRef, Or, Process,
@@ -44,15 +45,14 @@ RESERVED = frozenset(
 
 @record
 class Diagnostic:
-    severity: str
     line: int
     col: int
     code: str
     message: str
 
     def __str__(self):
-        return "%d:%d: %s: %s [%s]" % (
-            self.line, self.col, self.severity, self.message, self.code)
+        return "%d:%d: error: %s [%s]" % (
+            self.line, self.col, self.message, self.code)
 
 
 @record(frozen=False)
@@ -62,8 +62,7 @@ class ParseResult:
 
     @property
     def ok(self) -> bool:
-        return self.program is not None and not any(
-            d.severity == "error" for d in self.diagnostics)
+        return self.program is not None
 
     def unwrap(self) -> Program:
         if not self.ok:
@@ -78,13 +77,6 @@ class DslError(ValueError):
                          or "invalid protocol source")
 
 
-class _Abort(Exception):
-    """Internal: parsing cannot continue; carries one diagnostic."""
-
-    def __init__(self, diag: Diagnostic):
-        self.diag = diag
-
-
 # --------------------------------------------------------------------------
 # Tokens.
 
@@ -94,6 +86,17 @@ class _Token:
     text: str
     line: int
     col: int
+
+
+def _fail(at, code: str, message: str) -> NoReturn:
+    """Raise one diagnostic, placed at a token or a (line, col) pair."""
+    line, col = at if isinstance(at, tuple) else (at.line, at.col)
+    raise DslError([Diagnostic(line, col, code, message)])
+
+
+def _expected(tok: _Token, what: str) -> NoReturn:
+    _fail(tok, "SYNTAX", "expected %s, found %s" % (
+        what, "end of input" if tok.kind == "eof" else repr(tok.text)))
 
 
 _PUNCT2 = (":=", "!=", "->", "&&", "||", "..")
@@ -139,8 +142,7 @@ def _tokenize(src: str) -> list:
             col += j - i
             i = j
         else:
-            raise _Abort(Diagnostic("error", line, col, "SYNTAX",
-                                    "unexpected character %r" % c))
+            _fail((line, col), "SYNTAX", "unexpected character %r" % c)
     toks.append(_Token("eof", "", line, col))
     return toks
 
@@ -172,8 +174,8 @@ class _Parser:
         self.spans[id(node)] = tok
         return node
 
-    def peek(self, k: int = 0) -> _Token:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+    def peek(self) -> _Token:
+        return self.toks[self.i]
 
     def take(self) -> _Token:
         tok = self.toks[self.i]
@@ -185,128 +187,108 @@ class _Parser:
         return self.peek().text == text and self.peek().kind != "eof"
 
     def expect(self, text: str, what: str = "") -> _Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            raise _Abort(Diagnostic(
-                "error", tok.line, tok.col, "SYNTAX",
-                "expected %r%s, found %s"
-                % (text, " " + what if what else "",
-                   repr(tok.text) if tok.kind != "eof" else "end of input")))
+        if not self.at(text):
+            _expected(self.peek(), "%r%s" % (text, " " + what if what else ""))
         return self.take()
 
-    def ident(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise _Abort(Diagnostic(
-                "error", tok.line, tok.col, "SYNTAX",
-                "expected %s, found %r" % (what, tok.text or "end of input")))
+    def token(self, what: str, *kinds: str) -> _Token:
+        if self.peek().kind not in kinds:
+            _expected(self.peek(), what)
         return self.take()
+
+    def integer(self) -> int:
+        tok = self.token("an integer", "int")
+        try:
+            return int(tok.text)
+        except ValueError as exc:  # a digit int() refuses, or too many digits
+            _fail(tok, "SYNTAX", "cannot read an integer: %s" % exc)
+
+    def new_name(self, what: str, taken) -> _Token:
+        name = self.token(what + " name", "ident")
+        if name.text in RESERVED:
+            _fail(name, "SYNTAX", "%r is a reserved word" % name.text)
+        if name.text in taken:
+            _fail(name, "DUPLICATE_NAME", "%s %r is already declared in this "
+                  "group" % (what, name.text))
+        return name
 
     # -- top level ----------------------------------------------------------
 
     def protocol(self):
         self.expect("protocol")
-        name = self.ident("protocol name")
+        name = self.token("protocol name", "ident")
         self.expect("(")
         param = None
         if not self.at(")"):
-            param = self.ident("parameter name").text
+            param = self.token("parameter name", "ident").text
         self.expect(")")
         self.expect("{")
-        domains = {}
+        domains = {"bool": BOOL}
         while self.at("domain"):
             self.domain(domains)
-        ids = None
-        ids_tok = None
+        ids = ids_tok = None
         if self.at("ids"):
             ids_tok = self.take()
             self.expect("=")
             self.expect("[")
-            ids = [int(self.int_tok().text)]
+            ids = [self.integer()]
             while self.at(","):
                 self.take()
-                ids.append(int(self.int_tok().text))
+                ids.append(self.integer())
             self.expect("]")
             self.expect(";")
         groups = []
         while self.at("process"):
             groups.append(self.group(param, domains))
         if not groups:
-            tok = self.peek()
-            raise _Abort(Diagnostic("error", tok.line, tok.col, "SYNTAX",
-                                    "a protocol needs at least one "
-                                    "process group"))
+            _fail(self.peek(), "SYNTAX",
+                  "a protocol needs at least one process group")
         self.expect("}")
         tok = self.peek()
         if tok.kind != "eof":
-            raise _Abort(Diagnostic("error", tok.line, tok.col, "SYNTAX",
-                                    "unexpected %r after protocol body"
-                                    % tok.text))
-        return name.text, param, domains, ids, ids_tok, groups
-
-    def int_tok(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "int":
-            raise _Abort(Diagnostic("error", tok.line, tok.col, "SYNTAX",
-                                    "expected an integer, found %r"
-                                    % (tok.text or "end of input")))
-        return self.take()
+            _fail(tok, "SYNTAX", "unexpected %r after protocol body" % tok.text)
+        return name.text, param, ids, ids_tok, groups
 
     def domain(self, domains: dict):
         self.expect("domain")
-        name = self.ident("domain name")
-        if name.text == "bool" or name.text in domains:
-            raise _Abort(Diagnostic(
-                "error", name.line, name.col, "DUPLICATE_NAME",
-                "domain %r is already defined" % name.text))
+        name = self.token("domain name", "ident")
+        if name.text in domains:
+            _fail(name, "DUPLICATE_NAME",
+                  "domain %r is already defined" % name.text)
         self.expect("=")
         self.expect("{")
-        values = [self.value_tok().text]
+        values = [self.token("a value", "ident", "int").text]
         while self.at(","):
             self.take()
-            v = self.value_tok()
+            v = self.token("a value", "ident", "int")
             if v.text in values:
-                raise _Abort(Diagnostic(
-                    "error", v.line, v.col, "DUPLICATE_NAME",
-                    "value %r repeats in domain %r" % (v.text, name.text)))
+                _fail(v, "DUPLICATE_NAME", "value %r repeats in domain %r"
+                      % (v.text, name.text))
             values.append(v.text)
         self.expect("}")
         self.expect(";")
         domains[name.text] = Domain(name.text, tuple(values))
-
-    def value_tok(self) -> _Token:
-        tok = self.peek()
-        if tok.kind in ("ident", "int"):
-            return self.take()
-        raise _Abort(Diagnostic("error", tok.line, tok.col, "SYNTAX",
-                                "expected a value, found %r"
-                                % (tok.text or "end of input")))
 
     # -- process groups -------------------------------------------------------
 
     def bound(self, param) -> tuple:
         tok = self.peek()
         if tok.kind == "int":
+            return ("int", self.integer())
+        if tok.kind != "ident":
+            _expected(tok, "a position bound")
+        if tok.text != param:
+            _fail(tok, "SYNTAX", "%r is not a protocol parameter" % tok.text)
+        self.take()
+        offset = 0
+        if self.at("-"):
             self.take()
-            return ("int", int(tok.text))
-        if tok.kind == "ident":
-            if param is not None and tok.text == param:
-                self.take()
-                offset = 0
-                if self.at("-"):
-                    self.take()
-                    offset = int(self.int_tok().text)
-                return ("n", offset)
-            raise _Abort(Diagnostic(
-                "error", tok.line, tok.col, "SYNTAX",
-                "%r is not a protocol parameter" % tok.text))
-        raise _Abort(Diagnostic("error", tok.line, tok.col, "SYNTAX",
-                                "expected a position bound, found %r"
-                                % (tok.text or "end of input")))
+            offset = self.integer()
+        return ("n", offset)
 
     def group(self, param, domains) -> _Group:
         self.expect("process")
-        name = self.ident("group name")
+        name = self.token("group name", "ident")
         self.expect("in")
         lo = self.bound(param)
         self.expect("..")
@@ -321,42 +303,21 @@ class _Parser:
         return grp
 
     def vardecl(self, grp: _Group, domains: dict):
-        kindword = self.take().text
-        kind = {"var": "internal", "input": "input", "output": "output"}[kindword]
-        name = self.ident("variable name")
-        if name.text in RESERVED:
-            raise _Abort(Diagnostic(
-                "error", name.line, name.col, "SYNTAX",
-                "%r is a reserved word" % name.text))
-        if any(v.name == name.text for v in grp.vars):
-            raise _Abort(Diagnostic(
-                "error", name.line, name.col, "DUPLICATE_NAME",
-                "variable %r is already declared in this group" % name.text))
+        kind = {"var": "internal", "input": "input",
+                "output": "output"}[self.take().text]
+        name = self.new_name("variable", {v.name for v in grp.vars})
         self.expect(":")
-        dom_tok = self.ident("domain name")
-        if dom_tok.text == "bool":
-            dom = BOOL
-        elif dom_tok.text in domains:
-            dom = domains[dom_tok.text]
-        else:
-            raise _Abort(Diagnostic(
-                "error", dom_tok.line, dom_tok.col, "UNKNOWN_DOMAIN",
-                "domain %r is not declared" % dom_tok.text))
+        dom_tok = self.token("domain name", "ident")
+        if dom_tok.text not in domains:
+            _fail(dom_tok, "UNKNOWN_DOMAIN",
+                  "domain %r is not declared" % dom_tok.text)
         self.expect(";")
-        grp.vars.append(VariableDecl(name.text, dom, kind))
+        grp.vars.append(VariableDecl(name.text, domains[dom_tok.text], kind))
 
     # -- actions ---------------------------------------------------------------
 
     def action(self, grp: _Group):
-        name = self.ident("action name")
-        if name.text in RESERVED:
-            raise _Abort(Diagnostic(
-                "error", name.line, name.col, "SYNTAX",
-                "%r is a reserved word" % name.text))
-        if any(a.name == name.text for a in grp.actions):
-            raise _Abort(Diagnostic(
-                "error", name.line, name.col, "DUPLICATE_NAME",
-                "action %r is already declared in this group" % name.text))
+        name = self.new_name("action", {a.name for a in grp.actions})
         self.expect(":")
         guard = self.guard()
         self.expect("->", "between guard and command")
@@ -374,9 +335,7 @@ class _Parser:
             else:
                 break
         if require_one and not out:
-            tok = self.peek()
-            raise _Abort(Diagnostic("error", tok.line, tok.col, "SYNTAX",
-                                    "an action needs at least one statement"))
+            _fail(self.peek(), "SYNTAX", "an action needs at least one statement")
         return out
 
     def assign(self) -> Assign:
@@ -388,7 +347,7 @@ class _Parser:
         elif self.peek().text in OFFSETS:
             value = self.varref()
         else:
-            v = self.value_tok()
+            v = self.token("a value", "ident", "int")
             value = self.mark(Lit(v.text), v)
         self.expect(";")
         return self.mark(Assign(target, value), tok)
@@ -413,18 +372,14 @@ class _Parser:
     def varref(self) -> VarRef:
         word = self.peek()
         if word.text not in OFFSETS:
-            raise _Abort(Diagnostic(
-                "error", word.line, word.col, "SYNTAX",
-                "expected self, left, or right, found %r"
-                % (word.text or "end of input")))
+            _expected(word, "self, left, or right")
         self.take()
         self.expect(".")
-        name = self.ident("variable name")
+        name = self.token("variable name", "ident")
         if name.text in OFFSETS:
-            raise _Abort(Diagnostic(
-                "error", name.line, name.col, "NON_NEIGHBOR_REF",
-                "a process can only read its immediate neighbors; "
-                "%s.%s reaches further" % (word.text, name.text)))
+            _fail(name, "NON_NEIGHBOR_REF",
+                  "a process can only read its immediate neighbors; "
+                  "%s.%s reaches further" % (word.text, name.text))
         return self.mark(VarRef(OFFSETS[word.text], name.text), name)
 
     # -- guards ------------------------------------------------------------------
@@ -465,28 +420,18 @@ class _Parser:
         left = self.operand()
         op = self.peek()
         if op.text not in ("=", "!="):
-            raise _Abort(Diagnostic(
-                "error", op.line, op.col, "SYNTAX",
-                "expected '=' or '!=' in comparison, found %r"
-                % (op.text or "end of input")))
+            _expected(op, "'=' or '!=' in comparison")
         self.take()
         right = self.operand()
         if isinstance(left, Lit) and isinstance(right, Lit):
-            raise _Abort(Diagnostic(
-                "error", op.line, op.col, "SYNTAX",
-                "a comparison needs at least one variable"))
+            _fail(op, "SYNTAX", "a comparison needs at least one variable")
         return Cmp(left, op.text, right)
 
     def operand(self):
-        tok = self.peek()
-        if tok.text in OFFSETS:
+        if self.peek().text in OFFSETS:
             return self.varref()
-        if tok.kind in ("ident", "int"):
-            self.take()
-            return self.mark(Lit(tok.text), tok)
-        raise _Abort(Diagnostic("error", tok.line, tok.col, "SYNTAX",
-                                "expected a variable or value, found %r"
-                                % (tok.text or "end of input")))
+        tok = self.token("a variable or value", "ident", "int")
+        return self.mark(Lit(tok.text), tok)
 
 
 # --------------------------------------------------------------------------
@@ -508,8 +453,68 @@ def _diagnostics(problems, spans: dict, group_of: dict) -> list:
                                          group_of[p.pos].tok.col)):
         tok = spans[id(problem.node)]
         diags.setdefault((problem.code, tok.line, tok.col), Diagnostic(
-            "error", tok.line, tok.col, problem.code, problem.message))
+            tok.line, tok.col, problem.code, problem.message))
     return list(diags.values())
+
+
+def _build(source: str, n: Optional[int]) -> Program:
+    parser = _Parser(_tokenize(source))
+    name, param, ids, ids_tok, groups = parser.protocol()
+    if param is not None and n is None:
+        _fail((1, 1), "MISSING_PARAM", "protocol %r takes a parameter %s; "
+              "supply its value" % (name, param))
+    if param is None:
+        # Bounds of a parameterless protocol are all literal; infer the
+        # chain length from them.
+        n = max(g.hi[1] for g in groups)
+    if n < 1:
+        _fail((1, 1), "GROUP_RANGE",
+              "chain length must be at least 1; got %d" % n)
+
+    diags: list = []
+    group_of: dict = {}
+    for grp in groups:
+        for pos in _positions(grp, n):
+            if not 1 <= pos <= n:
+                diags.append(Diagnostic(
+                    grp.tok.line, grp.tok.col, "GROUP_RANGE",
+                    "group %r covers position %d, outside 1..%d"
+                    % (grp.name, pos, n)))
+            elif pos in group_of:
+                diags.append(Diagnostic(
+                    grp.tok.line, grp.tok.col, "GROUP_RANGE",
+                    "groups %r and %r both cover position %d"
+                    % (group_of[pos].name, grp.name, pos)))
+            else:
+                group_of[pos] = grp
+    if diags:
+        raise DslError(diags)
+    uncovered = [p for p in range(1, n + 1) if p not in group_of]
+    if uncovered:
+        _fail((1, 1), "GROUP_RANGE", "no group covers position%s %s"
+              % ("" if len(uncovered) == 1 else "s",
+                 ", ".join(str(p) for p in uncovered)))
+    if not any(grp.vars for grp in groups):
+        _fail(groups[0].tok, "NO_VARIABLES",
+              "no process of protocol %r declares a variable" % name)
+
+    pids = list(range(1, n + 1))
+    if ids is not None:
+        if len(ids) != n or len(set(ids)) != len(ids):
+            _fail(ids_tok, "IDS_MISMATCH", "ids must list %d distinct "
+                  "integers; got %r" % (n, ids))
+        pids = ids
+
+    processes = [Process(index=pos, pid=pids[pos - 1],
+                         vars=tuple(group_of[pos].vars),
+                         actions=tuple(group_of[pos].actions))
+                 for pos in range(1, n + 1)]
+    try:
+        return Program(name, processes)
+    except ProgramError as exc:
+        raise DslError(_diagnostics(exc.problems, parser.spans, group_of))
+    except ModelError as exc:
+        _fail((1, 1), "MODEL", str(exc))
 
 
 def parse_protocol(source: str, n: Optional[int] = None) -> ParseResult:
@@ -521,75 +526,9 @@ def parse_protocol(source: str, n: Optional[int] = None) -> ParseResult:
     there are none.
     """
     try:
-        parser = _Parser(_tokenize(source))
-        name, param, domains, ids, ids_tok, groups = parser.protocol()
-    except _Abort as abort:
-        return ParseResult(None, [abort.diag])
-
-    if param is not None and n is None:
-        return ParseResult(None, [Diagnostic(
-            "error", 1, 1, "MISSING_PARAM",
-            "protocol %r takes a parameter %s; supply its value" % (name, param))])
-    if param is None:
-        # Bounds of a parameterless protocol are all literal; infer the
-        # chain length from them.
-        n = max(g.hi[1] for g in groups)
-    if n < 1:
-        return ParseResult(None, [Diagnostic(
-            "error", 1, 1, "GROUP_RANGE",
-            "chain length must be at least 1; got %d" % n)])
-
-    diags: list = []
-    group_of: dict = {}
-    for grp in groups:
-        for pos in _positions(grp, n):
-            if not 1 <= pos <= n:
-                diags.append(Diagnostic(
-                    "error", grp.tok.line, grp.tok.col, "GROUP_RANGE",
-                    "group %r covers position %d, outside 1..%d"
-                    % (grp.name, pos, n)))
-            elif pos in group_of:
-                diags.append(Diagnostic(
-                    "error", grp.tok.line, grp.tok.col, "GROUP_RANGE",
-                    "groups %r and %r both cover position %d"
-                    % (group_of[pos].name, grp.name, pos)))
-            else:
-                group_of[pos] = grp
-    uncovered = [p for p in range(1, n + 1) if p not in group_of]
-    if uncovered and not diags:
-        diags.append(Diagnostic(
-            "error", 1, 1, "GROUP_RANGE",
-            "no group covers position%s %s"
-            % ("" if len(uncovered) == 1 else "s",
-               ", ".join(str(p) for p in uncovered))))
-    if diags:
-        return ParseResult(None, diags)
-
-    if not any(grp.vars for grp in groups):
-        return ParseResult(None, [Diagnostic(
-            "error", groups[0].tok.line, groups[0].tok.col, "NO_VARIABLES",
-            "no process of protocol %r declares a variable" % name)])
-
-    pids = list(range(1, n + 1))
-    if ids is not None:
-        if len(ids) != n or len(set(ids)) != len(ids):
-            return ParseResult(None, [Diagnostic(
-                "error", ids_tok.line, ids_tok.col, "IDS_MISMATCH",
-                "ids must list %d distinct integers; got %r" % (n, ids))])
-        pids = ids
-
-    processes = [Process(index=pos, pid=pids[pos - 1],
-                         vars=tuple(group_of[pos].vars),
-                         actions=tuple(group_of[pos].actions))
-                 for pos in range(1, n + 1)]
-    try:
-        program = Program(name, processes)
-    except ProgramError as exc:
-        return ParseResult(None, _diagnostics(exc.problems, parser.spans,
-                                              group_of))
-    except ModelError as exc:
-        return ParseResult(None, [Diagnostic("error", 1, 1, "MODEL", str(exc))])
-    return ParseResult(program, [])
+        return ParseResult(_build(source, n), [])
+    except DslError as exc:
+        return ParseResult(None, exc.diagnostics)
 
 
 # --------------------------------------------------------------------------

@@ -346,6 +346,23 @@ class Problem:
 # --------------------------------------------------------------------------
 # Signatures and states.
 
+def decimal_int(text: str) -> Optional[int]:
+    """The int of a string of decimal digits; None for any other string and
+    for one with more digits than int() reads."""
+    try:
+        return int(text) if text.isdecimal() else None
+    except ValueError:  # past the interpreter's digit limit
+        return None
+
+
+def qualified_slot(label: str) -> Optional[tuple]:
+    """The (position, name) of a position-qualified label `name.pK`; None
+    for a label of any other form."""
+    name, dot, suffix = label.partition(".")
+    pos = decimal_int(suffix[1:]) if dot and suffix.startswith("p") else None
+    return None if pos is None else (pos, name)
+
+
 class Signature:
     """An ordered list of (position, variable name, domain) slots.
 
@@ -427,10 +444,10 @@ class Signature:
 
     def _slot_by_label(self, label: str) -> int:
         if "." in label:
-            name, _, suffix = label.partition(".")
-            if not (suffix.startswith("p") and suffix[1:].isdigit()):
+            key = qualified_slot(label)
+            if key is None:
                 raise ModelError("bad variable label %r" % label)
-            return self.slot(int(suffix[1:]), name)
+            return self.slot(*key)
         matches = [i for i, (_, name, _) in enumerate(self.slots) if name == label]
         if not matches:
             raise ModelError("unknown variable %r" % label)

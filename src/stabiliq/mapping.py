@@ -144,25 +144,21 @@ class ProjectionMapping(StateMapping):
 
 
 class HighestIdMapping(StateMapping):
-    """The conflict-manager rule: position p's output is true when p's
-    access bit is set and no accessing chain neighbor has a larger process
-    identifier."""
-
-    def __init__(self, access_var: str = "access", output: str = "in"):
-        self.access_var = access_var
-        self.output = output
+    """The conflict-manager rule: position p's output `in` is true when p's
+    boolean `access` is set and no accessing chain neighbor has a larger
+    process identifier."""
 
     def bind(self, program: Program) -> BoundMapping:
-        sig = Signature((p.index, self.output, BOOL) for p in program.processes)
+        sig = Signature((p.index, "in", BOOL) for p in program.processes)
         psig = program.signature
         access, pids = {}, {p.index: p.pid for p in program.processes}
         for proc in program.processes:
-            if self.access_var not in {v.name for v in proc.vars}:
+            if "access" not in {v.name for v in proc.vars}:
                 raise MappingError(
-                    "process %d lacks variable %r" % (proc.index, self.access_var))
-            if proc.var(self.access_var).domain.values != BOOL.values:
-                raise MappingError("%r must be boolean" % self.access_var)
-            access[proc.index] = psig.slot(proc.index, self.access_var)
+                    "process %d lacks variable 'access'" % proc.index)
+            if proc.var("access").domain.values != BOOL.values:
+                raise MappingError("'access' must be boolean")
+            access[proc.index] = psig.slot(proc.index, "access")
         # the rule, once per valuation of p's window, in window code order
         radices, values, digits = psig.radices, [0] * len(psig.slots), []
         for p in pids:
@@ -180,14 +176,11 @@ class HighestIdMapping(StateMapping):
 
 
 class EnabledOutputMapping(StateMapping):
-    """The alternator rule: position p's output is true exactly when some
-    action of process p is enabled."""
-
-    def __init__(self, output: str = "in"):
-        self.output = output
+    """The alternator rule: position p's output `in` is true exactly when
+    some action of process p is enabled."""
 
     def bind(self, program: Program) -> BoundMapping:
-        sig = Signature((p.index, self.output, BOOL) for p in program.processes)
+        sig = Signature((p.index, "in", BOOL) for p in program.processes)
         return BoundMapping(sig, digits=[
             (t.low_weight, t.span, bytes(map(bool, t.rows)))
             for t in program.windows])
@@ -561,12 +554,11 @@ def _parse_state_lines(text: str):
                 raise ModelError(
                     "line %d: bad token %r; expected var.pK=value"
                     % (lineno, token))
-            name, dot, suffix = label.partition(".")
-            if not dot or not suffix.startswith("p") or not suffix[1:].isdigit():
+            key = kernel.qualified_slot(label)
+            if key is None:
                 raise ModelError(
                     "line %d: label %r must be position-qualified (var.pK)"
                     % (lineno, label))
-            key = (int(suffix[1:]), name)
             if key in row:
                 raise ModelError(
                     "line %d: %s assigned twice" % (lineno, label))
@@ -578,8 +570,10 @@ def _parse_state_lines(text: str):
 def _order_values(values: set) -> tuple:
     if values <= {"false", "true"}:
         return BOOL.values
-    if all(v.lstrip("-").isdigit() for v in values):
-        return tuple(sorted(values, key=int))
+    if all(kernel.decimal_int(v.removeprefix("-")) is not None
+           for v in values):
+        # values that read alike, such as 1 and 01, go in text order
+        return tuple(sorted(values, key=lambda v: (int(v), v)))
     return tuple(sorted(values))
 
 

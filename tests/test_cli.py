@@ -284,6 +284,64 @@ def test_le_counts_at_the_digit_limit_print(capsys, tmp_path):
     assert payload["closure_size"] == helpers.le_closed_form(n)["closure_size"]
 
 
+@pytest.mark.parametrize("bound", ["\u00b2", "many digits"])
+def test_a_bound_int_cannot_read_exits_2(capsys, tmp_path, bound):
+    if bound == "many digits":
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter reads integers of any length")
+        bound = "1" * (limit + 1)
+    src = tmp_path / "bound.gcp"
+    src.write_text("protocol p() {\n  process a in 1..%s { var x: bool; "
+                   "go: true -> self.x := !self.x; }\n}\n" % bound)
+    code, out, err = run(capsys, "verify", "--check", "closed",
+                         "--file", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s does not parse:\n2:19: error: cannot "
+                          "read an integer: " % src)
+    assert err.endswith(" [SYNTAX]\n") and err.count("\n") == 2
+
+
+def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    bad, good = tmp_path / "bad", tmp_path / "good"
+    good.write_text("x.p1=true\n")
+    for content, argv in (
+            (b"protocol p() { \xff }", ("verify", "--check", "closed",
+                                        "--file", str(bad))),
+            (b"x.p1=\xff\n", ("impossibility", "--allowed-file", str(bad),
+                              "--disallowed-file", str(good)))):
+        bad.write_bytes(content)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read %s: " % bad)
+        assert err.count("\n") == 1
+
+
+def test_a_position_int_cannot_read_exits_2(capsys, tmp_path):
+    allowed, rest = tmp_path / "allowed.txt", tmp_path / "rest.txt"
+    allowed.write_text("x.p\u00b2=true\n")
+    rest.write_text("x.p\u00b2=false\n")
+    assert run(capsys, "impossibility", "--allowed-file", str(allowed),
+               "--disallowed-file", str(rest)) == (
+        2, "", "error: line 1: label 'x.p\u00b2' must be position-qualified "
+        "(var.pK)\n")
+    assert run(capsys, "simulate", "--protocol", "la", "--n", "3",
+               "--from", "x.p\u00b2=true") == (
+        2, "", "error: bad variable label 'x.p\u00b2'\n")
+
+
+@pytest.mark.parametrize("value", ["\u00b2", "1" * 5000],
+                         ids=["superscript", "5000 digits"])
+def test_a_value_int_cannot_read_is_text(capsys, tmp_path, value):
+    allowed, rest = tmp_path / "allowed.txt", tmp_path / "rest.txt"
+    allowed.write_text("x.p1=1 x.p2=1\n")
+    rest.write_text("x.p1=1 x.p2={0}\nx.p1={0} x.p2=1\nx.p1={0} x.p2={0}\n"
+                    .format(value))
+    code, out, _ = run(capsys, "impossibility", "--allowed-file", str(allowed),
+                       "--disallowed-file", str(rest))
+    assert code == 0 and "(4 states, 1 allowed)" in out
+
+
 def test_impossibility_from_state_files(capsys, tmp_path):
     allowed = tmp_path / "allowed.txt"
     disallowed = tmp_path / "disallowed.txt"
@@ -412,9 +470,15 @@ def test_verify_refuses_a_flag_its_check_ignores(capsys, check, flag, value):
     (["export-dot", "--file", str(Path(protocols.__file__).parent
                                   / "samples" / "alternator.gcp"),
       "--n", "3", "--ids", "1,2,3"], "--ids applies only to --protocol cm"),
+    # simulate lists no universe, so it offers no --cap
+    (["simulate", "--protocol", "la", "--n", "25", "--cap", "1"],
+     "unrecognized arguments: --cap 1"),
 ])
 def test_a_flag_the_command_would_ignore_exits_2(capsys, argv, error):
-    assert run(capsys, *argv) == (2, "", "error: %s\n" % error)
+    # argparse refuses a flag a command does not offer, after its usage line
+    usage = "usage: stabiliq [-h] command ...\nstabiliq: " \
+        if error.startswith("unrecognized") else ""
+    assert run(capsys, *argv) == (2, "", usage + "error: %s\n" % error)
 
 
 def test_impossibility_refuses_both_inputs(capsys, tmp_path):

@@ -1,4 +1,6 @@
 """Protocol language: parsing, diagnostics, rendering, round-trips."""
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -303,6 +305,44 @@ def test_syntax_errors_carry_positions():
     d = result.diagnostics[0]
     assert d.code == "SYNTAX" and d.line == 3
     assert "3:" in str(d)
+
+
+GROUP = "protocol p() { process a in 1..1 { var x: bool; go: "
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("protocol", "1:9: error: expected protocol name, found end of input"),
+    ("protocol p(",
+     "1:12: error: expected parameter name, found end of input"),
+    ("protocol p() { ids = [",
+     "1:23: error: expected an integer, found end of input"),
+    ("protocol p() { domain d = {",
+     "1:28: error: expected a value, found end of input"),
+    ("protocol p() { process a in",
+     "1:28: error: expected a position bound, found end of input"),
+    (GROUP + "self", "1:57: error: expected '.', found end of input"),
+    (GROUP + "true -> self.x := !",
+     "1:72: error: expected self, left, or right, found end of input"),
+    (GROUP + "self.x",
+     "1:59: error: expected '=' or '!=' in comparison, found end of input"),
+    (GROUP + "self.x =",
+     "1:61: error: expected a variable or value, found end of input"),
+])
+def test_the_end_of_the_source_is_named_end_of_input(source, expected):
+    assert [str(d) for d in parse_protocol(source).diagnostics] == [
+        expected + " [SYNTAX]"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(protocols.__file__).parent / "samples").glob("*.gcp")),
+    ids=lambda path: path.name)
+def test_every_truncation_of_a_sample_is_diagnosed(path):
+    source = path.read_text()
+    for end in range(len(source.rstrip())):
+        result = parse_protocol(source[:end], n=4)
+        assert result.program is None and result.diagnostics, end
+        assert all("'end of input'" not in str(d)
+                   for d in result.diagnostics), end
 
 
 def test_comparison_of_two_literals_is_rejected():

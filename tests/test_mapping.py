@@ -1,7 +1,10 @@
 """State mappings, merge closure, merge symmetry, possibility analysis."""
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -524,6 +527,32 @@ def test_spec_state_files_round_trip():
     assert back == frozenset(
         sig.state({(p, n): s.value(p, n) for p, n, _ in sig.slots})
         for s in fx.forced)
+
+
+@pytest.mark.parametrize("values, order", [
+    (["10", "-1", "2", "0", "-0"], ("-1", "-0", "0", "2", "10")),
+    (["10", "2", "\u00b2"], ("10", "2", "\u00b2")),
+    (["10", "2", "--1"], ("--1", "10", "2")),
+])
+def test_spec_state_values_order_by_number_then_text(values, order):
+    sig, _ = read_spec_state_sets("".join("x.p1=%s\n" % v for v in values))
+    assert sig.slots[0][2].values == order
+
+
+def test_spec_state_value_order_does_not_follow_the_hash_seed():
+    # 1, 01 and 001 are one int; set order, which the seed changes, once
+    # decided their order
+    code = ("from stabiliq.mapping import read_spec_state_sets; "
+            "sig, _ = read_spec_state_sets('x.p1=1\\nx.p1=01\\nx.p1=2\\n"
+            "x.p1=001\\n'); print(sig.slots[0][2].values)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    orders = {subprocess.run([sys.executable, "-c", code],
+                             env=dict(env, PYTHONHASHSEED=seed),
+                             capture_output=True, text=True, timeout=60,
+                             check=True).stdout for seed in ("3", "5")}
+    assert orders == {"('001', '01', '1', '2')\n"}
 
 
 def test_spec_state_files_infer_one_signature_for_all_sets():

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict, deque
-from collections.abc import Sequence
 from functools import cache, cached_property, reduce
 from itertools import compress, count, repeat
 from math import isqrt
@@ -244,21 +243,21 @@ def edges_where(ts: TransitionSystem, nodes: int, keep: Callable) -> dict:
 
 
 class Condensation:
-    """SCC condensation of a transition system, held as bitsets: `singles`
-    holds the trivial components (one state, no self-loop), `cores` the
-    others. Ids follow a reverse topological order (the component DAG's
-    edges point from higher ids to lower) that starts with the bottoms, by
-    least state id; the other ids, `comp_of` and `comp_edges` are worked
-    out, edge by edge, only when asked for. `components[c]` is component
-    c's sorted state ids."""
+    """SCC condensation of the subgraph on a node set that no edge leaves,
+    held as bitsets: `singles` holds the trivial components (one state, no
+    self-loop), `cores` the others, and `count` their number. Bottom c, for
+    c in `bottoms`, is the c-th by least state id, and `bits(c)` is its
+    bitset. `components` lists every component's sorted state ids, the
+    bottoms first and then the rest by least state id."""
 
     def __init__(self, ts: TransitionSystem, singles: int, cores: list):
         self.ts, self.singles, self.cores = ts, singles, cores
+        self.count = singles.bit_count() + len(cores)
         # a terminal bottom is (its id, 0), its bitset made on demand
         self._bottoms = sorted([(least(c), c) for c in cores if not post(
-            c, ts.sources) & ~c] + [(v, 0) for v in members(ts.terminal)])
+            c, ts.sources) & ~c] + [(v, 0) for v in members(ts.terminal
+                                                            & singles)])
         self.bottoms = tuple(range(len(self._bottoms)))
-        self.components = _Components(self)
 
     def bits(self, c: int) -> int:
         """Bottom component c's bitset."""
@@ -266,54 +265,24 @@ class Condensation:
         return bits or 1 << v
 
     @cached_property
-    def _numbered(self) -> tuple:
-        """Every component's state ids, comp_of and comp_edges."""
-        ts = self.ts
-        comps = [self.components[c] for c in self.bottoms]
-        comps += [tuple(members(c)) for c in self.cores
-                  if post(c, ts.sources) & ~c]
-        comps += [(v,) for v in members(self.singles & ~ts.terminal)]
-        comp_of = [0] * ts.size
-        for c, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = c
-        succ = [{comp_of[t] for v in comp for _, _, t in ts.edges(v)} - {c}
-                for c, comp in enumerate(comps)]
-        from graphlib import TopologicalSorter  # no other path needs it
-        # successors first; the bottoms, first in comps, are ready first
-        order = list(TopologicalSorter(dict(enumerate(succ))).static_order())
-        new = dict(zip(order, count()))
-        return ([comps[c] for c in order], tuple(new[c] for c in comp_of),
-                tuple(tuple(sorted(new[t] for t in succ[c])) for c in order))
-
-    comp_of = property(lambda self: self._numbered[1])
-    comp_edges = property(lambda self: self._numbered[2])
-
-class _Components(Sequence):
-    """A condensation's components by id, numbering all only for ids past
-    the bottoms."""
-
-    def __init__(self, cond: Condensation):
-        self._cond = cond
-
-    def __len__(self):
-        return self._cond.singles.bit_count() + len(self._cond.cores)
-
-    def __getitem__(self, c: int) -> tuple:
-        if 0 <= c < len(self._cond.bottoms):
-            return tuple(members(self._cond.bits(c)))
-        return self._cond._numbered[0][c]
+    def components(self) -> list:
+        firsts = {v for v, _ in self._bottoms}
+        return sorted([tuple(members(c)) for c in self.cores]
+                      + [(v,) for v in members(self.singles)],
+                      key=lambda comp: (comp[0] not in firsts, comp[0]))
 
 
-def condense(ts: TransitionSystem) -> Condensation:
-    """The SCCs by trimming and forward-backward search (Gentilini, Piazza
-    and Policriti, SODA 2003): trimmed nodes are trivial components; the
-    rest splits into a pivot's component (its forward set met with its
+def condense(ts: TransitionSystem, nodes: Optional[int] = None
+             ) -> Condensation:
+    """The SCCs of the subgraph on the nodes (every state when None), which
+    no edge may leave, by trimming and forward-backward search (Gentilini,
+    Piazza and Policriti, SODA 2003): trimmed nodes are trivial components;
+    the rest splits into a pivot's component (its forward set met with its
     backward set), the rest of the forward set, and everything else, and
     each part is trimmed and split again."""
     rel = ts.sources
     back = {-d: shift(sources, d) for d, sources in rel.items()}
-    singles, cores, parts = 0, [], [ts.full]
+    singles, cores, parts = 0, [], [ts.full if nodes is None else nodes]
     while parts:
         part = parts.pop()
         core = trim(part, rel)
@@ -520,19 +489,19 @@ def to_dot(ts: TransitionSystem,
 
 def condensation_to_dot(ts: TransitionSystem, cond: Condensation,
                         name: str = "condensation") -> str:
-    """Graphviz source for the SCC DAG. Bottom components get a double
-    border; labels show the component size and one sample state."""
+    """Graphviz source for the SCC DAG, one node per component in
+    `components` order. Bottom components get a double border; labels show
+    the component size and one sample state."""
     out = _digraph(name)
-    bottoms = set(cond.bottoms)
+    comp_of = [0] * ts.size
     for c, comp in enumerate(cond.components):
-        sample = ts.state(comp[0]).text()
-        label = "%d state%s\\n%s" % (
-            len(comp), "" if len(comp) == 1 else "s", _dot_escape(sample))
-        attrs = ['label="%s"' % label]
-        if c in bottoms:
-            attrs.append("peripheries=2")
-        out.append("  c%d [%s];" % (c, ", ".join(attrs)))
-    for c, targets in enumerate(cond.comp_edges):
-        for t in targets:
-            out.append("  c%d -> c%d;" % (c, t))
+        out.append('  c%d [label="%d state%s\\n%s"%s];' % (
+            c, len(comp), "" if len(comp) == 1 else "s",
+            _dot_escape(ts.state(comp[0]).text()),
+            ", peripheries=2" if c < len(cond.bottoms) else ""))
+        for v in comp:
+            comp_of[v] = c
+    for c, comp in enumerate(cond.components):
+        targets = {comp_of[t] for v in comp for _, _, t in ts.edges(v)}
+        out += ["  c%d -> c%d;" % (c, t) for t in sorted(targets - {c})]
     return "\n".join(out) + "\n}\n"

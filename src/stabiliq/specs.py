@@ -346,14 +346,15 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     bound = mapping.bind(program)
     inv = ts.full if invariant is None \
         else _holds(invariant, BoundMapping(ts.program.signature), ts)
-    cond = explorer.condense(ts)
     notes = ["stutter policy: %s" % spec.stutter_policy]
+    cond, outside = None, 0  # the invariant's, past convergence
 
     def stats() -> dict:
+        whole = cond or explorer.condense(ts)
         return {"states": ts.size, "edges": ts.edge_count(),
                 "invariant_states": inv.bit_count(),
-                "components": len(cond.components),
-                "bottom_components": len(cond.bottoms),
+                "components": outside + whole.count,
+                "bottom_components": len(whole.bottoms),
                 "elapsed_ms": _ms_since(t0)}
 
     def fail(witness: dict) -> Verdict:
@@ -370,6 +371,10 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     if witness is not None:
         notes.append(note)
         return fail(witness)
+
+    # So every bottom component lies inside the invariant, and every state
+    # outside it is a trivial component.
+    cond, outside = explorer.condense(ts, inv), ts.size - inv.bit_count()
 
     # State conformance inside the invariant. Specification states are
     # read as image letters, per slot and value the program states showing
@@ -393,8 +398,7 @@ def check_stabilizing(program: Program, mapping: StateMapping,
                      "mapped_source": bound(source).text(),
                      "mapped_target": bound(target).text()})
 
-    # Acceptance on every bottom component (all lie inside the invariant
-    # once closure and convergence hold).
+    # Acceptance on every bottom component.
     pred = getattr(spec.acceptance, "pred", None)
     accepts = pred and _holds(pred, bound, ts, letters)
     for c in cond.bottoms:

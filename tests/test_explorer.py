@@ -1,6 +1,7 @@
 """Transition systems, components, cycles, simulation, images, DOT."""
 import itertools
 import random
+import re
 from collections import defaultdict
 
 import pytest
@@ -120,29 +121,22 @@ def test_edges_match_an_independent_wave_reference():
 
 
 def test_condensation_structure():
-    prog = protocols.make_abp().program
-    ts = explorer.build_transition_system(prog)
-    cond = explorer.condense(ts)
-    # every state is in exactly one component
-    assert sorted(i for comp in cond.components for i in comp) == \
-        list(range(ts.size))
-    for c, comp in enumerate(cond.components):
-        for i in comp:
-            assert cond.comp_of[i] == c
-    # components come out in reverse topological order: edges point from
-    # higher component ids to lower ones
-    for c, targets in enumerate(cond.comp_edges):
-        for t in targets:
-            assert t < c
-    # bottoms have no outgoing edges
-    for c in cond.bottoms:
-        assert not cond.comp_edges[c]
-    # agreement with the quadratic reachability oracle
-    succ = helpers.successor_table(prog)
-    assert sorted(map(sorted, helpers.brute_sccs(succ))) == \
-        sorted(map(sorted, (sorted(c) for c in cond.components)))
-    assert sorted(map(sorted, helpers.brute_bottom_sccs(succ))) == \
-        sorted(sorted(cond.components[c]) for c in cond.bottoms)
+    # the alternating-bit system whole, and on its legitimate states, a set
+    # no edge leaves: components, their order and the DOT writer's DAG
+    # against the quadratic reachability oracle
+    bundle = protocols.make_abp()
+    ts = explorer.build_transition_system(bundle.program)
+    succ = helpers.successor_table(bundle.program)
+    legitimate = specs.abp_legitimate
+    inside = [s.index for s in ts.states if legitimate(s)]
+    assert 0 < len(inside) < ts.size
+    for nodes in (None, inside):
+        cond = assert_condensation_matches_the_oracle(
+            succ, nodes, ts, lambda text: ts.program.signature.parse_state(
+                text).index)
+        # every state of the set is in exactly one component
+        assert sorted(i for comp in cond.components for i in comp) == \
+            sorted(range(ts.size) if nodes is None else nodes)
 
 
 def test_condensation_on_every_small_builtin_agrees_with_the_oracle():
@@ -279,7 +273,14 @@ class Graph:
         return [(v, "e%d" % i, t) for i, t in enumerate(self.succ[v])]
 
     def state(self, v):
-        return v
+        return Node(v)
+
+
+class Node(int):
+    """A Graph state: its id, with the text a DOT label shows."""
+
+    def text(self):
+        return str(int(self))
 
 
 def assert_cycle_of(succ, nodes, rel, cycle):
@@ -351,29 +352,72 @@ def test_peel_agrees_with_the_component_oracle(peels):
     assert peels  # the linear finisher ran on some survivors
 
 
-def assert_condensation_matches_the_oracle(succ):
-    """Components, bottoms and triviality against helpers.brute_sccs, and
-    the numbering: bottoms first by least state id, edges pointing down."""
-    cond = explorer.condense(Graph(succ))
-    comps = [set(c) for c in cond.components]
-    assert sorted(map(sorted, comps)) == \
-        sorted(map(sorted, helpers.brute_sccs(succ)))
-    assert len(comps) == len(cond.components)
-    assert sorted(map(sorted, (comps[c] for c in cond.bottoms))) == \
-        sorted(map(sorted, helpers.brute_bottom_sccs(succ)))
-    assert cond.bottoms == tuple(range(len(cond.bottoms)))
-    assert [min(comps[c]) for c in cond.bottoms] == \
-        sorted(min(comps[c]) for c in cond.bottoms)
-    for c in cond.bottoms:
-        assert cond.bits(c) == helpers.bits(comps[c])
+def closed_under(succ, seeds) -> list:
+    """The nodes the seeds reach, themselves included: a set no edge
+    leaves."""
+    seen, todo = set(seeds), list(seeds)
+    while todo:
+        for t in succ[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return sorted(seen)
+
+
+def assert_condensation_matches_the_oracle(succ, nodes=None, ts=None,
+                                           id_of=int):
+    """condense(ts, nodes) against helpers.brute_sccs restricted to the
+    nodes, a set no edge leaves (every node when None): its components,
+    bottoms, bitsets and trivial components, the order of `components`
+    (the bottoms, then the rest, each by least state id), and the DAG that
+    condensation_to_dot draws. ts defaults to Graph(succ); id_of reads a
+    state id off the sample state of a DOT label."""
+    ts = Graph(succ) if ts is None else ts
+    cond = explorer.condense(ts, None if nodes is None
+                             else helpers.bits(nodes))
+    inside = set(range(len(succ)) if nodes is None else nodes)
+    comps = [c for c in helpers.brute_sccs(succ) if c <= inside]
+    bottoms = [c for c in helpers.brute_bottom_sccs(succ) if c <= inside]
+    by_least = sorted(map(sorted, bottoms)) + sorted(
+        sorted(c) for c in comps if c not in bottoms)
+    assert cond.components == list(map(tuple, by_least))
+    assert cond.count == len(comps)
+    assert cond.bottoms == tuple(range(len(bottoms)))
+    assert [cond.bits(c) for c in cond.bottoms] == \
+        [helpers.bits(c) for c in by_least[:len(bottoms)]]
     # the trivial components are one state each, without a self-loop
-    assert cond.singles == helpers.bits(
-        min(c) for c in comps if len(c) == 1 and min(c) not in succ[min(c)])
-    for c, comp in enumerate(comps):
-        assert all(cond.comp_of[u] == c for u in comp)
-        assert all(t < c for t in cond.comp_edges[c])
-        assert set(cond.comp_edges[c]) == {
-            cond.comp_of[t] for u in comp for t in succ[u]} - {c}
+    trivial = [min(c) for c in comps if len(c) == 1
+               and min(c) not in succ[min(c)]]
+    assert cond.singles == helpers.bits(trivial)
+    assert sorted(cond.cores) == sorted(
+        helpers.bits(c) for c in comps if min(c) not in trivial)
+    assert_dot_matches_the_oracle(ts, cond, succ, comps, bottoms, id_of)
+    return cond
+
+
+def assert_dot_matches_the_oracle(ts, cond, succ, comps, bottoms, id_of):
+    """condensation_to_dot draws one node per component, labeled with its
+    size and least state, a double border exactly on the bottoms, and one
+    edge per pair of components that some edge joins, each named here by
+    its least state."""
+    least = {v: min(c) for c in comps for v in c}
+    name, nodes, edges, doubled = {}, set(), [], set()
+    for line in explorer.condensation_to_dot(ts, cond).splitlines()[3:-1]:
+        node = re.fullmatch(r'  c(\d+) \[label="(\d+) states?\\n(.*)"'
+                            r'(, peripheries=2)?\];', line)
+        if node:
+            name[node[1]] = id_of(node[3])
+            nodes.add((name[node[1]], int(node[2])))
+            if node[4]:
+                doubled.add(name[node[1]])
+        else:
+            edges.append(re.fullmatch(r"  c(\d+) -> c(\d+);", line).groups())
+    assert len(name) == len(comps)
+    assert nodes == {(min(c), len(c)) for c in comps}
+    assert doubled == {min(c) for c in bottoms}
+    assert sorted((name[c], name[t]) for c, t in edges) == sorted(
+        {(least[v], least[t]) for v in least for t in succ[v]
+         if least[t] != least[v]})
 
 
 def test_condensation_agrees_with_the_oracle_on_random_graphs():
@@ -384,6 +428,9 @@ def test_condensation_agrees_with_the_oracle_on_random_graphs():
         succ = [sorted(rng.choices(range(n), k=rng.randint(0, 3)))
                 for _ in range(n)]
         assert_condensation_matches_the_oracle(succ)
+        # on the nodes that a few seeds reach
+        assert_condensation_matches_the_oracle(succ, closed_under(
+            succ, rng.sample(range(n), rng.randint(0, min(n, 3)))))
     # many disjoint 2-cycles, alone and linked one way into a chain
     pairs = [[v ^ 1] for v in range(1000)]
     assert_condensation_matches_the_oracle(pairs)
@@ -410,7 +457,10 @@ def test_condensation_agrees_with_the_oracle_on_self_loops_and_long_runs():
                     succ[v].append(v + d)
         for _ in range(rng.randint(0, 3)):
             succ[rng.randrange(n)].append(rng.randrange(n))
-        assert_condensation_matches_the_oracle([sorted(out) for out in succ])
+        succ = [sorted(out) for out in succ]
+        assert_condensation_matches_the_oracle(succ)
+        assert_condensation_matches_the_oracle(
+            succ, closed_under(succ, [rng.randrange(n)]))
 
 
 @pytest.mark.parametrize("back_edge", [False, True])

@@ -355,6 +355,54 @@ def test_terminal_and_cycling_bottoms_against_both_kinds_of_sequence():
         "contains x=false y=true, outside the target cycle family")
 
 
+def _spin():
+    """x flips while y holds; y never changes, so every y=false state is
+    terminal and the two y=true states form a cycle."""
+    return parse_protocol("""
+    protocol spin() {
+      process p in 1..1 {
+        output x: bool;
+        output y: bool;
+        flip: self.y = true -> self.x := !self.x;
+      }
+    }
+    """).unwrap()
+
+
+def _anything():
+    return Specification("anything", lambda s: True, specs.every_edge,
+                         CycleWithin(lambda s: True), DIVERGENCE_ALLOWED)
+
+
+@pytest.mark.parametrize("program,spec,invariant,kind", [
+    # fails at closure
+    (lambda: protocols.make_pif(4).program, lambda: spif_spec(4),
+     specs.pif_root_idle, "edge"),
+    # fails at convergence, on a cycle and on a terminal outside
+    (_spin, _anything, lambda s: s.value(1, "y") == "false", "cycle"),
+    (_spin, _anything, lambda s: s.value(1, "x") == "true"
+     and s.value(1, "y") == "false", "terminal"),
+    # fails at state conformance on the whole universe, and holds on a part
+    (lambda: protocols.make_pif(4).program, lambda: spif_spec(4),
+     every_state, "disallowed-state"),
+    (lambda: protocols.make_pif(4).program, lambda: spif_spec(4), pif_wave,
+     None),
+    (lambda: protocols.make_abp().program, sabp_spec, abp_legitimate, None),
+])
+def test_a_verdict_counts_the_components_of_the_whole_universe(
+        program, spec, invariant, kind):
+    # past convergence only the invariant is condensed; the states outside
+    # it still count, one trivial component each
+    program = program()
+    verdict = check_stabilizing(program, IdenticalMapping(), spec(),
+                                invariant)
+    assert (verdict.witness or {}).get("kind") == kind
+    succ = helpers.successor_table(program)
+    assert (verdict.stats["components"],
+            verdict.stats["bottom_components"]) == (
+        len(helpers.brute_sccs(succ)), len(helpers.brute_bottom_sccs(succ)))
+
+
 def test_stabilizing_to_strict_waves():
     bundle = protocols.make_pif(4)
     verdict = check_stabilizing(bundle.program, bundle.mapping, spif_spec(4),

@@ -78,6 +78,9 @@ def _load(args) -> tuple:
         raise UsageError("choose exactly one of --protocol and --file")
     if args.ids is not None and args.protocol != "cm":
         raise UsageError("--ids applies only to --protocol cm")
+    if args.n is not None and (args.ids is not None or args.protocol == "abp"):
+        raise UsageError("--n does not apply to %s" % (
+            "--protocol abp" if args.protocol == "abp" else "--ids"))
     if args.file is not None:
         result = dsl.parse_protocol(_read(args.file), n=args.n)
         if not result.ok:

@@ -437,12 +437,6 @@ class _Parser:
 # --------------------------------------------------------------------------
 # Building the program.
 
-def _positions(grp: _Group, n: int):
-    lo = grp.lo[1] if grp.lo[0] == "int" else n - grp.lo[1]
-    hi = grp.hi[1] if grp.hi[0] == "int" else n - grp.hi[1]
-    return range(lo, hi + 1)
-
-
 def _diagnostics(problems, spans: dict, group_of: dict) -> list:
     """One Diagnostic per (code, line, col): a node shared by the positions
     of a group is reported once, for the first position that breaks the
@@ -471,24 +465,29 @@ def _build(source: str, n: Optional[int]) -> Program:
         _fail((1, 1), "GROUP_RANGE",
               "chain length must be at least 1; got %d" % n)
 
-    diags: list = []
-    group_of: dict = {}
-    for grp in groups:
-        for pos in _positions(grp, n):
-            if not 1 <= pos <= n:
-                diags.append(Diagnostic(
-                    grp.tok.line, grp.tok.col, "GROUP_RANGE",
-                    "group %r covers position %d, outside 1..%d"
-                    % (grp.name, pos, n)))
-            elif pos in group_of:
-                diags.append(Diagnostic(
-                    grp.tok.line, grp.tok.col, "GROUP_RANGE",
-                    "groups %r and %r both cover position %d"
-                    % (group_of[pos].name, grp.name, pos)))
-            else:
-                group_of[pos] = grp
-    if diags:
-        raise DslError(diags)
+    def at(bound):  # ("int", k) is k, and ("n", k) is n - k
+        return bound[1] if bound[0] == "int" else n - bound[1]
+
+    # One diagnostic per group, read off its bounds, for a group past the
+    # chain or one that starts inside a group that starts first.
+    spans = [range(at(grp.lo), at(grp.hi) + 1) for grp in groups]
+    problems, reach = {}, (0, None)  # the furthest end so far, and its group
+    for k in sorted((k for k, r in enumerate(spans) if r),
+                    key=lambda k: spans[k][0]):
+        r, grp = spans[k], groups[k]
+        if not 1 <= r[0] <= r[-1] <= n:
+            problems[k] = "group %r covers positions %d..%d, outside 1..%d" \
+                % (grp.name, r[0], r[-1], n)
+        elif r[0] <= reach[0]:
+            problems[k] = "groups %r and %r both cover position %d" % (
+                reach[1], grp.name, r[0])
+        if r[-1] > reach[0]:
+            reach = (r[-1], grp.name)
+    if problems:
+        raise DslError([Diagnostic(groups[k].tok.line, groups[k].tok.col,
+                                   "GROUP_RANGE", text)
+                        for k, text in sorted(problems.items())])
+    group_of = {pos: grp for grp, r in zip(groups, spans) for pos in r}
     uncovered = [p for p in range(1, n + 1) if p not in group_of]
     if uncovered:
         _fail((1, 1), "GROUP_RANGE", "no group covers position%s %s"

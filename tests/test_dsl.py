@@ -234,6 +234,33 @@ def test_group_coverage_must_partition_the_chain():
     assert "GROUP_RANGE" in parse_err(gap, n=4)
 
 
+def test_group_range_reports_each_group_once_from_its_bounds():
+    # the bounds are compared, no position is walked: a group of 100,000
+    # positions on a chain of 4 is one diagnostic
+    wide = """
+    protocol p(N) {
+      process a in 1..100000 { var x: bool; go: true -> self.x := !self.x; }
+    }
+    """
+    assert [str(d) for d in parse_protocol(wide, n=4).diagnostics] == [
+        "3:15: error: group 'a' covers positions 1..100000, outside 1..4 "
+        "[GROUP_RANGE]"]
+    # a group that starts inside one that starts first is named once, at
+    # the first position they share, whatever the order of declaration
+    nested = """
+    protocol p(N) {
+      process c in N..N { var x: bool; go: true -> self.x := !self.x; }
+      process b in 2..3 { var x: bool; go: true -> self.x := !self.x; }
+      process a in 1..N { var x: bool; go: true -> self.x := !self.x; }
+    }
+    """
+    assert [str(d) for d in parse_protocol(nested, n=4).diagnostics] == [
+        "3:15: error: groups 'a' and 'c' both cover position 4 "
+        "[GROUP_RANGE]",
+        "4:15: error: groups 'a' and 'b' both cover position 2 "
+        "[GROUP_RANGE]"]
+
+
 def test_ids_must_match_the_chain():
     src = """
     protocol p(N) {

@@ -3,8 +3,8 @@
     python3 tools/golden.py            # compare; exit 1 and name each change
     python3 tools/golden.py --update   # rewrite tests/golden/corpus.json
 
-Each command runs in process through `stabiliq.cli.main`, with the `src/`
-of this checkout. An entry holds the command's exit code, standard output,
+Each command runs in process through `stabiliq.cli.main`; run as a script,
+it imports the `src/` of this checkout. An entry holds the command's exit code, standard output,
 standard error and `--json` report. `elapsed_ms` and the report's path are
 masked, and the report is stored as its SHA-256 digest: the text output
 carries the same verdicts, witnesses, stats and notes, and the digest keeps
@@ -31,7 +31,6 @@ CORPUS = ROOT / "tests" / "golden" / "corpus.json"
 POLICIES = ((), ("--stutter-policy", "allowed"),
             ("--stutter-policy", "forbidden"))
 _ELAPSED = re.compile(r'(elapsed_ms["=:]+ ?)[0-9.e+-]+')
-sys.path.insert(0, str(ROOT / "src"))
 
 
 def _selections():
@@ -49,7 +48,8 @@ def _selections():
 
 
 def commands() -> list:
-    """The corpus's argument lists, `verify --json` last in each."""
+    """The corpus's argument lists. Each `verify` ends in `--json`, which
+    `run` follows with a report path."""
     out = []
     for select, names in _selections():
         for check in ("closed", "convergence"):
@@ -121,4 +121,5 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main())

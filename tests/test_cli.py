@@ -470,14 +470,14 @@ def test_verify_refuses_a_flag_its_check_ignores(capsys, check, flag, value):
     (["export-dot", "--file", str(Path(protocols.__file__).parent
                                   / "samples" / "alternator.gcp"),
       "--n", "3", "--ids", "1,2,3"], "--ids applies only to --protocol cm"),
+    # simulate lists no universe, so it offers no --cap
+    (["simulate", "--protocol", "la", "--n", "25", "--cap", "1"],
+     "unrecognized arguments: --cap 1"),
     # abp has no chain length, and --ids sets cm's
     (["verify", "--check", "ideal", "--protocol", "abp", "--n", "5"],
      "--n does not apply to --protocol abp"),
     (["verify", "--check", "ideal", "--protocol", "cm", "--ids", "2,1,3",
       "--n", "7"], "--n does not apply to --ids"),
-    # simulate lists no universe, so it offers no --cap
-    (["simulate", "--protocol", "la", "--n", "25", "--cap", "1"],
-     "unrecognized arguments: --cap 1"),
 ])
 def test_a_flag_the_command_would_ignore_exits_2(capsys, argv, error):
     # argparse refuses a flag a command does not offer, after its usage line

@@ -1,5 +1,5 @@
-"""The golden corpus of `verify` and `export-dot --condensed` output, run in
-process and compared with tests/golden/corpus.json (tools/golden.py)."""
+"""The golden corpus of the commands' output, run in process and compared
+with tests/golden/corpus.json (tools/golden.py)."""
 import importlib.util
 import json
 from pathlib import Path

@@ -1,4 +1,4 @@
-"""The golden output corpus of `stabiliq verify` and `export-dot --condensed`.
+"""The golden output corpus of the `stabiliq` commands.
 
     python3 tools/golden.py            # compare; exit 1 and name each change
     python3 tools/golden.py --update   # rewrite tests/golden/corpus.json
@@ -8,11 +8,17 @@ it imports the `src/` of this checkout. An entry holds the command's exit code, 
 standard error and `--json` report. `elapsed_ms` and the report's path are
 masked, and the report is stored as its SHA-256 digest: the text output
 carries the same verdicts, witnesses, stats and notes, and the digest keeps
-the file small. The commands cover closed and convergence for every named
-predicate, and stabilizing and ideal under every invariant and stutter
+the file small. The `verify` commands cover closed and convergence for every
+named predicate, and stabilizing and ideal under every invariant and stutter
 policy: pif and la at N = 3..8, cm with ascending and descending ids at
-N = 3..6, and abp. A regenerated corpus changes test data, so name every
-changed command where the change is recorded.
+N = 3..6, and abp. Then come `export-dot --condensed` and plain `export-dot`
+at small N; `simulate` for each built-in and each shipped sample via
+`--file`, under both policies and every `--from` form; `impossibility` for
+le at N = 4..8 and for one pair of state files; and flags a command refuses.
+In an argument list, <samples> stands for the shipped samples' directory
+and <scratch> for a directory holding FILES; output shows them the same way.
+A regenerated corpus changes test data, so name every changed command where
+the change is recorded.
 """
 from __future__ import annotations
 
@@ -31,6 +37,17 @@ CORPUS = ROOT / "tests" / "golden" / "corpus.json"
 POLICIES = ((), ("--stutter-policy", "allowed"),
             ("--stutter-policy", "forbidden"))
 _ELAPSED = re.compile(r'(elapsed_ms["=:]+ ?)[0-9.e+-]+')
+# A specification universe whose allowed set merges into a disallowed
+# state: the two end grants of a four-position chain.
+_GRANTS = ("x.p1=false x.p2=false x.p3=false x.p4=false",
+           "x.p1=true x.p2=false x.p3=false x.p4=false",
+           "x.p1=false x.p2=false x.p3=false x.p4=true")
+FILES = {"allowed.txt": "\n".join(_GRANTS) + "\n",
+         "disallowed.txt": "".join(
+             " ".join("x.p%d=%s" % (p, "true" if bits >> (4 - p) & 1
+                                    else "false") for p in range(1, 5))
+             + "\n" for bits in range(16)
+             if bits not in (0, 8, 1))}
 
 
 def _selections():
@@ -64,33 +81,95 @@ def commands() -> list:
     for select, _ in _selections():
         if select[1] != "pif" or int(select[3]) <= 5:
             out.append(("export-dot", *select, "--condensed"))
-    return out
+    out += [("export-dot", *select) for select in (
+        ("--protocol", "la", "--n", "3"), ("--protocol", "cm", "--ids", "2,1"),
+        ("--protocol", "pif", "--n", "3"),
+        ("--file", "<samples>/cm.gcp", "--n", "2"))]
+    return out + _simulations() + _impossibilities() + _refusals()
+
+
+def _simulations() -> list:
+    """simulate per subject, policy and start form, with a seed per run."""
+    subjects = [("--protocol", "cm", "--ids", "2,1,3,4"),
+                ("--protocol", "cm", "--n", "3"),
+                ("--protocol", "la", "--n", "4"),
+                ("--protocol", "pif", "--n", "4"), ("--protocol", "abp"),
+                ("--file", "<samples>/alternator.gcp", "--n", "4"),
+                ("--file", "<samples>/cm.gcp", "--n", "3"),
+                ("--file", "<samples>/pif.gcp", "--n", "4"),
+                ("--file", "<samples>/abp.gcp")]
+    out = []
+    for select in subjects:
+        for policy in ("uniform-random", "round-robin"):
+            for start in ("random", "all-false", "all-idle"):
+                out.append(("simulate", *select, "--policy", policy,
+                            "--from", start, "--seed", str(len(out) % 7),
+                            "--steps", "10"))
+    return out + [
+        ("simulate", "--protocol", "cm", "--ids", "2,1,3,4", "--seed", "3",
+         "--steps", "40"),
+        ("simulate", "--protocol", "pif", "--n", "4", "--from", "all-idle",
+         "--policy", "round-robin", "--steps", "12"),
+        ("simulate", "--protocol", "abp", "--from",
+         "ns=0 chpq=empty nr=0 chqp=empty", "--steps", "0"),
+        ("simulate", "--protocol", "la", "--n", "5", "--seed", "1",
+         "--steps", "5")]
+
+
+def _impossibilities() -> list:
+    out = [("impossibility", "--protocol", "le", "--n", str(n), "--json")
+           for n in range(4, 9)]
+    return out + [("impossibility", "--allowed-file", "<scratch>/allowed.txt",
+                   "--disallowed-file", "<scratch>/disallowed.txt", "--json")]
+
+
+def _refusals() -> list:
+    """The flags a command would ignore, each refused with exit 2."""
+    return [
+        ("export-dot", "--protocol", "la", "--n", "3", "--condensed",
+         "--color", "true"),
+        ("verify", "--check", "ideal", "--protocol", "la", "--n", "3",
+         "--ids", "1,2,3"),
+        ("simulate", "--protocol", "abp", "--ids", "1"),
+        ("export-dot", "--file", "<samples>/alternator.gcp", "--n", "3",
+         "--ids", "1,2,3"),
+        ("simulate", "--protocol", "la", "--n", "25", "--cap", "1"),
+        ("verify", "--check", "ideal", "--protocol", "abp", "--n", "5"),
+        ("verify", "--check", "ideal", "--protocol", "cm", "--ids", "2,1,3",
+         "--n", "7")]
 
 
 def run(argv: tuple, scratch: Path) -> dict:
     """One command's masked exit code, output and report digest."""
     from stabiliq import cli
-    report = scratch / "report.json"
-    report.unlink(missing_ok=True)
-    args = [*argv, str(report)] if argv[-1] == "--json" else list(argv)
+    places = {"<report>": scratch / "report.json", "<scratch>": scratch,
+              "<samples>": Path(cli.__file__).parent / "samples"}
+    places["<report>"].unlink(missing_ok=True)
+    args = [*argv, "<report>"] if argv[-1] == "--json" else list(argv)
+    for key, path in places.items():
+        args = [a.replace(key, str(path)) for a in args]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
     entry = {"argv": " ".join(argv), "exit": code,
-             "stdout": _mask(out.getvalue(), report),
-             "stderr": _mask(err.getvalue(), report)}
-    if report.exists():
-        text = _mask(report.read_text(), report)
+             "stdout": _mask(out.getvalue(), places),
+             "stderr": _mask(err.getvalue(), places)}
+    if places["<report>"].exists():
+        text = _mask(places["<report>"].read_text(), places)
         entry["json_sha256"] = hashlib.sha256(text.encode()).hexdigest()
     return entry
 
 
-def _mask(text: str, report: Path) -> str:
-    return _ELAPSED.sub(r"\1*", text.replace(str(report), "<report>"))
+def _mask(text: str, places: dict) -> str:
+    for key, path in places.items():  # the report first: it is in scratch
+        text = text.replace(str(path), key)
+    return _ELAPSED.sub(r"\1*", text)
 
 
 def record() -> list:
     with tempfile.TemporaryDirectory() as scratch:
+        for name, text in FILES.items():
+            (Path(scratch) / name).write_text(text)
         return [run(argv, Path(scratch)) for argv in commands()]
 
 

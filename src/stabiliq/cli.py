@@ -120,15 +120,6 @@ def _resolve_predicate(bundle, name: Optional[str]):
     return table[name]
 
 
-def _mapping_for(program: Program, bundle):
-    if bundle is not None:
-        return bundle.mapping
-    if all(v.external for p in program.processes for v in p.vars):
-        return IdenticalMapping()
-    raise UsageError("file-based protocols with internal variables have no "
-                     "specification mapping; use a built-in protocol")
-
-
 # --------------------------------------------------------------------------
 # verify.
 
@@ -289,17 +280,20 @@ def cmd_simulate(args) -> int:
     else:
         print("step budget exhausted before a terminal or a revisit")
 
+    # A protocol from a file maps identically, unless it has an internal
+    # variable: then it has no image.
     try:
-        spec_mapping = _mapping_for(program, bundle)
-    except UsageError:
-        spec_mapping = None
-    if spec_mapping is not None:
-        seq = explorer.image(comp, spec_mapping)
-        print("specification image (stutters removed):")
-        for s in seq.states:
-            print("        %s" % s.text())
-        if seq.stutter_divergent:
-            print("stutter divergence: the lasso leaves the image constant")
+        mapping = IdenticalMapping() if bundle is None else bundle.mapping
+        bound = mapping.bind(program)
+    except mappingmod.MappingError:
+        return 0
+    ids = [bound.id_of(s.index) for s in comp.states]
+    print("specification image (stutters removed):")
+    for i, sid in enumerate(ids):
+        if i == 0 or sid != ids[i - 1]:
+            print("        %s" % bound.signature.state_at(sid).text())
+    if comp.lasso_start is not None and len(set(ids[comp.lasso_start:])) == 1:
+        print("stutter divergence: the lasso leaves the image constant")
     return 0
 
 

@@ -7,8 +7,8 @@ bitset, one int with bit v for state id v, and so is the relation: per id
 delta d, the states with an edge to their id plus d. This module provides
 images (`post`, `pre`), SCC condensation (bottom components are the
 finite-state stand-in for eventual behavior), cycle questions restricted to
-arbitrary node and edge sets, reproducible simulation runs, and the mapping
-of computations to specification sequences with stuttering eliminated.
+arbitrary node and edge sets, reproducible simulation runs, and Graphviz
+export.
 """
 from __future__ import annotations
 
@@ -364,7 +364,6 @@ class Computation:
     and lasso_start gives the index of its first occurrence: the suffix
     states[lasso_start:] is a cycle the daemon may repeat forever."""
 
-    program: Program
     states: tuple[State, ...]
     labels: tuple[tuple[int, str], ...]
     lasso_start: Optional[int]
@@ -424,37 +423,7 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
             break
         seen[current] = len(ids) - 1
     states = tuple(map(program.signature.state_at, ids))
-    return Computation(program, states, tuple(labels), lasso_start,
-                       hit_terminal)
-
-
-# --------------------------------------------------------------------------
-# Specification images.
-
-@kernel.record
-class SpecSequence:
-    """A computation's image: mapped states with stuttering eliminated.
-    stutter_divergent marks an infinite computation whose image is eventually
-    constant, i.e. one that stops making visible progress."""
-
-    states: tuple[State, ...]
-    stutter_divergent: bool
-
-
-def image(comp: Computation, mapping) -> SpecSequence:
-    """Map a computation to specification states and collapse consecutive
-    repeats. The lasso suffix diverges when its image is a single state."""
-    bound = mapping.bind(comp.program)
-    mapped = [bound(s) for s in comp.states]
-    seq = [mapped[0]]
-    for m in mapped[1:]:
-        if m != seq[-1]:
-            seq.append(m)
-    divergent = False
-    if comp.lasso_start is not None:
-        tail = mapped[comp.lasso_start:]
-        divergent = all(m == tail[0] for m in tail)
-    return SpecSequence(tuple(seq), divergent)
+    return Computation(states, tuple(labels), lasso_start, hit_terminal)
 
 
 # --------------------------------------------------------------------------

@@ -326,26 +326,24 @@ def check_convergence(program: Program, pred: Callable[[State], bool],
 
 def check_stabilizing(program: Program, mapping: StateMapping,
                       spec: Specification,
-                      invariant: Optional[Callable[[State], bool]],
+                      invariant: Callable[[State], bool],
                       ts: Optional[explorer.TransitionSystem] = None,
                       _check_name: str = "stabilizing") -> Verdict:
     """Does the program stabilize to the specification from the invariant?
 
-    The invariant is a predicate over program states, or None for every
-    state (then no state is decoded for it). The verdict is the conjunction
-    of: the invariant is closed; every maximal computation converges to it;
-    inside it, states and non-stutter edges map into the specification's
-    allowed sets; every bottom component satisfies the acceptance
-    condition; and stutter divergence inside the invariant is absent when
-    the policy forbids it. Findings that the policy or an obligation's mode
-    exempts from gating are reported in the notes.
+    The invariant is a predicate over program states. The verdict is the
+    conjunction of: the invariant is closed; every maximal computation
+    converges to it; inside it, states and non-stutter edges map into the
+    specification's allowed sets; every bottom component satisfies the
+    acceptance condition; and stutter divergence inside the invariant is
+    absent when the policy forbids it. Findings that the policy or an
+    obligation's mode exempts from gating are reported in the notes.
     """
     from . import explorer
     t0 = time.perf_counter()
     ts = ts if ts is not None else explorer.build_transition_system(program)
     bound = mapping.bind(program)
-    inv = ts.full if invariant is None \
-        else _holds(invariant, BoundMapping(ts.program.signature), ts)
+    inv = _holds(invariant, BoundMapping(ts.program.signature), ts)
     notes = ["stutter policy: %s" % spec.stutter_policy]
     cond, outside = None, 0  # the invariant's, past convergence
 
@@ -504,7 +502,7 @@ def check_ideal_stabilizing(program: Program, mapping: StateMapping,
                             ) -> Verdict:
     """check_stabilizing with the invariant `true`: every universe state is
     legitimate, so conformance and acceptance must hold from everywhere."""
-    return check_stabilizing(program, mapping, spec, None, ts,
+    return check_stabilizing(program, mapping, spec, every_state, ts,
                              _check_name="ideal")
 
 

@@ -375,6 +375,34 @@ def test_simulate_round_robin_wave(capsys):
     assert "first appeared at step 0" in out
 
 
+def image_lines(out: str) -> list:
+    """The image states simulate prints, one per line after its heading."""
+    tail = out.split("specification image (stutters removed):\n")[1]
+    return [ln.strip() for ln in tail.splitlines() if ln.startswith(" ")]
+
+
+def test_simulate_prints_a_constant_lasso_image_as_divergence(capsys):
+    # the seeded run flips p2 and back: <F,T,T,T> <-> <F,F,T,T>, while only
+    # p4, the highest id, is granted
+    code, out, _ = run(capsys, "simulate", "--protocol", "cm", "--ids",
+                       "2,1,3,4", "--seed", "3", "--steps", "40")
+    assert code == 0
+    assert "lasso: the final state first appeared at step 0" in out
+    assert image_lines(out) == [
+        "in.p1=false in.p2=false in.p3=false in.p4=true"]
+    assert out.endswith(
+        "stutter divergence: the lasso leaves the image constant\n")
+
+
+def test_simulate_prints_a_moving_image_without_divergence(capsys):
+    code, out, _ = run(capsys, "simulate", "--protocol", "pif", "--n", "4",
+                       "--from", "all-idle", "--policy", "round-robin",
+                       "--steps", "12")
+    assert code == 0
+    assert len(image_lines(out)) == 11
+    assert "stutter divergence" not in out
+
+
 def test_simulate_is_deterministic(capsys):
     first = run(capsys, "simulate", "--protocol", "cm", "--ids", "1,2,3",
                 "--seed", "5", "--steps", "15")

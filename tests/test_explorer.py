@@ -1,4 +1,4 @@
-"""Transition systems, components, cycles, simulation, images, DOT."""
+"""Transition systems, components, cycles, simulation, DOT."""
 import itertools
 import random
 import re
@@ -10,7 +10,6 @@ import helpers
 from stabiliq import cli, explorer, kernel, protocols, specs
 from stabiliq.dsl import parse_protocol
 from stabiliq.kernel import Signature, UniverseCapError
-from stabiliq.mapping import IdenticalMapping
 
 
 @pytest.mark.parametrize("size,count", [
@@ -621,35 +620,6 @@ def test_run_stops_at_terminals():
     comp = explorer.run(prog, prog.signature.parse_state("x=false"), steps=10)
     assert comp.hit_terminal and len(comp.states) == 2
     assert comp.maximal
-
-
-def test_image_removes_stutters_and_flags_divergence():
-    bundle = protocols.make_cm((2, 1, 3, 4))
-    prog = bundle.program
-    sig = prog.signature
-    # drive the two-state loop whose image never moves: <T,F,F,F> <-> <T,T,F,F>
-    s = sig.parse_state(
-        "access.p1=true access.p2=false access.p3=false access.p4=false")
-    comp = explorer.Computation(
-        program=prog,
-        states=(s, sig.parse_state("access.p1=true access.p2=true "
-                                   "access.p3=false access.p4=false"), s),
-        labels=((2, "flip"), (2, "flip")),
-        lasso_start=0,
-        hit_terminal=False)
-    seq = explorer.image(comp, bundle.mapping)
-    assert [t.text() for t in seq.states] == [
-        "in.p1=true in.p2=false in.p3=false in.p4=false"]
-    assert seq.stutter_divergent
-
-
-def test_image_of_a_moving_run_is_not_divergent():
-    pif = protocols.make_pif(4)
-    start = pif.program.signature.parse_state("st.p1=i st.p2=i st.p3=i st.p4=i")
-    comp = explorer.run(pif.program, start, steps=12, policy="round-robin")
-    seq = explorer.image(comp, pif.mapping)
-    assert len(seq.states) == 11
-    assert not seq.stutter_divergent
 
 
 def test_dot_output_shapes():

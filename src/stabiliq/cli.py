@@ -22,7 +22,7 @@ from __future__ import annotations
 from . import dsl, explorer, protocols, specs
 from . import mapping as mappingmod
 from .kernel import (DEFAULT_STATE_CAP, ModelError, Program, State,
-                     UniverseCapError)
+                     UniverseCapError, state_cap)
 from .mapping import IdenticalMapping
 
 import argparse
@@ -81,6 +81,9 @@ def _load(args) -> tuple:
     if args.n is not None and (args.ids is not None or args.protocol == "abp"):
         raise UsageError("--n does not apply to %s" % (
             "--protocol abp" if args.protocol == "abp" else "--ids"))
+    if args.n is not None and args.n > (cap := state_cap()):
+        raise UsageError("--n must be at most the state cap, %d: one process "
+                         "is built per position" % cap)
     if args.file is not None:
         result = dsl.parse_protocol(_read(args.file), n=args.n)
         if not result.ok:

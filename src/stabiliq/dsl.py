@@ -35,7 +35,7 @@ from typing import NoReturn, Optional
 from .kernel import (BOOL, OFFSET_NAMES, Action, And, Assign, BoolLit, Cmp,
                      Domain, If, Lit, ModelError, Not, NotRef, Or, Process,
                      Program, ProgramError, VarRef, VariableDecl, factory,
-                     record)
+                     record, state_cap)
 
 OFFSETS = {word: offset for offset, word in OFFSET_NAMES.items()}
 RESERVED = frozenset(
@@ -464,14 +464,20 @@ def _build(source: str, n: Optional[int]) -> Program:
     if n < 1:
         _fail((1, 1), "GROUP_RANGE",
               "chain length must be at least 1; got %d" % n)
+    cap = state_cap()
+    if max(n, *(b[1] for grp in groups for b in (grp.lo, grp.hi))) > cap:
+        _fail((1, 1), "GROUP_RANGE", "the chain length and every position "
+              "bound must be at most the state cap, %d: one process is "
+              "built per position" % cap)
 
     def at(bound):  # ("int", k) is k, and ("n", k) is n - k
         return bound[1] if bound[0] == "int" else n - bound[1]
 
     # One diagnostic per group, read off its bounds, for a group past the
-    # chain or one that starts inside a group that starts first.
+    # chain or one that starts inside a group that starts first. The same
+    # sweep finds the gaps; reach is the furthest end so far, and its group.
     spans = [range(at(grp.lo), at(grp.hi) + 1) for grp in groups]
-    problems, reach = {}, (0, None)  # the furthest end so far, and its group
+    problems, gaps, reach = {}, [], (0, None)
     for k in sorted((k for k, r in enumerate(spans) if r),
                     key=lambda k: spans[k][0]):
         r, grp = spans[k], groups[k]
@@ -481,18 +487,22 @@ def _build(source: str, n: Optional[int]) -> Program:
         elif r[0] <= reach[0]:
             problems[k] = "groups %r and %r both cover position %d" % (
                 reach[1], grp.name, r[0])
+        elif r[0] > reach[0] + 1:
+            gaps.append(range(reach[0] + 1, r[0]))
         if r[-1] > reach[0]:
             reach = (r[-1], grp.name)
     if problems:
         raise DslError([Diagnostic(groups[k].tok.line, groups[k].tok.col,
                                    "GROUP_RANGE", text)
                         for k, text in sorted(problems.items())])
+    if reach[0] < n:
+        gaps.append(range(reach[0] + 1, n + 1))
+    if gaps:
+        _fail((1, 1), "GROUP_RANGE", "no group covers position%s %s" % (
+            "s" * (len(gaps) > 1 or len(gaps[0]) > 1), ", ".join(
+                "%d..%d" % (g[0], g[-1]) if len(g) > 1 else str(g[0])
+                for g in gaps)))
     group_of = {pos: grp for grp, r in zip(groups, spans) for pos in r}
-    uncovered = [p for p in range(1, n + 1) if p not in group_of]
-    if uncovered:
-        _fail((1, 1), "GROUP_RANGE", "no group covers position%s %s"
-              % ("" if len(uncovered) == 1 else "s",
-                 ", ".join(str(p) for p in uncovered)))
     if not any(grp.vars for grp in groups):
         _fail(groups[0].tok, "NO_VARIABLES",
               "no process of protocol %r declares a variable" % name)

@@ -422,8 +422,8 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
             lasso_start = seen[current]
             break
         seen[current] = len(ids) - 1
-    states = tuple(map(program.signature.state_at, ids))
-    return Computation(states, tuple(labels), lasso_start, hit_terminal)
+    return Computation(tuple(map(program.signature.state_at, ids)),
+                       tuple(labels), lasso_start, hit_terminal)
 
 
 # --------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def make_cm(ids) -> ProtocolBundle:
         name="cm",
         program=program,
         mapping=HighestIdMapping(),
-        ideal_spec=_specs.udp_spec(len(ids)),
+        ideal_spec=_specs.udp_spec(),
     )
 
 
@@ -95,8 +95,8 @@ def make_pif(n: int) -> ProtocolBundle:
         name="pif",
         program=_parse_sample("pif.gcp", n),
         mapping=IdenticalMapping(),
-        ideal_spec=_specs.ipif_spec(n),
-        strict_spec=_specs.spif_spec(n),
+        ideal_spec=_specs.ipif_spec(),
+        strict_spec=_specs.spif_spec(),
         invariants={
             "rq-or-rp": _specs.pif_wave,
             "root-idle": _specs.pif_root_idle,

@@ -610,17 +610,9 @@ _no_adjacent_true = ChainPredicate(lambda sig: ChainAutomaton(
     (False, True)))
 
 
-def _dining_obligations(n: int, fairness: bool) -> tuple:
-    obligations = [Obligation("output-activity", Changes(), mode="policy")]
-    if fairness:
-        obligations += [Obligation("activity-p%d" % j, Changes((j - 1,)),
-                                   mode="analyze") for j in range(1, n + 1)]
-    return tuple(obligations)
-
-
-def udp_spec(n: int) -> Specification:
-    """Unfair neighbor mutual exclusion on n critical-section flags: no two
-    adjacent outputs true, outputs keep alternating. The sequences are
+def udp_spec() -> Specification:
+    """Unfair neighbor mutual exclusion on the critical-section flags: no
+    two adjacent outputs true, outputs keep alternating. The sequences are
     explicitly unfair, so a computation that starves every process but one
     is acceptable: stutter divergence is allowed by default and the
     alternation obligation gates only under a forbidding policy."""
@@ -628,21 +620,25 @@ def udp_spec(n: int) -> Specification:
         name="UDP",
         allowed_state=_no_adjacent_true,
         allowed_edge=every_edge,
-        acceptance=Recurrence(_dining_obligations(n, fairness=False)),
+        acceptance=Recurrence(
+            (Obligation("output-activity", Changes(), mode="policy"),)),
         stutter_policy=DIVERGENCE_ALLOWED,
     )
 
 
 def fdp_spec(n: int) -> Specification:
-    """The fair variant: same allowed states, plus per-process activity
-    obligations. Whether per-process fairness survives the unfair central
-    daemon is an analysis question, so those obligations report rather
-    than gate."""
-    return replace(udp_spec(n), name="FDP", acceptance=Recurrence(
-        _dining_obligations(n, fairness=True)))
+    """The fair variant: same allowed states, plus an activity obligation
+    for each of the n processes. Whether per-process fairness survives the
+    unfair central daemon is an analysis question, so those obligations
+    report rather than gate."""
+    udp = udp_spec()
+    return replace(udp, name="FDP", acceptance=Recurrence(
+        udp.acceptance.obligations + tuple(
+            Obligation("activity-p%d" % j, Changes((j - 1,)), mode="analyze")
+            for j in range(1, n + 1))))
 
 
-def spif_spec(n: int) -> Specification:
+def spif_spec() -> Specification:
     """Strict request/reply waves: states inside RQ/RP, eventual behavior
     the wave cycle itself."""
     return Specification(
@@ -654,11 +650,11 @@ def spif_spec(n: int) -> Specification:
     )
 
 
-def ipif_spec(n: int) -> Specification:
+def ipif_spec() -> Specification:
     """The relaxed wave specification: every state satisfies RP' or RQ',
     leaving the RQ' family lands in a strict RP state, and every sequence
     ends up riding the strict wave cycle."""
-    return replace(spif_spec(n), name="IPIF", allowed_state=pif_prime,
+    return replace(spif_spec(), name="IPIF", allowed_state=pif_prime,
                    allowed_edge=Leaves(_pif_rq_prime, _pif_rp_strict))
 
 

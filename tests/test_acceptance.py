@@ -50,7 +50,7 @@ def test_conflict_manager_grants_stay_exclusive():
                        for i in comp for _, _, t in ts.edges(i))
         # divergence findings are reported under the documented policy
         verdict = check_ideal_stabilizing(program, bundle.mapping,
-                                          udp_spec(len(ids)), ts=ts)
+                                          udp_spec(), ts=ts)
         assert verdict.holds
         assert verdict.notes[0] == "stutter policy: divergence-allowed"
         assert any(n.startswith("stutter divergence: a computation may "

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -401,6 +402,27 @@ def test_simulate_prints_a_moving_image_without_divergence(capsys):
     assert code == 0
     assert len(image_lines(out)) == 11
     assert "stutter divergence" not in out
+
+
+def test_a_chain_length_above_the_state_cap_exits_2_at_once(capsys,
+                                                            monkeypatch):
+    # cm's ids are built from --n, one per position; the check comes first
+    monkeypatch.delenv("STABILIQ_STATE_CAP", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--check", "closed",
+                         "--protocol", "cm", "--n", "9" * 3000)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out, err) == (2, "", "error: --n must be at most the state "
+                                "cap, 10000000: one process is built per "
+                                "position\n")
+
+
+def test_simulate_runs_a_universe_past_the_cap(capsys):
+    # simulate lists no universe: la at N = 25 has 2^25 states
+    code, out, err = run(capsys, "simulate", "--protocol", "la", "--n", "25",
+                         "--steps", "5")
+    assert (code, err) == (0, "")
+    assert len(image_lines(out)) >= 1
 
 
 def test_simulate_is_deterministic(capsys):

@@ -1,4 +1,5 @@
 """Protocol language: parsing, diagnostics, rendering, round-trips."""
+import time
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,43 @@ def test_group_range_reports_each_group_once_from_its_bounds():
         "3:15: error: groups 'a' and 'c' both cover position 4 "
         "[GROUP_RANGE]",
         "4:15: error: groups 'a' and 'b' both cover position 2 "
+        "[GROUP_RANGE]"]
+
+
+def test_uncovered_positions_are_written_as_ranges():
+    group = "process %s in %s { var x: bool; go: true -> self.x := !self.x; }"
+    one = "protocol p(N) { %s }" % group % ("a", "1..1")
+    text = [str(d) for d in parse_protocol(one, n=100000).diagnostics]
+    assert text == [
+        "1:1: error: no group covers positions 2..100000 [GROUP_RANGE]"]
+    assert len(text[0]) < 100
+    assert [str(d) for d in parse_protocol(one, n=2).diagnostics] == [
+        "1:1: error: no group covers position 2 [GROUP_RANGE]"]
+    three = "protocol p(N) { %s %s %s }" % (
+        group % ("a", "1..1"), group % ("c", "7..N"), group % ("b", "3..4"))
+    assert [str(d) for d in parse_protocol(three, n=9).diagnostics] == [
+        "1:1: error: no group covers positions 2, 5..6 [GROUP_RANGE]"]
+
+
+@pytest.mark.parametrize("bounds,n", [
+    ("1..%s" % ("9" * 3000), None),
+    ("1..N", int("9" * 3000)),
+    ("N-%s..N" % ("9" * 3000), 4),
+    ("1..10000001", None),
+], ids=["3000-digit literal", "3000-digit n", "3000-digit offset",
+        "one past the cap"])
+def test_a_chain_longer_than_the_state_cap_is_refused_at_once(
+        monkeypatch, bounds, n):
+    # one process is built per position, so the bounds are checked first
+    monkeypatch.delenv("STABILIQ_STATE_CAP", raising=False)
+    source = "protocol p(%s) { process a in %s { var x: bool; " \
+        "go: true -> self.x := !self.x; } }" % ("N" * ("N" in bounds), bounds)
+    start = time.perf_counter()
+    result = parse_protocol(source, n=n)
+    assert time.perf_counter() - start < 0.1
+    assert [str(d) for d in result.diagnostics] == [
+        "1:1: error: the chain length and every position bound must be at "
+        "most the state cap, 10000000: one process is built per position "
         "[GROUP_RANGE]"]
 
 

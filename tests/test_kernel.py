@@ -312,7 +312,7 @@ def test_record_arguments_by_position_keyword_and_default():
 
 
 def test_replace_runs_the_checks_again():
-    spec = specs.udp_spec(3)
+    spec = specs.udp_spec()
     renamed = replace(spec, name="other")
     assert (renamed.name, renamed.allowed_state) == \
         ("other", spec.allowed_state)

@@ -376,16 +376,16 @@ def _anything():
 
 @pytest.mark.parametrize("program,spec,invariant,kind", [
     # fails at closure
-    (lambda: protocols.make_pif(4).program, lambda: spif_spec(4),
+    (lambda: protocols.make_pif(4).program, lambda: spif_spec(),
      specs.pif_root_idle, "edge"),
     # fails at convergence, on a cycle and on a terminal outside
     (_spin, _anything, lambda s: s.value(1, "y") == "false", "cycle"),
     (_spin, _anything, lambda s: s.value(1, "x") == "true"
      and s.value(1, "y") == "false", "terminal"),
     # fails at state conformance on the whole universe, and holds on a part
-    (lambda: protocols.make_pif(4).program, lambda: spif_spec(4),
+    (lambda: protocols.make_pif(4).program, lambda: spif_spec(),
      every_state, "disallowed-state"),
-    (lambda: protocols.make_pif(4).program, lambda: spif_spec(4), pif_wave,
+    (lambda: protocols.make_pif(4).program, lambda: spif_spec(), pif_wave,
      None),
     (lambda: protocols.make_abp().program, sabp_spec, abp_legitimate, None),
 ])
@@ -405,7 +405,7 @@ def test_a_verdict_counts_the_components_of_the_whole_universe(
 
 def test_stabilizing_to_strict_waves():
     bundle = protocols.make_pif(4)
-    verdict = check_stabilizing(bundle.program, bundle.mapping, spif_spec(4),
+    verdict = check_stabilizing(bundle.program, bundle.mapping, spif_spec(),
                                 pif_wave)
     assert verdict.holds and verdict.witness is None
     assert verdict.check == "stabilizing"
@@ -438,7 +438,7 @@ def test_ideal_handshake_holds():
 def test_ideal_wave_fails_on_an_uncovered_state():
     bundle = protocols.make_pif(4)
     verdict = check_ideal_stabilizing(bundle.program, bundle.mapping,
-                                      ipif_spec(4))
+                                      ipif_spec())
     assert not verdict.holds
     w = verdict.witness
     assert w["kind"] == "disallowed-state"
@@ -457,7 +457,7 @@ def test_ideal_alternator_holds():
 def test_unfair_dining_holds_with_divergence_findings():
     bundle = protocols.make_cm((2, 1, 3, 4))
     verdict = check_ideal_stabilizing(bundle.program, bundle.mapping,
-                                      udp_spec(4))
+                                      udp_spec())
     assert verdict.holds and verdict.witness is None
     assert verdict.stats == {
         "states": 16, "edges": 64, "invariant_states": 16,
@@ -483,7 +483,7 @@ def test_fair_dining_reports_per_process_analysis():
 
 def test_forbidding_divergence_turns_the_finding_into_a_failure():
     bundle = protocols.make_cm((2, 1, 3, 4))
-    spec = udp_spec(4).with_policy(DIVERGENCE_FORBIDDEN)
+    spec = udp_spec().with_policy(DIVERGENCE_FORBIDDEN)
     verdict = check_ideal_stabilizing(bundle.program, bundle.mapping, spec)
     assert not verdict.holds
     w = verdict.witness
@@ -495,7 +495,7 @@ def test_forbidding_divergence_turns_the_finding_into_a_failure():
 def test_stabilizing_rejects_an_open_invariant():
     bundle = protocols.make_cm((2, 1, 3, 4))
     verdict = check_stabilizing(
-        bundle.program, bundle.mapping, udp_spec(4),
+        bundle.program, bundle.mapping, udp_spec(),
         lambda s: s.value(1, "access") == "false")
     assert not verdict.holds
     assert verdict.witness["kind"] == "edge"
@@ -508,7 +508,7 @@ def test_verdicts_serialize_to_json():
     verdicts = [
         check_closed(bundle.program, pif_wave, ts),
         check_ideal_stabilizing(bundle.program, bundle.mapping,
-                                ipif_spec(4), ts),
+                                ipif_spec(), ts),
     ]
     for v in verdicts:
         payload = json.loads(json.dumps(v.to_dict()))
@@ -524,7 +524,7 @@ def test_specification_validation():
                       stutter_policy="sometimes")
     with pytest.raises(ValueError):
         Obligation("o", lambda s, t: True, mode="maybe")
-    spec = udp_spec(3)
+    spec = udp_spec()
     assert spec.stutter_policy == DIVERGENCE_ALLOWED
     assert spec.with_policy(DIVERGENCE_FORBIDDEN).stutter_policy == \
         DIVERGENCE_FORBIDDEN
@@ -730,7 +730,7 @@ def test_ipif_holds_on_image_bitsets_alone(monkeypatch):
 
     for n in range(3, 11):
         bundle = protocols.make_pif(n)
-        inv, spec = bundle.invariants["rq-or-rp"], ipif_spec(n)
+        inv, spec = bundle.invariants["rq-or-rp"], ipif_spec()
         plain = check_stabilizing(bundle.program, bundle.mapping, replace(
             spec, allowed_edge=_as_plain(spec.allowed_edge)), inv)
         with monkeypatch.context() as patch:

@@ -1,0 +1,79 @@
+"""Run one `python -m stabiliq` command as a pass/fail gate.
+
+    python3 tools/gate.py --timeout 20 --max-rss-mb 33 --expect ok=true \\
+        -- verify --check ideal --protocol la --n 18
+
+The command runs with `--json` and a temporary report path appended, under
+the timeout. The gate exits 1 when the command exits nonzero or outlives the
+timeout, when its peak RSS (RUSAGE_CHILDREN) reaches --max-rss-mb, or when a
+report field named by an --expect differs from the given value. A field is a
+dotted path into the report, a list item by its index (verdicts.0.ok); the
+value is read as JSON (true, 2125647, "text").
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def field(report, path: str):
+    """The report's value at a dotted path; a list item by its index."""
+    for key in path.split("."):
+        report = report[int(key)] if isinstance(report, list) else report[key]
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--timeout", type=float, required=True,
+                        metavar="SECONDS")
+    parser.add_argument("--max-rss-mb", type=float, metavar="MB",
+                        help="fail when the peak RSS reaches this")
+    parser.add_argument("--expect", action="append", default=[],
+                        metavar="PATH=VALUE",
+                        help="a report field and its value; repeatable")
+    parser.add_argument("command", nargs=argparse.REMAINDER,
+                        help="the stabiliq arguments, after --")
+    args = parser.parse_args(argv)
+    command = args.command[1:] if args.command[:1] == ["--"] else args.command
+    with tempfile.TemporaryDirectory() as scratch:
+        report_path = Path(scratch) / "report.json"
+        argv = [sys.executable, "-m", "stabiliq", *command,
+                "--json", str(report_path)]
+        print("gate: python %s" % " ".join(argv[1:]), flush=True)
+        try:
+            code = subprocess.run(argv, timeout=args.timeout).returncode
+        except subprocess.TimeoutExpired:
+            print("gate: FAILED, no exit within %g s" % args.timeout)
+            return 1
+        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        print("gate: exit %d, peak RSS %.1f MB" % (code, peak))
+        failures = ["exit code %d" % code] if code else []
+        if args.max_rss_mb is not None and peak >= args.max_rss_mb:
+            failures.append("peak RSS %.1f MB, at or above %g MB"
+                            % (peak, args.max_rss_mb))
+        report = json.loads(report_path.read_text()) \
+            if report_path.exists() else {}
+    for expect in args.expect:
+        path, _, text = expect.partition("=")
+        try:
+            found = field(report, path)
+        except (KeyError, IndexError, ValueError, TypeError):
+            failures.append("%s is missing from the report" % path)
+            continue
+        want = json.loads(text)
+        if found != want or type(found) is not type(want):
+            failures.append("%s is %s, not %s" % (path, json.dumps(found),
+                                                   text))
+    for failure in failures:
+        print("gate: FAILED, %s" % failure)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

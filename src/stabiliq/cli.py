@@ -30,6 +30,7 @@ import json
 import os
 import random
 import sys
+from itertools import groupby
 from typing import Optional
 
 SCHEMA_VERSION = 1
@@ -292,9 +293,8 @@ def cmd_simulate(args) -> int:
         return 0
     ids = [bound.id_of(s.index) for s in comp.states]
     print("specification image (stutters removed):")
-    for i, sid in enumerate(ids):
-        if i == 0 or sid != ids[i - 1]:
-            print("        %s" % bound.signature.state_at(sid).text())
+    for sid, _ in groupby(ids):
+        print("        %s" % bound.signature.state_at(sid).text())
     if comp.lasso_start is not None and len(set(ids[comp.lasso_start:])) == 1:
         print("stutter divergence: the lasso leaves the image constant")
     return 0

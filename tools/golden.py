@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import re
 import sys
@@ -37,17 +38,14 @@ CORPUS = ROOT / "tests" / "golden" / "corpus.json"
 POLICIES = ((), ("--stutter-policy", "allowed"),
             ("--stutter-policy", "forbidden"))
 _ELAPSED = re.compile(r'(elapsed_ms["=:]+ ?)[0-9.e+-]+')
-# A specification universe whose allowed set merges into a disallowed
-# state: the two end grants of a four-position chain.
-_GRANTS = ("x.p1=false x.p2=false x.p3=false x.p4=false",
-           "x.p1=true x.p2=false x.p3=false x.p4=false",
-           "x.p1=false x.p2=false x.p3=false x.p4=true")
-FILES = {"allowed.txt": "\n".join(_GRANTS) + "\n",
-         "disallowed.txt": "".join(
-             " ".join("x.p%d=%s" % (p, "true" if bits >> (4 - p) & 1
-                                    else "false") for p in range(1, 5))
-             + "\n" for bits in range(16)
-             if bits not in (0, 8, 1))}
+# A specification universe of four booleans whose allowed set, no grant or
+# one grant at a chain end, merges into a disallowed state.
+_STATES = [" ".join("x.p%d=%s" % (p, v) for p, v in enumerate(values, 1))
+           for values in itertools.product(("false", "true"), repeat=4)]
+_ALLOWED = {_STATES[0], _STATES[1], _STATES[8]}
+FILES = {"allowed.txt": "".join(s + "\n" for s in _STATES if s in _ALLOWED),
+         "disallowed.txt": "".join(s + "\n" for s in _STATES
+                                   if s not in _ALLOWED)}
 
 
 def _selections():

@@ -33,9 +33,9 @@ from __future__ import annotations
 from typing import NoReturn, Optional
 
 from .kernel import (BOOL, OFFSET_NAMES, Action, And, Assign, BoolLit, Cmp,
-                     Domain, If, Lit, ModelError, Not, NotRef, Or, Process,
-                     Program, ProgramError, VarRef, VariableDecl, factory,
-                     record, state_cap)
+                     Domain, DslError, If, Lit, ModelError, Not, NotRef, Or,
+                     Process, Program, ProgramError, VarRef, VariableDecl,
+                     factory, record, state_cap)
 
 OFFSETS = {word: offset for offset, word in OFFSET_NAMES.items()}
 RESERVED = frozenset(
@@ -68,13 +68,6 @@ class ParseResult:
         if not self.ok:
             raise DslError(self.diagnostics)
         return self.program
-
-
-class DslError(ValueError):
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__("\n".join(str(d) for d in self.diagnostics)
-                         or "invalid protocol source")
 
 
 # --------------------------------------------------------------------------

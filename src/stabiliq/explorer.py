@@ -21,9 +21,7 @@ from operator import add, or_
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import kernel
-from .kernel import ModelError, Program, State
-
-POLICIES = ("uniform-random", "round-robin")
+from .kernel import POLICIES, ModelError, Program, State
 
 
 # --------------------------------------------------------------------------

@@ -55,6 +55,10 @@ def check_cap(size: int, counted: str = "state universe",
 
 OFFSET_NAMES = {-1: "left", 0: "self", 1: "right"}
 VAR_KINDS = ("internal", "input", "output")
+#: The daemon's policies and a specification's stutter divergence policies.
+POLICIES = ("uniform-random", "round-robin")
+DIVERGENCE_ALLOWED = "divergence-allowed"
+DIVERGENCE_FORBIDDEN = "divergence-forbidden"
 
 
 class ModelError(ValueError):
@@ -74,6 +78,13 @@ class ProgramError(ModelError):
     def __init__(self, problems):
         self.problems = tuple(problems)
         super().__init__(str(self.problems[0]))
+
+
+class DslError(ValueError):
+    def __init__(self, diagnostics):
+        self.diagnostics = list(diagnostics)
+        super().__init__("\n".join(str(d) for d in self.diagnostics)
+                         or "invalid protocol source")
 
 
 class UniverseCapError(RuntimeError):

@@ -375,6 +375,26 @@ class ChainPredicate:
         return self.automaton(sig).bits(letters)
 
 
+#: Every state: the invariant `true`.
+every_state = ChainPredicate(
+    lambda sig: ChainAutomaton(sig, 0, lambda q, p, a: 0, (0,)))
+
+
+def _le_step(q, position, letter):
+    """Read one (contend, leader) letter: 0 before any leader, 1 after one
+    contending leader, None (dead) at a second or a non-contending one."""
+    contend, leader = letter
+    if not leader:
+        return q
+    return 1 if q == 0 and contend else None
+
+
+#: At most one leader, and only a contending one: the automaton the
+#: leader-election fixture is decided by.
+le_allowed = ChainPredicate(
+    lambda sig: ChainAutomaton(sig, 0, _le_step, (0, 1)))
+
+
 def _runs(aut: ChainAutomaton) -> tuple:
     """Per position, its letters in lexicographic order and the successor
     of each automaton state reached so far (and of None, dead) under each;

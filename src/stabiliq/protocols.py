@@ -11,14 +11,16 @@ for it exists.
 from __future__ import annotations
 
 import functools
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .kernel import (BOOL, ModelError, Program, Signature, State, check_cap,
                      factory, record, replace)
 from .mapping import (ChainAutomaton, EnabledOutputMapping, HighestIdMapping,
-                      IdenticalMapping, StateMapping, accepted_states)
-from . import specs as _specs
-from .specs import Specification
+                      IdenticalMapping, StateMapping, accepted_states,
+                      every_state, le_allowed)
+
+if TYPE_CHECKING:  # the builders import specs, so make_le needs none of it
+    from .specs import Specification
 
 
 @record
@@ -30,7 +32,7 @@ class ProtocolBundle:
     mapping: StateMapping
     ideal_spec: Specification
     strict_spec: Optional[Specification] = None
-    invariants: dict = factory(lambda: {"true": _specs.every_state})
+    invariants: dict = factory(lambda: {"true": every_state})
     default_invariant: str = "true"
 
     @property
@@ -52,6 +54,7 @@ def make_cm(ids) -> ProtocolBundle:
         raise ModelError("the conflict manager needs at least 2 processes")
     if len(set(ids)) != len(ids):
         raise ModelError("process identifiers must be unique; got %r" % (ids,))
+    from . import specs
     processes = _parse_sample("cm.gcp", len(ids)).processes
     program = Program("cm", [replace(p, pid=pid)
                              for p, pid in zip(processes, ids)])
@@ -59,7 +62,7 @@ def make_cm(ids) -> ProtocolBundle:
         name="cm",
         program=program,
         mapping=HighestIdMapping(),
-        ideal_spec=_specs.udp_spec(),
+        ideal_spec=specs.udp_spec(),
     )
 
 
@@ -72,11 +75,12 @@ def make_alternator(n: int) -> ProtocolBundle:
     the critical section exactly when its action is enabled."""
     if n < 3:
         raise ModelError("the alternator needs at least 3 processes")
+    from . import specs
     return ProtocolBundle(
         name="la",
         program=_parse_sample("alternator.gcp", n),
         mapping=EnabledOutputMapping(),
-        ideal_spec=_specs.fdp_spec(n),
+        ideal_spec=specs.fdp_spec(n),
     )
 
 
@@ -91,16 +95,17 @@ def make_pif(n: int) -> ProtocolBundle:
         raise ModelError(
             "the propagation chain needs a root, a leaf, and at least "
             "one intermediate process")
+    from . import specs
     return ProtocolBundle(
         name="pif",
         program=_parse_sample("pif.gcp", n),
         mapping=IdenticalMapping(),
-        ideal_spec=_specs.ipif_spec(),
-        strict_spec=_specs.spif_spec(),
+        ideal_spec=specs.ipif_spec(),
+        strict_spec=specs.spif_spec(),
         invariants={
-            "rq-or-rp": _specs.pif_wave,
-            "root-idle": _specs.pif_root_idle,
-            "true": _specs.every_state,
+            "rq-or-rp": specs.pif_wave,
+            "root-idle": specs.pif_root_idle,
+            "true": every_state,
         },
         default_invariant="rq-or-rp",
     )
@@ -115,15 +120,16 @@ def make_abp() -> ProtocolBundle:
     message silently. The sender advances its bit only on a matching
     acknowledgment; the receiver adopts the incoming bit and always
     acknowledges it."""
+    from . import specs
     return ProtocolBundle(
         name="abp",
         program=_parse_sample("abp.gcp"),
         mapping=IdenticalMapping(),
-        ideal_spec=_specs.iabp_spec(),
-        strict_spec=_specs.sabp_spec(),
+        ideal_spec=specs.iabp_spec(),
+        strict_spec=specs.sabp_spec(),
         invariants={
-            "legitimate": _specs.abp_legitimate,
-            "true": _specs.every_state,
+            "legitimate": specs.abp_legitimate,
+            "true": every_state,
         },
         default_invariant="legitimate",
     )
@@ -184,7 +190,7 @@ def make_le(n: int) -> LeFixture:
                          "more than 3 processes")
     sig = Signature((p, name, BOOL) for p in range(1, n + 1)
                     for name in ("contend", "leader"))
-    fixture = LeFixture(n, sig, _specs.le_allowed.automaton(sig), ())
+    fixture = LeFixture(n, sig, le_allowed.automaton(sig), ())
     s1 = fixture.forced_state([True] + [False] * (n - 1))
     s2 = fixture.forced_state([False] * (n - 1) + [True])
     return replace(fixture, forced=(s1, s2))

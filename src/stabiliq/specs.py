@@ -21,12 +21,11 @@ from operator import or_
 from typing import Callable, Optional
 
 from . import kernel  # explorer only in the functions that search a system
-from .kernel import Program, Signature, State, check_cap, replace
+from .kernel import (DIVERGENCE_ALLOWED, DIVERGENCE_FORBIDDEN, Program,
+                     Signature, State, check_cap, replace)
 from .mapping import (BoundMapping, ChainAutomaton, ChainPredicate,
-                      StateMapping, _same)
+                      StateMapping, _same, every_state, le_allowed)
 
-DIVERGENCE_ALLOWED = "divergence-allowed"
-DIVERGENCE_FORBIDDEN = "divergence-forbidden"
 STUTTER_POLICIES = (DIVERGENCE_ALLOWED, DIVERGENCE_FORBIDDEN)
 
 #: Obligation modes: enforce always gates the verdict; policy gates only
@@ -509,11 +508,6 @@ def check_ideal_stabilizing(program: Program, mapping: StateMapping,
 # --------------------------------------------------------------------------
 # State predicates as chain automata.
 
-#: Every state: the invariant `true`.
-every_state = ChainPredicate(
-    lambda sig: ChainAutomaton(sig, 0, lambda q, p, a: 0, (0,)))
-
-
 # Each wave family is a regular language over the chain word, one letter
 # per position: i for idle, q for rq, p for rp. RQ(l, m) is
 # q^l i^(m-l) p^(N-m) with m > l, RP(k) is q^k p^(N-k) with 0 < k < N,
@@ -675,17 +669,3 @@ def iabp_spec() -> Specification:
     eventually rides the legitimate handshake."""
     return replace(sabp_spec(), name="IABP", allowed_state=every_state)
 
-
-def _le_step(q, position, letter):
-    """Read one (contend, leader) letter: 0 before any leader, 1 after one
-    contending leader, None (dead) at a second or a non-contending one."""
-    contend, leader = letter
-    if not leader:
-        return q
-    return 1 if q == 0 and contend else None
-
-
-#: At most one leader, and only a contending one: the automaton the
-#: leader-election fixture is decided by.
-le_allowed = ChainPredicate(
-    lambda sig: ChainAutomaton(sig, 0, _le_step, (0, 1)))

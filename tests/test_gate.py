@@ -1,6 +1,8 @@
 """The CI gate (tools/gate.py): exit code, peak RSS and report fields."""
 import importlib.util
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,22 @@ def test_the_gate_fails_on_each_unmet_bound(gate, capfd):
                       "verify", "--check", "ideal", "--protocol", "la",
                       "--n", "2"]) == 1
     assert "gate: FAILED, exit code 2\n" in capfd.readouterr().out
+
+
+def test_the_peak_is_the_gated_command_alone(gate, capfd):
+    # RUSAGE_CHILDREN would report this earlier child's 80 MB, and a command
+    # spawned from this test runner would start at the runner's own peak
+    subprocess.run([sys.executable, "-c", "b'x' * (80 << 20)"], check=True)
+    assert gate.main(["--timeout", "60", "--max-rss-mb", "60", "--",
+                      "verify", "--check", "ideal", "--protocol", "la",
+                      "--n", "3"]) == 0
+    assert "FAILED" not in capfd.readouterr().out
+
+
+def test_a_command_that_outlives_the_timeout_is_killed_and_reaped(gate,
+                                                                  capfd):
+    assert gate.main(["--timeout", "0.001", "--", "verify", "--check",
+                      "ideal", "--protocol", "la", "--n", "3"]) == 1
+    assert "gate: FAILED, no exit within 0.001 s" in capfd.readouterr().out
+    with pytest.raises(ChildProcessError):  # no child is left to reap
+        os.waitpid(-1, os.WNOHANG)

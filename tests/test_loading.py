@@ -1,5 +1,6 @@
 """What each entry point loads: the package imports its modules on demand,
-and the command line compiles all of them before argparse and json."""
+and the command line compiles the modules its command needs before argparse
+and json."""
 import json
 import os
 import pkgutil
@@ -53,7 +54,7 @@ def test_the_leader_election_fixture_parses_nothing_and_explores_nothing():
     code = "import stabiliq; stabiliq.make_le(9); " + LOADED.format(
         names={"importlib.resources"})
     assert fresh(code, "-S") == ["stabiliq.kernel", "stabiliq.mapping",
-                                 "stabiliq.protocols", "stabiliq.specs"]
+                                 "stabiliq.protocols"]
 
 
 def test_a_program_bundle_builds_without_the_explorer():
@@ -63,19 +64,49 @@ def test_a_program_bundle_builds_without_the_explorer():
     assert "stabiliq.dsl" in loaded and "stabiliq.explorer" not in loaded
 
 
-def test_the_command_line_compiles_the_package_before_argparse_and_json():
-    code = ("import sys; before = sorted({'argparse', 'json'} & "
-            "set(sys.modules)); import stabiliq.cli; order = "
-            "list(sys.modules); import json; print(json.dumps([before, "
-            "order]))")
-    before, order = fresh(code, "-S")
-    assert before == []  # neither was loaded before
+#: Run one command in a fresh interpreter; print the modules loaded before
+#: it, and every module in load order.
+COMMAND = ("import sys; before = sorted({{'argparse', 'json'}} & "
+           "set(sys.modules)); from stabiliq import cli; "
+           "cli.main({argv!r}); order = list(sys.modules); import json; "
+           "print(json.dumps([before, order]))")
+
+
+def compile_order(*argv: str) -> list:
+    """The command's load order, after checking that neither argparse nor
+    json was loaded before it ran."""
+    before, order = fresh(COMMAND.format(argv=list(argv)), "-S")
+    assert before == []
+    return order
+
+
+def loaded_before_argparse_and_json(order: list) -> list:
+    """The package modules other than cli loaded before argparse and json
+    (a module moves to the end of sys.modules when its import finishes, so
+    cli's place shows nothing)."""
+    first = min(order.index("argparse"), order.index("json"))
+    return sorted(m for m in order[:first]
+                  if m.startswith("stabiliq.") and m != "stabiliq.cli")
+
+
+def test_the_impossibility_command_compiles_only_what_merge_closure_needs():
+    order = compile_order("impossibility", "--protocol", "le", "--n", "9")
+    assert loaded_before_argparse_and_json(order) == [
+        "stabiliq.kernel", "stabiliq.mapping", "stabiliq.protocols"]
+    assert not {"stabiliq.dsl", "stabiliq.explorer",
+                "stabiliq.specs"} & set(order)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--check", "ideal", "--protocol", "la", "--n", "4"),
+    (), ("no-such-command",)], ids=["verify", "no-command", "unknown"])
+def test_every_other_command_compiles_the_package_first(argv):
+    order = compile_order(*argv)
     package = ["stabiliq." + m.name for m in
                pkgutil.iter_modules(stabiliq.__path__)
                if m.name not in ("cli", "__main__")]
     assert len(package) == 6
-    first = min(order.index("argparse"), order.index("json"))
-    assert all(order.index(m) < first for m in package)
+    assert loaded_before_argparse_and_json(order) == sorted(package)
 
 
 def test_every_public_name_resolves():

@@ -1,7 +1,8 @@
 """Compare the benchmark's end-to-end metrics between two checkouts.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_N.json \\
-        --claim impossibility-le9:setup_s [--pairs 10] [--seconds 5] [--seed 1]
+        [--claim impossibility-le9:setup_s] [--pairs 10] [--seconds 5] \\
+        [--seed 1]
 
 Each checkout is a full copy of the repository (`git clone` or `git archive`).
 A pair runs `bench/run.py --trace 0` once per workload on both checkouts,
@@ -9,8 +10,9 @@ and the side that runs first alternates from pair to pair. Each run's
 medians are read off the JSON line that bench/run.py prints last (times
 scaled to its reference speed). The output file holds every run's median
 and, per workload and metric, each side's median and quartiles over the runs
-and the number of pairs in which the change did better. A wrong answer in
-any run stops the script.
+and the number of pairs in which the change did better. The record names
+the --claim, a measured workload and metric, or null when the change claims
+no gain. A wrong answer in any run stops the script.
 """
 import argparse
 import json
@@ -39,7 +41,10 @@ def run(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
 
 
 def summary(values: list) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4)
+    if len(values) == 1:  # one run has no spread
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
@@ -59,11 +64,24 @@ def main() -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="the workload and metric the change claims "
+                             "to improve; omit it for no claim")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=5)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
+    claimed = None
+    if args.claim is not None:
+        workload, colon, metric = args.claim.partition(":")
+        if not colon or workload not in WORKLOADS or metric not in METRICS:
+            parser.error("--claim wants WORKLOAD:METRIC, a workload of %s "
+                         "and a metric of %s; got %r" % (
+                             ", ".join(WORKLOADS), ", ".join(METRICS),
+                             args.claim))
+        claimed = {"workload": workload, "metric": metric}
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     sides = {"parent": args.parent, "change": args.change}
     runs = {w: {side: [] for side in sides} for w in WORKLOADS}
     for pair in range(args.pairs):
@@ -87,7 +105,7 @@ def main() -> int:
         "nproc": len(os.sched_getaffinity(0)),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "pairs": args.pairs,
-        "claimed": dict(zip(("workload", "metric"), args.claim.split(":"))),
+        "claimed": claimed,
         "workloads": {},
     }
     for workload, by_side in runs.items():

@@ -5,7 +5,7 @@
 
 The command runs with `--json` and a temporary report path appended, under
 the timeout. The gate exits 1 when the command exits nonzero or outlives the
-timeout, when its peak RSS (RUSAGE_CHILDREN) reaches --max-rss-mb, or when a
+timeout, when its own peak RSS (see SPAWN) reaches --max-rss-mb, or when a
 report field named by an --expect differs from the given value. A field is a
 dotted path into the report, a list item by its index (verdicts.0.ok); the
 value is read as JSON (true, 2125647, "text").
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import resource
 import subprocess
 import sys
 import tempfile
@@ -26,6 +25,48 @@ def field(report, path: str):
     for key in path.split("."):
         report = report[int(key)] if isinstance(report, list) else report[key]
     return report
+
+
+#: Run by a fresh `python -S`: spawn the command, wait at most TIMEOUT
+#: seconds for it (then kill and reap it), and write "CODE KIB" (its exit
+#: code and its own peak RSS, from os.wait4) or "timeout" to RESULT. A
+#: child spawned through vfork (posix_spawn, subprocess) counts its parent's
+#: peak RSS as its own, because exec folds the shared address space's high
+#: water mark into the child's maximum; so this small process spawns the
+#: command, never the gate, which may run inside a test runner.
+#: RUSAGE_CHILDREN would be worse still: a running maximum over every child
+#: a process has reaped.
+SPAWN = """\
+import os, signal, sys, time
+timeout, result, *argv = sys.argv[1:]
+pid = os.posix_spawn(argv[0], argv, os.environ)
+deadline = time.monotonic() + float(timeout)
+while True:
+    done, status, usage = os.wait4(pid, os.WNOHANG)
+    if done:
+        text = "%d %d" % (os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+        break
+    if time.monotonic() >= deadline:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        text = "timeout"
+        break
+    time.sleep(0.01)
+with open(result, "w") as handle:
+    handle.write(text)
+"""
+
+
+def run(argv: list, timeout: float, result: Path):
+    """Run argv to its exit: (exit code, peak RSS in MB), or None once it
+    outlives the timeout, after it is killed and reaped."""
+    subprocess.run([sys.executable, "-S", "-c", SPAWN, str(timeout),
+                    str(result), *argv], check=True)
+    text = result.read_text()
+    if text == "timeout":
+        return None
+    code, kib = map(int, text.split())
+    return code, kib / 1024
 
 
 def main(argv=None) -> int:
@@ -46,12 +87,11 @@ def main(argv=None) -> int:
         argv = [sys.executable, "-m", "stabiliq", *command,
                 "--json", str(report_path)]
         print("gate: python %s" % " ".join(argv[1:]), flush=True)
-        try:
-            code = subprocess.run(argv, timeout=args.timeout).returncode
-        except subprocess.TimeoutExpired:
+        finished = run(argv, args.timeout, Path(scratch) / "exit")
+        if finished is None:
             print("gate: FAILED, no exit within %g s" % args.timeout)
             return 1
-        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        code, peak = finished
         print("gate: exit %d, peak RSS %.1f MB" % (code, peak))
         failures = ["exit code %d" % code] if code else []
         if args.max_rss_mb is not None and peak >= args.max_rss_mb:

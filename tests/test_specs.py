@@ -353,6 +353,26 @@ def test_terminal_and_cycling_bottoms_against_both_kinds_of_sequence():
     assert verdict(CycleWithin(lambda s: False)).witness["reason"] == (
         "bottom component of 2 states (x=false y=true, x=true y=true) "
         "contains x=false y=true, outside the target cycle family")
+    assert verdict(CycleWithin(lambda s: False, "a family")
+                   ).witness["reason"] == (
+        "bottom component of 2 states (x=false y=true, x=true y=true) "
+        "contains x=false y=true, outside the target cycle family (a family)")
+
+
+def test_a_terminal_bottom_outside_the_final_states():
+    program = parse_protocol("""
+    protocol one() {
+      process p in 1..1 {
+        output x: bool;
+        go: self.x = false -> self.x := true;
+      }
+    }
+    """).unwrap()
+    spec = Specification("one", lambda s: True, lambda s, t: True,
+                         FiniteTerminal(lambda s: False), DIVERGENCE_ALLOWED)
+    verdict = check_ideal_stabilizing(program, IdenticalMapping(), spec)
+    assert verdict.witness["reason"] == (
+        "terminal state x=true does not satisfy the final-state condition")
 
 
 def _spin():

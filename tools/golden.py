@@ -1,7 +1,7 @@
 """The golden output corpus of the `stabiliq` commands.
 
     python3 tools/golden.py            # compare; exit 1 and name each change
-    python3 tools/golden.py --update   # rewrite tests/golden/corpus.json
+    python3 tools/golden.py --update   # rewrite tests/golden/*.json
 
 Each command runs in process through `stabiliq.cli.main`; run as a script,
 it imports the `src/` of this checkout. An entry holds the command's exit code, standard output,
@@ -17,6 +17,9 @@ at small N; `simulate` for each built-in and each shipped sample via
 le at N = 4..8 and for one pair of state files; and flags a command refuses.
 In an argument list, <samples> stands for the shipped samples' directory
 and <scratch> for a directory holding FILES; output shows them the same way.
+Beside the commands, tests/golden/diagnostics.json holds the parser's
+diagnostics, `str(d)` for each, of every third truncation of each shipped
+sample parsed at n = 4, keyed by "<sample>[:<end>]".
 A regenerated corpus changes test data, so name every changed command where
 the change is recorded.
 """
@@ -35,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "golden" / "corpus.json"
+DIAGNOSTICS = ROOT / "tests" / "golden" / "diagnostics.json"
 POLICIES = ((), ("--stutter-policy", "allowed"),
             ("--stutter-policy", "forbidden"))
 _ELAPSED = re.compile(r'(elapsed_ms["=:]+ ?)[0-9.e+-]+')
@@ -171,11 +175,24 @@ def record() -> list:
         return [run(argv, Path(scratch)) for argv in commands()]
 
 
-def changed(stored: list, fresh: list) -> list:
-    """The commands whose entries differ, or that only one side has."""
-    old = {e["argv"]: e for e in stored}
-    new = {e["argv"]: e for e in fresh}
-    return [argv for argv in {**old, **new} if old.get(argv) != new.get(argv)]
+def diagnostics() -> dict:
+    """The diagnostics of every third truncation of each shipped sample."""
+    from stabiliq import dsl
+    out = {}
+    for path in sorted((Path(dsl.__file__).parent / "samples").glob("*.gcp")):
+        source = path.read_text()
+        for end in range(0, len(source.rstrip()), 3):
+            found = dsl.parse_protocol(source[:end], n=4).diagnostics
+            out["%s[:%d]" % (path.name, end)] = [str(d) for d in found]
+    return out
+
+
+def changed(stored, fresh) -> list:
+    """The keys whose entries differ, or that only one side has; a list of
+    command entries is keyed by argv."""
+    old, new = ({e["argv"]: e for e in x} if isinstance(x, list) else x
+                for x in (stored, fresh))
+    return [key for key in {**old, **new} if old.get(key) != new.get(key)]
 
 
 def main() -> int:
@@ -183,18 +200,27 @@ def main() -> int:
     parser.add_argument("--update", action="store_true",
                         help="rewrite the corpus from this checkout")
     args = parser.parse_args()
-    fresh = record()
-    stored = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
-    differ = changed(stored, fresh)
-    for argv in differ:
-        print("changed: %s" % argv)
+    fresh, parsed = record(), diagnostics()
+    differ = (changed(_load(CORPUS, []), fresh)
+              + changed(_load(DIAGNOSTICS, {}), parsed))
+    for key in differ:
+        print("changed: %s" % key)
     if args.update:
         CORPUS.parent.mkdir(parents=True, exist_ok=True)
         CORPUS.write_text(json.dumps(fresh, indent=1) + "\n")
-        print("wrote %s (%d commands)" % (CORPUS, len(fresh)))
+        DIAGNOSTICS.write_text("{\n%s\n}\n" % ",\n".join(  # one per line
+            "%s: %s" % (json.dumps(k), json.dumps(v))
+            for k, v in parsed.items()))
+        print("wrote %s (%d commands) and %s (%d truncations)"
+              % (CORPUS, len(fresh), DIAGNOSTICS, len(parsed)))
         return 0
-    print("%d of %d commands changed" % (len(differ), len(fresh)))
+    print("%d of %d commands and truncations changed"
+          % (len(differ), len(fresh) + len(parsed)))
     return 1 if differ else 0
+
+
+def _load(path: Path, empty):
+    return json.loads(path.read_text()) if path.exists() else empty
 
 
 if __name__ == "__main__":

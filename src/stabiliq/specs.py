@@ -72,9 +72,6 @@ class FiniteTerminal:
     pred: Callable[[State], bool]
 
 
-Acceptance = object  # CycleWithin | Recurrence | FiniteTerminal
-
-
 # Local edge predicates, which check_stabilizing decides on image bitsets
 # with no image pair listed; any other callable runs once per image pair.
 
@@ -119,12 +116,16 @@ class Specification:
     name: str
     allowed_state: Callable[[State], bool]
     allowed_edge: Callable[[State, State], bool]
-    acceptance: Acceptance
+    acceptance: CycleWithin | Recurrence | FiniteTerminal
     stutter_policy: str = DIVERGENCE_FORBIDDEN
 
     def __post_init__(self):
         if self.stutter_policy not in STUTTER_POLICIES:
             raise ValueError("unknown stutter policy %r" % self.stutter_policy)
+        if not isinstance(self.acceptance,
+                          (CycleWithin, Recurrence, FiniteTerminal)):
+            raise ValueError("unknown acceptance condition %r"
+                             % (self.acceptance,))
 
     def with_policy(self, policy: str) -> "Specification":
         return replace(self, stutter_policy=policy)
@@ -397,11 +398,12 @@ def check_stabilizing(program: Program, mapping: StateMapping,
 
     # Acceptance on every bottom component.
     pred = getattr(spec.acceptance, "pred", None)
-    accepts = pred and _holds(pred, bound, ts, letters)
+    accepts = ts.full if pred is None else _holds(pred, bound, ts, letters)
     for c in cond.bottoms:
-        verdict = _check_acceptance(spec, ts, cond, c, accepts, unmet, notes)
-        if verdict is not None:
-            return fail(verdict)
+        witness = _check_acceptance(spec, ts, cond.bits(c), accepts, unmet,
+                                    notes)
+        if witness is not None:
+            return fail(witness)
 
     # Stutter divergence: a cycle inside the invariant whose image never
     # changes. Always reported; gates the verdict only when forbidden.
@@ -422,77 +424,53 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     return Verdict(_check_name, True, None, stats(), notes)
 
 
-def _check_acceptance(spec: Specification, ts, cond, c: int, accepts,
+def _check_acceptance(spec: Specification, ts, bits: int, accepts: int,
                       unmet: list, notes: list) -> Optional[dict]:
-    """Evaluate the acceptance condition on bottom component c; `accepts`
-    is the bitset of the program states whose image satisfies its state
-    predicate and `unmet[j]()` the relation of the invariant's edges that
-    miss obligation j (check_stabilizing). Returns a witness dict on a
+    """Evaluate the acceptance condition on the bottom component `bits`:
+    its terminality must match the kind, no state of a CycleWithin or
+    FiniteTerminal component may lie outside `accepts` (the program states
+    whose image satisfies its predicate), and every cycle must discharge
+    each obligation j, `unmet[j]()` being the relation of the invariant's
+    edges that miss it (check_stabilizing). Returns a witness dict on a
     gating violation, None otherwise; analyze findings go into notes."""
     from . import explorer
-    bits, acc = cond.bits(c), spec.acceptance
-    size, terminal, rest = bits.bit_count(), bool(bits & ts.terminal), bits
-    for _ in range(4):  # all but the least four states
-        rest &= rest - 1
-    comp_texts = [ts.state(s).text() for s in explorer.members(bits ^ rest)]
-    where = "bottom component of %d state%s (%s%s)" % (
-        size, "" if size == 1 else "s", ", ".join(comp_texts),
-        ", ..." if size > 4 else "")
+    acc, size = spec.acceptance, bits.bit_count()
+    least = ts.state(explorer.least(bits)).text()
+    where = "bottom component of %d state%s (least %s)" % (
+        size, "" if size == 1 else "s", least)
 
-    if isinstance(acc, FiniteTerminal):
-        if not terminal:
-            return {"kind": "acceptance", "component": comp_texts,
-                    "reason": "%s cycles forever, but the specification's "
-                              "sequences are finite" % where}
-        if not accepts & bits:  # a terminal bottom is one state
-            return {"kind": "acceptance", "component": comp_texts,
-                    "reason": "terminal state %s does not satisfy the "
-                              "final-state condition"
-                              % comp_texts[0]}
-        return None
+    def fail(reason: str) -> dict:
+        return {"kind": "acceptance", "component": [least], "reason": reason}
 
-    # CycleWithin and Recurrence both describe infinite behavior.
-    if terminal:
-        return {"kind": "acceptance", "component": comp_texts,
-                "reason": "%s is terminal, but the specification's "
-                          "sequences are infinite" % where}
-
-    if isinstance(acc, CycleWithin):
-        outside = bits & ~accepts
-        if outside:
-            s = explorer.least(outside)
-            return {"kind": "acceptance", "component": comp_texts,
-                    "reason": "%s contains %s, outside the target "
-                              "cycle family%s"
-                              % (where, ts.state(s).text(),
-                                 " (%s)" % acc.description
-                                 if acc.description else "")}
-        return None
-
-    if isinstance(acc, Recurrence):
-        for obl, missed in zip(acc.obligations, unmet):
-            cycle = explorer.find_cycle(ts, bits, missed())
-            if cycle is None:
-                notes.append("obligation %r: recurs on every cycle of %s"
-                             % (obl.name, where))
-                continue
-            enforced = obl.mode == "enforce" or (
+    finite = isinstance(acc, FiniteTerminal)
+    if finite != bool(bits & ts.terminal):
+        return fail("%s %s, but the specification's sequences are %s" % (
+            where, "cycles forever" if finite else "is terminal",
+            "finite" if finite else "infinite"))
+    outside = bits & ~accepts
+    if outside and finite:  # a terminal bottom is one state
+        return fail("terminal state %s does not satisfy the final-state "
+                    "condition" % least)
+    if outside:
+        return fail("%s contains %s, outside the target cycle family%s" % (
+            where, ts.state(explorer.least(outside)).text(),
+            acc.description and " (%s)" % acc.description))
+    for obl, missed in zip(getattr(acc, "obligations", ()), unmet):
+        cycle = explorer.find_cycle(ts, bits, missed())
+        if cycle is None:
+            notes.append("obligation %r: recurs on every cycle of %s"
+                         % (obl.name, where))
+            continue
+        path = " -> ".join(s.text() for s in cycle.states)
+        if obl.mode == "enforce" or (
                 obl.mode == "policy"
-                and spec.stutter_policy == DIVERGENCE_FORBIDDEN)
-            texts = [s.text() for s in cycle.states]
-            if enforced:
-                return {"kind": "acceptance", "component": comp_texts,
-                        "reason": "cycle %s never discharges obligation %r"
-                                  % (" -> ".join(texts), obl.name)}
-            notes.append(
-                "obligation %r (%s): not discharged on cycle %s"
-                % (obl.name,
-                   "not enforced under %s" % spec.stutter_policy
-                   if obl.mode == "policy" else "analysis only",
-                   " -> ".join(texts)))
-        return None
-
-    raise TypeError("unknown acceptance condition %r" % (acc,))
+                and spec.stutter_policy == DIVERGENCE_FORBIDDEN):
+            return fail("cycle %s never discharges obligation %r"
+                        % (path, obl.name))
+        notes.append("obligation %r (%s): not discharged on cycle %s"
+                     % (obl.name, "not enforced under %s" % spec.stutter_policy
+                        if obl.mode == "policy" else "analysis only", path))
+    return None
 
 
 def check_ideal_stabilizing(program: Program, mapping: StateMapping,

@@ -691,8 +691,8 @@ def test_the_alternator_at_14_maps_no_state(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--check", "ideal",
                        "--protocol", "la", "--n", "14")
     sig = protocols.make_alternator(14).program.signature
-    where = "bottom component of 16384 states (%s, ...)" % ", ".join(
-        sig.state_at(i).text() for i in range(4))
+    where = "bottom component of 16384 states (least %s)" % \
+        sig.state_at(0).text()
     notes = ["stutter policy: divergence-allowed"] + [
         "obligation %r: recurs on every cycle of %s" % (name, where)
         for name in ["output-activity"] + ["activity-p%d" % j

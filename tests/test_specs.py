@@ -344,18 +344,18 @@ def test_terminal_and_cycling_bottoms_against_both_kinds_of_sequence():
     assert (infinite.stats["components"],
             infinite.stats["bottom_components"]) == (3, 2)
     assert infinite.witness["reason"] == (
-        "bottom component of 1 state (x=true y=false) is terminal, but the "
-        "specification's sequences are infinite")
+        "bottom component of 1 state (least x=true y=false) is terminal, but "
+        "the specification's sequences are infinite")
     assert verdict(FiniteTerminal(lambda s: True)).witness["reason"] == (
-        "bottom component of 2 states (x=false y=true, x=true y=true) "
+        "bottom component of 2 states (least x=false y=true) "
         "cycles forever, but the specification's sequences are finite")
     # both bottoms fail: the one with the least state id reports
     assert verdict(CycleWithin(lambda s: False)).witness["reason"] == (
-        "bottom component of 2 states (x=false y=true, x=true y=true) "
+        "bottom component of 2 states (least x=false y=true) "
         "contains x=false y=true, outside the target cycle family")
     assert verdict(CycleWithin(lambda s: False, "a family")
                    ).witness["reason"] == (
-        "bottom component of 2 states (x=false y=true, x=true y=true) "
+        "bottom component of 2 states (least x=false y=true) "
         "contains x=false y=true, outside the target cycle family (a family)")
 
 
@@ -544,6 +544,9 @@ def test_specification_validation():
                       stutter_policy="sometimes")
     with pytest.raises(ValueError):
         Obligation("o", lambda s, t: True, mode="maybe")
+    with pytest.raises(ValueError):
+        Specification("bad", lambda s: True, lambda s, t: True, object(),
+                      DIVERGENCE_ALLOWED)
     spec = udp_spec()
     assert spec.stutter_policy == DIVERGENCE_ALLOWED
     assert spec.with_policy(DIVERGENCE_FORBIDDEN).stutter_policy == \

@@ -334,8 +334,17 @@ def test_terminal_and_cycling_bottoms_against_both_kinds_of_sequence():
       }
     }
     """).unwrap()
+    # one bottom: the terminal x=true, reached from x=false
+    one = parse_protocol("""
+    protocol one() {
+      process p in 1..1 {
+        output x: bool;
+        go: self.x = false -> self.x := true;
+      }
+    }
+    """).unwrap()
 
-    def verdict(acceptance):
+    def verdict(acceptance, program=program):
         spec = Specification("two", lambda s: True, lambda s, t: True,
                              acceptance, DIVERGENCE_ALLOWED)
         return check_ideal_stabilizing(program, IdenticalMapping(), spec)
@@ -343,12 +352,15 @@ def test_terminal_and_cycling_bottoms_against_both_kinds_of_sequence():
     infinite = verdict(CycleWithin(lambda s: True))
     assert (infinite.stats["components"],
             infinite.stats["bottom_components"]) == (3, 2)
+    assert infinite.witness["component"] == ["x=true y=false"]
     assert infinite.witness["reason"] == (
         "bottom component of 1 state (least x=true y=false) is terminal, but "
         "the specification's sequences are infinite")
     assert verdict(FiniteTerminal(lambda s: True)).witness["reason"] == (
         "bottom component of 2 states (least x=false y=true) "
         "cycles forever, but the specification's sequences are finite")
+    assert verdict(FiniteTerminal(lambda s: False), one).witness["reason"] == (
+        "terminal state x=true does not satisfy the final-state condition")
     # both bottoms fail: the one with the least state id reports
     assert verdict(CycleWithin(lambda s: False)).witness["reason"] == (
         "bottom component of 2 states (least x=false y=true) "
@@ -357,22 +369,6 @@ def test_terminal_and_cycling_bottoms_against_both_kinds_of_sequence():
                    ).witness["reason"] == (
         "bottom component of 2 states (least x=false y=true) "
         "contains x=false y=true, outside the target cycle family (a family)")
-
-
-def test_a_terminal_bottom_outside_the_final_states():
-    program = parse_protocol("""
-    protocol one() {
-      process p in 1..1 {
-        output x: bool;
-        go: self.x = false -> self.x := true;
-      }
-    }
-    """).unwrap()
-    spec = Specification("one", lambda s: True, lambda s, t: True,
-                         FiniteTerminal(lambda s: False), DIVERGENCE_ALLOWED)
-    verdict = check_ideal_stabilizing(program, IdenticalMapping(), spec)
-    assert verdict.witness["reason"] == (
-        "terminal state x=true does not satisfy the final-state condition")
 
 
 def _spin():

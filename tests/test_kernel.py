@@ -4,8 +4,8 @@ import pytest
 from stabiliq import explorer, kernel, protocols, replace, specs
 from stabiliq.kernel import (
     BOOL, Action, And, Assign, BoolLit, Cmp, DisabledActionError, Domain,
-    If, Lit, ModelError, NotRef, Or, Process, Program, Signature,
-    UniverseCapError, VarRef, VariableDecl)
+    If, Lit, ModelError, NotRef, Or, Process, Program, ProgramError,
+    Signature, UniverseCapError, VarRef, VariableDecl)
 from stabiliq.specs import Verdict
 
 ST3 = Domain("st3", ("i", "rq", "rp"))
@@ -91,6 +91,13 @@ def test_apply_rejects_disabled_action():
         kernel.apply(pif, idle, 2, "forward")
     stepped = kernel.apply(pif, idle, 1, "request")
     assert stepped.text() == "st.p1=rq st.p2=i st.p3=i st.p4=i"
+
+
+def test_apply_names_an_unknown_action():
+    pif = protocols.make_pif(4).program
+    idle = pif.signature.parse_state("st.p1=i st.p2=i st.p3=i st.p4=i")
+    with pytest.raises(ModelError, match=r"^process 2 has no action 'nosuch'$"):
+        kernel.apply(pif, idle, 2, "nosuch")
 
 
 def test_wave_steps_match_the_action_definitions():
@@ -215,6 +222,32 @@ def test_program_validation_rejects_bad_constructions():
     with pytest.raises(ModelError, match=r"\[VALUE_OUTSIDE_DOMAIN\]$"):
         wide = VariableDecl("w", ST3, "internal")
         tiny_program((Assign(x, VarRef(0, "w")),), extra_vars=(wide,))
+
+
+def test_program_problems_follow_the_walk_through_if_branches():
+    # per position: the guard, the condition, both branches, then the
+    # statement after the if; position 1 has no left neighbor
+    st = Domain("st", ("a", "b", "c"))
+    go = Action("go", Cmp(VarRef(0, "nope"), "=", Lit("true")), (
+        If(Cmp(VarRef(-1, "x"), "=", Lit("true")),
+           then=(Assign(VarRef(0, "s"), Lit("q")),),
+           orelse=(Assign(VarRef(0, "u"), Lit("true")),)),
+        Assign(VarRef(0, "x"), NotRef(VarRef(0, "s")))))
+    decls = (VariableDecl("x", BOOL), VariableDecl("s", st),
+             VariableDecl("u", BOOL, "input"))
+    with pytest.raises(ProgramError) as caught:
+        Program("if", (Process(1, 1, decls, (go,)), Process(2, 2, decls, (go,))))
+    rest = ["value 'q' is not in domain st ('a', 'b', 'c') "
+            "[VALUE_OUTSIDE_DOMAIN]",
+            "input variable 'u' cannot be assigned [ASSIGN_TO_INPUT]",
+            "negation needs boolean variables; 's' is st [NOT_BOOL]"]
+    at1, at2 = "action 'go' of process 1: ", "action 'go' of process 2: "
+    assert [str(p) for p in caught.value.problems] == [
+        at1 + "no variable 'nope' at position 1 [UNDECLARED_VAR]",
+        at1 + "position 1 has no left neighbor [NON_NEIGHBOR_REF]",
+        *(at1 + text for text in rest),
+        at2 + "no variable 'nope' at position 2 [UNDECLARED_VAR]",
+        *(at2 + text for text in rest)]
 
 
 def test_program_positions_and_pids_validated():

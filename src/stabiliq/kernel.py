@@ -384,7 +384,7 @@ class Signature:
     """
 
     __slots__ = ("slots", "index_of", "radices", "size", "_unique",
-                 "positions", "_windows", "_value_index", "_hash")
+                 "positions", "_windows", "_hash")
 
     def __init__(self, slots):
         slots = tuple(slots)
@@ -403,8 +403,6 @@ class Signature:
         self._unique = {name for name, c in counts.items() if c == 1}
         self.positions = tuple(sorted({pos for pos, _, _ in slots}))
         self._windows = {}
-        self._value_index = tuple({v: i for i, v in enumerate(dom.values)}
-                                  for _, _, dom in slots)
         self._hash = hash(slots)
 
     # -- naming ------------------------------------------------------------
@@ -576,9 +574,15 @@ class Program:
         # and all deterministic iteration rely on this order.
         self.action_order = tuple(
             (p.index, a.name) for p in self.processes for a in p.actions)
-        self._actions = {(p.index, a.name): a
-                         for p in self.processes for a in p.actions}
-        self._validate()
+        problems = []
+        for proc in self.processes:
+            for action in proc.actions:
+                found = []
+                self._walk(proc.index, action, found)
+                problems += (Problem(proc.index, action.name, *f)
+                             for f in found)
+        if problems:
+            raise ProgramError(problems)
 
     # -- basic access --------------------------------------------------------
 
@@ -586,12 +590,6 @@ class Program:
         if not 1 <= pos <= self.n:
             raise ModelError("no process at position %d" % pos)
         return self.processes[pos - 1]
-
-    def action(self, pos: int, name: str) -> Action:
-        try:
-            return self._actions[(pos, name)]
-        except KeyError:
-            raise ModelError("process %d has no action %r" % (pos, name)) from None
 
     @property
     def universe_size(self) -> int:
@@ -614,29 +612,31 @@ class Program:
         return "Program(%r, %d processes, %d states)" % (
             self.name, self.n, self.universe_size)
 
-    def _resolve(self, pos: int, ref: VarRef) -> int:
-        """Slot index of a variable reference made from position pos."""
-        return self.signature.slot(pos + ref.offset, ref.name)
+    # -- checking and resolving ----------------------------------------------
 
-    # -- validation ----------------------------------------------------------
+    @cached_property
+    def _resolved(self) -> dict:
+        """{(position, action name): (guard, command)} in canonical order,
+        for the state-by-state operations only; the tables resolve each
+        position as they compile it."""
+        return {(p.index, a.name): self._walk(p.index, a, [])
+                for p in self.processes for a in p.actions}
 
-    def _validate(self):
-        problems = []
-        for proc in self.processes:
-            for action in proc.actions:
-                found = []
-                self._check_expr(proc.index, action.guard, found)
-                self._check_stmts(proc.index, action.command, found)
-                problems.extend(Problem(proc.index, action.name, *f)
-                                for f in found)
-        if problems:
-            raise ProgramError(problems)
+    # One walk both checks an action at a position and resolves it: a guard
+    # into a function of the state's value indices, a command into a
+    # function that assigns into a list of them. Each step appends
+    # (code, node, message) to `found` and goes on, so one pass reports
+    # every problem of an action; what it returns runs only if none is found.
+    def _walk(self, pos, action: Action, found) -> tuple:
+        return (self._guard(pos, action.guard, found),
+                self._block(pos, action.command, found))
 
-    # The check helpers append (code, node, message) to `found` and go on,
-    # so one pass reports every problem of an action.
-
-    def _decl(self, pos, ref: VarRef, found) -> Optional[VariableDecl]:
-        """The variable a reference made from pos names, or None."""
+    def _ref(self, pos, ref, found, what="variable reference"):
+        """The (slot, declaration) a reference made from pos names, or None."""
+        if not isinstance(ref, VarRef):
+            found.append(("MALFORMED_NODE", ref,
+                          "malformed %s %r" % (what, ref)))
+            return None
         target = pos + ref.offset
         if not 1 <= target <= self.n:
             found.append(("NON_NEIGHBOR_REF", ref,
@@ -645,138 +645,121 @@ class Program:
             return None
         for v in self.processes[target - 1].vars:
             if v.name == ref.name:
-                return v
+                return self.signature.index_of[(target, ref.name)], v
         found.append(("UNDECLARED_VAR", ref, "no variable %r at position %d"
                       % (ref.name, target)))
         return None
 
-    def _operand(self, pos, operand, found) -> Optional[VariableDecl]:
-        if isinstance(operand, VarRef):
-            return self._decl(pos, operand, found)
-        if not isinstance(operand, Lit):
-            found.append(("MALFORMED_NODE", operand,
-                          "malformed operand %r" % (operand,)))
+    @staticmethod
+    def _value(lit: Lit, decl: VariableDecl, found) -> Optional[int]:
+        """The index of a literal in decl's domain, or None."""
+        values = decl.domain.values
+        if lit.value in values:
+            return values.index(lit.value)
+        found.append(("VALUE_OUTSIDE_DOMAIN", lit,
+                      "value %r is not in domain %s %r"
+                      % (lit.value, decl.domain.name, values)))
         return None
 
-    @staticmethod
-    def _check_value(lit: Lit, domain: Domain, found):
-        if lit.value not in domain:
-            found.append(("VALUE_OUTSIDE_DOMAIN", lit,
-                          "value %r is not in domain %s %r"
-                          % (lit.value, domain.name, domain.values)))
-
-    def _check_expr(self, pos, expr, found):
+    def _guard(self, pos, expr, found):
         if isinstance(expr, BoolLit):
-            return
-        if isinstance(expr, Cmp):
-            # Resolve refs first so a literal can be checked against the
-            # domain it is compared with.
-            ldecl = self._operand(pos, expr.left, found)
-            rdecl = self._operand(pos, expr.right, found)
-            if isinstance(expr.left, Lit) and rdecl is not None:
-                self._check_value(expr.left, rdecl.domain, found)
-            if isinstance(expr.right, Lit) and ldecl is not None:
-                self._check_value(expr.right, ldecl.domain, found)
-            if isinstance(expr.left, Lit) and isinstance(expr.right, Lit):
-                found.append(("LITERAL_COMPARISON", expr,
-                              "compares two literals"))
-        elif isinstance(expr, Not):
-            self._check_expr(pos, expr.expr, found)
-        elif isinstance(expr, (And, Or)):
-            for item in expr.items:
-                self._check_expr(pos, item, found)
-        else:
+            value = expr.value
+            return lambda v: value
+        if isinstance(expr, Not):
+            inner = self._guard(pos, expr.expr, found)
+            return lambda v: not inner(v)
+        if isinstance(expr, (And, Or)):
+            items = tuple(self._guard(pos, e, found) for e in expr.items)
+            test = all if isinstance(expr, And) else any
+            return lambda v: test(f(v) for f in items)
+        if not isinstance(expr, Cmp):
             found.append(("MALFORMED_NODE", expr,
                           "malformed guard node %r" % (expr,)))
+            return None
+        # Resolve refs first so a literal can be checked against the
+        # domain it is compared with.
+        left, right = expr.left, expr.right
+        lref, rref = (None if isinstance(node, Lit)
+                      else self._ref(pos, node, found, "operand")
+                      for node in (left, right))
+        if isinstance(left, Lit) and isinstance(right, Lit):
+            found.append(("LITERAL_COMPARISON", expr, "compares two literals"))
+            return None
+        if isinstance(left, Lit):
+            left, right, lref, rref = right, left, rref, lref
+        if lref is None:
+            return None
+        i, decl = lref
+        if isinstance(right, Lit):
+            k = self._value(right, decl, found)
+            test = lambda v: v[i] == k
+        elif rref is None:
+            return None
+        else:
+            j, a, b = rref[0], decl.domain.values, rref[1].domain.values
+            test = (lambda v: v[i] == v[j]) if a == b else \
+                (lambda v: a[v[i]] == b[v[j]])
+        return test if expr.op == "=" else (lambda v: not test(v))
 
-    def _check_stmts(self, pos, stmts, found):
+    def _block(self, pos, stmts, found):
+        runs = []
         for stmt in stmts:
             if isinstance(stmt, Assign):
-                self._check_assign(pos, stmt, found)
+                runs.append(self._assign(pos, stmt, found))
             elif isinstance(stmt, If):
-                self._check_expr(pos, stmt.cond, found)
-                self._check_stmts(pos, stmt.then, found)
-                self._check_stmts(pos, stmt.orelse, found)
+                cond = self._guard(pos, stmt.cond, found)
+                then = self._block(pos, stmt.then, found)
+                orelse = self._block(pos, stmt.orelse, found)
+                runs.append(lambda v, cond=cond, then=then, orelse=orelse:
+                            then(v) if cond(v) else orelse(v))
             else:
                 found.append(("MALFORMED_NODE", stmt,
                               "malformed statement %r" % (stmt,)))
 
-    def _check_assign(self, pos, stmt: Assign, found):
-        target = self._decl(pos, stmt.target, found)
-        if target is not None and target.kind == "input":
+        def run(v):
+            for step in runs:
+                step(v)
+        return run
+
+    def _assign(self, pos, stmt: Assign, found):
+        target = self._ref(pos, stmt.target, found, "assignment target")
+        if target is not None and target[1].kind == "input":
             found.append(("ASSIGN_TO_INPUT", stmt.target,
                           "input variable %r cannot be assigned"
                           % stmt.target.name))
         value = stmt.value
         if isinstance(value, Lit):
-            if target is not None:
-                self._check_value(value, target.domain, found)
-        elif isinstance(value, VarRef):
-            source = self._decl(pos, value, found)
-            if target is not None and source is not None and \
-                    not set(source.domain.values) <= set(target.domain.values):
+            if target is None:
+                return None
+            i, k = target[0], self._value(value, target[1], found)
+            return lambda v: v.__setitem__(i, k)
+        if isinstance(value, VarRef):
+            source = self._ref(pos, value, found)
+            if target is None or source is None:
+                return None
+            (i, decl), (j, src) = target, source
+            into = decl.domain.values
+            if not set(src.domain.values) <= set(into):
                 found.append(("VALUE_OUTSIDE_DOMAIN", stmt,
                               "%r ranges over %r, which does not fit into %r"
-                              % (value.name, source.domain.values,
-                                 target.domain.values)))
-        elif isinstance(value, NotRef):
-            source = self._decl(pos, value.ref, found)
-            for decl in (target, source):
-                if decl is not None and decl.domain.values != BOOL.values:
+                              % (value.name, src.domain.values, into)))
+                return None
+            moved = tuple(map(into.index, src.domain.values))
+            return lambda v: v.__setitem__(i, moved[v[j]])
+        if isinstance(value, NotRef):
+            source = self._ref(pos, value.ref, found, "negation operand")
+            for ref in (target, source):
+                if ref is not None and ref[1].domain.values != BOOL.values:
                     found.append(("NOT_BOOL", stmt,
                                   "negation needs boolean variables; %r is %s"
-                                  % (decl.name, decl.domain.name)))
-        else:
-            found.append(("MALFORMED_NODE", value,
-                          "malformed assignment value %r" % (value,)))
-
-
-# --------------------------------------------------------------------------
-# Evaluation.
-
-def _operand_text(program: Program, pos: int, operand, values) -> str:
-    if isinstance(operand, VarRef):
-        i = program._resolve(pos, operand)
-        return program.signature.slots[i][2].values[values[i]]
-    return operand.value
-
-
-def eval_guard(program: Program, pos: int, expr: Expr, values) -> bool:
-    """Evaluate a guard at a process position against raw state values."""
-    if isinstance(expr, BoolLit):
-        return expr.value
-    if isinstance(expr, Cmp):
-        l = _operand_text(program, pos, expr.left, values)
-        r = _operand_text(program, pos, expr.right, values)
-        return (l == r) if expr.op == "=" else (l != r)
-    if isinstance(expr, Not):
-        return not eval_guard(program, pos, expr.expr, values)
-    if isinstance(expr, And):
-        return all(eval_guard(program, pos, e, values) for e in expr.items)
-    if isinstance(expr, Or):
-        return any(eval_guard(program, pos, e, values) for e in expr.items)
-    raise ModelError("malformed guard node %r" % (expr,))
-
-
-def _exec_stmts(program: Program, pos: int, stmts, values: list) -> None:
-    sig = program.signature
-    for stmt in stmts:
-        if isinstance(stmt, Assign):
-            i = program._resolve(pos, stmt.target)
-            dom = sig.slots[i][2]
-            value = stmt.value
-            if isinstance(value, Lit):
-                values[i] = sig._value_index[i][value.value]
-            elif isinstance(value, VarRef):
-                j = program._resolve(pos, value)
-                values[i] = sig._value_index[i][sig.slots[j][2].values[values[j]]]
-            else:  # NotRef, bool-only by validation
-                j = program._resolve(pos, value.ref)
-                values[i] = sig._value_index[i][BOOL.values[1 - values[j]]]
-        else:  # If
-            branch = stmt.then if eval_guard(program, pos, stmt.cond, values) \
-                else stmt.orelse
-            _exec_stmts(program, pos, branch, values)
+                                  % (ref[1].name, ref[1].domain.name)))
+            if target is None or source is None:
+                return None
+            i, j = target[0], source[0]
+            return lambda v: v.__setitem__(i, 1 - v[j])
+        found.append(("MALFORMED_NODE", value,
+                      "malformed assignment value %r" % (value,)))
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -804,9 +787,10 @@ class WindowTable:
 def compile_windows(program: Program) -> tuple[WindowTable, ...]:
     """One WindowTable per position, in position order.
 
-    Each table runs the interpreter once per window valuation, so compiling
-    costs the sum over positions of span times action count guard
-    evaluations: never more than |universe| times |actions|."""
+    Each position's actions are checked and resolved once, then run over
+    every valuation of its window, so compiling costs the sum over positions
+    of span times action count guard evaluations: never more than
+    |universe| times |actions|."""
     sig = program.signature
     radices = sig.radices
     tables = []
@@ -817,15 +801,16 @@ def compile_windows(program: Program) -> tuple[WindowTable, ...]:
         hi = window[-1] + 1 if window else 0
         low_weight = math.prod(radices[hi:])
         values = [0] * len(radices)
+        actions = [program._walk(proc.index, a, []) for a in proc.actions]
         rows = []
         for code, combo in enumerate(
                 itertools.product(*(range(r) for r in radices[lo:hi]))):
             values[lo:hi] = combo
             row = []
-            for k, action in enumerate(proc.actions):
-                if eval_guard(program, proc.index, action.guard, values):
+            for k, (guard, command) in enumerate(actions):
+                if guard(values):
                     after = list(values)
-                    _exec_stmts(program, proc.index, action.command, after)
+                    command(after)
                     moved = 0
                     for i in range(lo, hi):
                         moved = moved * radices[i] + after[i]
@@ -843,24 +828,24 @@ def enabled_actions(program: Program, state: State) -> list[tuple[int, str]]:
     """All (position, action name) pairs whose guard holds in state, in
     canonical order (position ascending, declaration order within)."""
     _check_state(program, state)
-    out = []
-    for proc in program.processes:
-        for action in proc.actions:
-            if eval_guard(program, proc.index, action.guard, state.values):
-                out.append((proc.index, action.name))
-    return out
+    return [key for key, (guard, _) in program._resolved.items()
+            if guard(state.values)]
 
 
 def apply(program: Program, state: State, pos: int, action_name: str) -> State:
     """Fire one enabled action atomically; disabled actions are rejected."""
     _check_state(program, state)
-    action = program.action(pos, action_name)
-    if not eval_guard(program, pos, action.guard, state.values):
+    try:
+        guard, command = program._resolved[(pos, action_name)]
+    except KeyError:
+        raise ModelError("process %d has no action %r"
+                         % (pos, action_name)) from None
+    if not guard(state.values):
         raise DisabledActionError(
             "action %r of process %d is not enabled in %s"
             % (action_name, pos, state.text()))
     values = list(state.values)
-    _exec_stmts(program, pos, action.command, values)
+    command(values)
     return State(program.signature, tuple(values))
 
 

@@ -222,6 +222,13 @@ def test_program_validation_rejects_bad_constructions():
     with pytest.raises(ModelError, match=r"\[VALUE_OUTSIDE_DOMAIN\]$"):
         wide = VariableDecl("w", ST3, "internal")
         tiny_program((Assign(x, VarRef(0, "w")),), extra_vars=(wide,))
+    # a literal where a variable reference belongs
+    with pytest.raises(ProgramError, match=r": malformed assignment target "
+                       r"Lit\(value='x'\) \[MALFORMED_NODE\]$"):
+        tiny_program((Assign(Lit("x"), Lit("true")),))
+    with pytest.raises(ProgramError, match=r": malformed negation operand "
+                       r"Lit\(value='true'\) \[MALFORMED_NODE\]$"):
+        tiny_program((Assign(x, NotRef(Lit("true"))),))
 
 
 def test_program_problems_follow_the_walk_through_if_branches():

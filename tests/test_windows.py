@@ -1,9 +1,10 @@
-"""Compiled window tables against the reference interpreter.
+"""Compiled window tables against the state-by-state operations.
 
 The transition system and the enabled-output mapping read per-position
-tables compiled once from the guarded commands; enabled_actions, apply and
-eval_guard interpret the same commands state by state. Both must agree on
-every state: the same edges in the same order, the same enabled bits.
+tables, built by running each position's resolved actions over every
+valuation of its window; enabled_actions and apply run the same resolved
+actions on one whole state at a time. Both must agree on every state: the
+same edges in the same order, the same enabled bits.
 """
 import pytest
 from hypothesis import given, settings
@@ -24,10 +25,8 @@ def interpreter_edges(program, state):
 
 
 def interpreter_bits(program, state):
-    return tuple(
-        1 if any(kernel.eval_guard(program, p.index, a.guard, state.values)
-                 for a in p.actions) else 0
-        for p in program.processes)
+    enabled = {pos for pos, _ in kernel.enabled_actions(program, state)}
+    return tuple(1 if p.index in enabled else 0 for p in program.processes)
 
 
 def assert_tables_match_interpreter(program):

@@ -11,8 +11,9 @@ carries the same verdicts, witnesses, stats and notes, and the digest keeps
 the file small. The `verify` commands cover closed and convergence for every
 named predicate, and stabilizing and ideal under every invariant and stutter
 policy: pif and la at N = 3..8, cm with ascending and descending ids at
-N = 3..6, and abp. Then come `export-dot --condensed` and plain `export-dot`
-at small N; `simulate` for each built-in and each shipped sample via
+N = 3..6, and abp; and pif-coverage for pif at N = 3..8. Then come
+`export-dot --condensed` and plain `export-dot` at small N, and
+`export-dot --color` for pif at N = 3 and for abp; `simulate` for each built-in and each shipped sample via
 `--file`, under both policies and every `--from` form; `impossibility` for
 le at N = 4..8 and for one pair of state files; and flags a command refuses.
 In an argument list, <samples> stands for the shipped samples' directory
@@ -79,6 +80,8 @@ def commands() -> list:
                 for p in names for policy in POLICIES]
         out += [("verify", "--check", "ideal", *select, *policy)
                 for policy in POLICIES]
+        if select[1] == "pif":
+            out.append(("verify", "--check", "pif-coverage", *select))
     out = [argv + ("--json",) for argv in out]
     for select, _ in _selections():
         if select[1] != "pif" or int(select[3]) <= 5:
@@ -86,7 +89,9 @@ def commands() -> list:
     out += [("export-dot", *select) for select in (
         ("--protocol", "la", "--n", "3"), ("--protocol", "cm", "--ids", "2,1"),
         ("--protocol", "pif", "--n", "3"),
-        ("--file", "<samples>/cm.gcp", "--n", "2"))]
+        ("--file", "<samples>/cm.gcp", "--n", "2"),
+        ("--protocol", "pif", "--n", "3", "--color", "rq-or-rp"),
+        ("--protocol", "abp", "--color", "legitimate"))]
     return out + _simulations() + _impossibilities() + _refusals()
 
 

@@ -617,8 +617,7 @@ class Program:
     @cached_property
     def _resolved(self) -> dict:
         """{(position, action name): (guard, command)} in canonical order,
-        for the state-by-state operations only; the tables resolve each
-        position as they compile it."""
+        for the state-by-state operations; the tables resolve their own."""
         return {(p.index, a.name): self._walk(p.index, a, [])
                 for p in self.processes for a in p.actions}
 
@@ -662,44 +661,45 @@ class Program:
         return None
 
     def _guard(self, pos, expr, found):
-        if isinstance(expr, BoolLit):
-            value = expr.value
-            return lambda v: value
+        if isinstance(expr, Cmp):
+            # Resolve refs first so a literal can be checked against the
+            # domain it is compared with.
+            left, right = expr.left, expr.right
+            lref, rref = [None if isinstance(node, Lit)
+                          else self._ref(pos, node, found, "operand")
+                          for node in (left, right)]
+            if isinstance(left, Lit) and isinstance(right, Lit):
+                found.append(("LITERAL_COMPARISON", expr,
+                              "compares two literals"))
+                return None
+            if isinstance(left, Lit):
+                left, right, lref, rref = right, left, rref, lref
+            if lref is None:
+                return None
+            i, decl = lref
+            if isinstance(right, Lit):
+                k = self._value(right, decl, found)
+                test = lambda v: v[i] == k
+            elif rref is None:
+                return None
+            else:
+                j, a, b = rref[0], decl.domain.values, rref[1].domain.values
+                test = (lambda v: v[i] == v[j]) if a == b else \
+                    (lambda v: a[v[i]] == b[v[j]])
+            return test if expr.op == "=" else (lambda v: not test(v))
+        if isinstance(expr, (And, Or)):
+            items = [self._guard(pos, e, found) for e in expr.items]
+            test = all if isinstance(expr, And) else any
+            return lambda v: test(f(v) for f in items)
         if isinstance(expr, Not):
             inner = self._guard(pos, expr.expr, found)
             return lambda v: not inner(v)
-        if isinstance(expr, (And, Or)):
-            items = tuple(self._guard(pos, e, found) for e in expr.items)
-            test = all if isinstance(expr, And) else any
-            return lambda v: test(f(v) for f in items)
-        if not isinstance(expr, Cmp):
-            found.append(("MALFORMED_NODE", expr,
-                          "malformed guard node %r" % (expr,)))
-            return None
-        # Resolve refs first so a literal can be checked against the
-        # domain it is compared with.
-        left, right = expr.left, expr.right
-        lref, rref = (None if isinstance(node, Lit)
-                      else self._ref(pos, node, found, "operand")
-                      for node in (left, right))
-        if isinstance(left, Lit) and isinstance(right, Lit):
-            found.append(("LITERAL_COMPARISON", expr, "compares two literals"))
-            return None
-        if isinstance(left, Lit):
-            left, right, lref, rref = right, left, rref, lref
-        if lref is None:
-            return None
-        i, decl = lref
-        if isinstance(right, Lit):
-            k = self._value(right, decl, found)
-            test = lambda v: v[i] == k
-        elif rref is None:
-            return None
-        else:
-            j, a, b = rref[0], decl.domain.values, rref[1].domain.values
-            test = (lambda v: v[i] == v[j]) if a == b else \
-                (lambda v: a[v[i]] == b[v[j]])
-        return test if expr.op == "=" else (lambda v: not test(v))
+        if isinstance(expr, BoolLit):
+            value = expr.value
+            return lambda v: value
+        found.append(("MALFORMED_NODE", expr,
+                      "malformed guard node %r" % (expr,)))
+        return None
 
     def _block(self, pos, stmts, found):
         runs = []

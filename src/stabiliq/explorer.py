@@ -15,8 +15,8 @@ from __future__ import annotations
 import random
 from collections import defaultdict, deque
 from functools import cache, cached_property, reduce
-from itertools import compress, count, repeat
-from math import isqrt
+from itertools import compress, count, permutations, product, repeat
+from math import isqrt, prod
 from operator import add, or_
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -350,6 +350,58 @@ def find_cycle(ts: TransitionSystem, nodes: int,
         v = t
     ids, labels = zip(*path[at[v]:])
     return Cycle(tuple(map(ts.state, ids)), labels)
+
+
+def chain_mirror(program: Program, bound) -> Optional[tuple]:
+    """The relabeling (pi_1, ..., pi_N) of a chain mirror that maps the
+    transitions onto themselves and keeps the partition of each image slot
+    of `bound`, a mapping.BoundMapping, or None: position k's local code u
+    (its slots' digits) goes to position N+1-k's pi_k[u]. Window table k
+    maps onto table N+1-k as sets of target codes; an image slot's digits,
+    which must read its position's window, map onto its mirror's up to a
+    bijection of values. Each pi_k permutes at most 3 codes and is chosen
+    left to right against the two before."""
+    sig, image, n, windows = (program.signature, bound.signature, program.n,
+                              program.windows)
+    local = lambda s, p: [s.slots[i][1:] for i in s.slots_at.get(p, ())]
+    size = {p: prod(sig.radices[i] for i in sig.slots_at.get(p, ()))
+            for p in range(1, n + 1)}
+    if max(size.values()) > 3 or any(local(s, p) != local(s, n + 1 - p)
+                                     for s in (sig, image)
+                                     for p in s.positions):
+        return None
+    to = lambda t, code: {code + d // t.low_weight for _, d in t.rows[code]}
+    digits = {}  # per position, its image slots' values and their mirrors'
+    for (k, name, _), (w, span, a) in zip(image.slots, bound.digits):
+        if (w, span) != (windows[k - 1].low_weight, windows[k - 1].span):
+            return None  # each slot is checked, its mirror too
+        digits.setdefault(k, []).append((a[:span], bound.digits[
+            image.index_of[(n + 1 - k, name)]][2][:span]))
+
+    def maps(k: int, pi: dict) -> bool:  # table k and its slots' digits
+        t, u = windows[k - 1], windows[n - k]
+        ps = [p for p in (k - 1, k, k + 1) if p in sig.slots_at]
+        # each window code's mirror: its positions' digits, reversed
+        codes = [sum(pi[p][x] * prod(map(size.get, ps[:i]))
+                     for i, (p, x) in enumerate(zip(ps, xs)))
+                 for xs in product(*map(range, map(size.get, ps)))]
+        return all({codes[x] for x in to(t, c)} == to(u, codes[c])
+                   for c in range(t.span)) and all(
+            len(set(zip(a, map(b.__getitem__, codes))))
+            == len(set(a)) == len(set(b)) for a, b in digits.get(k, ()))
+
+    @cache
+    def rest(k: int, a, b) -> Optional[tuple]:
+        """pi_{k+1}, ..., pi_N given pi_{k-1} = a and pi_k = b, or None;
+        choosing pi_{k+1} completes table k (and table N when k+1 = N)."""
+        for c in permutations(range(size[k + 1])) if k < n else ():
+            pi = {k - 1: a, k: b, k + 1: c}
+            if all(maps(j, pi) for j in range(max(k, 1), k + 1 + (k + 1 == n))
+                   ) and (tail := rest(k + 1, b, c)) is not None:
+                return (c,) + tail
+        return () if k == n else None
+
+    return rest(0, None, None)
 
 
 # --------------------------------------------------------------------------

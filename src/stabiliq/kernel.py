@@ -15,11 +15,10 @@ immutable after construction and all operations are pure functions.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from collections import Counter
 from functools import cached_property, partial
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Iterator, Mapping, Optional, Union
 
 #: Refuse to enumerate universes larger than this unless told otherwise.
@@ -383,26 +382,29 @@ class Signature:
     variable; specification signatures cover external variables only.
     """
 
-    __slots__ = ("slots", "index_of", "radices", "size", "_unique",
-                 "positions", "_windows", "_hash")
+    __slots__ = ("slots", "index_of", "radices", "weights", "size",
+                 "_unique", "slots_at", "positions", "_hash")
 
     def __init__(self, slots):
         slots = tuple(slots)
         if not slots:
             raise ModelError("a signature needs at least one slot")
         self.slots = slots
-        self.index_of = {}
+        self.index_of, self.slots_at = {}, {}
         for i, (pos, name, dom) in enumerate(slots):
             key = (pos, name)
             if key in self.index_of:
                 raise ModelError("duplicate slot %s.p%d" % (name, pos))
             self.index_of[key] = i
+            self.slots_at.setdefault(pos, []).append(i)
         self.radices = tuple(len(dom) for _, _, dom in slots)
-        self.size = math.prod(self.radices)
+        # weights[i] = prod(radices[i:]); slot i's place value is weights[i + 1]
+        self.weights = tuple(itertools.accumulate(
+            reversed(self.radices), mul, initial=1))[::-1]
+        self.size = self.weights[0]
         counts = Counter(name for _, name, _ in slots)
         self._unique = {name for name, c in counts.items() if c == 1}
-        self.positions = tuple(sorted({pos for pos, _, _ in slots}))
-        self._windows = {}
+        self.positions = tuple(sorted(self.slots_at))
         self._hash = hash(slots)
 
     # -- naming ------------------------------------------------------------
@@ -488,13 +490,8 @@ class Signature:
     def window_slots(self, pos: int) -> tuple[int, ...]:
         """Slots of the extended state of position pos: its own variables and
         both neighbors' (a 2-wide window at chain ends)."""
-        try:
-            return self._windows[pos]
-        except KeyError:
-            w = tuple(i for i, (p, _, _) in enumerate(self.slots)
-                      if pos - 1 <= p <= pos + 1)
-            self._windows[pos] = w
-            return w
+        return tuple(sorted(i for p in (pos - 1, pos, pos + 1)
+                            for i in self.slots_at.get(p, ())))
 
     def __eq__(self, other):
         return isinstance(other, Signature) and self.slots == other.slots
@@ -527,10 +524,7 @@ class State:
 
     @property
     def index(self) -> int:
-        n = 0
-        for v, r in zip(self.values, self.sig.radices):
-            n = n * r + v
-        return n
+        return sum(map(mul, self.values, self.sig.weights[1:]))
 
     def text(self) -> str:
         return self.sig.format_state(self)
@@ -574,11 +568,13 @@ class Program:
         # and all deterministic iteration rely on this order.
         self.action_order = tuple(
             (p.index, a.name) for p in self.processes for a in p.actions)
-        problems = []
+        # each action's (guard, command) by (position, name), canonical order
+        problems, self._resolved = [], {}
         for proc in self.processes:
             for action in proc.actions:
                 found = []
-                self._walk(proc.index, action, found)
+                self._resolved[(proc.index, action.name)] = self._walk(
+                    proc.index, action, found)
                 problems += (Problem(proc.index, action.name, *f)
                              for f in found)
         if problems:
@@ -613,13 +609,6 @@ class Program:
             self.name, self.n, self.universe_size)
 
     # -- checking and resolving ----------------------------------------------
-
-    @cached_property
-    def _resolved(self) -> dict:
-        """{(position, action name): (guard, command)} in canonical order,
-        for the state-by-state operations; the tables resolve their own."""
-        return {(p.index, a.name): self._walk(p.index, a, [])
-                for p in self.processes for a in p.actions}
 
     # One walk both checks an action at a position and resolves it: a guard
     # into a function of the state's value indices, a command into a
@@ -787,34 +776,29 @@ class WindowTable:
 def compile_windows(program: Program) -> tuple[WindowTable, ...]:
     """One WindowTable per position, in position order.
 
-    Each position's actions are checked and resolved once, then run over
+    Each position's actions, resolved as the program was built, run over
     every valuation of its window, so compiling costs the sum over positions
     of span times action count guard evaluations: never more than
     |universe| times |actions|."""
     sig = program.signature
-    radices = sig.radices
-    tables = []
-    first_id = 0
+    radices, tables, first_id = sig.radices, [], 0
+    values = [0] * len(radices)  # an action reads and writes its window only
     for proc in program.processes:
         window = sig.window_slots(proc.index)
-        lo = window[0] if window else 0
-        hi = window[-1] + 1 if window else 0
-        low_weight = math.prod(radices[hi:])
-        values = [0] * len(radices)
-        actions = [program._walk(proc.index, a, []) for a in proc.actions]
+        lo, hi = (window[0], window[-1] + 1) if window else (0, 0)
+        low_weight = sig.weights[hi]
+        actions = [program._resolved[proc.index, a.name] for a in proc.actions]
         rows = []
         for code, combo in enumerate(
                 itertools.product(*(range(r) for r in radices[lo:hi]))):
-            values[lo:hi] = combo
             row = []
             for k, (guard, command) in enumerate(actions):
+                values[lo:hi] = combo
                 if guard(values):
-                    after = list(values)
-                    command(after)
-                    moved = 0
-                    for i in range(lo, hi):
-                        moved = moved * radices[i] + after[i]
-                    row.append((first_id + k, (moved - code) * low_weight))
+                    command(values)
+                    row.append((first_id + k, sum(map(
+                        mul, values[lo:hi], sig.weights[lo + 1:hi + 1]))
+                        - code * low_weight))
             rows.append(tuple(row))
         tables.append(WindowTable(low_weight, len(rows), tuple(rows)))
         first_id += len(proc.actions)

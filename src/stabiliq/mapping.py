@@ -22,10 +22,8 @@ decided by counting over its windows, and no state is listed at all.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import defaultdict
 from array import array
-from bisect import bisect_left, bisect_right
 from functools import reduce
 from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -87,7 +85,7 @@ class BoundMapping:
 
 def _copies(sig: Signature, slots) -> list:
     """The digit tables that copy the given slots of sig's states."""
-    return [(math.prod(sig.radices[i + 1:]), sig.radices[i],
+    return [(sig.weights[i + 1], sig.radices[i],
              range(sig.radices[i])) for i in slots]
 
 
@@ -171,7 +169,7 @@ class HighestIdMapping(StateMapping):
                 values[lo:hi] = combo
                 outs.append(values[access[p]] and not any(
                     values[i] for i in rivals))
-            digits.append((math.prod(radices[hi:]), len(outs), outs))
+            digits.append((psig.weights[hi], len(outs), outs))
         return BoundMapping(sig, digits=digits)
 
 
@@ -224,8 +222,10 @@ def merge_closure(states, signature: Optional[Signature] = None) -> frozenset:
     states, sig = _resolve_signature(states, signature)
     order = sorted(range(len(sig.slots)), key=lambda i: sig.slots[i][0])
     chain = Signature(sig.slots[i] for i in order)
-    seen = {(p, tuple(s.values[order[i]] for i in chain.window_slots(p)))
-            for s in states for p in chain.positions}
+    windows = [(p, [order[i] for i in chain.window_slots(p)])
+               for p in chain.positions]
+    seen = {(p, tuple(map(s.values.__getitem__, w)))
+            for s in states for p, w in windows}
     last = chain.positions[-1]
 
     def occurs(p, near) -> bool:
@@ -317,8 +317,8 @@ class ChainAutomaton:
         self.signature, self.initial, self.step = signature, initial, step
         self.accepting = frozenset(accepting)
         # per position, where its letter starts and ends in a value tuple
-        self._cuts = [(p, bisect_left(order, p), bisect_right(order, p))
-                      for p in signature.positions]
+        self._cuts = [(p, at[0], at[-1] + 1)
+                      for p, at in signature.slots_at.items()]
 
     def bits(self, letters: Optional[list] = None) -> int:
         """The bitset of the accepted state ids, listing no state: from the

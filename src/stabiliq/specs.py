@@ -399,9 +399,12 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     # Acceptance on every bottom component.
     pred = getattr(spec.acceptance, "pred", None)
     accepts = ts.full if pred is None else _holds(pred, bound, ts, letters)
+    sig = bound.signature  # a chain mirror's image of each image slot:
+    mirror = lambda: explorer.chain_mirror(program, bound) and [
+        sig.index_of[(program.n + 1 - p, name)] for p, name, _ in sig.slots]
     for c in cond.bottoms:
         witness = _check_acceptance(spec, ts, cond.bits(c), accepts, unmet,
-                                    notes)
+                                    notes, mirror)
         if witness is not None:
             return fail(witness)
 
@@ -425,14 +428,17 @@ def check_stabilizing(program: Program, mapping: StateMapping,
 
 
 def _check_acceptance(spec: Specification, ts, bits: int, accepts: int,
-                      unmet: list, notes: list) -> Optional[dict]:
+                      unmet: list, notes: list, mirror) -> Optional[dict]:
     """Evaluate the acceptance condition on the bottom component `bits`:
     its terminality must match the kind, no state of a CycleWithin or
     FiniteTerminal component may lie outside `accepts` (the program states
     whose image satisfies its predicate), and every cycle must discharge
     each obligation j, `unmet[j]()` being the relation of the invariant's
     edges that miss it (check_stabilizing). Returns a witness dict on a
-    gating violation, None otherwise; analyze findings go into notes."""
+    gating violation, None otherwise; analyze findings go into notes. On
+    the whole universe, a chain mirror (`mirror()`: each slot's image) maps
+    the edges missing Changes(S) onto those missing Changes(mirror S), so
+    an obligation whose partner recurred recurs too, with no trim."""
     from . import explorer
     acc, size = spec.acceptance, bits.bit_count()
     least = ts.state(explorer.least(bits)).text()
@@ -455,11 +461,19 @@ def _check_acceptance(spec: Specification, ts, bits: int, accepts: int,
         return fail("%s contains %s, outside the target cycle family%s" % (
             where, ts.state(explorer.least(outside)).text(),
             acc.description and " (%s)" % acc.description))
-    for obl, missed in zip(getattr(acc, "obligations", ()), unmet):
-        cycle = explorer.find_cycle(ts, bits, missed())
+    obligations = getattr(acc, "obligations", ())
+    sets = [frozenset(o.edge_pred.slots) if isinstance(o.edge_pred, Changes)
+            and o.edge_pred.slots is not None else None for o in obligations]
+    flip = bits == ts.full and len(set(sets) - {None}) > 1 and mirror()
+    recurs = set()  # the slot sets of the obligations that recur
+    for obl, slots, missed in zip(obligations, sets, unmet):
+        cycle = None if flip and slots is not None and frozenset(
+            map(flip.__getitem__, slots)) in recurs else explorer.find_cycle(
+                ts, bits, missed())
         if cycle is None:
             notes.append("obligation %r: recurs on every cycle of %s"
                          % (obl.name, where))
+            recurs.add(slots)
             continue
         path = " -> ".join(s.text() for s in cycle.states)
         if obl.mode == "enforce" or (

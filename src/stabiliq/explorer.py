@@ -107,13 +107,6 @@ def within(nodes: int, rel: dict) -> dict:
             if (e := nodes & sources & shift(nodes, -d))}
 
 
-def crossing(rel: dict, parts: list) -> dict:
-    """Per delta, the relation's edges whose ends lie in different parts, a
-    partition of the nodes: the ends differ on some part but the last."""
-    return {d: e & reduce(or_, (p ^ shift(p, -d) for p in parts[:-1]), 0)
-            for d, e in rel.items()}
-
-
 # --------------------------------------------------------------------------
 # The transition system.
 

@@ -245,49 +245,52 @@ def _edge_relations(ts: explorer.TransitionSystem, bound: BoundMapping,
                     letters: list, inv: int, spec: Specification) -> tuple:
     """Over the invariant's edges, the relations of the stutters and of the
     disallowed changes, and per obligation a function that builds the
-    relation of the edges that miss it (one at a time: each is about as
-    large as the transition system). Changes is a union of the slots'
-    changes, each the edges crossing that slot's value sets, and Leaves
-    drops the edges from its source set to outside both sets. A plain
-    callable runs once per image pair of the edges, through its own cache
-    (for allowed_edge a stutter pair is allowed)."""
+    relation of the edges that miss it when called (each is about as large
+    as the transition system, so only the one asked exists; the stutters
+    are the edges that miss Changes()). Relations are read off the image
+    letters: Changes keeps the edges whose ends differ in a value set of its
+    slots, and Leaves drops the edges from its source set to outside both
+    sets. A plain callable runs once per image pair of the edges, through
+    its own cache (for allowed_edge a stutter pair is allowed)."""
     from . import explorer
-    inner = explorer.within(inv, ts.sources)
-    changed = [explorer.crossing(inner, values) for values in letters]
-
-    def union(slots: Optional[tuple]) -> dict:
-        slots = range(len(letters)) if slots is None else slots
-        return {d: reduce(or_, (changed[i][d] for i in slots), 0)
-                for d in inner}
-
-    def leaves(p: Leaves) -> dict:
-        a = _holds(p.source, bound, ts, letters)
-        ok = a | _holds(p.target, bound, ts, letters)
-        return {d: e & ~(a & ~explorer.shift(ok, -d))
-                for d, e in inner.items()}
-
+    # no edge leaves the whole universe: its edges are the system's own
+    inner = ts.sources if inv == ts.full else explorer.within(inv, ts.sources)
     image = functools.cache(bound.signature.state_at)
     ids = functools.cache(bound.ids)  # made once, and only for a callable
 
-    def plain(p: Callable, stutter: bool) -> dict:
+    def met(p: Callable, stutter: bool = False) -> dict:
+        if p is every_edge:
+            return inner
+        if isinstance(p, Changes):  # each slot's value sets but its last
+            parts = [v for i in (range(len(letters)) if p.slots is None
+                                 else p.slots) for v in letters[i][:-1]]
+            return {d: r for d, e in inner.items() if (r := e & reduce(
+                or_, (v ^ explorer.shift(v, -d) for v in parts), 0))}
+        if isinstance(p, Leaves):
+            a = _holds(p.source, bound, ts, letters)
+            ok = a | _holds(p.target, bound, ts, letters)
+            return {d: e & ~(a & ~explorer.shift(ok, -d))
+                    for d, e in inner.items()}
         meets = functools.cache(lambda m, n: stutter and m == n
                                 or p(image(m), image(n)))
         at = range(ts.size) if bound.id_of is _same else ids(ts)
         return explorer.edges_where(ts, inv, lambda v, w: meets(at[v], at[w]))
 
-    preds = [spec.allowed_edge] + [
-        o.edge_pred for o in getattr(spec.acceptance, "obligations", ())]
-    met = [inner if p is every_edge else union(p.slots)
-           if isinstance(p, Changes) else leaves(p)
-           if isinstance(p, Leaves) else plain(p, k == 0)
-           for k, p in enumerate(preds)]
-
     def minus(rel: dict, drop: dict) -> dict:
-        return {d: r for d, e in rel.items() if (r := e & ~drop.get(d, 0))}
+        return {d: r for d, e in rel.items()
+                if (r := e & ~drop[d] if d in drop else e)}
 
-    moved = union(None)
-    return (minus(inner, moved), minus(moved, met[0]),
-            [functools.partial(minus, inner, rel) for rel in met[1:]])
+    moved = met(Changes())
+    bad = minus(moved, met(spec.allowed_edge, True))
+    # inner minus moved, each delta of moved freed once it is read
+    stutters = {d: r for d, e in inner.items()
+                if (r := e & ~moved.pop(d) if d in moved else e)}
+
+    def unmet(p: Callable) -> dict:
+        return stutters if p == Changes() else minus(inner, met(p))
+
+    return stutters, bad, [functools.partial(unmet, o.edge_pred)
+                           for o in getattr(spec.acceptance, "obligations", ())]
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Closure, convergence, stabilization verdicts, and the state classifiers."""
 import functools
+import gc
 import json
+import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -738,6 +741,30 @@ def test_local_edge_forms_agree_with_the_per_pair_grouping():
     # each form finds violating edges under both invariants
     assert violated[0, True] == cases
     assert len(violated) == 4 and all(violated.values())
+
+
+def test_edge_relations_are_built_only_when_asked():
+    # ideal la14: no edge leaves the whole universe, so the relations share
+    # the system's own edges, and an obligation's relation exists only
+    # while its question is asked; what the call keeps, the stutters and
+    # the disallowed changes, is under twice the bytes of the system's edges
+    bundle = protocols.make_alternator(14)
+    ts = explorer.build_transition_system(bundle.program)
+    bound = bundle.mapping.bind(bundle.program)
+    letters = bound.slot_bits(ts.size)
+    edges = sum(map(sys.getsizeof, ts.sources.values()))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = specs._edge_relations(ts, bound, letters, ts.full,
+                                     bundle.ideal_spec)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 2 * edges
+    assert len(kept[2]) == 15 and kept[1] == {}
 
 
 def test_ipif_holds_on_image_bitsets_alone(monkeypatch):

@@ -47,15 +47,8 @@ def flags(bits: int, size: int) -> bytes:
 
 
 def members(bits: int) -> list[int]:
-    """The indices in the bitset, ascending. Under 1,024 members and under
-    one bit in 32 are peeled from the top, else read off the set's text."""
-    if bits.bit_count() >= min(bits.bit_length() >> 5, 1024):
-        return list(compress(count(), flags(bits, 1)))
-    out = []
-    while bits:
-        out.append(bits.bit_length() - 1)
-        bits ^= 1 << out[-1]
-    return out[::-1]
+    """The indices in the bitset, ascending, read off the set's text."""
+    return list(compress(count(), flags(bits, 1)))
 
 
 def least(bits: int) -> int:

@@ -226,11 +226,11 @@ def _holds(pred: Callable[[State], bool], bound: BoundMapping,
            ) -> int:
     """The bitset of the program states whose image satisfies pred: a
     ChainPredicate's from its automaton, run over the image letters when
-    given; any other callable's by running it on every specification state,
-    the one place a predicate is run state by state, its flags read through
-    every image id unless the binding is the identity. A program-side
-    predicate (an invariant) is read through the program's own binding,
-    BoundMapping(program.signature)."""
+    given (a mapped binding must give them); any other callable's by running
+    it on every specification state, the one place a predicate is run state
+    by state, its flags read through every image id unless the binding is
+    the identity. A program-side predicate (an invariant) is read through
+    the program's own binding, BoundMapping(program.signature)."""
     from . import explorer
     if isinstance(pred, ChainPredicate):
         return pred.bits(bound.signature, letters)
@@ -241,29 +241,35 @@ def _holds(pred: Callable[[State], bool], bound: BoundMapping,
     return explorer.bitset(map(ok.__getitem__, bound.ids(ts)))
 
 
-def _edge_relations(ts: explorer.TransitionSystem, bound: BoundMapping,
-                    letters: list, inv: int, spec: Specification) -> tuple:
+def _edge_relations(ts, bound: BoundMapping, letters: Optional[list],
+                    inv: int, spec: Specification) -> tuple:
     """Over the invariant's edges, the relations of the stutters and of the
     disallowed changes, and per obligation a function that builds the
     relation of the edges that miss it when called (each is about as large
     as the transition system, so only the one asked exists; the stutters
     are the edges that miss Changes()). Relations are read off the image
-    letters: Changes keeps the edges whose ends differ in a value set of its
-    slots, and Leaves drops the edges from its source set to outside both
-    sets. A plain callable runs once per image pair of the edges, through
-    its own cache (for allowed_edge a stutter pair is allowed)."""
+    letters (None under the identity, then built for a Changes over some
+    slots only): Changes keeps the edges whose ends differ in a value set
+    of its slots, Changes() under the identity those of nonzero delta, and
+    Leaves drops the edges from its source set to outside both sets. A
+    plain callable runs once per image pair of the edges, through its own
+    cache (for allowed_edge a stutter pair is allowed)."""
     from . import explorer
     # no edge leaves the whole universe: its edges are the system's own
     inner = ts.sources if inv == ts.full else explorer.within(inv, ts.sources)
     image = functools.cache(bound.signature.state_at)
     ids = functools.cache(bound.ids)  # made once, and only for a callable
+    slot_bits = functools.cache(bound.slot_bits)  # the same, for a Changes
 
     def met(p: Callable, stutter: bool = False) -> dict:
         if p is every_edge:
             return inner
+        if bound.id_of is _same and p == Changes():
+            return {d: e for d, e in inner.items() if d}
         if isinstance(p, Changes):  # each slot's value sets but its last
-            parts = [v for i in (range(len(letters)) if p.slots is None
-                                 else p.slots) for v in letters[i][:-1]]
+            sets = letters or slot_bits(ts.size)
+            parts = [v for i in (range(len(sets)) if p.slots is None
+                                 else p.slots) for v in sets[i][:-1]]
             return {d: r for d, e in inner.items() if (r := e & reduce(
                 or_, (v ^ explorer.shift(v, -d) for v in parts), 0))}
         if isinstance(p, Leaves):
@@ -378,9 +384,9 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     cond, outside = explorer.condense(ts, inv), ts.size - inv.bit_count()
 
     # State conformance inside the invariant. Specification states are
-    # read as image letters, per slot and value the program states showing
-    # it; a State is decoded only for a plain callable or a witness.
-    letters = bound.slot_bits(ts.size)
+    # read as image letters (none under the identity, whose states are the
+    # program's); a State is decoded only for a plain callable or a witness.
+    letters = None if bound.id_of is _same else bound.slot_bits(ts.size)
     bad = inv & ~_holds(spec.allowed_state, bound, ts, letters)
     if bad:
         state = ts.state(explorer.least(bad))

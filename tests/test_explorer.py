@@ -17,7 +17,8 @@ from stabiliq.kernel import Signature, UniverseCapError
     (1000, 32), (1000, 500), (26244, 64), (26244, 1023), (100000, 1023),
     (100000, 1024), (100000, 5000)])
 def test_members_peel_a_sparse_set_and_read_a_dense_one(size, count):
-    # both branches of members against the compress form over every index
+    # members, which reads the set's text, against the compress form over
+    # every index, on sparse sets and dense ones
     rng = random.Random(size * 7919 + count)
     chosen = rng.sample(range(size), count)
     bits = sum(1 << v for v in chosen)

@@ -16,9 +16,9 @@ from stabiliq import explorer, protocols, replace, specs
 from stabiliq.dsl import parse_protocol
 from stabiliq.kernel import BOOL, Signature
 from stabiliq.mapping import (BoundMapping, ChainAutomaton, ChainPredicate,
-                              IdenticalMapping, ProjectionMapping)
-from stabiliq.specs import (CycleWithin, DIVERGENCE_ALLOWED,
-                            DIVERGENCE_FORBIDDEN,
+                              IdenticalMapping, ProjectionMapping, _same)
+from stabiliq.specs import (Changes, CycleWithin, DIVERGENCE_ALLOWED,
+                            DIVERGENCE_FORBIDDEN, STUTTER_POLICIES,
                             FiniteTerminal, Obligation, Recurrence,
                             Specification, abp_legitimate,
                             check_closed, check_convergence,
@@ -898,3 +898,70 @@ def test_many_obligations_agree_with_the_component_oracle():
         " never discharges obligation 'o34'")].split(" -> "))
     assert [n.split("'")[1] for n in verdict.notes
             if n.startswith("obligation")] == ["o%d" % j for j in range(34)]
+
+
+def _every_variable(program):
+    """The projection onto every variable: the identity's images, read
+    through letters, since the binding is not the identity."""
+    return ProjectionMapping(dict.fromkeys(
+        name for _, name, _ in program.signature.slots))
+
+
+@pytest.fixture
+def identity_letters(monkeypatch):
+    """Counts the times the letters are built under the identity binding."""
+    built, slot_bits = Counter(), BoundMapping.slot_bits
+
+    def counted(self, size):
+        built["identity"] += self.id_of is _same
+        return slot_bits(self, size)
+
+    monkeypatch.setattr(BoundMapping, "slot_bits", counted)
+    return built
+
+
+_IDENTITY_CASES = [(n, kind, name, policy)
+                   for n in range(3, 8) for kind in ("strict", "ideal")
+                   for name in ("rq-or-rp", "root-idle", "true")
+                   for policy in STUTTER_POLICIES] + [
+    (None, kind, name, policy) for kind in ("strict", "ideal")
+    for name in ("legitimate", "true") for policy in STUTTER_POLICIES]
+
+
+@pytest.mark.parametrize("n, kind, name, policy", _IDENTITY_CASES)
+def test_identity_bound_checks_read_no_image_letters(identity_letters, n,
+                                                     kind, name, policy):
+    # pif and abp expose every variable, so their images are their own
+    # states: the check reads its specification on the state ids, with no
+    # letter built, and agrees with the projection onto every variable,
+    # which reads the same images through letters
+    bundle = protocols.make_abp() if n is None else protocols.make_pif(n)
+    program, inv = bundle.program, bundle.invariants[name]
+    spec = getattr(bundle, kind + "_spec").with_policy(policy)
+    projection = _every_variable(program)
+    assert projection.bind(program).id_of is not _same
+    want = check_stabilizing(program, projection, spec, inv)
+    got = check_stabilizing(program, bundle.mapping, spec, inv)
+    assert _pinned(got) == _pinned(want)
+    assert identity_letters["identity"] == 0
+
+
+def test_an_identity_obligation_on_some_slots_builds_the_letters_once(
+        identity_letters):
+    # a Changes over some of the slots reads letters even under the
+    # identity: they are built on its first question, and only once
+    for n in range(3, 8):
+        bundle = protocols.make_pif(n)
+        program = bundle.program
+        spec = Specification("ends", every_state, specs.every_edge,
+                             Recurrence((
+                                 Obligation("root", Changes((0,)), "analyze"),
+                                 Obligation("leaf", Changes((n - 1,)),
+                                            "analyze"),
+                                 Obligation("any", Changes()))))
+        identity_letters.clear()
+        got = check_ideal_stabilizing(program, bundle.mapping, spec)
+        assert identity_letters["identity"] == 1, n
+        want = check_ideal_stabilizing(program, _every_variable(program), spec)
+        assert _pinned(got) == _pinned(want), n
+        assert sum(note.startswith("obligation") for note in got.notes) == 3

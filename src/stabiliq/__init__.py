@@ -15,11 +15,11 @@ __version__ = "0.1.0"
 _HOME = {name: module for module, names in {
     "dsl": "ParseResult parse_protocol render",
     "explorer": "build_transition_system condense run",
-    "kernel": "BOOL Action Domain ModelError Process Program State "
-              "VariableDecl replace",
+    "kernel": "BOOL Domain ModelError State replace",
     "mapping": "EnabledOutputMapping HighestIdMapping IdenticalMapping "
                "ProjectionMapping check_ideal_possibility "
                "check_merge_symmetry merge_closure",
+    "program": "Action Process Program VariableDecl",
     "protocols": "make_abp make_alternator make_cm make_le make_pif",
     "specs": "Specification Verdict check_closed check_convergence "
              "check_ideal_stabilizing check_stabilizing",

@@ -20,13 +20,16 @@ from __future__ import annotations
 from . import mapping as mappingmod, protocols
 from .kernel import (DEFAULT_STATE_CAP, DIVERGENCE_ALLOWED,
                      DIVERGENCE_FORBIDDEN, POLICIES, DslError, ModelError,
-                     Program, State, UniverseCapError, state_cap)
+                     State, UniverseCapError, state_cap)
 
 import os
 import random
 import sys
 from itertools import groupby
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:  # main loads it with the parser, unless merge closure runs
+    from .program import Program
 
 SCHEMA_VERSION = 1
 
@@ -75,9 +78,9 @@ def _load(args) -> tuple:
     if args.n is not None and (args.ids is not None or args.protocol == "abp"):
         raise UsageError("--n does not apply to %s" % (
             "--protocol abp" if args.protocol == "abp" else "--ids"))
-    if args.n is not None and args.n > (cap := state_cap()):
+    if args.n is not None and args.n > args.state_cap:
         raise UsageError("--n must be at most the state cap, %d: one process "
-                         "is built per position" % cap)
+                         "is built per position" % args.state_cap)
     if args.file is not None:
         result = dsl.parse_protocol(_read(args.file), n=args.n)
         if not result.ok:
@@ -427,6 +430,8 @@ def main(argv: Optional[list] = None) -> int:
         parser.print_help()
         return 2
     try:
+        # a malformed STABILIQ_STATE_CAP stops every command, merge closure too
+        args.state_cap = state_cap()
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code

@@ -21,9 +21,9 @@ and two-way-branch sequences; every variable reference is qualified with
 self, left, or right, which keeps the neighbor-only communication model a
 syntactic fact.
 
-parse_protocol returns a ParseResult carrying the validated kernel Program
+parse_protocol returns a ParseResult carrying the validated Program
 or error diagnostics with stable codes, each placed at a source token. The
-parser builds kernel nodes, and kernel.Program checks the rules on guards
+parser builds program nodes, and program.Program checks the rules on guards
 and commands; each problem it reports is placed at the source token of its
 node. render produces
 canonical text that parses back to a structurally equal program.
@@ -32,10 +32,11 @@ from __future__ import annotations
 
 from typing import NoReturn, Optional
 
-from .kernel import (BOOL, OFFSET_NAMES, Action, And, Assign, BoolLit, Cmp,
-                     Domain, DslError, If, Lit, ModelError, Not, NotRef, Or,
-                     Process, Program, ProgramError, VarRef, VariableDecl,
-                     factory, record, state_cap)
+from .kernel import (BOOL, Domain, DslError, ModelError, factory, record,
+                     state_cap)
+from .program import (OFFSET_NAMES, Action, And, Assign, BoolLit, Cmp, If, Lit,
+                      Not, NotRef, Or, Process, Program, ProgramError, VarRef,
+                      VariableDecl)
 
 OFFSETS = {word: offset for offset, word in OFFSET_NAMES.items()}
 RESERVED = frozenset(

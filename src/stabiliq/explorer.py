@@ -21,7 +21,8 @@ from operator import add, or_
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import kernel
-from .kernel import POLICIES, ModelError, Program, State
+from .kernel import POLICIES, ModelError, State
+from .program import Program
 
 
 # --------------------------------------------------------------------------
@@ -421,7 +422,8 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
     fires the first enabled action at or after it. Stops early at a terminal
     state or when a state repeats (the run is then a lasso and already shows
     everything an extension could). It steps on state ids through the
-    window tables and decodes the states at the end.
+    window tables, keeping each table's window code, and decodes the states
+    at the end.
     """
     if start.sig != program.signature:
         raise ModelError("start state does not belong to program %r"
@@ -432,16 +434,18 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
         raise ModelError("unknown policy %r; choose from %s"
                          % (policy, ", ".join(POLICIES)))
     rng = random.Random(seed)
-    order = program.action_order
+    order, tables = program.action_order, program.windows
     pointer = 0
     current = start.index
+    codes = [current // t.low_weight % t.span for t in tables]
     ids = [current]
     labels: list[tuple[int, str]] = []
     seen = {current: 0}
     lasso_start = None
     hit_terminal = False
     while len(labels) < steps:
-        moves = _moves(program, current)
+        moves = [(action, current + delta) for t, code in zip(tables, codes)
+                 for action, delta in t.rows[code]]
         if not moves:
             hit_terminal = True
             break
@@ -454,6 +458,11 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
             pointer = (action + 1) % len(order)
         ids.append(current)
         labels.append(order[action])
+        # a move at position q writes within q - 1..q + 1, which the
+        # windows of q - 2..q + 2 read: only their codes change
+        q = order[action][0]
+        for k in range(max(q - 3, 0), min(q + 2, len(tables))):
+            codes[k] = current // tables[k].low_weight % tables[k].span
         if current in seen:
             lasso_start = seen[current]
             break

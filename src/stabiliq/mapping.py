@@ -26,10 +26,14 @@ from collections import defaultdict
 from array import array
 from functools import reduce
 from operator import and_
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Optional,
+                    Sequence)
 
 from . import kernel
-from .kernel import BOOL, Domain, ModelError, Program, Signature, State
+from .kernel import BOOL, Domain, ModelError, Signature, State
+
+if TYPE_CHECKING:  # a program is only bound, so merge closure needs none
+    from .program import Program
 
 
 class MappingError(ModelError):

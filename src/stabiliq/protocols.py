@@ -13,13 +13,14 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING, Optional
 
-from .kernel import (BOOL, ModelError, Program, Signature, State, check_cap,
-                     factory, record, replace)
+from .kernel import (BOOL, ModelError, Signature, State, check_cap, factory,
+                     record, replace)
 from .mapping import (ChainAutomaton, EnabledOutputMapping, HighestIdMapping,
                       IdenticalMapping, StateMapping, accepted_states,
                       every_state, le_allowed)
 
-if TYPE_CHECKING:  # the builders import specs, so make_le needs none of it
+if TYPE_CHECKING:  # the builders import these, so make_le needs none of it
+    from .program import Program
     from .specs import Specification
 
 
@@ -55,6 +56,7 @@ def make_cm(ids) -> ProtocolBundle:
     if len(set(ids)) != len(ids):
         raise ModelError("process identifiers must be unique; got %r" % (ids,))
     from . import specs
+    from .program import Program
     processes = _parse_sample("cm.gcp", len(ids)).processes
     program = Program("cm", [replace(p, pid=pid)
                              for p, pid in zip(processes, ids)])

@@ -21,10 +21,11 @@ from operator import or_
 from typing import Callable, Optional
 
 from . import kernel  # explorer only in the functions that search a system
-from .kernel import (DIVERGENCE_ALLOWED, DIVERGENCE_FORBIDDEN, Program,
-                     Signature, State, check_cap, replace)
+from .kernel import (DIVERGENCE_ALLOWED, DIVERGENCE_FORBIDDEN, Signature,
+                     State, check_cap, replace)
 from .mapping import (BoundMapping, ChainAutomaton, ChainPredicate,
                       StateMapping, _same, every_state, le_allowed)
+from .program import Program
 
 STUTTER_POLICIES = (DIVERGENCE_ALLOWED, DIVERGENCE_FORBIDDEN)
 
@@ -411,15 +412,25 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     sig = bound.signature  # a chain mirror's image of each image slot:
     mirror = lambda: explorer.chain_mirror(program, bound) and [
         sig.index_of[(program.n + 1 - p, name)] for p, name, _ in sig.slots]
+    # A Changes() obligation asks the stutter check's question of each
+    # bottom component, the same one when the invariant is one component:
+    # the last answer is kept.
+    stutter_cycle = functools.lru_cache(1)(
+        lambda nodes: explorer.find_cycle(ts, nodes, stutters))
+
+    def find_cycle(nodes: int, rel: dict) -> Optional[explorer.Cycle]:
+        return stutter_cycle(nodes) if rel is stutters \
+            else explorer.find_cycle(ts, nodes, rel)
+
     for c in cond.bottoms:
         witness = _check_acceptance(spec, ts, cond.bits(c), accepts, unmet,
-                                    notes, mirror)
+                                    notes, mirror, find_cycle)
         if witness is not None:
             return fail(witness)
 
     # Stutter divergence: a cycle inside the invariant whose image never
     # changes. Always reported; gates the verdict only when forbidden.
-    stutter = explorer.find_cycle(ts, inv, stutters)
+    stutter = stutter_cycle(inv)
     if stutter is None:
         notes.append("stutter divergence: none")
     else:
@@ -437,17 +448,19 @@ def check_stabilizing(program: Program, mapping: StateMapping,
 
 
 def _check_acceptance(spec: Specification, ts, bits: int, accepts: int,
-                      unmet: list, notes: list, mirror) -> Optional[dict]:
+                      unmet: list, notes: list, mirror, find_cycle
+                      ) -> Optional[dict]:
     """Evaluate the acceptance condition on the bottom component `bits`:
     its terminality must match the kind, no state of a CycleWithin or
     FiniteTerminal component may lie outside `accepts` (the program states
     whose image satisfies its predicate), and every cycle must discharge
     each obligation j, `unmet[j]()` being the relation of the invariant's
-    edges that miss it (check_stabilizing). Returns a witness dict on a
-    gating violation, None otherwise; analyze findings go into notes. On
-    the whole universe, a chain mirror (`mirror()`: each slot's image) maps
-    the edges missing Changes(S) onto those missing Changes(mirror S), so
-    an obligation whose partner recurred recurs too, with no trim."""
+    edges that miss it, asked of `find_cycle(nodes, rel)`, explorer's on ts
+    (check_stabilizing). Returns a witness dict on a gating violation, None
+    otherwise; analyze findings go into notes. On the whole universe, a
+    chain mirror (`mirror()`: each slot's image) maps the edges missing
+    Changes(S) onto those missing Changes(mirror S), so an obligation whose
+    partner recurred recurs too, with no trim."""
     from . import explorer
     acc, size = spec.acceptance, bits.bit_count()
     least = ts.state(explorer.least(bits)).text()
@@ -477,8 +490,8 @@ def _check_acceptance(spec: Specification, ts, bits: int, accepts: int,
     recurs = set()  # the slot sets of the obligations that recur
     for obl, slots, missed in zip(obligations, sets, unmet):
         cycle = None if flip and slots is not None and frozenset(
-            map(flip.__getitem__, slots)) in recurs else explorer.find_cycle(
-                ts, bits, missed())
+            map(flip.__getitem__, slots)) in recurs else find_cycle(
+                bits, missed())
         if cycle is None:
             notes.append("obligation %r: recurs on every cycle of %s"
                          % (obl.name, where))

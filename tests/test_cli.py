@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from stabiliq import explorer, kernel, mapping, protocols
+from stabiliq import explorer, mapping, protocols
 from stabiliq.cli import main
 from stabiliq.kernel import ModelError, Signature, UniverseCapError
 from stabiliq.mapping import format_spec_states
@@ -615,14 +615,24 @@ def test_nonpositive_cap_exits_2(capsys, cap):
     assert "ideal" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--check", "ideal", "--protocol", "cm", "--n", "3"),
+    ("impossibility", "--protocol", "le", "--n", "5"),
+    ("impossibility", "--allowed-file", "{allowed}",
+     "--disallowed-file", "{rest}")], ids=["verify", "le", "file-pair"])
 @pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_cap_environment_exits_2(capsys, monkeypatch, value):
+def test_bad_cap_environment_exits_2(capsys, monkeypatch, tmp_path, value,
+                                     argv):
+    allowed, rest = tmp_path / "allowed.txt", tmp_path / "rest.txt"
+    allowed.write_text("x.p1=false\n")
+    rest.write_text("x.p1=true\n")
     monkeypatch.setenv("STABILIQ_STATE_CAP", value)
-    code, _, err = run(capsys, "verify", "--check", "ideal",
-                       "--protocol", "cm", "--n", "3")
-    assert code == 2
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    code, out, err = run(capsys, *(a.format(allowed=allowed, rest=rest)
+                                   for a in argv))
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % (
+        "STABILIQ_STATE_CAP must be an integer, not 'abc'" if value == "abc"
+        else "the universe cap must be positive, not 0")
 
 
 def test_pif_coverage_respects_the_cap(capsys):
@@ -673,11 +683,10 @@ def test_each_cycle_question_is_decided_once(capsys, monkeypatch):
                        "--protocol", "cm", "--ids", "2,1,3,4")
     assert code == 0 and "not discharged on cycle" in out
     assert filters == []
-    # three questions, each trimmed once: a cycle avoiding the invariant
-    # (none: every state is inside), a cycle that misses the obligation,
-    # and a stutter cycle; the last two have one
-    assert asked == [(0, [0], False), (0xFFFF, [0xFFFF], True),
-                     (0xFFFF, [0xFFFF], True)]
+    # two questions, each trimmed once: a cycle avoiding the invariant
+    # (none: every state is inside), and a cycle that misses the obligation,
+    # Changes(), which is the stutter cycle too
+    assert asked == [(0, [0], False), (0xFFFF, [0xFFFF], True)]
 
 
 def test_the_alternator_at_14_maps_no_state(capsys, monkeypatch):
@@ -707,9 +716,9 @@ def test_the_alternator_at_14_maps_no_state(capsys, monkeypatch):
 def test_the_window_tables_are_compiled_once(capsys, monkeypatch):
     # the transition system and the enabled-output mapping share the
     # program's tables
+    from stabiliq.program import compile_windows
     compiled = []
-    compile_windows = kernel.compile_windows
-    monkeypatch.setattr(kernel, "compile_windows", lambda program: (
+    monkeypatch.setattr("stabiliq.program.compile_windows", lambda program: (
         compiled.append(program), compile_windows(program))[1])
     code, out, _ = run(capsys, "verify", "--check", "ideal",
                        "--protocol", "la", "--n", "5")

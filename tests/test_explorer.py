@@ -589,6 +589,71 @@ def test_run_steps_like_the_interpreter(monkeypatch, name):
                 comp.hit_terminal) == want, case
 
 
+def moves_reference_run(program, start, steps: int, seed: int,
+                        policy: str) -> tuple:
+    """(state ids, labels, lasso_start, hit_terminal) of explorer.run's
+    daemon, each step's moves read afresh off every window code of the
+    state id (explorer._moves)."""
+    rng, order, pointer = random.Random(seed), program.action_order, 0
+    ids, labels, seen = [start.index], [], {start.index: 0}
+    while len(labels) < steps:
+        moves = explorer._moves(program, ids[-1])
+        if not moves:
+            return ids, labels, None, True
+        if policy == "uniform-random":
+            action, target = rng.choice(moves)
+        else:
+            action, target = min(moves,
+                                 key=lambda m: (m[0] - pointer) % len(order))
+            pointer = (action + 1) % len(order)
+        ids.append(target)
+        labels.append(order[action])
+        if target in seen:
+            return ids, labels, seen[target], False
+        seen[target] = len(ids) - 1
+    return ids, labels, None, False
+
+
+#: Tokens hop to a free neighbor: each move writes a neighbor's slot.
+RELAY = """
+protocol relay(N) {
+  process first in 1..1 {
+    var t: bool;
+    pass: self.t = true && right.t = false -> self.t := false; right.t := true;
+  }
+  process middle in 2..N-1 {
+    var t: bool;
+    pass: self.t = true && right.t = false -> self.t := false; right.t := true;
+    back: self.t = true && left.t = false -> self.t := false; left.t := true;
+  }
+  process last in N..N {
+    var t: bool;
+    back: self.t = true && left.t = false -> self.t := false; left.t := true;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("make", [
+    lambda: protocols.make_alternator(40).program,
+    lambda: protocols.make_pif(40).program,
+    lambda: protocols.make_cm(range(30, 0, -1)).program,
+    lambda: protocols.make_abp().program,
+    lambda: parse_protocol(RELAY, n=40).unwrap()],
+    ids=["la", "pif", "cm", "abp", "relay"])
+def test_run_keeps_the_window_codes_a_fresh_read_gives(make):
+    # run recomputes only the codes of the windows a move wrote into; on
+    # long chains every step must still see the moves of every position
+    program = make()
+    for seed in range(5):
+        start = cli._start_state(program, "random", seed)
+        for policy in explorer.POLICIES:
+            comp = explorer.run(program, start, 200, seed, policy)
+            assert ([s.index for s in comp.states], list(comp.labels),
+                    comp.lasso_start, comp.hit_terminal) == \
+                moves_reference_run(program, start, 200, seed, policy)
+
+
 def test_run_is_deterministic_per_seed():
     abp = protocols.make_abp().program
     start = abp.signature.state_at(0)

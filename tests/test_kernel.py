@@ -2,10 +2,11 @@
 import pytest
 
 from stabiliq import explorer, kernel, protocols, replace, specs
-from stabiliq.kernel import (
-    BOOL, Action, And, Assign, BoolLit, Cmp, DisabledActionError, Domain,
-    If, Lit, ModelError, NotRef, Or, Process, Program, ProgramError,
-    Signature, UniverseCapError, VarRef, VariableDecl)
+from stabiliq.kernel import (BOOL, DisabledActionError, Domain, ModelError,
+                             Signature, UniverseCapError)
+from stabiliq.program import (Action, And, Assign, BoolLit, Cmp, If, Lit,
+                              NotRef, Or, Process, Program, ProgramError,
+                              VarRef, VariableDecl)
 from stabiliq.specs import Verdict
 
 ST3 = Domain("st3", ("i", "rq", "rp"))

@@ -50,7 +50,8 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_the_leader_election_fixture_parses_nothing_and_explores_nothing():
-    # without site, nothing preloads importlib.resources
+    # without site, nothing preloads importlib.resources; a fixture is no
+    # program, so stabiliq.program stays unloaded too
     code = "import stabiliq; stabiliq.make_le(9); " + LOADED.format(
         names={"importlib.resources"})
     assert fresh(code, "-S") == ["stabiliq.kernel", "stabiliq.mapping",
@@ -93,7 +94,7 @@ def test_the_impossibility_command_compiles_only_what_merge_closure_needs():
     order = compile_order("impossibility", "--protocol", "le", "--n", "9")
     assert loaded_before_argparse_and_json(order) == [
         "stabiliq.kernel", "stabiliq.mapping", "stabiliq.protocols"]
-    assert not {"stabiliq.dsl", "stabiliq.explorer",
+    assert not {"stabiliq.dsl", "stabiliq.explorer", "stabiliq.program",
                 "stabiliq.specs"} & set(order)
 
 
@@ -105,7 +106,7 @@ def test_every_other_command_compiles_the_package_first(argv):
     package = ["stabiliq." + m.name for m in
                pkgutil.iter_modules(stabiliq.__path__)
                if m.name not in ("cli", "__main__")]
-    assert len(package) == 6
+    assert len(package) == 7
     assert loaded_before_argparse_and_json(order) == sorted(package)
 
 

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from stabiliq import explorer, kernel, protocols, specs
 from stabiliq.dsl import parse_protocol
-from stabiliq.kernel import BOOL, Action, Process, Program, State, VarRef
-from stabiliq.kernel import VariableDecl
+from stabiliq.kernel import BOOL, State
 from stabiliq.mapping import EnabledOutputMapping
+from stabiliq.program import Action, Process, Program, VarRef, VariableDecl
 from test_windows import D3, _block, _guard, programs
 
 

@@ -667,6 +667,29 @@ def test_the_stutter_question_reads_only_the_invariant_edges(monkeypatch):
     assert len(filters) == 1 and keyed and set(keyed) <= inside
 
 
+@pytest.mark.parametrize("make, arg", [
+    (protocols.make_cm, ids) for ids in ((1, 2, 3), (2, 1, 3, 4), (3, 1, 4, 2),
+                                         tuple(range(1, 7)))] + [
+    (protocols.make_alternator, n) for n in (3, 4, 5)])
+def test_no_cycle_question_is_asked_twice(monkeypatch, make, arg):
+    # the output-activity obligation, Changes(), asks of the whole-universe
+    # bottom component what the stutter check asks of the invariant: one
+    # answer serves both
+    bundle = make(arg)
+    asked, find_cycle = [], explorer.find_cycle
+
+    def asking(ts, nodes, rel=None):
+        asked.append((nodes, None if rel is None else tuple(sorted(
+            (d, r) for d, r in rel.items() if r))))
+        return find_cycle(ts, nodes, rel)
+
+    monkeypatch.setattr(explorer, "find_cycle", asking)
+    verdict = check_ideal_stabilizing(bundle.program, bundle.mapping,
+                                      bundle.ideal_spec)
+    assert verdict.holds and verdict.notes[-1].startswith("stutter divergence")
+    assert len(asked) == len(set(asked))
+
+
 def _local_form_cases():
     """(program, mapping) per case: the built-in mappings on cm, la, pif
     and abp, and a projection."""

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 import helpers
 from stabiliq import explorer, kernel, protocols
 from stabiliq.dsl import parse_protocol
-from stabiliq.kernel import (
-    BOOL, Action, And, Assign, BoolLit, Cmp, Domain, If, Lit, Not, NotRef,
-    Or, Process, Program, VarRef, VariableDecl)
+from stabiliq.kernel import BOOL, Domain
 from stabiliq.mapping import EnabledOutputMapping
+from stabiliq.program import (Action, And, Assign, BoolLit, Cmp, If, Lit, Not,
+                              NotRef, Or, Process, Program, VarRef,
+                              VariableDecl, compile_windows)
 
 
 def interpreter_edges(program, state):
@@ -87,7 +88,7 @@ def test_tables_match_the_interpreter_on_every_state(name):
 
 def test_table_rows_hold_action_ids_and_id_deltas():
     pif = protocols.make_pif(4).program
-    tables = kernel.compile_windows(pif)
+    tables = compile_windows(pif)
     assert len(tables) == pif.n
     # root and leaf have two values, inner positions three; a window is
     # a position and its neighbors, so chain ends span two positions

@@ -497,7 +497,7 @@ def _build(source: str, n: Optional[int]) -> Program:
                 "%d..%d" % (g[0], g[-1]) if len(g) > 1 else str(g[0])
                 for g in gaps)))
     group_of = {pos: grp for grp, r in zip(groups, spans) for pos in r}
-    if not any(grp.vars for grp in groups):
+    if not any(grp.vars for grp, r in zip(groups, spans) if r):
         _fail(groups[0].tok, "NO_VARIABLES",
               "no process of protocol %r declares a variable" % name)
 

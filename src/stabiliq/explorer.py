@@ -421,9 +421,10 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
     round-robin keeps a rotating pointer over the canonical action list and
     fires the first enabled action at or after it. Stops early at a terminal
     state or when a state repeats (the run is then a lasso and already shows
-    everything an extension could). It steps on state ids through the
-    window tables, keeping each table's window code, and decodes the states
-    at the end.
+    everything an extension could). It steps through the window tables on
+    the state's values, keeping each table's window code: a window is a
+    contiguous run of slots, so its code is read off its values, and a move
+    writes its new code back into them.
     """
     if start.sig != program.signature:
         raise ModelError("start state does not belong to program %r"
@@ -434,41 +435,45 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
         raise ModelError("unknown policy %r; choose from %s"
                          % (policy, ", ".join(POLICIES)))
     rng = random.Random(seed)
-    order, tables = program.action_order, program.windows
-    pointer = 0
-    current = start.index
-    codes = [current // t.low_weight % t.span for t in tables]
-    ids = [current]
-    labels: list[tuple[int, str]] = []
-    seen = {current: 0}
-    lasso_start = None
-    hit_terminal = False
+    order, tables, sig = program.action_order, program.windows, \
+        program.signature
+    windows = [sig.window_slots(p.index) for p in program.processes]
+    values = list(start.values)
+    code = lambda k: reduce(lambda c, i: c * sig.radices[i] + values[i],
+                            windows[k], 0)  # table k's window code
+    codes, pointer = list(map(code, range(len(tables)))), 0
+    states, labels, seen = [start], [], {start.values: 0}
+    lasso_start, hit_terminal = None, False
     while len(labels) < steps:
-        moves = [(action, current + delta) for t, code in zip(tables, codes)
-                 for action, delta in t.rows[code]]
+        moves = [(action, k, delta) for k, t in enumerate(tables)
+                 for action, delta in t.rows[codes[k]]]
         if not moves:
             hit_terminal = True
             break
         if policy == "uniform-random":
-            action, current = rng.choice(moves)
+            action, k, delta = rng.choice(moves)
         else:
             # the enabled action the fewest places at or after the pointer
-            action, current = min(
+            action, k, delta = min(
                 moves, key=lambda m: (m[0] - pointer) % len(order))
             pointer = (action + 1) % len(order)
-        ids.append(current)
+        # the moved window's new code, written into its slots
+        c = codes[k] + delta // tables[k].low_weight
+        for i in reversed(windows[k]):
+            c, values[i] = divmod(c, sig.radices[i])
+        states.append(State(sig, tuple(values)))
         labels.append(order[action])
         # a move at position q writes within q - 1..q + 1, which the
         # windows of q - 2..q + 2 read: only their codes change
         q = order[action][0]
-        for k in range(max(q - 3, 0), min(q + 2, len(tables))):
-            codes[k] = current // tables[k].low_weight % tables[k].span
-        if current in seen:
-            lasso_start = seen[current]
+        for j in range(max(q - 3, 0), min(q + 2, len(tables))):
+            codes[j] = code(j)
+        if states[-1].values in seen:
+            lasso_start = seen[states[-1].values]
             break
-        seen[current] = len(ids) - 1
-    return Computation(tuple(map(program.signature.state_at, ids)),
-                       tuple(labels), lasso_start, hit_terminal)
+        seen[states[-1].values] = len(labels)
+    return Computation(tuple(states), tuple(labels), lasso_start,
+                       hit_terminal)
 
 
 # --------------------------------------------------------------------------

@@ -244,17 +244,17 @@ def _holds(pred: Callable[[State], bool], bound: BoundMapping,
 
 def _edge_relations(ts, bound: BoundMapping, letters: Optional[list],
                     inv: int, spec: Specification) -> tuple:
-    """Over the invariant's edges, the relations of the stutters and of the
-    disallowed changes, and per obligation a function that builds the
-    relation of the edges that miss it when called (each is about as large
-    as the transition system, so only the one asked exists; the stutters
-    are the edges that miss Changes()). Relations are read off the image
-    letters (None under the identity, then built for a Changes over some
-    slots only): Changes keeps the edges whose ends differ in a value set
-    of its slots, Changes() under the identity those of nonzero delta, and
-    Leaves drops the edges from its source set to outside both sets. A
-    plain callable runs once per image pair of the edges, through its own
-    cache (for allowed_edge a stutter pair is allowed)."""
+    """Over the invariant's edges, the relation of the disallowed changes,
+    and `unmet`, which builds the relation of the edges that miss an edge
+    predicate when called (each is about as large as the transition system,
+    so only the one asked exists; the stutters are the edges that miss
+    Changes()). Relations are read off the image letters (None under the
+    identity, then built for a Changes over some slots only): Changes keeps
+    the edges whose ends differ in a value set of its slots, Changes() under
+    the identity those of nonzero delta, and Leaves drops the edges from its
+    source set to outside both sets. A plain callable runs once per image
+    pair of the edges, through its own cache (for allowed_edge a stutter
+    pair is allowed)."""
     from . import explorer
     # no edge leaves the whole universe: its edges are the system's own
     inner = ts.sources if inv == ts.full else explorer.within(inv, ts.sources)
@@ -287,17 +287,9 @@ def _edge_relations(ts, bound: BoundMapping, letters: Optional[list],
         return {d: r for d, e in rel.items()
                 if (r := e & ~drop[d] if d in drop else e)}
 
-    moved = met(Changes())
-    bad = minus(moved, met(spec.allowed_edge, True))
-    # inner minus moved, each delta of moved freed once it is read
-    stutters = {d: r for d, e in inner.items()
-                if (r := e & ~moved.pop(d) if d in moved else e)}
-
-    def unmet(p: Callable) -> dict:
-        return stutters if p == Changes() else minus(inner, met(p))
-
-    return stutters, bad, [functools.partial(unmet, o.edge_pred)
-                           for o in getattr(spec.acceptance, "obligations", ())]
+    bad = {} if spec.allowed_edge is every_edge else minus(
+        met(Changes()), met(spec.allowed_edge, True))
+    return bad, lambda p: minus(inner, met(p))
 
 
 # --------------------------------------------------------------------------
@@ -395,7 +387,7 @@ def check_stabilizing(program: Program, mapping: StateMapping,
                      "mapped": bound(state).text()})
 
     # Edge conformance: non-stutter images of invariant-internal edges.
-    stutters, bad, unmet = _edge_relations(ts, bound, letters, inv, spec)
+    bad, unmet = _edge_relations(ts, bound, letters, inv, spec)
     if bad:
         i = min(map(explorer.least, bad.values()))
         pos, name, t = next(e for e in ts.edges(i)
@@ -406,31 +398,47 @@ def check_stabilizing(program: Program, mapping: StateMapping,
                      "mapped_source": bound(source).text(),
                      "mapped_target": bound(target).text()})
 
+    # Every cycle question goes through `ask`, which trims each one once.
+    # A question is its nodes and a Changes' slot set (every slot for
+    # Changes(), so the stutter check and a Changes() obligation share one
+    # answer), or the id of any other predicate, which need not hash.
+    sig, answers = bound.signature, {}
+
+    @functools.cache
+    def mirror() -> Optional[list]:  # a chain mirror's image of each slot
+        return explorer.chain_mirror(program, bound) and [
+            sig.index_of[(program.n + 1 - p, name)] for p, name, _ in sig.slots]
+
+    def ask(nodes: int, edge_pred: Callable) -> Optional[explorer.Cycle]:
+        """A cycle in `nodes` whose every edge misses edge_pred, or None.
+        On the whole universe a chain mirror maps the edges that miss
+        Changes(S) onto those that miss Changes(mirror S), so once the
+        partner recurs there, S recurs too, with no trim."""
+        slots = isinstance(edge_pred, Changes) and frozenset(
+            range(len(sig.slots)) if edge_pred.slots is None
+            else edge_pred.slots)
+        key = (nodes, id(edge_pred) if slots is False else slots)
+        if key not in answers:
+            twin = slots is not False and nodes == ts.full and any(
+                k[0] == nodes and isinstance(k[1], frozenset) and c is None
+                for k, c in answers.items()) and mirror()
+            answers[key] = None if twin and answers.get((nodes, frozenset(
+                map(twin.__getitem__, slots))), 0) is None \
+                else explorer.find_cycle(ts, nodes, unmet(edge_pred))
+        return answers[key]
+
     # Acceptance on every bottom component.
     pred = getattr(spec.acceptance, "pred", None)
     accepts = ts.full if pred is None else _holds(pred, bound, ts, letters)
-    sig = bound.signature  # a chain mirror's image of each image slot:
-    mirror = lambda: explorer.chain_mirror(program, bound) and [
-        sig.index_of[(program.n + 1 - p, name)] for p, name, _ in sig.slots]
-    # A Changes() obligation asks the stutter check's question of each
-    # bottom component, the same one when the invariant is one component:
-    # the last answer is kept.
-    stutter_cycle = functools.lru_cache(1)(
-        lambda nodes: explorer.find_cycle(ts, nodes, stutters))
-
-    def find_cycle(nodes: int, rel: dict) -> Optional[explorer.Cycle]:
-        return stutter_cycle(nodes) if rel is stutters \
-            else explorer.find_cycle(ts, nodes, rel)
-
     for c in cond.bottoms:
-        witness = _check_acceptance(spec, ts, cond.bits(c), accepts, unmet,
-                                    notes, mirror, find_cycle)
+        witness = _check_acceptance(spec, ts, cond.bits(c), accepts, ask,
+                                    notes)
         if witness is not None:
             return fail(witness)
 
     # Stutter divergence: a cycle inside the invariant whose image never
     # changes. Always reported; gates the verdict only when forbidden.
-    stutter = stutter_cycle(inv)
+    stutter = ask(inv, Changes())
     if stutter is None:
         notes.append("stutter divergence: none")
     else:
@@ -448,19 +456,14 @@ def check_stabilizing(program: Program, mapping: StateMapping,
 
 
 def _check_acceptance(spec: Specification, ts, bits: int, accepts: int,
-                      unmet: list, notes: list, mirror, find_cycle
-                      ) -> Optional[dict]:
+                      ask: Callable, notes: list) -> Optional[dict]:
     """Evaluate the acceptance condition on the bottom component `bits`:
     its terminality must match the kind, no state of a CycleWithin or
     FiniteTerminal component may lie outside `accepts` (the program states
     whose image satisfies its predicate), and every cycle must discharge
-    each obligation j, `unmet[j]()` being the relation of the invariant's
-    edges that miss it, asked of `find_cycle(nodes, rel)`, explorer's on ts
-    (check_stabilizing). Returns a witness dict on a gating violation, None
-    otherwise; analyze findings go into notes. On the whole universe, a
-    chain mirror (`mirror()`: each slot's image) maps the edges missing
-    Changes(S) onto those missing Changes(mirror S), so an obligation whose
-    partner recurred recurs too, with no trim."""
+    each obligation, `ask(bits, edge_pred)` being a cycle in the component
+    that misses it or None (check_stabilizing). Returns a witness dict on a
+    gating violation, None otherwise; analyze findings go into notes."""
     from . import explorer
     acc, size = spec.acceptance, bits.bit_count()
     least = ts.state(explorer.least(bits)).text()
@@ -483,19 +486,11 @@ def _check_acceptance(spec: Specification, ts, bits: int, accepts: int,
         return fail("%s contains %s, outside the target cycle family%s" % (
             where, ts.state(explorer.least(outside)).text(),
             acc.description and " (%s)" % acc.description))
-    obligations = getattr(acc, "obligations", ())
-    sets = [frozenset(o.edge_pred.slots) if isinstance(o.edge_pred, Changes)
-            and o.edge_pred.slots is not None else None for o in obligations]
-    flip = bits == ts.full and len(set(sets) - {None}) > 1 and mirror()
-    recurs = set()  # the slot sets of the obligations that recur
-    for obl, slots, missed in zip(obligations, sets, unmet):
-        cycle = None if flip and slots is not None and frozenset(
-            map(flip.__getitem__, slots)) in recurs else find_cycle(
-                bits, missed())
+    for obl in getattr(acc, "obligations", ()):
+        cycle = ask(bits, obl.edge_pred)
         if cycle is None:
             notes.append("obligation %r: recurs on every cycle of %s"
                          % (obl.name, where))
-            recurs.add(slots)
             continue
         path = " -> ".join(s.text() for s in cycle.states)
         if obl.mode == "enforce" or (

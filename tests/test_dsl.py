@@ -321,6 +321,10 @@ def test_a_protocol_needs_some_variable():
     partly = empty.replace("2..N { }", "2..N { var x: bool; }")
     program = parse_protocol(partly, n=3).unwrap()
     assert [len(p.vars) for p in program.processes] == [0, 1, 1]
+    # at N = 1 the group that declares one covers no position
+    assert [str(d) for d in parse_protocol(partly, n=1).diagnostics] == [
+        "2:11: error: no process of protocol 'p' declares a variable "
+        "[NO_VARIABLES]"]
 
 
 def test_duplicate_names_are_rejected():
@@ -410,6 +414,18 @@ def test_every_truncation_of_a_sample_is_diagnosed(path):
                    for d in result.diagnostics), end
 
 
+def test_parentheses_and_a_literal_first_compile_like_the_plain_guard():
+    def windows(guard):
+        return parse_protocol(GOOD.replace("self.x != left.x", guard),
+                              n=4).unwrap().windows
+
+    plain = windows("self.s != a")
+    assert any(any(row) for table in plain for row in table.rows)
+    for guard in ("(self.s != a)", "((self.s != a))", "a != self.s",
+                  "(a != self.s)"):
+        assert windows(guard) == plain, guard
+
+
 def test_comparison_of_two_literals_is_rejected():
     src = """
     protocol p() {
@@ -497,6 +513,21 @@ OUT_OF_ORDER = """
     (OUT_OF_ORDER, 3, [
         "3:49: error: no variable 'k' at position 3 [UNDECLARED_VAR]",
         "4:51: error: position 1 has no left neighbor [NON_NEIGHBOR_REF]"]),
+    # the parser's own refusals
+    (GOOD.replace("var x: bool;\n    output s: st;\n    go: self.x = right",
+                  "var domain: bool;\n    output s: st;\n    go: self.x = "
+                  "right"), 4, [
+        "5:9: error: 'domain' is a reserved word [SYNTAX]"]),
+    (GOOD.replace("{ a, b, c }", "{ a, b, a }"), 4, [
+        "3:23: error: value 'a' repeats in domain 'st' [DUPLICATE_NAME]"]),
+    (GOOD + "extra\n", 4, [
+        "15:1: error: unexpected 'extra' after protocol body [SYNTAX]"]),
+    (GOOD.replace("2..N", "2..M"), 4, [
+        "9:22: error: 'M' is not a protocol parameter [SYNTAX]"]),
+    (GOOD.replace("self.x = right.x", "a = b"), 4, [
+        "7:11: error: a comparison needs at least one variable [SYNTAX]"]),
+    (GOOD, 0, [
+        "1:1: error: chain length must be at least 1; got 0 [GROUP_RANGE]"]),
 ])
 def test_semantic_diagnostics_are_pinned(source, n, expected):
     result = parse_protocol(source, n=n)

@@ -654,6 +654,23 @@ def test_run_keeps_the_window_codes_a_fresh_read_gives(make):
                 moves_reference_run(program, start, 200, seed, policy)
 
 
+def test_run_decodes_no_state_id(monkeypatch):
+    # run builds each state from the values it steps on: decoding a state
+    # id costs one division of the whole id per slot
+    program = protocols.make_pif(200).program
+    start = cli._start_state(program, "random", 0)
+    want = [explorer.run(program, start, 50, 0, policy)
+            for policy in explorer.POLICIES]
+
+    def refuse(*args):
+        raise AssertionError("a state id was decoded")
+
+    monkeypatch.setattr(Signature, "state_at", refuse)
+    for policy, comp in zip(explorer.POLICIES, want):
+        assert explorer.run(program, start, 50, 0, policy) == comp
+        assert len(comp.states) > 1
+
+
 def test_run_is_deterministic_per_seed():
     abp = protocols.make_abp().program
     start = abp.signature.state_at(0)

@@ -68,9 +68,10 @@ def test_the_alternator_mirror_maps_edges_and_obligations(n):
     # plain reversal is not a mirror of the alternator
     reverse = mirror_ids(program.signature, [(0, 1)] * n)
     assert {(reverse[v], reverse[w]) for v, w in edges} != edges
-    _, _, unmet = specs._edge_relations(ts, bound, bound.slot_bits(ts.size),
-                                        ts.full, bundle.ideal_spec)
-    relations = [edge_set(missed()) for missed in unmet]
+    _, unmet = specs._edge_relations(ts, bound, bound.slot_bits(ts.size),
+                                     ts.full, bundle.ideal_spec)
+    relations = [edge_set(unmet(o.edge_pred))
+                 for o in bundle.ideal_spec.acceptance.obligations]
     assert {(sigma[v], sigma[w]) for v, w in relations[0]} == relations[0]
     for j in range(1, n + 1):  # activity-pj against activity-p(n+1-j)
         assert {(sigma[v], sigma[w]) for v, w in relations[j]} \

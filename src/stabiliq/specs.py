@@ -243,18 +243,15 @@ def _holds(pred: Callable[[State], bool], bound: BoundMapping,
 
 
 def _edge_relations(ts, bound: BoundMapping, letters: Optional[list],
-                    inv: int, spec: Specification) -> tuple:
-    """Over the invariant's edges, the relation of the disallowed changes,
-    and `unmet`, which builds the relation of the edges that miss an edge
-    predicate when called (each is about as large as the transition system,
-    so only the one asked exists; the stutters are the edges that miss
-    Changes()). Relations are read off the image letters (None under the
-    identity, then built for a Changes over some slots only): Changes keeps
-    the edges whose ends differ in a value set of its slots, Changes() under
-    the identity those of nonzero delta, and Leaves drops the edges from its
-    source set to outside both sets. A plain callable runs once per image
-    pair of the edges, through its own cache (for allowed_edge a stutter
-    pair is allowed)."""
+                    inv: int) -> Callable:
+    """`unmet(p, stutter=False)`, which builds in one pass the relation of
+    the invariant's edges that miss the edge predicate p when asked (with
+    stutter, a stutter pair meets p, as it meets every Leaves). Changes drops
+    the edges whose image ends differ in a value set of its slots, read off
+    the image letters (None under the identity, where Changes() keeps delta
+    0), and a delta it leaves whole keeps the system's own int; Leaves keeps
+    the edges from its source set to outside both sets; a plain callable
+    runs once per image pair of the edges, through its own cache."""
     from . import explorer
     # no edge leaves the whole universe: its edges are the system's own
     inner = ts.sources if inv == ts.full else explorer.within(inv, ts.sources)
@@ -262,34 +259,36 @@ def _edge_relations(ts, bound: BoundMapping, letters: Optional[list],
     ids = functools.cache(bound.ids)  # made once, and only for a callable
     slot_bits = functools.cache(bound.slot_bits)  # the same, for a Changes
 
-    def met(p: Callable, stutter: bool = False) -> dict:
+    def moved(d: int, slots: Optional[tuple]) -> int:
+        sets = letters or slot_bits(ts.size)  # each slot's sets but its last
+        return reduce(or_, (v ^ explorer.shift(v, -d) for i in (
+            range(len(sets)) if slots is None else slots)
+            for v in sets[i][:-1]), 0)
+
+    def unmet(p: Callable, stutter: bool = False) -> dict:
         if p is every_edge:
-            return inner
+            return {}
         if bound.id_of is _same and p == Changes():
-            return {d: e for d, e in inner.items() if d}
-        if isinstance(p, Changes):  # each slot's value sets but its last
-            sets = letters or slot_bits(ts.size)
-            parts = [v for i in (range(len(sets)) if p.slots is None
-                                 else p.slots) for v in sets[i][:-1]]
-            return {d: r for d, e in inner.items() if (r := e & reduce(
-                or_, (v ^ explorer.shift(v, -d) for v in parts), 0))}
+            return {} if stutter else {d: e for d, e in inner.items() if not d}
+        if isinstance(p, Changes):
+            rel = {}
+            for d, e in inner.items():
+                x = e & moved(d, p.slots)
+                e = e & moved(d, None) if stutter else e
+                if r := e ^ x if x else e:  # e & ~m would copy e
+                    rel[d] = r
+            return rel
         if isinstance(p, Leaves):
             a = _holds(p.source, bound, ts, letters)
             ok = a | _holds(p.target, bound, ts, letters)
-            return {d: e & ~(a & ~explorer.shift(ok, -d))
-                    for d, e in inner.items()}
-        meets = functools.cache(lambda m, n: stutter and m == n
-                                or p(image(m), image(n)))
+            return {d: r for d, e in inner.items()
+                    if (r := e & a & ~explorer.shift(ok, -d))}
+        miss = functools.cache(lambda m, n: not (stutter and m == n
+                                                 or p(image(m), image(n))))
         at = range(ts.size) if bound.id_of is _same else ids(ts)
-        return explorer.edges_where(ts, inv, lambda v, w: meets(at[v], at[w]))
+        return explorer.edges_where(ts, inv, lambda v, w: miss(at[v], at[w]))
 
-    def minus(rel: dict, drop: dict) -> dict:
-        return {d: r for d, e in rel.items()
-                if (r := e & ~drop[d] if d in drop else e)}
-
-    bad = {} if spec.allowed_edge is every_edge else minus(
-        met(Changes()), met(spec.allowed_edge, True))
-    return bad, lambda p: minus(inner, met(p))
+    return unmet
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +386,8 @@ def check_stabilizing(program: Program, mapping: StateMapping,
                      "mapped": bound(state).text()})
 
     # Edge conformance: non-stutter images of invariant-internal edges.
-    bad, unmet = _edge_relations(ts, bound, letters, inv, spec)
+    unmet = _edge_relations(ts, bound, letters, inv)
+    bad = unmet(spec.allowed_edge, stutter=True)
     if bad:
         i = min(map(explorer.least, bad.values()))
         pos, name, t = next(e for e in ts.edges(i)

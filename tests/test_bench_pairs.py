@@ -24,10 +24,23 @@ print(json.dumps({"correct": True, "metrics": {
 '''
 
 
-def checkout(root: Path, values: list) -> Path:
+def git(root: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-c", "user.name=stub", "-c", "user.email=stub@example.com",
+         "-c", "commit.gpgsign=false", *args], cwd=root, check=True,
+        capture_output=True, text=True).stdout.strip()
+
+
+def checkout(root: Path, values: list, commit: bool = True) -> Path:
+    """A stub checkout, a one-commit git repository unless commit is
+    false."""
     (root / "bench").mkdir(parents=True)
     (root / "bench" / "run.py").write_text(STUB)
     (root / "bench" / "values.json").write_text(json.dumps(values))
+    if commit:
+        git(root, "init", "-q")
+        git(root, "add", "bench")
+        git(root, "commit", "-q", "-m", "stub")
     return root
 
 
@@ -36,6 +49,10 @@ def bench_pairs(tmp_path, parent: list, change: list, *flags: str):
     number of stub calls on the parent side)."""
     sides = [checkout(tmp_path / side, values)
              for side, values in (("parent", parent), ("change", change))]
+    return run_tool(tmp_path, sides, *flags)
+
+
+def run_tool(tmp_path, sides: list, *flags: str):
     out = tmp_path / "BENCH.json"
     done = subprocess.run([sys.executable, str(TOOL), *map(str, sides),
                            "--out", str(out), "--seconds", "0", *flags],
@@ -51,6 +68,23 @@ def test_no_claim_records_null(tmp_path):
                                   "--pairs", "2")
     assert code == 0
     assert record["claimed"] is None
+    # the record names each side's commit
+    assert [record["parent_sha"], record["change_sha"]] == [
+        git(tmp_path / side, "rev-parse", "HEAD")
+        for side in ("parent", "change")]
+
+
+@pytest.mark.parametrize("unnamed", [0, 1])
+def test_a_side_with_no_commit_is_refused_before_any_run(tmp_path, unnamed):
+    # the side with no commit is a plain copy inside another checkout,
+    # whose commit it must not report as its own
+    outer = checkout(tmp_path / "outer", [1.0] * 3)
+    sides = [checkout(outer / side if i == unnamed else tmp_path / side,
+                      [1.0] * 3, commit=i != unnamed)
+             for i, side in enumerate(("parent", "change"))]
+    code, record, _ = run_tool(tmp_path, sides, "--pairs", "1")
+    assert (code, record) == (2, None)
+    assert not any((side / "bench" / "calls").exists() for side in sides)
 
 
 def test_a_measured_claim_is_recorded(tmp_path):

@@ -731,8 +731,8 @@ def _as_plain(pred):
 
 
 def _relations(ts, bound, letters, inv, spec) -> tuple:
-    bad, unmet = specs._edge_relations(ts, bound, letters, inv, spec)
-    return unmet(specs.Changes()), bad, [
+    unmet = specs._edge_relations(ts, bound, letters, inv)
+    return unmet(specs.Changes()), unmet(spec.allowed_edge, stutter=True), [
         unmet(o.edge_pred) for o in spec.acceptance.obligations]
 
 
@@ -746,9 +746,9 @@ _last_zero = ChainPredicate(lambda sig: ChainAutomaton(
 
 def test_local_edge_forms_agree_with_the_per_pair_grouping():
     # the stutter relation against an edge filter by image id; the
-    # disallowed changes and every Changes and Leaves obligation against
-    # the same specifications with each form wrapped as a plain callable,
-    # over the full invariant and one that is not closed
+    # disallowed changes and every Changes, Leaves and every_edge obligation
+    # against the same specifications with each form wrapped as a plain
+    # callable, over the full invariant and one that is not closed
     leaves = (specs.Leaves(_first_zero, _last_zero),
               specs.Leaves(specs._no_adjacent_true, _last_zero))
     violated, cases = Counter(), 0
@@ -759,7 +759,7 @@ def test_local_edge_forms_agree_with_the_per_pair_grouping():
         letters, ids = bound.slot_bits(ts.size), bound.ids(ts)
         slots = tuple(range(len(bound.signature.slots)))
         forms = [specs.Changes(), *(specs.Changes((i,)) for i in slots),
-                 specs.Changes(slots[::2]), *leaves]
+                 specs.Changes(slots[::2]), *leaves, specs.every_edge]
         spec = Specification("local", every_state, specs.every_edge,
                              Recurrence(tuple(
                                  Obligation("o%d" % j, c)
@@ -770,8 +770,11 @@ def test_local_edge_forms_agree_with_the_per_pair_grouping():
         for inv in (ts.full, ts.full & ~helpers.bits(range(0, ts.size, 3))):
             stutters = explorer.edges_where(
                 ts, inv, lambda v, w: ids[v] == ids[w])
-            assert _relations(ts, bound, letters, inv, spec) == \
-                _relations(ts, bound, letters, inv, plain), program.name
+            local = _relations(ts, bound, letters, inv, spec)
+            assert local == _relations(ts, bound, letters, inv, plain), \
+                program.name
+            # no edge misses every_edge, so it recurs on every cycle
+            assert explorer.find_cycle(ts, inv, local[2][-1]) is None
             for allowed in (specs.every_edge, specs.Changes((0,)),
                             specs.Changes(slots[1:]), *leaves):
                 got = _relations(ts, bound, letters, inv, replace(
@@ -794,7 +797,8 @@ def test_edge_relations_are_built_only_when_asked():
     # ideal la14: no edge leaves the whole universe, so the relations share
     # the system's own edges, and an obligation's relation (the stutters
     # too) exists only while its question is asked; what the call keeps,
-    # the disallowed changes, is under twice the bytes of the system's edges
+    # `unmet`, and the disallowed changes it builds (none for every_edge)
+    # are under twice the bytes of the system's edges
     bundle = protocols.make_alternator(14)
     ts = explorer.build_transition_system(bundle.program)
     bound = bundle.mapping.bind(bundle.program)
@@ -804,14 +808,46 @@ def test_edge_relations_are_built_only_when_asked():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        kept = specs._edge_relations(ts, bound, letters, ts.full,
-                                     bundle.ideal_spec)
+        unmet = specs._edge_relations(ts, bound, letters, ts.full)
+        bad = unmet(bundle.ideal_spec.allowed_edge, stutter=True)
         gc.collect()
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert after - before <= 2 * edges
-    assert kept[0] == {} and callable(kept[1])
+    assert bad == {} and callable(unmet)
+
+
+def test_missed_edges_are_built_in_one_pass_on_the_systems_own_ints():
+    # ideal cm16: the stutters, the edges that miss Changes(), are built
+    # delta by delta, peaking under 1.5 times the bytes of the system's
+    # edges; in the relation of Changes((0,)), a delta none of whose edges
+    # moves slot 0 is the system's own int; and asking any form, with or
+    # without stutter, leaves the system's edges as they were
+    bundle = protocols.make_cm(tuple(range(1, 17)))
+    ts = explorer.build_transition_system(bundle.program)
+    bound = bundle.mapping.bind(bundle.program)
+    unmet = specs._edge_relations(ts, bound, bound.slot_bits(ts.size),
+                                  ts.full)
+    edges = sum(map(sys.getsizeof, ts.sources.values()))
+    sources = dict(ts.sources)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        unmet(specs.Changes())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * edges
+    root = unmet(specs.Changes((0,)))
+    whole = [d for d, e in root.items() if e == ts.sources[d]]
+    assert whole and all(root[d] is ts.sources[d] for d in whole)
+    for form in (specs.every_edge, specs.Changes(), specs.Changes((0,)),
+                 specs.Leaves(_first_zero, _last_zero),
+                 _as_plain(specs.Changes((0,)))):
+        for stutter in (False, True):
+            unmet(form, stutter)
+    assert ts.sources == sources
 
 
 def test_ipif_holds_on_image_bitsets_alone(monkeypatch):

@@ -4,7 +4,9 @@
         [--claim impossibility-le9:setup_s] [--pairs 10] [--seconds 5] \\
         [--seed 1]
 
-Each checkout is a full copy of the repository (`git clone` or `git archive`).
+Each checkout is a git checkout of the repository (`git clone` or `git
+worktree add`), so the record can name its commit: a side with no commit of
+its own is refused before any run.
 A pair runs `bench/run.py --trace 0` once per workload on both checkouts,
 and the side that runs first alternates from pair to pair. Each run's
 medians are read off the JSON line that bench/run.py prints last (times
@@ -48,9 +50,13 @@ def summary(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def git(checkout: Path, *args: str):
-    done = subprocess.run(["git", *args], cwd=checkout, capture_output=True,
-                          text=True)
+def head(checkout: Path):
+    """The checkout's commit sha, or None; as in bench/run.py, git looks no
+    higher than the checkout, so a copy inside another checkout has none."""
+    env = dict(os.environ,
+               GIT_CEILING_DIRECTORIES=str(checkout.resolve().parent))
+    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, env=env,
+                          capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
 
 
@@ -83,6 +89,11 @@ def main() -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     sides = {"parent": args.parent, "change": args.change}
+    shas = {side: head(path) for side, path in sides.items()}
+    for side, sha in shas.items():
+        if sha is None:
+            parser.error("the %s side, %s, is not a git checkout, so the "
+                         "record cannot name its commit" % (side, sides[side]))
     runs = {w: {side: [] for side in sides} for w in WORKLOADS}
     for pair in range(args.pairs):
         order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
@@ -99,7 +110,8 @@ def main() -> int:
             "value below is one run's median, as bench/run.py reports it "
             "(times scaled to the reference speed)."
             % (args.seed, args.seconds)),
-        "parent_sha": git(args.parent, "rev-parse", "HEAD"),
+        "parent_sha": shas["parent"],
+        "change_sha": shas["change"],
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),

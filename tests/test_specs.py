@@ -823,7 +823,8 @@ def test_missed_edges_are_built_in_one_pass_on_the_systems_own_ints():
     # delta by delta, peaking under 1.5 times the bytes of the system's
     # edges; in the relation of Changes((0,)), a delta none of whose edges
     # moves slot 0 is the system's own int; and asking any form, with or
-    # without stutter, leaves the system's edges as they were
+    # without stutter, returns a new relation and leaves the system's edges
+    # as they were
     bundle = protocols.make_cm(tuple(range(1, 17)))
     ts = explorer.build_transition_system(bundle.program)
     bound = bundle.mapping.bind(bundle.program)
@@ -846,7 +847,7 @@ def test_missed_edges_are_built_in_one_pass_on_the_systems_own_ints():
                  specs.Leaves(_first_zero, _last_zero),
                  _as_plain(specs.Changes((0,)))):
         for stutter in (False, True):
-            unmet(form, stutter)
+            assert unmet(form, stutter) is not ts.sources
     assert ts.sources == sources
 
 

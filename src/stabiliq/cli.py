@@ -25,7 +25,6 @@ from .kernel import (DEFAULT_STATE_CAP, DIVERGENCE_ALLOWED,
 import os
 import random
 import sys
-from itertools import groupby
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # main loads it with the parser, unless merge closure runs
@@ -287,11 +286,15 @@ def cmd_simulate(args) -> int:
         bound = mapping.bind(program)
     except mappingmod.MappingError:
         return 0
-    ids = [bound.id_of(s.index) for s in comp.states]
+    image = explorer.image_reader(bound, program.signature)
+    last, start = None, 0
     print("specification image (stutters removed):")
-    for sid, _ in groupby(ids):
-        print("        %s" % bound.signature.state_at(sid).text())
-    if comp.lasso_start is not None and len(set(ids[comp.lasso_start:])) == 1:
+    for i, state in enumerate(comp.states):
+        values = image(state.values)
+        if values != last:  # start counts the states before the last image
+            print("        %s" % State(bound.signature, values).text())
+            last, start = values, i
+    if comp.lasso_start is not None and start <= comp.lasso_start:
         print("stutter divergence: the lasso leaves the image constant")
     return 0
 
@@ -417,10 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     # Bind the commands' modules, compiled before argparse and json load: a
     # compile after them leaves the memory it frees resident, about 0.75 MB
-    # more peak RSS. Merge closure needs no parser, explorer or specs.
+    # more peak RSS. Merge closure needs no parser, explorer or specs, and
+    # simulate reads no specification.
     global dsl, explorer, specs
-    if (sys.argv[1:] if argv is None else list(argv))[:1] != ["impossibility"]:
-        from . import dsl, explorer, specs
+    command = (sys.argv[1:] if argv is None else list(argv))[:1]
+    if command != ["impossibility"]:
+        from . import dsl, explorer
+    if command not in (["impossibility"], ["simulate"]):
+        from . import specs
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

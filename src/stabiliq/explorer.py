@@ -476,6 +476,23 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
                        hit_terminal)
 
 
+def image_reader(bound, sig: kernel.Signature) -> Callable[[tuple], tuple]:
+    """A function from the values of a state of `sig` to its image's values
+    under `bound`, a mapping bound to a program over sig, with no state id:
+    the digit table of low weight sig.weights[hi] reads the code of the
+    slots lo..hi - 1 whose radices multiply to its span."""
+    hi_of, runs = {w: i for i, w in enumerate(sig.weights)}, []
+    for low_weight, span, values in bound.digits:
+        lo = hi = hi_of[low_weight]
+        while span > 1:
+            lo -= 1
+            span //= sig.radices[lo]
+        runs.append((range(lo, hi), values))
+    return lambda state: tuple(values[reduce(
+        lambda c, i: c * sig.radices[i] + state[i], slots, 0)]
+        for slots, values in runs)
+
+
 # --------------------------------------------------------------------------
 # DOT export.
 

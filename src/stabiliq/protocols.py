@@ -2,8 +2,8 @@
 
 Each constructor parses its program from the protocol's shipped .gcp
 sample, the only definition of that program. It pairs the program with its
-state mapping and its strict and ideal specifications, and names the
-invariant candidates the command line accepts.
+state mapping and a function that builds, on the bundle's first read, its
+strict and ideal specifications and the invariant candidates it accepts.
 The leader-election entry is deliberately not a program: it is a
 specification fixture for the impossibility engine, because no program
 for it exists.
@@ -11,30 +11,40 @@ for it exists.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Optional
+import os
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .kernel import (BOOL, ModelError, Signature, State, check_cap, factory,
-                     record, replace)
+from .kernel import (BOOL, ModelError, Signature, State, check_cap, record,
+                     replace)
 from .mapping import (ChainAutomaton, EnabledOutputMapping, HighestIdMapping,
                       IdenticalMapping, StateMapping, accepted_states,
                       every_state, le_allowed)
 
-if TYPE_CHECKING:  # the builders import these, so make_le needs none of it
+if TYPE_CHECKING:  # loaded by the builders and on a first spec read
     from .program import Program
     from .specs import Specification
 
 
 @record
 class ProtocolBundle:
-    """Everything the workbench knows about one built-in protocol."""
+    """Everything the workbench knows about one built-in protocol. The first
+    read of ideal_spec, strict_spec (or None) or invariants (named state
+    predicates) runs make_specs on the `specs` module, once per bundle."""
 
     name: str
     program: Program
     mapping: StateMapping
-    ideal_spec: Specification
-    strict_spec: Optional[Specification] = None
-    invariants: dict = factory(lambda: {"true": every_state})
+    make_specs: Callable
     default_invariant: str = "true"
+
+    @functools.cached_property
+    def _specs(self) -> tuple:
+        from . import specs
+        return self.make_specs(specs)
+
+    ideal_spec = property(lambda self: self._specs[0])
+    strict_spec = property(lambda self: self._specs[1])
+    invariants = property(lambda self: self._specs[2])
 
     @property
     def spec(self) -> Specification:
@@ -55,7 +65,6 @@ def make_cm(ids) -> ProtocolBundle:
         raise ModelError("the conflict manager needs at least 2 processes")
     if len(set(ids)) != len(ids):
         raise ModelError("process identifiers must be unique; got %r" % (ids,))
-    from . import specs
     from .program import Program
     processes = _parse_sample("cm.gcp", len(ids)).processes
     program = Program("cm", [replace(p, pid=pid)
@@ -64,7 +73,8 @@ def make_cm(ids) -> ProtocolBundle:
         name="cm",
         program=program,
         mapping=HighestIdMapping(),
-        ideal_spec=specs.udp_spec(),
+        make_specs=lambda specs: (specs.udp_spec(), None,
+                                  {"true": every_state}),
     )
 
 
@@ -77,12 +87,12 @@ def make_alternator(n: int) -> ProtocolBundle:
     the critical section exactly when its action is enabled."""
     if n < 3:
         raise ModelError("the alternator needs at least 3 processes")
-    from . import specs
     return ProtocolBundle(
         name="la",
         program=_parse_sample("alternator.gcp", n),
         mapping=EnabledOutputMapping(),
-        ideal_spec=specs.fdp_spec(n),
+        make_specs=lambda specs: (specs.fdp_spec(n), None,
+                                  {"true": every_state}),
     )
 
 
@@ -97,18 +107,15 @@ def make_pif(n: int) -> ProtocolBundle:
         raise ModelError(
             "the propagation chain needs a root, a leaf, and at least "
             "one intermediate process")
-    from . import specs
     return ProtocolBundle(
         name="pif",
         program=_parse_sample("pif.gcp", n),
         mapping=IdenticalMapping(),
-        ideal_spec=specs.ipif_spec(),
-        strict_spec=specs.spif_spec(),
-        invariants={
+        make_specs=lambda specs: (specs.ipif_spec(), specs.spif_spec(), {
             "rq-or-rp": specs.pif_wave,
             "root-idle": specs.pif_root_idle,
             "true": every_state,
-        },
+        }),
         default_invariant="rq-or-rp",
     )
 
@@ -122,17 +129,14 @@ def make_abp() -> ProtocolBundle:
     message silently. The sender advances its bit only on a matching
     acknowledgment; the receiver adopts the incoming bit and always
     acknowledges it."""
-    from . import specs
     return ProtocolBundle(
         name="abp",
         program=_parse_sample("abp.gcp"),
         mapping=IdenticalMapping(),
-        ideal_spec=specs.iabp_spec(),
-        strict_spec=specs.sabp_spec(),
-        invariants={
+        make_specs=lambda specs: (specs.iabp_spec(), specs.sabp_spec(), {
             "legitimate": specs.abp_legitimate,
             "true": every_state,
-        },
+        }),
         default_invariant="legitimate",
     )
 
@@ -210,13 +214,14 @@ BUILDERS: dict = {
 
 
 def sample_source(filename: str) -> str:
-    """The text of a shipped .gcp sample; a missing one is a ModelError."""
-    from importlib import resources  # pulls in pathlib, zipfile, tempfile
-    path = resources.files("stabiliq") / "samples" / filename
-    if not path.is_file():
+    """The text of a shipped .gcp sample, read by this module's loader with
+    no importlib.resources; a missing sample is a ModelError."""
+    path = os.path.join(os.path.dirname(__file__), "samples", filename)
+    try:
+        return __spec__.loader.get_data(path).decode()
+    except OSError:
         raise ModelError("sample file %s is missing from the installed "
-                         "package" % path)
-    return path.read_text()
+                         "package" % path) from None
 
 
 def _parse_sample(filename: str, n: Optional[int] = None) -> Program:

@@ -552,8 +552,7 @@ def test_missing_sample_exits_2_naming_the_file(capsys, monkeypatch,
                                                tmp_path):
     # an installed package whose samples directory is empty
     (tmp_path / "samples").mkdir()
-    monkeypatch.setattr("importlib.resources.files",
-                        lambda package: tmp_path)
+    monkeypatch.setattr(protocols, "__file__", str(tmp_path / "protocols.py"))
     missing = tmp_path / "samples" / "abp.gcp"
     with pytest.raises(ModelError, match=re.escape(str(missing))):
         protocols.sample_source("abp.gcp")

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import stabiliq
+from stabiliq import replace
+from stabiliq.mapping import every_state
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -58,11 +60,48 @@ def test_the_leader_election_fixture_parses_nothing_and_explores_nothing():
                                  "stabiliq.protocols"]
 
 
-def test_a_program_bundle_builds_without_the_explorer():
-    code = "import stabiliq; stabiliq.make_alternator(14); " + \
-        LOADED.format(names=set())
-    loaded = fresh(code, "-S")
-    assert "stabiliq.dsl" in loaded and "stabiliq.explorer" not in loaded
+@pytest.mark.parametrize("call", ["make_cm((2, 1, 3))", "make_alternator(14)",
+                                  "make_pif(10)", "make_abp()"])
+def test_a_program_bundle_builds_without_the_explorer(call):
+    # nor specs, which the bundle loads when a specification is first read,
+    # nor importlib.resources, unloaded without site
+    code = "import stabiliq; stabiliq.%s; " % call + LOADED.format(
+        names={"importlib.resources"})
+    assert fresh(code, "-S") == ["stabiliq.dsl", "stabiliq.kernel",
+                                 "stabiliq.mapping", "stabiliq.program",
+                                 "stabiliq.protocols"]
+
+
+def bundles() -> list:
+    return [stabiliq.make_cm((2, 1, 3)), stabiliq.make_alternator(5),
+            stabiliq.make_pif(4), stabiliq.make_abp()]
+
+
+def test_a_bundle_builds_its_specifications_once():
+    for bundle in bundles():
+        calls, make = [], bundle.make_specs
+        bundle = replace(bundle, make_specs=lambda specs:
+                         calls.append(1) or make(specs))
+        first = bundle.ideal_spec, bundle.strict_spec, bundle.invariants
+        assert len(calls) == 1
+        second = bundle.invariants, bundle.strict_spec, bundle.ideal_spec
+        assert all(a is b for a, b in zip(first, reversed(second)))
+        assert bundle.spec is bundle.ideal_spec and len(calls) == 1
+
+
+def test_the_specifications_read_are_the_ones_specs_builds():
+    from stabiliq import specs
+    cm, la, pif, abp = (
+        (b.ideal_spec, b.strict_spec, b.invariants) for b in bundles())
+    true = {"true": every_state}
+    assert cm == (specs.udp_spec(), None, true)
+    assert la == (specs.fdp_spec(5), None, true)
+    assert la[0] != specs.fdp_spec(6)
+    assert pif == (specs.ipif_spec(), specs.spif_spec(),
+                   {"rq-or-rp": specs.pif_wave,
+                    "root-idle": specs.pif_root_idle, **true})
+    assert abp == (specs.iabp_spec(), specs.sabp_spec(),
+                   {"legitimate": specs.abp_legitimate, **true})
 
 
 #: Run one command in a fresh interpreter; print the modules loaded before
@@ -99,8 +138,24 @@ def test_the_impossibility_command_compiles_only_what_merge_closure_needs():
 
 
 @pytest.mark.parametrize("argv", [
+    ("simulate", "--protocol", "cm", "--ids", "2,1,3", "--steps", "5"),
+    ("simulate", "--protocol", "la", "--n", "5", "--steps", "5"),
+    ("simulate", "--protocol", "pif", "--n", "5", "--steps", "5"),
+    ("simulate", "--protocol", "abp", "--steps", "5")],
+    ids=["cm", "la", "pif", "abp"])
+def test_the_simulate_command_compiles_no_specification(argv):
+    order = compile_order(*argv)
+    assert loaded_before_argparse_and_json(order) == [
+        "stabiliq.dsl", "stabiliq.explorer", "stabiliq.kernel",
+        "stabiliq.mapping", "stabiliq.program", "stabiliq.protocols"]
+    assert "stabiliq.specs" not in order
+
+
+@pytest.mark.parametrize("argv", [
     ("verify", "--check", "ideal", "--protocol", "la", "--n", "4"),
-    (), ("no-such-command",)], ids=["verify", "no-command", "unknown"])
+    ("export-dot", "--protocol", "abp", "--color", "legitimate"),
+    (), ("no-such-command",)],
+    ids=["verify", "export-dot", "no-command", "unknown"])
 def test_every_other_command_compiles_the_package_first(argv):
     order = compile_order(*argv)
     package = ["stabiliq." + m.name for m in

@@ -99,10 +99,34 @@ def test_bound_ids_match_an_oracle_on_every_state(name):
     ids = bound.ids(explorer.build_transition_system(program))
     states = list(program.signature.states())
     assert len(ids) == len(states)
+    read = explorer.image_reader(bound, program.signature)
     for i, s in enumerate(states):
         want = bound.signature.state(oracle(helpers.state_values(s)))
         assert ids[i] == want.index, s.text()
         assert bound(s) == want, s.text()
+        assert read(s.values) == want.values, s.text()
+
+
+def test_the_image_reader_skips_one_value_slots_and_reads_whole_tables():
+    # a slot of one value has the weight of the slot after it, and a table
+    # of low weight 1 and span the universe reads every slot
+    one = Domain("one", ("x",))
+    sig = Signature([(1, "a", BOOL), (1, "u", one), (2, "u", one),
+                     (2, "b", Domain("d3", ("0", "1", "2"))), (3, "u", one)])
+    for keep in ((0,), (1,), (0, 3), (1, 2, 4), tuple(range(5))):
+        image = Signature(sig.slots[i] for i in keep)
+        copy = BoundMapping(image, digits=[
+            (sig.weights[i + 1], sig.radices[i], range(sig.radices[i]))
+            for i in keep])
+        whole = BoundMapping(image, digits=[
+            (1, sig.size, [s.values[i] for s in sig.states()])
+            for i in keep])
+        for s in sig.states():
+            want = tuple(s.values[i] for i in keep)
+            assert explorer.image_reader(copy, sig)(s.values) == want, \
+                (keep, s)
+            assert explorer.image_reader(whole, sig)(s.values) == want, \
+                (keep, s)
 
 
 SLOT_BITS_CASES = {

@@ -291,7 +291,7 @@ def cmd_simulate(args) -> int:
     print("specification image (stutters removed):")
     for i, state in enumerate(comp.states):
         values = image(state.values)
-        if values != last:  # start counts the states before the last image
+        if values != last:  # start is where the run of the last image begins
             print("        %s" % State(bound.signature, values).text())
             last, start = values, i
     if comp.lasso_start is not None and start <= comp.lasso_start:

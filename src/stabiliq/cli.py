@@ -25,6 +25,7 @@ from .kernel import (DEFAULT_STATE_CAP, DIVERGENCE_ALLOWED,
 import os
 import random
 import sys
+from itertools import groupby
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # main loads it with the parser, unless merge closure runs
@@ -286,15 +287,12 @@ def cmd_simulate(args) -> int:
         bound = mapping.bind(program)
     except mappingmod.MappingError:
         return 0
-    image = explorer.image_reader(bound, program.signature)
-    last, start = None, 0
     print("specification image (stutters removed):")
-    for i, state in enumerate(comp.states):
-        values = image(state.values)
-        if values != last:  # start is where the run of the last image begins
-            print("        %s" % State(bound.signature, values).text())
-            last, start = values, i
-    if comp.lasso_start is not None and start <= comp.lasso_start:
+    for _, run in groupby(enumerate(map(bound, comp.states)),
+                          key=lambda step: step[1].values):
+        since, image = next(run)
+        print("        %s" % image.text())
+    if comp.lasso_start is not None and since <= comp.lasso_start:
         print("stutter divergence: the lasso leaves the image constant")
     return 0
 

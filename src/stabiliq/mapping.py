@@ -51,12 +51,12 @@ class BoundMapping:
     values[sid // low_weight % span]. No tables means the identity on a
     program's own states: every slot is copied. id_of sends a program state
     id to its image's id under `signature`, the fold of the tables. Calling
-    the binding on a program State decodes that image."""
+    the binding on a program State reads that image off the state's values."""
 
-    __slots__ = ("signature", "id_of", "digits")
+    __slots__ = ("signature", "id_of", "digits", "_read")
 
     def __init__(self, signature: Signature, digits: Optional[list] = None):
-        self.signature, self.id_of = signature, _same
+        self.signature, self.id_of, self._read = signature, _same, None
         self.digits = digits or _copies(signature, range(len(signature.slots)))
         if digits is not None:
             tables = [d + (r,) for d, r in zip(digits, signature.radices)]
@@ -70,7 +70,10 @@ class BoundMapping:
             self.id_of = fold
 
     def __call__(self, state: State) -> State:
-        return self.signature.state_at(self.id_of(state.index))
+        if self._read is None:
+            from . import explorer
+            self._read = explorer.image_reader(self, state.sig)
+        return State(self.signature, self._read(state.values))
 
     def ids(self, ts) -> Sequence[int]:
         """The id, under `signature`, of each state's image, in ts order."""

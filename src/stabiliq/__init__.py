@@ -13,16 +13,18 @@ __version__ = "0.1.0"
 
 #: Each public name's module, imported on the name's first use (PEP 562).
 _HOME = {name: module for module, names in {
-    "dsl": "ParseResult parse_protocol render",
-    "explorer": "build_transition_system condense run",
+    "dsl": "ParseResult parse_protocol",
+    "explorer": "build_transition_system condense",
     "kernel": "BOOL Domain ModelError State replace",
     "mapping": "EnabledOutputMapping HighestIdMapping IdenticalMapping "
-               "ProjectionMapping check_ideal_possibility "
-               "check_merge_symmetry merge_closure",
+               "ProjectionMapping",
+    "merge": "check_ideal_possibility check_merge_symmetry merge_closure",
     "program": "Action Process Program VariableDecl",
     "protocols": "make_abp make_alternator make_cm make_le make_pif",
+    "simulation": "run",
     "specs": "Specification Verdict check_closed check_convergence "
              "check_ideal_stabilizing check_stabilizing",
+    "text": "render",
 }.items() for name in names.split()}
 
 __all__ = sorted(_HOME) + ["__version__"]

@@ -17,15 +17,13 @@ carry a schema_version so downstream consumers can pin their parsers.
 """
 from __future__ import annotations
 
-from . import mapping as mappingmod, protocols
+from . import protocols
 from .kernel import (DEFAULT_STATE_CAP, DIVERGENCE_ALLOWED,
                      DIVERGENCE_FORBIDDEN, POLICIES, DslError, ModelError,
-                     State, UniverseCapError, state_cap)
+                     UniverseCapError, every_state, state_cap)
 
 import os
-import random
 import sys
-from itertools import groupby
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # main loads it with the parser, unless merge closure runs
@@ -110,7 +108,7 @@ def _resolve_predicate(bundle, name: Optional[str]):
     """The named predicate, or the protocol's default invariant when the
     name is empty; a protocol from a file has only "true"."""
     if bundle is None:
-        table, default = {"true": mappingmod.every_state}, "true"
+        table, default = {"true": every_state}, "true"
     else:
         table, default = bundle.invariants, bundle.default_invariant
     name = name or default
@@ -207,14 +205,14 @@ def cmd_impossibility(args) -> int:
         allowed, disallowed = fixture.automaton, None
         subject = "le chain length %d" % args.n
     elif args.allowed_file and args.disallowed_file:
-        sig, (allowed, disallowed) = mappingmod.read_spec_state_sets(
+        sig, (allowed, disallowed) = merge.read_spec_state_sets(
             _read(args.allowed_file), _read(args.disallowed_file))
         subject = "%s / %s" % (args.allowed_file, args.disallowed_file)
     else:
         raise UsageError("provide --protocol le with --n, or both "
                          "--allowed-file and --disallowed-file")
 
-    result = mappingmod.check_ideal_possibility(allowed, disallowed, sig)
+    result = merge.check_ideal_possibility(allowed, disallowed, sig)
     print("specification universe: %s  (%d states, %d allowed)"
           % (subject, result.universe_size, result.allowed_size))
     if result.possible:
@@ -240,31 +238,13 @@ def cmd_impossibility(args) -> int:
 # --------------------------------------------------------------------------
 # simulate.
 
-def _start_state(program: Program, text: str, seed: int) -> State:
-    sig = program.signature
-    if text == "random":
-        return sig.state_at(random.Random(seed).randrange(sig.size))
-    if text in ("all-idle", "all-false"):
-        target = "i" if text == "all-idle" else "false"
-        assignment = {}
-        for pos, name, domain in sig.slots:
-            if target not in domain:
-                raise UsageError(
-                    "--from %s needs every variable to admit %r; "
-                    "%s at position %d ranges over %r"
-                    % (text, target, name, pos, domain.values))
-            assignment[(pos, name)] = target
-        return sig.state(assignment)
-    return sig.parse_state(text)
-
-
 def cmd_simulate(args) -> int:
     program, bundle = _load(args)
     if args.steps < 0:
         raise UsageError("--steps must be nonnegative")
-    start = _start_state(program, args.start, args.seed)
-    comp = explorer.run(program, start, steps=args.steps, seed=args.seed,
-                        policy=args.policy)
+    start = simulation.start_state(program, args.start, args.seed)
+    comp = simulation.run(program, start, steps=args.steps, seed=args.seed,
+                          policy=args.policy)
     print("protocol %s  policy %s  seed %d" % (program.name, args.policy,
                                                args.seed))
     print("%6s  %-14s %s" % ("step", "action", "state"))
@@ -288,9 +268,7 @@ def cmd_simulate(args) -> int:
     except mappingmod.MappingError:
         return 0
     print("specification image (stutters removed):")
-    for _, run in groupby(enumerate(map(bound, comp.states)),
-                          key=lambda step: step[1].values):
-        since, image = next(run)
+    for since, image in simulation.stutter_free(map(bound, comp.states)):
         print("        %s" % image.text())
     if comp.lasso_start is not None and since <= comp.lasso_start:
         print("stutter divergence: the lasso leaves the image constant")
@@ -309,16 +287,16 @@ def cmd_export_dot(args) -> int:
     if args.color:
         color_pred = _resolve_predicate(bundle, args.color)
     if args.condensed:
-        text = explorer.condensation_to_dot(ts, explorer.condense(ts),
-                                            name=program.name)
+        out = text.condensation_to_dot(ts, explorer.condense(ts),
+                                       name=program.name)
     else:
-        text = explorer.to_dot(ts, color_pred=color_pred, name=program.name)
+        out = text.to_dot(ts, color_pred=color_pred, name=program.name)
     if args.output:
-        _write(args.output, text)
+        _write(args.output, out)
         print("wrote %s  (%d states, %d edges)"
               % (args.output, ts.size, ts.edge_count()))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(out)
     return 0
 
 
@@ -416,16 +394,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    # Bind the commands' modules, compiled before argparse and json load: a
+    # Bind the command's modules, compiled before argparse and json load: a
     # compile after them leaves the memory it frees resident, about 0.75 MB
-    # more peak RSS. Merge closure needs no parser, explorer or specs, and
-    # simulate reads no specification.
-    global dsl, explorer, specs
+    # more peak RSS. No check compiles merge closure, simulation or text
+    # output; merge closure compiles no parser, mapping or explorer, and
+    # simulate no explorer or specs.
+    global dsl, explorer, mappingmod, merge, simulation, specs, text
     command = (sys.argv[1:] if argv is None else list(argv))[:1]
-    if command != ["impossibility"]:
-        from . import dsl, explorer
-    if command not in (["impossibility"], ["simulate"]):
-        from . import specs
+    if command == ["impossibility"]:
+        from . import merge
+    elif command == ["simulate"]:
+        from . import dsl, mapping as mappingmod, simulation
+    elif command in (["verify"], ["export-dot"]):
+        from . import dsl, explorer, specs
+        if command == ["export-dot"]:
+            from . import text
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

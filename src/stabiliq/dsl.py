@@ -25,8 +25,8 @@ parse_protocol returns a ParseResult carrying the validated Program
 or error diagnostics with stable codes, each placed at a source token. The
 parser builds program nodes, and program.Program checks the rules on guards
 and commands; each problem it reports is placed at the source token of its
-node. render produces
-canonical text that parses back to a structurally equal program.
+node. `text.render` writes the canonical text that parses back to a
+structurally equal program.
 """
 from __future__ import annotations
 
@@ -532,129 +532,3 @@ def parse_protocol(source: str, n: Optional[int] = None) -> ParseResult:
         return ParseResult(_build(source, n), [])
     except DslError as exc:
         return ParseResult(None, exc.diagnostics)
-
-
-# --------------------------------------------------------------------------
-# Rendering.
-
-def _expr_text(expr, prec: int = 0) -> str:
-    if isinstance(expr, BoolLit):
-        return "true" if expr.value else "false"
-    if isinstance(expr, Cmp):
-        return "%s %s %s" % (_operand_text(expr.left), expr.op,
-                             _operand_text(expr.right))
-    if isinstance(expr, Not):
-        return "!(%s)" % _expr_text(expr.expr)
-    if isinstance(expr, And):
-        text = " && ".join(_expr_text(e, 2) for e in expr.items)
-        return "(%s)" % text if prec > 2 else text
-    if isinstance(expr, Or):
-        text = " || ".join(_expr_text(e, 1) for e in expr.items)
-        return "(%s)" % text if prec > 1 else text
-    raise TypeError(repr(expr))
-
-
-def _operand_text(op) -> str:
-    if isinstance(op, VarRef):
-        return "%s.%s" % (OFFSET_NAMES[op.offset], op.name)
-    return op.value
-
-
-def _rhs_text(value) -> str:
-    if isinstance(value, NotRef):
-        return "!" + _operand_text(value.ref)
-    return _operand_text(value)
-
-
-def _stmt_lines(stmt, indent: int) -> list:
-    pad = " " * indent
-    if isinstance(stmt, Assign):
-        return ["%s%s := %s;" % (pad, _operand_text(stmt.target),
-                                 _rhs_text(stmt.value))]
-    lines = ["%sif %s then {" % (pad, _expr_text(stmt.cond))]
-    for s in stmt.then:
-        lines.extend(_stmt_lines(s, indent + 2))
-    if stmt.orelse:
-        lines.append("%s} else {" % pad)
-        for s in stmt.orelse:
-            lines.extend(_stmt_lines(s, indent + 2))
-    lines.append("%s}" % pad)
-    return lines
-
-
-def _bound_text(value: int, n: int) -> str:
-    if n >= 3:
-        if value == n:
-            return "N"
-        if value == n - 1:
-            return "N-1"
-    return str(value)
-
-
-def _group_key(proc: Process) -> tuple:
-    return (proc.vars, proc.actions)
-
-
-def _group_name(lo: int, hi: int, n: int, index: int, total: int) -> str:
-    if total == 1:
-        return "p"
-    if lo == hi == 1:
-        return "root"
-    if lo == hi == n:
-        return "leaf"
-    if (lo, hi) == (2, n - 1):
-        return "middle"
-    return "g%d" % index
-
-
-def render(program: Program) -> str:
-    """Canonical source text for a program: structurally identical groups
-    are merged into maximal runs, bounds are written N-relative for chains
-    of 3 or more, and the identifier list appears only when it differs from
-    the positions. parse_protocol(render(p), n) rebuilds an equal program."""
-    n = program.n
-    runs = []
-    for proc in program.processes:
-        key = _group_key(proc)
-        if runs and runs[-1][0] == key:
-            runs[-1][2] = proc.index
-        else:
-            runs.append([key, proc.index, proc.index])
-    symbolic = n >= 3
-    lines = ["protocol %s(%s) {" % (program.name, "N" if symbolic else "")]
-
-    domains = []
-    for proc in program.processes:
-        for v in proc.vars:
-            if v.domain.values != BOOL.values and v.domain not in domains:
-                domains.append(v.domain)
-    for dom in domains:
-        lines.append("  domain %s = { %s };" % (dom.name, ", ".join(dom.values)))
-
-    pids = [p.pid for p in program.processes]
-    if pids != list(range(1, n + 1)):
-        lines.append("  ids = [%s];" % ", ".join(str(i) for i in pids))
-
-    kind_word = {"internal": "var", "input": "input", "output": "output"}
-    for gi, (key, lo, hi) in enumerate(runs, start=1):
-        name = _group_name(lo, hi, n, gi, len(runs))
-        lines.append("  process %s in %s..%s {" % (
-            name, _bound_text(lo, n), _bound_text(hi, n)))
-        decls, actions = key
-        for v in decls:
-            dom = "bool" if v.domain.values == BOOL.values else v.domain.name
-            lines.append("    %s %s: %s;" % (kind_word[v.kind], v.name, dom))
-        for action in actions:
-            guard = _expr_text(action.guard)
-            if len(action.command) == 1 and isinstance(action.command[0], Assign):
-                stmt = action.command[0]
-                lines.append("    %s: %s -> %s := %s;" % (
-                    action.name, guard, _operand_text(stmt.target),
-                    _rhs_text(stmt.value)))
-            else:
-                lines.append("    %s: %s ->" % (action.name, guard))
-                for s in action.command:
-                    lines.extend(_stmt_lines(s, 6))
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -6,13 +6,12 @@ whole universe rather than a reachable fragment. A set of states is a
 bitset, one int with bit v for state id v, and so is the relation: per id
 delta d, the states with an edge to their id plus d. This module provides
 images (`post`, `pre`), SCC condensation (bottom components are the
-finite-state stand-in for eventual behavior), cycle questions restricted to
-arbitrary node and edge sets, reproducible simulation runs, and Graphviz
-export.
+finite-state stand-in for eventual behavior), and cycle questions
+restricted to arbitrary node and edge sets. Simulation runs are in
+`simulation`, Graphviz export in `text`.
 """
 from __future__ import annotations
 
-import random
 from collections import defaultdict, deque
 from functools import cache, cached_property, reduce
 from itertools import compress, count, permutations, product, repeat
@@ -21,7 +20,7 @@ from operator import add, or_
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import kernel
-from .kernel import POLICIES, ModelError, State
+from .kernel import State
 from .program import Program
 
 
@@ -389,155 +388,3 @@ def chain_mirror(program: Program, bound) -> Optional[tuple]:
         return () if k == n else None
 
     return rest(0, None, None)
-
-
-# --------------------------------------------------------------------------
-# Simulation.
-
-@kernel.record
-class Computation:
-    """A simulated run. labels[i] takes states[i] to states[i+1]. When the
-    run revisits a state, the repeat occurrence is kept as the final state
-    and lasso_start gives the index of its first occurrence: the suffix
-    states[lasso_start:] is a cycle the daemon may repeat forever."""
-
-    states: tuple[State, ...]
-    labels: tuple[tuple[int, str], ...]
-    lasso_start: Optional[int]
-    hit_terminal: bool
-
-    @property
-    def maximal(self) -> bool:
-        """True when the run is a complete computation: it either ended in
-        a terminal state or closed a lasso (an infinite computation)."""
-        return self.hit_terminal or self.lasso_start is not None
-
-
-def run(program: Program, start: State, steps: int, seed: int = 0,
-        policy: str = "uniform-random") -> Computation:
-    """Simulate the central daemon for at most `steps` transitions.
-
-    uniform-random draws among the enabled actions with a seeded generator;
-    round-robin keeps a rotating pointer over the canonical action list and
-    fires the first enabled action at or after it. Stops early at a terminal
-    state or when a state repeats (the run is then a lasso and already shows
-    everything an extension could). It steps through the window tables on
-    the state's values, keeping each table's window code: a window is a
-    contiguous run of slots, so its code is read off its values, and a move
-    writes its new code back into them.
-    """
-    if start.sig != program.signature:
-        raise ModelError("start state does not belong to program %r"
-                         % program.name)
-    if steps < 0:
-        raise ModelError("steps must be nonnegative")
-    if policy not in POLICIES:
-        raise ModelError("unknown policy %r; choose from %s"
-                         % (policy, ", ".join(POLICIES)))
-    rng = random.Random(seed)
-    order, tables, sig = program.action_order, program.windows, \
-        program.signature
-    windows = [sig.window_slots(p.index) for p in program.processes]
-    values = list(start.values)
-    code = lambda k: reduce(lambda c, i: c * sig.radices[i] + values[i],
-                            windows[k], 0)  # table k's window code
-    codes, pointer = list(map(code, range(len(tables)))), 0
-    states, labels, seen = [start], [], {start.values: 0}
-    lasso_start, hit_terminal = None, False
-    while len(labels) < steps:
-        moves = [(action, k, delta) for k, t in enumerate(tables)
-                 for action, delta in t.rows[codes[k]]]
-        if not moves:
-            hit_terminal = True
-            break
-        if policy == "uniform-random":
-            action, k, delta = rng.choice(moves)
-        else:
-            # the enabled action the fewest places at or after the pointer
-            action, k, delta = min(
-                moves, key=lambda m: (m[0] - pointer) % len(order))
-            pointer = (action + 1) % len(order)
-        # the moved window's new code, written into its slots
-        c = codes[k] + delta // tables[k].low_weight
-        for i in reversed(windows[k]):
-            c, values[i] = divmod(c, sig.radices[i])
-        states.append(State(sig, tuple(values)))
-        labels.append(order[action])
-        # a move at position q writes within q - 1..q + 1, which the
-        # windows of q - 2..q + 2 read: only their codes change
-        q = order[action][0]
-        for j in range(max(q - 3, 0), min(q + 2, len(tables))):
-            codes[j] = code(j)
-        if states[-1].values in seen:
-            lasso_start = seen[states[-1].values]
-            break
-        seen[states[-1].values] = len(labels)
-    return Computation(tuple(states), tuple(labels), lasso_start,
-                       hit_terminal)
-
-
-def image_reader(bound, sig: kernel.Signature) -> Callable[[tuple], tuple]:
-    """A function from the values of a state of `sig` to its image's values
-    under `bound`, a mapping bound to a program over sig, with no state id:
-    the digit table of low weight sig.weights[hi] reads the code of the
-    slots lo..hi - 1 whose radices multiply to its span."""
-    hi_of, runs = {w: i for i, w in enumerate(sig.weights)}, []
-    for low_weight, span, values in bound.digits:
-        lo = hi = hi_of[low_weight]
-        while span > 1:
-            lo -= 1
-            span //= sig.radices[lo]
-        runs.append((range(lo, hi), values))
-    return lambda state: tuple(values[reduce(
-        lambda c, i: c * sig.radices[i] + state[i], slots, 0)]
-        for slots, values in runs)
-
-
-# --------------------------------------------------------------------------
-# DOT export.
-
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _digraph(name: str) -> list:
-    return ["digraph %s {" % name, "  rankdir=LR;",
-            '  node [shape=box, fontname="monospace"];']
-
-
-def to_dot(ts: TransitionSystem,
-           color_pred: Optional[Callable[[State], bool]] = None,
-           name: str = "ts") -> str:
-    """Graphviz source for the transition system. Nodes are labeled with
-    canonical state text; edges with `position:action`. States satisfying
-    color_pred are filled."""
-    out = _digraph(name)
-    for i, s in enumerate(ts.states):
-        attrs = ['label="%s"' % _dot_escape(s.text())]
-        if color_pred is not None and color_pred(s):
-            attrs.append('style=filled, fillcolor=lightblue')
-        out.append("  s%d [%s];" % (i, ", ".join(attrs)))
-    for i in range(ts.size):
-        for pos, action, t in ts.edges(i):
-            out.append('  s%d -> s%d [label="%d:%s"];' % (i, t, pos, action))
-    return "\n".join(out) + "\n}\n"
-
-
-def condensation_to_dot(ts: TransitionSystem, cond: Condensation,
-                        name: str = "condensation") -> str:
-    """Graphviz source for the SCC DAG, one node per component in
-    `components` order. Bottom components get a double border; labels show
-    the component size and one sample state."""
-    out = _digraph(name)
-    comp_of = [0] * ts.size
-    for c, comp in enumerate(cond.components):
-        out.append('  c%d [label="%d state%s\\n%s"%s];' % (
-            c, len(comp), "" if len(comp) == 1 else "s",
-            _dot_escape(ts.state(comp[0]).text()),
-            ", peripheries=2" if c < len(cond.bottoms) else ""))
-        for v in comp:
-            comp_of[v] = c
-    for c, comp in enumerate(cond.components):
-        targets = {comp_of[t] for v in comp for _, _, t in ts.edges(v)}
-        out += ["  c%d -> c%d;" % (c, t) for t in sorted(targets - {c})]
-    return "\n".join(out) + "\n}\n"

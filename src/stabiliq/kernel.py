@@ -3,18 +3,19 @@
 States are total assignments over every variable of every process, encoded
 canonically as mixed-radix integers (position-major, declaration-minor), so
 the full state universe is enumerable in a stable order. This module holds
-what every path needs: the cap, the errors, the value classes, Signature
-and State; the guarded-command programs are in `program`. Everything here
-is immutable after construction and all operations are pure functions.
+what every path needs: the cap, the errors, the value classes, Signature,
+State and the chain automata that read a state along the chain; the
+guarded-command programs are in `program`. Everything here is immutable
+after construction and all operations are pure functions.
 """
 from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter
-from functools import partial
-from operator import attrgetter, mul
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional
+from collections import Counter, defaultdict
+from functools import partial, reduce
+from operator import and_, attrgetter, mul
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
 if TYPE_CHECKING:  # the operations take a program; a fixture needs none
     from .program import Program
@@ -361,6 +362,129 @@ class State:
 
     def __repr__(self):
         return "<%s>" % self.sig.format_state(self)
+
+
+# --------------------------------------------------------------------------
+# Chain automata: state predicates read along the chain.
+
+class ChainAutomaton:
+    """A deterministic automaton that reads a specification state along the
+    chain, one letter per position that has slots: the position's value
+    tuple, in slot order. step(q, position, letter) is the next automaton
+    state, or None (dead); the automaton accepts the states whose run from
+    `initial` ends in `accepting`. Slots must be grouped by position, in
+    position order, so canonical order is the order of letter words; a
+    position with no slot, a gap, is not read."""
+
+    __slots__ = ("signature", "initial", "step", "accepting", "_cuts")
+
+    def __init__(self, signature: Signature, initial, step: Callable,
+                 accepting):
+        order = [p for p, _, _ in signature.slots]
+        if order != sorted(order):
+            raise ModelError("a chain automaton needs its slots grouped by "
+                             "position, in position order")
+        self.signature, self.initial, self.step = signature, initial, step
+        self.accepting = frozenset(accepting)
+        # per position, where its letter starts and ends in a value tuple
+        self._cuts = [(p, at[0], at[-1] + 1)
+                      for p, at in signature.slots_at.items()]
+
+    def bits(self, letters: Optional[list] = None) -> int:
+        """The bitset of the accepted state ids, listing no state: from the
+        last position back, each automaton state's accepted suffixes, where
+        letter a before suffixes of width W shifts them by a·W (the shifted
+        parts are disjoint, so their sum is their OR).
+
+        Given a mapping's letters (BoundMapping.slot_bits), it is the
+        bitset of the program states whose image it accepts: a forward pass
+        holds per automaton state the states whose image prefix leads
+        there, met with each position's letter sets."""
+        alphabet, delta, _, _ = _runs(self)
+        if letters is not None:
+            held = {self.initial: -1}  # -1: every state
+            for (_, lo, hi), word, moves in zip(self._cuts, alphabet, delta):
+                sets = [reduce(and_, map(list.__getitem__, letters[lo:hi], a))
+                        for a in word]
+                held, after = defaultdict(int), held
+                for q, states in after.items():
+                    for t, bits in zip(moves[q], sets):
+                        held[t] |= states & bits
+            return sum(held[q] for q in self.accepting)
+        suffix, width = dict.fromkeys(self.accepting, 1), 1
+        for letters, moves in zip(alphabet[::-1], delta[::-1]):
+            suffix = {q: sum(suffix.get(t, 0) << a * width
+                             for a, t in enumerate(row))
+                      for q, row in moves.items()}
+            width *= len(letters)
+        return suffix[self.initial]
+
+
+class ChainPredicate:
+    """A state predicate as a ChainAutomaton, which build(signature) makes;
+    the last is kept by signature identity (an equal one would compare slot
+    by slot). Called on a State it runs the automaton over the state's
+    letters; bits(signature) decodes no state."""
+
+    def __init__(self, build: Callable[[Signature], ChainAutomaton]):
+        self.build, self._last = build, (None, None)
+
+    def automaton(self, sig: Signature) -> ChainAutomaton:
+        if self._last[0] is not sig:
+            self._last = sig, self.build(sig)
+        return self._last[1]
+
+    def __call__(self, state: State) -> bool:
+        aut = self.automaton(state.sig)
+        q = aut.initial
+        for p, lo, hi in aut._cuts:
+            q = None if q is None else aut.step(q, p, state.values[lo:hi])
+        return q in aut.accepting
+
+    def bits(self, sig: Signature, letters: Optional[list] = None) -> int:
+        return self.automaton(sig).bits(letters)
+
+
+#: Every state: the invariant `true`.
+every_state = ChainPredicate(
+    lambda sig: ChainAutomaton(sig, 0, lambda q, p, a: 0, (0,)))
+
+
+def _le_step(q, position, letter):
+    """Read one (contend, leader) letter: 0 before any leader, 1 after one
+    contending leader, None (dead) at a second or a non-contending one."""
+    contend, leader = letter
+    if not leader:
+        return q
+    return 1 if q == 0 and contend else None
+
+
+#: At most one leader, and only a contending one: the automaton the
+#: leader-election fixture is decided by.
+le_allowed = ChainPredicate(
+    lambda sig: ChainAutomaton(sig, 0, _le_step, (0, 1)))
+
+
+def _runs(aut: ChainAutomaton) -> tuple:
+    """Per position, its letters in lexicographic order and the successor
+    of each automaton state reached so far (and of None, dead) under each;
+    per prefix length, the states reached and those that can still accept."""
+    radices = aut.signature.radices
+    alphabet = [list(itertools.product(*map(range, radices[lo:hi])))
+                for _, lo, hi in aut._cuts]
+    reach, delta = [{aut.initial}], []
+    for p, letters in zip(aut.signature.positions, alphabet):
+        delta.append({q: [aut.step(q, p, a) for a in letters]
+                      for q in reach[-1]})
+        reach.append({t for row in delta[-1].values() for t in row} - {None})
+        delta[-1][None] = [None] * len(letters)
+    live = [aut.accepting & reach[-1]]
+    for moves in reversed(delta):
+        live.append({q for q, row in moves.items()
+                     if not live[-1].isdisjoint(row)})
+    return alphabet, delta, reach, live[::-1]
+
+
 
 
 # --------------------------------------------------------------------------

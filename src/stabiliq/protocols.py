@@ -14,13 +14,11 @@ import functools
 import os
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .kernel import (BOOL, ModelError, Signature, State, check_cap, record,
-                     replace)
-from .mapping import (ChainAutomaton, EnabledOutputMapping, HighestIdMapping,
-                      IdenticalMapping, StateMapping, accepted_states,
-                      every_state, le_allowed)
+from .kernel import (BOOL, ChainAutomaton, ModelError, Signature, State,
+                     check_cap, every_state, le_allowed, record, replace)
 
 if TYPE_CHECKING:  # loaded by the builders and on a first spec read
+    from .mapping import StateMapping
     from .program import Program
     from .specs import Specification
 
@@ -65,6 +63,7 @@ def make_cm(ids) -> ProtocolBundle:
         raise ModelError("the conflict manager needs at least 2 processes")
     if len(set(ids)) != len(ids):
         raise ModelError("process identifiers must be unique; got %r" % (ids,))
+    from .mapping import HighestIdMapping
     from .program import Program
     processes = _parse_sample("cm.gcp", len(ids)).processes
     program = Program("cm", [replace(p, pid=pid)
@@ -87,6 +86,7 @@ def make_alternator(n: int) -> ProtocolBundle:
     the critical section exactly when its action is enabled."""
     if n < 3:
         raise ModelError("the alternator needs at least 3 processes")
+    from .mapping import EnabledOutputMapping
     return ProtocolBundle(
         name="la",
         program=_parse_sample("alternator.gcp", n),
@@ -107,6 +107,7 @@ def make_pif(n: int) -> ProtocolBundle:
         raise ModelError(
             "the propagation chain needs a root, a leaf, and at least "
             "one intermediate process")
+    from .mapping import IdenticalMapping
     return ProtocolBundle(
         name="pif",
         program=_parse_sample("pif.gcp", n),
@@ -129,6 +130,7 @@ def make_abp() -> ProtocolBundle:
     message silently. The sender advances its bit only on a matching
     acknowledgment; the receiver adopts the incoming bit and always
     acknowledges it."""
+    from .mapping import IdenticalMapping
     return ProtocolBundle(
         name="abp",
         program=_parse_sample("abp.gcp"),
@@ -162,6 +164,7 @@ class LeFixture:
 
     @functools.cached_property
     def allowed(self) -> frozenset:
+        from .merge import accepted_states
         return accepted_states(self.automaton)
 
     @functools.cached_property

@@ -21,10 +21,10 @@ from operator import or_
 from typing import Callable, Optional
 
 from . import kernel  # explorer only in the functions that search a system
-from .kernel import (DIVERGENCE_ALLOWED, DIVERGENCE_FORBIDDEN, Signature,
-                     State, check_cap, replace)
-from .mapping import (BoundMapping, ChainAutomaton, ChainPredicate,
-                      StateMapping, _same, every_state, le_allowed)
+from .kernel import (DIVERGENCE_ALLOWED, DIVERGENCE_FORBIDDEN, ChainAutomaton,
+                     ChainPredicate, Signature, State, check_cap, every_state,
+                     replace)
+from .mapping import BoundMapping, StateMapping, _same
 from .program import Program
 
 STUTTER_POLICIES = (DIVERGENCE_ALLOWED, DIVERGENCE_FORBIDDEN)

@@ -26,7 +26,7 @@ def successor_table(program) -> list:
 def reference_run(program, start: State, steps: int, seed: int,
                   policy: str) -> tuple:
     """The central daemon stepped through the interpreter: (states,
-    labels, lasso_start, hit_terminal) of a run as explorer.run defines
+    labels, lasso_start, hit_terminal) of a run as simulation.run defines
     it. uniform-random draws among the enabled actions, in canonical
     order, with random.Random(seed); round-robin fires the first enabled
     action at or after a pointer into the canonical action list, then
@@ -133,6 +133,15 @@ def brute_merge_closure(sig: Signature, states) -> frozenset:
         if nxt <= cur:
             return frozenset(cur)
         cur |= nxt
+
+
+def format_spec_states(states) -> str:
+    """The spec-state file text of a nonempty state set, one line per state
+    in canonical order, each of position-qualified var.pK=value tokens."""
+    return "".join(" ".join(
+        "%s.p%d=%s" % (name, pos, dom.values[v])
+        for (pos, name, dom), v in zip(s.sig.slots, s.values)) + "\n"
+        for s in sorted(states, key=lambda s: s.values))
 
 
 def le_closed_form(n: int) -> dict:

@@ -13,8 +13,8 @@ import helpers
 from helpers import map_state
 
 from stabiliq import cli, explorer, kernel, protocols
-from stabiliq.mapping import (check_ideal_possibility, check_merge_symmetry,
-                              merge_closure)
+from stabiliq.merge import (check_ideal_possibility, check_merge_symmetry,
+                            merge_closure)
 from stabiliq.specs import (abp_legitimate, check_convergence,
                             check_ideal_stabilizing, pif_wave, udp_spec)
 
@@ -327,7 +327,8 @@ R.register("test_samples_round_trip_onto_the_builtins",
 
 
 def test_samples_round_trip_onto_the_builtins():
-    from stabiliq.dsl import parse_protocol, render
+    from stabiliq.dsl import parse_protocol
+    from stabiliq.text import render
     pairs = [
         ("cm.gcp", 4, protocols.make_cm((1, 2, 3, 4)).program),
         ("alternator.gcp", 4, protocols.make_alternator(4).program),

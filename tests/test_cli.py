@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import helpers
-from stabiliq import explorer, mapping, protocols
+from helpers import format_spec_states
+from stabiliq import explorer, mapping, merge, protocols
 from stabiliq.cli import main
 from stabiliq.kernel import ModelError, Signature, UniverseCapError
-from stabiliq.mapping import format_spec_states
 
 
 def run(capsys, *argv):
@@ -228,7 +228,7 @@ def test_le_cli_lists_no_state(capsys, monkeypatch, tmp_path):
         raise AssertionError("a state set was listed")
 
     monkeypatch.setattr(Signature, "states", refuse)
-    monkeypatch.setattr(mapping, "_language", refuse)
+    monkeypatch.setattr(merge, "_language", refuse)
     monkeypatch.setattr(protocols.LeFixture, "allowed", property(refuse))
     path = tmp_path / "le9.json"
     code, _, _ = run(capsys, "impossibility", "--protocol", "le", "--n", "9",

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from stabiliq import dsl, explorer, protocols
-from stabiliq.dsl import DslError, parse_protocol, render
+from stabiliq.dsl import DslError, parse_protocol
+from stabiliq.text import render
 from test_windows import programs
 
 GOOD = """

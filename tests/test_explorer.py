@@ -7,7 +7,7 @@ from collections import defaultdict
 import pytest
 
 import helpers
-from stabiliq import cli, explorer, kernel, protocols, specs
+from stabiliq import explorer, kernel, protocols, simulation, specs, text
 from stabiliq.dsl import parse_protocol
 from stabiliq.kernel import Signature, UniverseCapError
 
@@ -402,7 +402,7 @@ def assert_dot_matches_the_oracle(ts, cond, succ, comps, bottoms, id_of):
     its least state."""
     least = {v: min(c) for c in comps for v in c}
     name, nodes, edges, doubled = {}, set(), [], set()
-    for line in explorer.condensation_to_dot(ts, cond).splitlines()[3:-1]:
+    for line in text.condensation_to_dot(ts, cond).splitlines()[3:-1]:
         node = re.fullmatch(r'  c(\d+) \[label="(\d+) states?\\n(.*)"'
                             r'(, peripheries=2)?\];', line)
         if node:
@@ -528,7 +528,7 @@ def test_cycles_outside_predicate():
 def test_run_round_robin_wave_trace():
     pif = protocols.make_pif(4).program
     start = pif.signature.parse_state("st.p1=i st.p2=i st.p3=i st.p4=i")
-    comp = explorer.run(pif, start, steps=12, policy="round-robin")
+    comp = simulation.run(pif, start, steps=12, policy="round-robin")
     texts = [s.text() for s in comp.states]
     assert texts[:5] == [
         "st.p1=i st.p2=i st.p3=i st.p4=i",
@@ -570,10 +570,10 @@ def test_run_steps_like_the_interpreter(monkeypatch, name):
     for text in ("random", "all-idle", "all-false"):
         for seed in range(5):
             try:
-                start = cli._start_state(program, text, seed)
-            except cli.UsageError:
+                start = simulation.start_state(program, text, seed)
+            except kernel.ModelError:
                 continue
-            for policy in explorer.POLICIES:
+            for policy in kernel.POLICIES:
                 cases += [(start, 0, seed, policy), (start, 40, seed, policy)]
     expected = [helpers.reference_run(program, *case) for case in cases]
     assert any(labels for _, labels, _, _ in expected)
@@ -584,14 +584,14 @@ def test_run_steps_like_the_interpreter(monkeypatch, name):
     monkeypatch.setattr(kernel, "enabled_actions", refuse)
     monkeypatch.setattr(kernel, "apply", refuse)
     for case, want in zip(cases, expected):
-        comp = explorer.run(program, *case)
+        comp = simulation.run(program, *case)
         assert (comp.states, comp.labels, comp.lasso_start,
                 comp.hit_terminal) == want, case
 
 
 def moves_reference_run(program, start, steps: int, seed: int,
                         policy: str) -> tuple:
-    """(state ids, labels, lasso_start, hit_terminal) of explorer.run's
+    """(state ids, labels, lasso_start, hit_terminal) of simulation.run's
     daemon, each step's moves read afresh off every window code of the
     state id (explorer._moves)."""
     rng, order, pointer = random.Random(seed), program.action_order, 0
@@ -646,9 +646,9 @@ def test_run_keeps_the_window_codes_a_fresh_read_gives(make):
     # long chains every step must still see the moves of every position
     program = make()
     for seed in range(5):
-        start = cli._start_state(program, "random", seed)
-        for policy in explorer.POLICIES:
-            comp = explorer.run(program, start, 200, seed, policy)
+        start = simulation.start_state(program, "random", seed)
+        for policy in kernel.POLICIES:
+            comp = simulation.run(program, start, 200, seed, policy)
             assert ([s.index for s in comp.states], list(comp.labels),
                     comp.lasso_start, comp.hit_terminal) == \
                 moves_reference_run(program, start, 200, seed, policy)
@@ -658,28 +658,28 @@ def test_run_decodes_no_state_id(monkeypatch):
     # run builds each state from the values it steps on: decoding a state
     # id costs one division of the whole id per slot
     program = protocols.make_pif(200).program
-    start = cli._start_state(program, "random", 0)
-    want = [explorer.run(program, start, 50, 0, policy)
-            for policy in explorer.POLICIES]
+    start = simulation.start_state(program, "random", 0)
+    want = [simulation.run(program, start, 50, 0, policy)
+            for policy in kernel.POLICIES]
 
     def refuse(*args):
         raise AssertionError("a state id was decoded")
 
     monkeypatch.setattr(Signature, "state_at", refuse)
-    for policy, comp in zip(explorer.POLICIES, want):
-        assert explorer.run(program, start, 50, 0, policy) == comp
+    for policy, comp in zip(kernel.POLICIES, want):
+        assert simulation.run(program, start, 50, 0, policy) == comp
         assert len(comp.states) > 1
 
 
 def test_run_is_deterministic_per_seed():
     abp = protocols.make_abp().program
     start = abp.signature.state_at(0)
-    a = explorer.run(abp, start, steps=30, seed=7)
-    b = explorer.run(abp, start, steps=30, seed=7)
+    a = simulation.run(abp, start, steps=30, seed=7)
+    b = simulation.run(abp, start, steps=30, seed=7)
     assert a.states == b.states and a.labels == b.labels
     # a program with real branching separates seeds
     cm = protocols.make_cm((2, 1, 3, 4)).program
-    runs = {explorer.run(cm, cm.signature.state_at(0), steps=12,
+    runs = {simulation.run(cm, cm.signature.state_at(0), steps=12,
                          seed=seed).labels for seed in range(6)}
     assert len(runs) > 1
 
@@ -687,7 +687,7 @@ def test_run_is_deterministic_per_seed():
 def test_run_rejects_unknown_policy():
     abp = protocols.make_abp().program
     with pytest.raises(Exception):
-        explorer.run(abp, abp.signature.state_at(0), steps=5, policy="nope")
+        simulation.run(abp, abp.signature.state_at(0), steps=5, policy="nope")
 
 
 def test_run_stops_at_terminals():
@@ -700,7 +700,7 @@ def test_run_stops_at_terminals():
         }
       }
     """).unwrap()
-    comp = explorer.run(prog, prog.signature.parse_state("x=false"), steps=10)
+    comp = simulation.run(prog, prog.signature.parse_state("x=false"), steps=10)
     assert comp.hit_terminal and len(comp.states) == 2
     assert comp.maximal
 
@@ -708,12 +708,12 @@ def test_run_stops_at_terminals():
 def test_dot_output_shapes():
     cm2 = protocols.make_cm((2, 1)).program
     ts = explorer.build_transition_system(cm2)
-    dot = explorer.to_dot(ts, name="cm2")
+    dot = text.to_dot(ts, name="cm2")
     assert dot.startswith("digraph cm2 {")
     assert dot.count(" -> ") == 8
     assert dot.count("label=") == 4 + 8
-    colored = explorer.to_dot(
+    colored = text.to_dot(
         ts, color_pred=lambda s: s.value(1, "access") == "true")
     assert colored.count("fillcolor") == 2
-    cond_dot = explorer.condensation_to_dot(ts, explorer.condense(ts))
+    cond_dot = text.condensation_to_dot(ts, explorer.condense(ts))
     assert "peripheries=2" in cond_dot

@@ -12,7 +12,7 @@ import pytest
 
 import stabiliq
 from stabiliq import replace
-from stabiliq.mapping import every_state
+from stabiliq.kernel import every_state
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -53,10 +53,14 @@ def test_importing_the_package_loads_no_submodule():
 
 def test_the_leader_election_fixture_parses_nothing_and_explores_nothing():
     # without site, nothing preloads importlib.resources; a fixture is no
-    # program, so stabiliq.program stays unloaded too
+    # program and binds no mapping, so stabiliq.program and stabiliq.mapping
+    # stay unloaded too, and so does the engine until a state set is read
     code = "import stabiliq; stabiliq.make_le(9); " + LOADED.format(
         names={"importlib.resources"})
-    assert fresh(code, "-S") == ["stabiliq.kernel", "stabiliq.mapping",
+    assert fresh(code, "-S") == ["stabiliq.kernel", "stabiliq.protocols"]
+    code = "import stabiliq; stabiliq.make_le(4).allowed; " + LOADED.format(
+        names=set())
+    assert fresh(code, "-S") == ["stabiliq.kernel", "stabiliq.merge",
                                  "stabiliq.protocols"]
 
 
@@ -64,7 +68,7 @@ def test_the_leader_election_fixture_parses_nothing_and_explores_nothing():
                                   "make_pif(10)", "make_abp()"])
 def test_a_program_bundle_builds_without_the_explorer(call):
     # nor specs, which the bundle loads when a specification is first read,
-    # nor importlib.resources, unloaded without site
+    # nor the engine, nor importlib.resources, unloaded without site
     code = "import stabiliq; stabiliq.%s; " % call + LOADED.format(
         names={"importlib.resources"})
     assert fresh(code, "-S") == ["stabiliq.dsl", "stabiliq.kernel",
@@ -129,12 +133,17 @@ def loaded_before_argparse_and_json(order: list) -> list:
                   if m.startswith("stabiliq.") and m != "stabiliq.cli")
 
 
+def loaded(order: list) -> list:
+    return sorted(m for m in order if m.startswith("stabiliq."))
+
+
 def test_the_impossibility_command_compiles_only_what_merge_closure_needs():
     order = compile_order("impossibility", "--protocol", "le", "--n", "9")
     assert loaded_before_argparse_and_json(order) == [
-        "stabiliq.kernel", "stabiliq.mapping", "stabiliq.protocols"]
-    assert not {"stabiliq.dsl", "stabiliq.explorer", "stabiliq.program",
-                "stabiliq.specs"} & set(order)
+        "stabiliq.kernel", "stabiliq.merge", "stabiliq.protocols"]
+    # no binding module either: a fixture binds no mapping
+    assert loaded(order) == ["stabiliq.cli", "stabiliq.kernel",
+                             "stabiliq.merge", "stabiliq.protocols"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -144,25 +153,50 @@ def test_the_impossibility_command_compiles_only_what_merge_closure_needs():
     ("simulate", "--protocol", "abp", "--steps", "5")],
     ids=["cm", "la", "pif", "abp"])
 def test_the_simulate_command_compiles_no_specification(argv):
+    # nor the explorer, the engine or the Graphviz text
     order = compile_order(*argv)
     assert loaded_before_argparse_and_json(order) == [
-        "stabiliq.dsl", "stabiliq.explorer", "stabiliq.kernel",
-        "stabiliq.mapping", "stabiliq.program", "stabiliq.protocols"]
-    assert "stabiliq.specs" not in order
+        "stabiliq.dsl", "stabiliq.kernel", "stabiliq.mapping",
+        "stabiliq.program", "stabiliq.protocols", "stabiliq.simulation"]
+    assert loaded(order) == ["stabiliq.cli"] + \
+        loaded_before_argparse_and_json(order)
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "--check", "ideal", "--protocol", "la", "--n", "4"),
-    ("export-dot", "--protocol", "abp", "--color", "legitimate"),
-    (), ("no-such-command",)],
-    ids=["verify", "export-dot", "no-command", "unknown"])
-def test_every_other_command_compiles_the_package_first(argv):
+#: What a check compiles: every module but merge closure (stabiliq.merge),
+#: simulation and text output.
+CHECKING = ["stabiliq.dsl", "stabiliq.explorer", "stabiliq.kernel",
+            "stabiliq.mapping", "stabiliq.program", "stabiliq.protocols",
+            "stabiliq.specs"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (("verify", "--check", "ideal", "--protocol", "la", "--n", "4"),
+     CHECKING),
+    (("verify", "--check", "stabilizing", "--protocol", "pif", "--n", "4"),
+     CHECKING),
+    (("verify", "--check", "ideal", "--protocol", "cm", "--ids", "2,1,3"),
+     CHECKING),
+    (("export-dot", "--protocol", "abp", "--color", "legitimate"),
+     CHECKING + ["stabiliq.text"]),
+    ((), ["stabiliq.kernel", "stabiliq.protocols"]),
+    (("no-such-command",), ["stabiliq.kernel", "stabiliq.protocols"])],
+    ids=["verify-la", "verify-pif", "verify-cm", "export-dot", "no-command",
+         "unknown"])
+def test_every_other_command_compiles_what_it_runs_first(argv, modules):
     order = compile_order(*argv)
-    package = ["stabiliq." + m.name for m in
-               pkgutil.iter_modules(stabiliq.__path__)
-               if m.name not in ("cli", "__main__")]
-    assert len(package) == 7
-    assert loaded_before_argparse_and_json(order) == sorted(package)
+    assert loaded_before_argparse_and_json(order) == sorted(modules)
+    assert loaded(order) == sorted(["stabiliq.cli"] + modules)
+    # a new module is placed in this table before the test passes again
+    assert len(list(pkgutil.iter_modules(stabiliq.__path__))) == 12
+
+
+def test_the_mapping_module_forwards_the_tracers_engine_functions():
+    from stabiliq import mapping, merge
+    assert mapping.check_ideal_possibility is merge.check_ideal_possibility
+    assert mapping.merge_closure_generations is \
+        merge.merge_closure_generations
+    with pytest.raises(AttributeError, match="no attribute 'merge_closure'"):
+        mapping.merge_closure
 
 
 def test_every_public_name_resolves():
@@ -175,6 +209,9 @@ def test_every_public_name_resolves():
     exec("from stabiliq import *", namespace)
     assert PUBLIC <= set(namespace)
     assert namespace["condense"] is stabiliq.explorer.condense
+    assert namespace["run"] is stabiliq.simulation.run
+    assert namespace["render"] is stabiliq.text.render
+    assert namespace["merge_closure"] is stabiliq.merge.merge_closure
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         stabiliq.no_such_name
     with pytest.raises(ImportError):

@@ -12,18 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import map_state
+from helpers import format_spec_states, map_state
 from stabiliq import explorer, protocols
 from stabiliq.dsl import parse_protocol
-from stabiliq.kernel import (BOOL, Domain, ModelError, Signature,
-                             UniverseCapError)
-from stabiliq.mapping import (BoundMapping, ChainAutomaton, ChainPredicate,
-                              EnabledOutputMapping,
+from stabiliq.kernel import (BOOL, ChainAutomaton, ChainPredicate, Domain,
+                             ModelError, Signature, UniverseCapError)
+from stabiliq.mapping import (BoundMapping, EnabledOutputMapping,
                               HighestIdMapping, IdenticalMapping, MappingError,
-                              ProjectionMapping, accepted_states,
-                              check_ideal_possibility,
-                              check_merge_symmetry, format_spec_states,
-                              merge_closure, read_spec_state_sets)
+                              ProjectionMapping)
+from stabiliq.merge import (accepted_states, check_ideal_possibility,
+                            check_merge_symmetry, merge_closure,
+                            read_spec_state_sets)
 
 KNOWN_ANSWERS = Path(__file__).resolve().parents[1] / "bench" / \
     "known_answers.json"
@@ -562,7 +561,7 @@ def test_spec_state_values_order_by_number_then_text(values, order):
 def test_spec_state_value_order_does_not_follow_the_hash_seed():
     # 1, 01 and 001 are one int; set order, which the seed changes, once
     # decided their order
-    code = ("from stabiliq.mapping import read_spec_state_sets; "
+    code = ("from stabiliq.merge import read_spec_state_sets; "
             "sig, _ = read_spec_state_sets('x.p1=1\\nx.p1=01\\nx.p1=2\\n"
             "x.p1=001\\n'); print(sig.slots[0][2].values)")
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -12,9 +12,9 @@ restricted to arbitrary node and edge sets. Simulation runs are in
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from functools import cache, cached_property, reduce
-from itertools import compress, count, permutations, product, repeat
+from itertools import compress, count, permutations, product
 from math import isqrt, prod
 from operator import add, or_
 from typing import Callable, Iterable, Iterator, Optional
@@ -60,15 +60,15 @@ def shift(bits: int, d: int) -> int:
     return bits << d if d >= 0 else bits >> -d
 
 
-def periodic(codes: Iterable[int], low_weight: int, span: int,
+def periodic(codes: Iterable[int], place: int, count: int,
              size: int) -> int:
-    """The ids below size with id // low_weight % span among the codes: a
-    block per code every span * low_weight ids, tiled by shift-or doubling."""
-    width = span * low_weight
-    if low_weight == 1:  # a flag per code: linear even as wide as the universe
-        bits = bitset(map(set(codes).__contains__, range(span)))
+    """The ids below size with id // place % count among the codes: a
+    block per code every count * place ids, tiled by shift-or doubling."""
+    width = count * place
+    if place == 1:  # a flag per code: linear even as wide as the universe
+        bits = bitset(map(set(codes).__contains__, range(count)))
     else:
-        bits = reduce(or_, ((1 << low_weight) - 1 << code * low_weight
+        bits = reduce(or_, ((1 << place) - 1 << code * place
                             for code in codes), 0)
     while width < size:
         bits |= bits << width
@@ -136,16 +136,19 @@ class TransitionSystem:
         return (order[action] + (t,) for action, t in _moves(self.program, i))
 
     def edge_count(self) -> int:
-        # a window code selects its row in size / span states
-        return sum(self.size // t.span * sum(map(len, t.rows))
+        # a window code selects its row in size / len(rows) states
+        return sum(self.size // len(t.rows) * sum(map(len, t.rows))
                    for t in self.program.windows)
 
 
 def _moves(program: Program, i: int) -> list[tuple[int, int]]:
     """State i's edges as (action id, target id) pairs, in `edges` order:
-    the rows its window codes select."""
-    return [(action, i + delta) for t in program.windows
-            for action, delta in t.rows[i // t.low_weight % t.span]]
+    the rows its window codes select, each code delta times the place
+    value of the window's last slot."""
+    weights = program.signature.weights
+    return [(action, i + delta * place) for t in program.windows
+            for place in (weights[t.hi],)
+            for action, delta in t.rows[i // place % len(t.rows)]]
 
 
 def build_transition_system(program: Program,
@@ -155,17 +158,18 @@ def build_transition_system(program: Program,
 
     The states whose window code at a position is c form a periodic set,
     so each delta's sources are one `periodic` set per table."""
-    size = program.signature.size
-    kernel.check_cap(size, cap=cap)
+    sig = program.signature
+    kernel.check_cap(sig.size, cap=cap)
     sources: dict = {}
     for t in program.windows:
-        codes = defaultdict(set)
+        codes, place = defaultdict(set), sig.weights[t.hi]
         for code, row in enumerate(t.rows):
             for _, delta in row:
                 codes[delta].add(code)
         for delta, group in codes.items():
-            sources[delta] = sources.get(delta, 0) | periodic(
-                group, t.low_weight, t.span, size)
+            d = delta * place  # the state-id delta
+            sources[d] = sources.get(d, 0) | periodic(
+                group, place, len(t.rows), sig.size)
     return TransitionSystem(program, sources)
 
 
@@ -214,14 +218,19 @@ def _peel(alive: int, rel: dict) -> int:
 def edges_where(ts: TransitionSystem, nodes: int, keep: Callable) -> dict:
     """The relation of the edges with both ends in the nodes whose (source
     id, target id) passes keep. keep sees no other edge, and sees parallel
-    edges (one source, one target) once."""
-    rel = {}
+    edges (one source, one target) once. A delta's sources are listed off
+    its text, or off a little-endian byte view at the nodes, listed once,
+    when they fill under a quarter of the universe; its kept ones are
+    written into a byte view."""
+    rel, width = {}, (ts.size + 7) // 8
+    ids = members(nodes) if 4 * nodes.bit_count() < ts.size else None
     for d, inner in within(nodes, ts.sources).items():
-        tails = members(inner)
-        text = bytearray(tails[-1] + 1)
-        kept = compress(tails, map(keep, tails, map(d.__add__, tails)))
-        deque(map(text.__setitem__, kept, repeat(1)), 0)
-        if bits := _bits(text):
+        view, out = inner.to_bytes(width, "little"), bytearray(width)
+        tails = members(inner) if ids is None else \
+            [v for v in ids if view[v >> 3] >> (v & 7) & 1]
+        for v in compress(tails, map(keep, tails, map(d.__add__, tails))):
+            out[v >> 3] |= 1 << (v & 7)
+        if bits := int.from_bytes(out, "little"):
             rel[d] = bits
     return rel
 
@@ -356,13 +365,13 @@ def chain_mirror(program: Program, bound) -> Optional[tuple]:
                                      for s in (sig, image)
                                      for p in s.positions):
         return None
-    to = lambda t, code: {code + d // t.low_weight for _, d in t.rows[code]}
+    to = lambda t, code: {code + d for _, d in t.rows[code]}
     digits = {}  # per position, its image slots' values and their mirrors'
-    for (k, name, _), (w, span, a) in zip(image.slots, bound.digits):
-        if (w, span) != (windows[k - 1].low_weight, windows[k - 1].span):
+    for (k, name, _), (lo, hi, a) in zip(image.slots, bound.digits):
+        if (lo, hi) != (windows[k - 1].lo, windows[k - 1].hi):
             return None  # each slot is checked, its mirror too
-        digits.setdefault(k, []).append((a[:span], bound.digits[
-            image.index_of[(n + 1 - k, name)]][2][:span]))
+        digits.setdefault(k, []).append((a, bound.digits[
+            image.index_of[(n + 1 - k, name)]][2]))
 
     def maps(k: int, pi: dict) -> bool:  # table k and its slots' digits
         t, u = windows[k - 1], windows[n - k]
@@ -372,7 +381,7 @@ def chain_mirror(program: Program, bound) -> Optional[tuple]:
                      for i, (p, x) in enumerate(zip(ps, xs)))
                  for xs in product(*map(range, map(size.get, ps)))]
         return all({codes[x] for x in to(t, c)} == to(u, codes[c])
-                   for c in range(t.span)) and all(
+                   for c in range(len(t.rows))) and all(
             len(set(zip(a, map(b.__getitem__, codes))))
             == len(set(a)) == len(set(b)) for a, b in digits.get(k, ()))
 

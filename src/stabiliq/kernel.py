@@ -317,6 +317,14 @@ class Signature:
         return tuple(sorted(i for p in (pos - 1, pos, pos + 1)
                             for i in self.slots_at.get(p, ())))
 
+    def code(self, values, lo: int, hi: int) -> int:
+        """The code of the slots lo..hi - 1 in a value tuple: their values
+        as a mixed-radix number, slot lo the most significant digit."""
+        code, radices = 0, self.radices
+        for i in range(lo, hi):
+            code = code * radices[i] + values[i]
+        return code
+
     def __eq__(self, other):
         return isinstance(other, Signature) and self.slots == other.slots
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from functools import reduce
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .kernel import BOOL, ModelError, Signature, State
 
@@ -29,70 +28,59 @@ def _same(sid: int) -> int:
 
 class BoundMapping:
     """A mapping specialized to one program: a target signature and, per
-    slot of it, a digit table (low_weight, span, values), by which the
-    slot's value in the image of program state sid is
-    values[sid // low_weight % span]. No tables means the identity on a
-    program's own states: every slot is copied. id_of sends a program state
-    id to its image's id under `signature`, the fold of the tables. Calling
-    the binding on a program State reads that image off the state's values."""
+    slot of it, a digit table (lo, hi, values) over the program's signature
+    `source`: the slot's value in the image of a program state is
+    values[code], code being the state's code of the slots lo..hi - 1
+    (Signature.code). No tables means the identity on a program's own
+    states, the source: every slot is copied. id_of sends a program state id to its image's id under `signature`, the
+    fold of the tables. Calling the binding on a program State reads that
+    image off the state's values."""
 
-    __slots__ = ("signature", "id_of", "digits", "_read")
+    __slots__ = ("signature", "source", "id_of", "digits")
 
-    def __init__(self, signature: Signature, digits: Optional[list] = None):
-        self.signature, self.id_of, self._read = signature, _same, None
+    def __init__(self, signature: Signature, digits: Optional[list] = None,
+                 source: Optional[Signature] = None):
+        self.signature, self.source, self.id_of = \
+            signature, source or signature, _same
         self.digits = digits or _copies(signature, range(len(signature.slots)))
         if digits is not None:
-            tables = [d + (r,) for d, r in zip(digits, signature.radices)]
+            weights = self.source.weights  # a table's code is a run of digits
+            tables = [(weights[hi], weights[lo] // weights[hi], values, r)
+                      for (lo, hi, values), r in zip(digits, signature.radices)]
 
             def fold(sid: int) -> int:
                 out = 0
-                for low_weight, span, values, radix in tables:
-                    out = out * radix + values[sid // low_weight % span]
+                for place, count, values, radix in tables:
+                    out = out * radix + values[sid // place % count]
                 return out
 
             self.id_of = fold
 
     def __call__(self, state: State) -> State:
-        if self._read is None:
-            self._read = image_reader(self, state.sig)
-        return State(self.signature, self._read(state.values))
+        code, values = state.sig.code, state.values
+        return State(self.signature, tuple(
+            digit[code(values, lo, hi)] for lo, hi, digit in self.digits))
 
     def ids(self, ts) -> Sequence[int]:
         """The id, under `signature`, of each state's image, in ts order."""
         return array("q", map(self.id_of, range(ts.size)))
 
-    def slot_bits(self, size: int) -> list[list[int]]:
+    def slot_bits(self) -> list[list[int]]:
         """Per specification slot i and value a, the bitset of the program
-        states below size whose image has value a at slot i: the periodic
-        set of the codes the slot's table sends to a."""
+        states whose image has value a at slot i: the periodic set of the
+        codes the slot's table sends to a."""
         from . import explorer
+        weights, size = self.source.weights, self.source.size
         return [[explorer.periodic(
-            [c for c, v in enumerate(values) if v == a], weight, span, size)
-            for a in range(r)] for (weight, span, values), r in zip(
-                self.digits, self.signature.radices)]
-
-
-def image_reader(bound, sig: Signature) -> Callable[[tuple], tuple]:
-    """A function from the values of a state of `sig` to its image's values
-    under `bound`, a mapping bound to a program over sig, with no state id:
-    the digit table of low weight sig.weights[hi] reads the code of the
-    slots lo..hi - 1 whose radices multiply to its span."""
-    hi_of, runs = {w: i for i, w in enumerate(sig.weights)}, []
-    for low_weight, span, values in bound.digits:
-        lo = hi = hi_of[low_weight]
-        while span > 1:
-            lo -= 1
-            span //= sig.radices[lo]
-        runs.append((range(lo, hi), values))
-    return lambda state: tuple(values[reduce(
-        lambda c, i: c * sig.radices[i] + state[i], slots, 0)]
-        for slots, values in runs)
+            [c for c, v in enumerate(values) if v == a], weights[hi],
+            weights[lo] // weights[hi], size) for a in range(r)]
+            for (lo, hi, values), r in zip(self.digits,
+                                           self.signature.radices)]
 
 
 def _copies(sig: Signature, slots) -> list:
     """The digit tables that copy the given slots of sig's states."""
-    return [(sig.weights[i + 1], sig.radices[i],
-             range(sig.radices[i])) for i in slots]
+    return [(i, i + 1, range(sig.radices[i])) for i in slots]
 
 
 class StateMapping:
@@ -144,7 +132,7 @@ class ProjectionMapping(StateMapping):
                 % ", ".join(sorted(missing)))
         psig = program.signature
         return BoundMapping(Signature(psig.slots[i] for i in keep),
-                            digits=_copies(psig, keep))
+                            digits=_copies(psig, keep), source=psig)
 
 
 class HighestIdMapping(StateMapping):
@@ -175,8 +163,8 @@ class HighestIdMapping(StateMapping):
                 values[lo:hi] = combo
                 outs.append(values[access[p]] and not any(
                     values[i] for i in rivals))
-            digits.append((psig.weights[hi], len(outs), outs))
-        return BoundMapping(sig, digits=digits)
+            digits.append((lo, hi, outs))
+        return BoundMapping(sig, digits=digits, source=psig)
 
 
 class EnabledOutputMapping(StateMapping):
@@ -186,8 +174,8 @@ class EnabledOutputMapping(StateMapping):
     def bind(self, program: Program) -> BoundMapping:
         sig = Signature((p.index, "in", BOOL) for p in program.processes)
         return BoundMapping(sig, digits=[
-            (t.low_weight, t.span, bytes(map(bool, t.rows)))
-            for t in program.windows])
+            (t.lo, t.hi, bytes(map(bool, t.rows))) for t in program.windows],
+            source=program.signature)
 
 def __getattr__(name: str):
     # bench/tracing.py, the benchmark's traced run, reads these two engine

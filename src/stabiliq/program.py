@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from operator import mul
 from typing import Optional, Union
 
 from .kernel import BOOL, Domain, ModelError, Signature, record
@@ -413,17 +412,17 @@ class WindowTable:
     """The actions of one position, compiled over every valuation of the
     position's window (its own slots and both neighbors').
 
-    Slots are position-major, so the window is a contiguous run of digits of
-    the state id, and the window code of state id `sid` is
-    `(sid // low_weight) % span`. `rows[code]` holds one
-    `(action id, state-id delta)` pair per enabled action, in declaration
-    order; action ids index `program.action_order`, and the successor's id
-    is `sid + delta`. An empty row means no action of the position is
-    enabled.
+    Slots are position-major, so the window is a contiguous run of slots,
+    `lo..hi - 1`, and a state's window code is their values read as a
+    mixed-radix number (`Signature.code`). `rows[code]` holds one
+    `(action id, code delta)` pair per enabled action, in declaration
+    order; action ids index `program.action_order`, and the successor's
+    window code is `code + delta`. An empty row means no action of the
+    position is enabled.
     """
 
-    low_weight: int
-    span: int
+    lo: int
+    hi: int
     rows: tuple
 
 
@@ -432,7 +431,7 @@ def compile_windows(program: Program) -> tuple[WindowTable, ...]:
 
     Each position's actions, resolved as the program was built, run over
     every valuation of its window, so compiling costs the sum over positions
-    of span times action count guard evaluations: never more than
+    of window codes times action count guard evaluations: never more than
     |universe| times |actions|."""
     sig = program.signature
     radices, tables, first_id = sig.radices, [], 0
@@ -440,7 +439,6 @@ def compile_windows(program: Program) -> tuple[WindowTable, ...]:
     for proc in program.processes:
         window = sig.window_slots(proc.index)
         lo, hi = (window[0], window[-1] + 1) if window else (0, 0)
-        low_weight = sig.weights[hi]
         actions = [program._resolved[proc.index, a.name] for a in proc.actions]
         rows = []
         for code, combo in enumerate(
@@ -450,11 +448,9 @@ def compile_windows(program: Program) -> tuple[WindowTable, ...]:
                 values[lo:hi] = combo
                 if guard(values):
                     command(values)
-                    row.append((first_id + k, sum(map(
-                        mul, values[lo:hi], sig.weights[lo + 1:hi + 1]))
-                        - code * low_weight))
+                    row.append((first_id + k,
+                                sig.code(values, lo, hi) - code))
             rows.append(tuple(row))
-        tables.append(WindowTable(low_weight, len(rows), tuple(rows)))
+        tables.append(WindowTable(lo, hi, tuple(rows)))
         first_id += len(proc.actions)
     return tuple(tables)
-

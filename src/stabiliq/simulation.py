@@ -5,7 +5,6 @@ only `simulate` and API callers load this module.
 from __future__ import annotations
 
 import random
-from functools import reduce
 from itertools import groupby
 from typing import Iterable, Optional
 
@@ -43,7 +42,7 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
     everything an extension could). It steps through the window tables on
     the state's values, keeping each table's window code: a window is a
     contiguous run of slots, so its code is read off its values, and a move
-    writes its new code back into them.
+    writes its new code, the old one plus the row's delta, back into them.
     """
     if start.sig != program.signature:
         raise ModelError("start state does not belong to program %r"
@@ -56,11 +55,9 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
     rng = random.Random(seed)
     order, tables, sig = program.action_order, program.windows, \
         program.signature
-    windows = [sig.window_slots(p.index) for p in program.processes]
     values = list(start.values)
-    code = lambda k: reduce(lambda c, i: c * sig.radices[i] + values[i],
-                            windows[k], 0)  # table k's window code
-    codes, pointer = list(map(code, range(len(tables)))), 0
+    code = lambda t: sig.code(values, t.lo, t.hi)  # table t's window code
+    codes, pointer = list(map(code, tables)), 0
     states, labels, seen = [start], [], {start.values: 0}
     lasso_start, hit_terminal = None, False
     while len(labels) < steps:
@@ -77,8 +74,8 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
                 moves, key=lambda m: (m[0] - pointer) % len(order))
             pointer = (action + 1) % len(order)
         # the moved window's new code, written into its slots
-        c = codes[k] + delta // tables[k].low_weight
-        for i in reversed(windows[k]):
+        c = codes[k] + delta
+        for i in reversed(range(tables[k].lo, tables[k].hi)):
             c, values[i] = divmod(c, sig.radices[i])
         states.append(State(sig, tuple(values)))
         labels.append(order[action])
@@ -86,7 +83,7 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
         # windows of q - 2..q + 2 read: only their codes change
         q = order[action][0]
         for j in range(max(q - 3, 0), min(q + 2, len(tables))):
-            codes[j] = code(j)
+            codes[j] = code(tables[j])
         if states[-1].values in seen:
             lasso_start = seen[states[-1].values]
             break

@@ -260,7 +260,7 @@ def _edge_relations(ts, bound: BoundMapping, letters: Optional[list],
     slot_bits = functools.cache(bound.slot_bits)  # the same, for a Changes
 
     def moved(d: int, slots: Optional[tuple]) -> int:
-        sets = letters or slot_bits(ts.size)  # each slot's sets but its last
+        sets = letters or slot_bits()  # each slot's sets but its last
         return reduce(or_, (v ^ explorer.shift(v, -d) for i in (
             range(len(sets)) if slots is None else slots)
             for v in sets[i][:-1]), 0)
@@ -378,7 +378,7 @@ def check_stabilizing(program: Program, mapping: StateMapping,
     # State conformance inside the invariant. Specification states are
     # read as image letters (none under the identity, whose states are the
     # program's); a State is decoded only for a plain callable or a witness.
-    letters = None if bound.id_of is _same else bound.slot_bits(ts.size)
+    letters = None if bound.id_of is _same else bound.slot_bits()
     bad = inv & ~_holds(spec.allowed_state, bound, ts, letters)
     if bad:
         state = ts.state(explorer.least(bad))

@@ -75,3 +75,18 @@ def test_a_command_that_outlives_the_timeout_is_killed_and_reaped(gate,
     assert "gate: FAILED, no exit within 0.001 s" in capfd.readouterr().out
     with pytest.raises(ChildProcessError):  # no child is left to reap
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_command_with_no_report_is_gated_on_exit_and_memory(gate, capfd):
+    # simulate takes no --json, so with no --expect the gate asks for none
+    simulate = ["--", "simulate", "--protocol", "pif", "--n", "5", "--steps",
+                "10"]
+    assert gate.main(["--timeout", "60", "--max-rss-mb", "1000",
+                      *simulate]) == 0
+    out = capfd.readouterr().out
+    assert out.startswith("gate: python -m stabiliq simulate ")
+    assert "--json" not in out.splitlines()[0]
+    assert "gate: exit 0, peak RSS" in out and "FAILED" not in out
+    assert gate.main(["--timeout", "60", "--max-rss-mb", "1",
+                      *simulate]) == 1
+    assert "MB, at or above 1 MB" in capfd.readouterr().out

@@ -104,24 +104,25 @@ def test_bound_ids_match_an_oracle_on_every_state(name):
         assert bound(s) == want, s.text()
 
 
-def test_the_image_reader_skips_one_value_slots_and_reads_whole_tables():
-    # a slot of one value has the weight of the slot after it, and a table
-    # of low weight 1 and span the universe reads every slot
+def test_the_image_skips_one_value_slots_and_reads_whole_tables():
+    # a slot of one value adds no digit to a state id but keeps its own
+    # slot range, and a table over every slot reads the whole state
     one = Domain("one", ("x",))
     sig = Signature([(1, "a", BOOL), (1, "u", one), (2, "u", one),
                      (2, "b", Domain("d3", ("0", "1", "2"))), (3, "u", one)])
     for keep in ((0,), (1,), (0, 3), (1, 2, 4), tuple(range(5))):
         image = Signature(sig.slots[i] for i in keep)
         copy = BoundMapping(image, digits=[
-            (sig.weights[i + 1], sig.radices[i], range(sig.radices[i]))
-            for i in keep])
+            (i, i + 1, range(sig.radices[i])) for i in keep], source=sig)
         whole = BoundMapping(image, digits=[
-            (1, sig.size, [s.values[i] for s in sig.states()])
-            for i in keep])
+            (0, len(sig.slots), [s.values[i] for s in sig.states()])
+            for i in keep], source=sig)
         for s in sig.states():
             want = tuple(s.values[i] for i in keep)
             assert copy(s).values == want, (keep, s)
             assert whole(s).values == want, (keep, s)
+            assert copy.id_of(s.index) == whole.id_of(s.index) == \
+                copy(s).index, (keep, s)
 
 
 SLOT_BITS_CASES = {
@@ -143,8 +144,8 @@ SLOT_BITS_CASES = {
 def test_slot_bits_are_the_images_of_every_state(name):
     # per slot and value, the program states whose image shows that value
     # there, built from periodic patterns without mapping a state; the
-    # same mapping written as one table per slot over every state (low
-    # weight 1, span the universe) builds the same sets
+    # same mapping written as one table per slot over every program slot
+    # builds the same sets
     build, mapping = SLOT_BITS_CASES[name]
     program = build()
     bound = mapping.bind(program)
@@ -154,10 +155,11 @@ def test_slot_bits_are_the_images_of_every_state(name):
     want = [[helpers.bits(i for i, v in enumerate(images) if v[k] == a)
              for a in range(radix)]
             for k, radix in enumerate(bound.signature.radices)]
-    assert bound.slot_bits(size) == want
+    assert bound.slot_bits() == want
     bare = BoundMapping(bound.signature, [
-        (1, size, [v[k] for v in images]) for k in range(len(want))])
-    assert bare.slot_bits(size) == want
+        (0, len(program.signature.slots), [v[k] for v in images])
+        for k in range(len(want))], source=program.signature)
+    assert bare.slot_bits() == want
     assert list(map(bare.id_of, range(size))) == \
         list(map(bound.id_of, range(size)))
 
@@ -451,7 +453,7 @@ def test_automaton_bits_are_the_states_it_accepts(aut):
     states = list(sig.states())
     expected = [run_automaton(aut, s) for s in states]
     assert aut.bits() == explorer.bitset(expected)
-    assert aut.bits(BoundMapping(sig).slot_bits(sig.size)) == aut.bits()
+    assert aut.bits(BoundMapping(sig).slot_bits()) == aut.bits()
     assert [ChainPredicate(lambda sig: aut)(s) for s in states] == expected
     assert accepted_states(aut) == frozenset(
         itertools.compress(states, expected))

@@ -68,7 +68,7 @@ def test_the_alternator_mirror_maps_edges_and_obligations(n):
     # plain reversal is not a mirror of the alternator
     reverse = mirror_ids(program.signature, [(0, 1)] * n)
     assert {(reverse[v], reverse[w]) for v, w in edges} != edges
-    unmet = specs._edge_relations(ts, bound, bound.slot_bits(ts.size),
+    unmet = specs._edge_relations(ts, bound, bound.slot_bits(),
                                   ts.full)
     relations = [edge_set(unmet(o.edge_pred))
                  for o in bundle.ideal_spec.acceptance.obligations]

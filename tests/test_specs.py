@@ -758,7 +758,7 @@ def test_local_edge_forms_agree_with_the_per_pair_grouping():
         cases += 1
         ts = explorer.build_transition_system(program)
         bound = mapping.bind(program)
-        letters, ids = bound.slot_bits(ts.size), bound.ids(ts)
+        letters, ids = bound.slot_bits(), bound.ids(ts)
         slots = tuple(range(len(bound.signature.slots)))
         forms = [specs.Changes(), *(specs.Changes((i,)) for i in slots),
                  specs.Changes(slots[::2]), *leaves, specs.every_edge]
@@ -804,7 +804,7 @@ def test_edge_relations_are_built_only_when_asked():
     bundle = protocols.make_alternator(14)
     ts = explorer.build_transition_system(bundle.program)
     bound = bundle.mapping.bind(bundle.program)
-    letters = bound.slot_bits(ts.size)
+    letters = bound.slot_bits()
     edges = sum(map(sys.getsizeof, ts.sources.values()))
     gc.collect()
     tracemalloc.start()
@@ -830,7 +830,7 @@ def test_missed_edges_are_built_in_one_pass_on_the_systems_own_ints():
     bundle = protocols.make_cm(tuple(range(1, 17)))
     ts = explorer.build_transition_system(bundle.program)
     bound = bundle.mapping.bind(bundle.program)
-    unmet = specs._edge_relations(ts, bound, bound.slot_bits(ts.size),
+    unmet = specs._edge_relations(ts, bound, bound.slot_bits(),
                                   ts.full)
     edges = sum(map(sys.getsizeof, ts.sources.values()))
     sources = dict(ts.sources)
@@ -905,7 +905,7 @@ def test_composed_predicates_agree_with_the_mapped_states():
     for program, mapping in _local_form_cases():
         ts = explorer.build_transition_system(program)
         bound = mapping.bind(program)
-        letters = bound.slot_bits(ts.size)
+        letters = bound.slot_bits()
         preds = [specs._no_adjacent_true, every_state, lambda s: s.index % 3]
         if program.name == "pif":
             preds += [pif_wave, pif_prime]
@@ -998,9 +998,9 @@ def identity_letters(monkeypatch):
     """Counts the times the letters are built under the identity binding."""
     built, slot_bits = Counter(), BoundMapping.slot_bits
 
-    def counted(self, size):
+    def counted(self):
         built["identity"] += self.id_of is _same
-        return slot_bits(self, size)
+        return slot_bits(self)
 
     monkeypatch.setattr(BoundMapping, "slot_bits", counted)
     return built

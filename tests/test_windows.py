@@ -14,7 +14,7 @@ import helpers
 from stabiliq import explorer, kernel, protocols
 from stabiliq.dsl import parse_protocol
 from stabiliq.kernel import BOOL, Domain
-from stabiliq.mapping import EnabledOutputMapping
+from stabiliq.mapping import EnabledOutputMapping, HighestIdMapping
 from stabiliq.program import (Action, And, Assign, BoolLit, Cmp, If, Lit, Not,
                               NotRef, Or, Process, Program, VarRef,
                               VariableDecl, compile_windows)
@@ -86,20 +86,43 @@ def test_tables_match_the_interpreter_on_every_state(name):
     assert_tables_match_interpreter(PROGRAMS[name]())
 
 
-def test_table_rows_hold_action_ids_and_id_deltas():
+def test_table_rows_hold_action_ids_and_code_deltas():
     pif = protocols.make_pif(4).program
     tables = compile_windows(pif)
     assert len(tables) == pif.n
-    # root and leaf have two values, inner positions three; a window is
-    # a position and its neighbors, so chain ends span two positions
-    assert [t.span for t in tables] == [2 * 3, 2 * 3 * 3, 3 * 3 * 2, 3 * 2]
+    # one slot per position; a window is a position and its neighbors, so
+    # chain ends cover two slots; root and leaf have two values, inner
+    # positions three
+    assert [(t.lo, t.hi) for t in tables] == [(0, 2), (0, 3), (1, 4), (2, 4)]
+    assert [len(t.rows) for t in tables] == \
+        [2 * 3, 2 * 3 * 3, 3 * 3 * 2, 3 * 2]
     idle = pif.signature.parse_state("st.p1=i st.p2=i st.p3=i st.p4=i")
-    codes = [idle.index // t.low_weight % t.span for t in tables]
+    code = lambda s, t: pif.signature.code(s.values, t.lo, t.hi)
+    codes = [code(idle, t) for t in tables]
     ((action, delta),) = tables[0].rows[codes[0]]
     assert pif.action_order[action] == (1, "request")
     stepped = kernel.apply(pif, idle, 1, "request")
-    assert idle.index + delta == stepped.index
+    assert codes[0] + delta == code(stepped, tables[0])
     assert all(t.rows[c] == () for t, c in zip(tables[1:], codes[1:]))
+
+
+@pytest.mark.parametrize("make, mapping", [
+    (protocols.make_pif, None),
+    (protocols.make_alternator, EnabledOutputMapping()),
+    (lambda n: protocols.make_cm(range(1, n + 1)), HighestIdMapping())])
+def test_tables_stay_window_sized_on_long_chains(make, mapping):
+    # a row's delta moves a window code, not a state id, so it stays below
+    # the table's code count however long the chain; a digit table of an
+    # output rule names its position's window, as chain_mirror reads it
+    program = make(300).program
+    sig, tables = program.signature, program.windows
+    assert [(t.lo, t.hi) for t in tables] == [
+        (w[0], w[-1] + 1) for w in map(sig.window_slots, sig.positions)]
+    assert all(abs(delta) < len(t.rows)
+               for t in tables for row in t.rows for _, delta in row)
+    if mapping is not None:
+        assert [d[:2] for d in mapping.bind(program).digits] == \
+            [(t.lo, t.hi) for t in tables]
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,13 @@
     python3 tools/gate.py --timeout 20 --max-rss-mb 33 --expect ok=true \\
         -- verify --check ideal --protocol la --n 18
 
-The command runs with `--json` and a temporary report path appended, under
-the timeout. The gate exits 1 when the command exits nonzero or outlives the
+    python3 tools/gate.py --timeout 30 --max-rss-mb 300 \\
+        -- simulate --protocol pif --n 20000 --steps 50
+
+The command runs under the timeout, with `--json` and a temporary report
+path appended when an --expect reads the report (a command without
+`--json`, such as `simulate`, is gated on its exit code, time and memory
+alone). The gate exits 1 when the command exits nonzero or outlives the
 timeout, when its own peak RSS (see SPAWN) reaches --max-rss-mb, or when a
 report field named by an --expect differs from the given value. A field is a
 dotted path into the report, a list item by its index (verdicts.0.ok); the
@@ -85,7 +90,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         report_path = Path(scratch) / "report.json"
         argv = [sys.executable, "-m", "stabiliq", *command,
-                "--json", str(report_path)]
+                *(["--json", str(report_path)] if args.expect else [])]
         print("gate: python %s" % " ".join(argv[1:]), flush=True)
         finished = run(argv, args.timeout, Path(scratch) / "exit")
         if finished is None:

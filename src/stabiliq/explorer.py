@@ -29,6 +29,7 @@ from .program import Program
 
 _TEXT = bytes.maketrans(b"\0\1", b"01")
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
+_SET_BITS = [[b for b in range(8) if x >> b & 1] for x in range(256)]
 
 
 def bitset(flags: Iterable) -> int:
@@ -218,16 +219,15 @@ def _peel(alive: int, rel: dict) -> int:
 def edges_where(ts: TransitionSystem, nodes: int, keep: Callable) -> dict:
     """The relation of the edges with both ends in the nodes whose (source
     id, target id) passes keep. keep sees no other edge, and sees parallel
-    edges (one source, one target) once. A delta's sources are listed off
-    its text, or off a little-endian byte view at the nodes, listed once,
-    when they fill under a quarter of the universe; its kept ones are
-    written into a byte view."""
+    edges (one source, one target) once. The bytes holding nodes are listed
+    once off a little-endian byte view, each delta's sources are read off
+    those bytes of its own view, and its kept ones written into one."""
     rel, width = {}, (ts.size + 7) // 8
-    ids = members(nodes) if 4 * nodes.bit_count() < ts.size else None
+    at = list(compress(count(), nodes.to_bytes(width, "little")))
     for d, inner in within(nodes, ts.sources).items():
         view, out = inner.to_bytes(width, "little"), bytearray(width)
-        tails = members(inner) if ids is None else \
-            [v for v in ids if view[v >> 3] >> (v & 7) & 1]
+        tails = [8 * i + b for i in compress(at, map(view.__getitem__, at))
+                 for b in _SET_BITS[view[i]]]
         for v in compress(tails, map(keep, tails, map(d.__add__, tails))):
             out[v >> 3] |= 1 << (v & 7)
         if bits := int.from_bytes(out, "little"):

@@ -27,26 +27,27 @@ def _same(sid: int) -> int:
 
 
 class BoundMapping:
-    """A mapping specialized to one program: a target signature and, per
-    slot of it, a digit table (lo, hi, values) over the program's signature
-    `source`: the slot's value in the image of a program state is
-    values[code], code being the state's code of the slots lo..hi - 1
-    (Signature.code). No tables means the identity on a program's own
-    states, the source: every slot is copied. id_of sends a program state id to its image's id under `signature`, the
-    fold of the tables. Calling the binding on a program State reads that
-    image off the state's values."""
+    """A mapping specialized to one program: per slot of a target signature,
+    a digit table (lo, hi, values) over the program signature `source`,
+    which gives the slot's value values[code] in the image of a program
+    state whose code of slots lo..hi - 1 is code (Signature.code). No
+    tables is the identity. id_of sends a program state id to its image's
+    id, the fold of the tables; calling the binding on a program State
+    reads the image off the state's values."""
 
     __slots__ = ("signature", "source", "id_of", "digits")
 
     def __init__(self, signature: Signature, digits: Optional[list] = None,
                  source: Optional[Signature] = None):
+        if digits is not None and source is None:
+            raise MappingError("digit tables need their source signature")
         self.signature, self.source, self.id_of = \
             signature, source or signature, _same
         self.digits = digits or _copies(signature, range(len(signature.slots)))
         if digits is not None:
-            weights = self.source.weights  # a table's code is a run of digits
-            tables = [(weights[hi], weights[lo] // weights[hi], values, r)
-                      for (lo, hi, values), r in zip(digits, signature.radices)]
+            weights = source.weights  # a table's code is a run of digits
+            tables = [(weights[hi], weights[lo] // weights[hi], vals, r)
+                      for (lo, hi, vals), r in zip(digits, signature.radices)]
 
             def fold(sid: int) -> int:
                 out = 0

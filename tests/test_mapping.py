@@ -125,6 +125,18 @@ def test_the_image_skips_one_value_slots_and_reads_whole_tables():
                 copy(s).index, (keep, s)
 
 
+def test_digit_tables_without_their_source_are_refused():
+    # a table's slot range means nothing without the signature it reads,
+    # so a binding given tables and no source is refused, not read off
+    # the image signature's place values
+    sig = Signature([(1, "a", BOOL), (2, "b", BOOL)])
+    image = Signature([(1, "a", BOOL)])
+    with pytest.raises(MappingError, match="source"):
+        BoundMapping(image, digits=[(0, 1, range(2))])
+    assert BoundMapping(image, digits=[(0, 1, range(2))],
+                        source=sig).source is sig
+
+
 SLOT_BITS_CASES = {
     **{"cm%s" % "".join(map(str, ids)): (
         lambda ids=ids: protocols.make_cm(ids).program, HighestIdMapping())

@@ -397,18 +397,18 @@ def main(argv: Optional[list] = None) -> int:
     # Bind the command's modules, compiled before argparse and json load: a
     # compile after them leaves the memory it frees resident, about 0.75 MB
     # more peak RSS. No check compiles merge closure, simulation or text
-    # output; merge closure compiles no parser, mapping or explorer, and
-    # simulate no explorer or specs.
+    # output, merge closure no parser, mapping or explorer, simulate no
+    # explorer or specs, and export-dot no specs until --color reads one.
     global dsl, explorer, mappingmod, merge, simulation, specs, text
     command = (sys.argv[1:] if argv is None else list(argv))[:1]
     if command == ["impossibility"]:
         from . import merge
     elif command == ["simulate"]:
         from . import dsl, mapping as mappingmod, simulation
-    elif command in (["verify"], ["export-dot"]):
+    elif command == ["verify"]:
         from . import dsl, explorer, specs
-        if command == ["export-dot"]:
-            from . import text
+    elif command == ["export-dot"]:
+        from . import dsl, explorer, mapping as mappingmod, text
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cache, cached_property, reduce
-from itertools import compress, count, permutations, product
-from math import isqrt, prod
+from itertools import accumulate, compress, count
+from math import isqrt
 from operator import add, or_
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -347,53 +347,59 @@ def find_cycle(ts: TransitionSystem, nodes: int,
     return Cycle(tuple(map(ts.state, ids)), labels)
 
 
-def chain_mirror(program: Program, bound) -> Optional[tuple]:
-    """The relabeling (pi_1, ..., pi_N) of a chain mirror that maps the
-    transitions onto themselves and keeps the partition of each image slot
-    of `bound`, a mapping.BoundMapping, or None: position k's local code u
-    (its slots' digits) goes to position N+1-k's pi_k[u]. Window table k
-    maps onto table N+1-k as sets of target codes; an image slot's digits,
-    which must read its position's window, map onto its mirror's up to a
-    bijection of values. Each pi_k permutes at most 3 codes and is chosen
-    left to right against the two before."""
-    sig, image, n, windows = (program.signature, bound.signature, program.n,
-                              program.windows)
-    local = lambda s, p: [s.slots[i][1:] for i in s.slots_at.get(p, ())]
-    size = {p: prod(sig.radices[i] for i in sig.slots_at.get(p, ()))
-            for p in range(1, n + 1)}
-    if max(size.values()) > 3 or any(local(s, p) != local(s, n + 1 - p)
-                                     for s in (sig, image)
-                                     for p in s.positions):
-        return None
-    to = lambda t, code: {code + d for _, d in t.rows[code]}
-    digits = {}  # per position, its image slots' values and their mirrors'
-    for (k, name, _), (lo, hi, a) in zip(image.slots, bound.digits):
-        if (lo, hi) != (windows[k - 1].lo, windows[k - 1].hi):
-            return None  # each slot is checked, its mirror too
-        digits.setdefault(k, []).append((a, bound.digits[
-            image.index_of[(n + 1 - k, name)]][2]))
-
-    def maps(k: int, pi: dict) -> bool:  # table k and its slots' digits
-        t, u = windows[k - 1], windows[n - k]
-        ps = [p for p in (k - 1, k, k + 1) if p in sig.slots_at]
-        # each window code's mirror: its positions' digits, reversed
-        codes = [sum(pi[p][x] * prod(map(size.get, ps[:i]))
-                     for i, (p, x) in enumerate(zip(ps, xs)))
-                 for xs in product(*map(range, map(size.get, ps)))]
-        return all({codes[x] for x in to(t, c)} == to(u, codes[c])
-                   for c in range(len(t.rows))) and all(
-            len(set(zip(a, map(b.__getitem__, codes))))
-            == len(set(a)) == len(set(b)) for a, b in digits.get(k, ()))
+def frozen(program: Program, bound) -> Callable[[Iterable[int]], bool]:
+    """The test that no cycle of the universe misses Changes(slots), read
+    off the window tables and `bound`'s digit tables (a BoundMapping):
+    True once every position is frozen, moving on no such cycle. p is
+    frozen when, for each valuation of the frozen positions within two of
+    it, its moves that keep each slot in `slots` form no cycle over its
+    local codes (its slots' digits; a delta of 0 is a self-loop), its
+    window's and those slots' other positions ranging freely (local
+    reasoning, Farahat and Ebnenasir, ICDCS 2012). No position is frozen
+    that writes another's slot, or whose slots in `slots` read a position
+    more than two away. Each position's test is cached."""
+    sig, n, digits = program.signature, program.n, bound.digits
+    w, pos = sig.weights, [p for p, _, _ in sig.slots]
+    cut = [0, *accumulate(len(sig.slots_at.get(p, ()))
+                          for p in range(1, n + 1))]  # p's slots end at cut[p]
 
     @cache
-    def rest(k: int, a, b) -> Optional[tuple]:
-        """pi_{k+1}, ..., pi_N given pi_{k-1} = a and pi_k = b, or None;
-        choosing pi_{k+1} completes table k (and table N when k+1 = N)."""
-        for c in permutations(range(size[k + 1])) if k < n else ():
-            pi = {k - 1: a, k: b, k + 1: c}
-            if all(maps(j, pi) for j in range(max(k, 1), k + 1 + (k + 1 == n))
-                   ) and (tail := rest(k + 1, b, c)) is not None:
-                return (c,) + tail
-        return () if k == n else None
+    def still(p: int, near: range, fixed: tuple, rel: tuple) -> bool:
+        """Whether p is frozen once the positions in fixed are, keeping the
+        slots in rel; x is a code of the slots of near, which p's window
+        and rel's digits read, and a node is fixed's codes and p's."""
+        lo, a, b, hi = cut[near[0] - 1], cut[p - 1], cut[p], cut[near[-1]]
+        at = lambda x, i, j: x % (w[i] // w[hi]) // (w[j] // w[hi])
+        t, edges = program.windows[p - 1], set()
+        for x in range(w[lo] // w[hi]):
+            for _, d in t.rows[at(x, t.lo, t.hi)]:
+                y = x + d * (w[t.hi] // w[hi])
+                if y - x != (at(y, a, b) - at(x, a, b)) * (w[b] // w[hi]):
+                    return False  # a row writes another position
+                if all(vals[at(x, i, j)] == vals[at(y, i, j)]
+                       for i, j, vals in map(digits.__getitem__, rel)):
+                    key = tuple(at(x, cut[q - 1], cut[q]) for q in fixed)
+                    edges.add(((key, at(x, a, b)), (key, at(y, a, b))))
+        while edges:  # an edge whose tail is no head goes, repeatedly
+            heads = {v for _, v in edges}
+            if edges == (edges := {e for e in edges if e[0] in heads}):
+                return False  # the edges left close a cycle
+        return True
 
-    return rest(0, None, None)
+    def proves(slots: Iterable[int]) -> bool:
+        slots, done, todo = sorted(slots), set(), set(range(1, n + 1))
+        while todo:
+            p = todo.pop()
+            rel = tuple(i for i in slots if digits[i][0] < cut[p]
+                        and cut[p - 1] < digits[i][1])
+            ends = [pos[k] for i in rel
+                    for k in (digits[i][0], digits[i][1] - 1)]
+            near = range(max(min([p - 1, *ends]), 1),
+                         min(max([p + 1, *ends]), n) + 1)
+            if p - 2 <= near[0] and near[-1] <= p + 2 and still(
+                    p, near, tuple(q for q in near if q in done), rel):
+                done.add(p)  # the positions within two are asked again
+                todo |= set(range(max(p - 2, 1), min(p + 2, n) + 1)) - done
+        return len(done) == n
+
+    return proves

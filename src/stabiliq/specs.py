@@ -398,33 +398,27 @@ def check_stabilizing(program: Program, mapping: StateMapping,
                      "mapped_source": bound(source).text(),
                      "mapped_target": bound(target).text()})
 
-    # Every cycle question goes through `ask`, which trims each one once.
+    # Every cycle question goes through `ask`, which answers each one once.
     # A question is its nodes and a Changes' slot set (every slot for
     # Changes(), so the stutter check and a Changes() obligation share one
-    # answer), or the id of any other predicate, which need not hash.
+    # answer), or the id of any other predicate, which need not hash. A
+    # slot set is put to explorer.frozen first, once: a universe with no
+    # cycle that misses Changes(S) has none in any node set, and the trim
+    # is left out. The identity's Changes() reads its self-loops instead.
     sig, answers = bound.signature, {}
-
-    @functools.cache
-    def mirror() -> Optional[list]:  # a chain mirror's image of each slot
-        return explorer.chain_mirror(program, bound) and [
-            sig.index_of[(program.n + 1 - p, name)] for p, name, _ in sig.slots]
+    acyclic = functools.cache(explorer.frozen(program, bound))
 
     def ask(nodes: int, edge_pred: Callable) -> Optional[explorer.Cycle]:
-        """A cycle in `nodes` whose every edge misses edge_pred, or None.
-        On the whole universe a chain mirror maps the edges that miss
-        Changes(S) onto those that miss Changes(mirror S), so once the
-        partner recurs there, S recurs too, with no trim."""
+        """A cycle in `nodes` whose every edge misses edge_pred, or None."""
         slots = isinstance(edge_pred, Changes) and frozenset(
             range(len(sig.slots)) if edge_pred.slots is None
             else edge_pred.slots)
         key = (nodes, id(edge_pred) if slots is False else slots)
         if key not in answers:
-            twin = slots is not False and nodes == ts.full and any(
-                k[0] == nodes and isinstance(k[1], frozenset) and c is None
-                for k, c in answers.items()) and mirror()
-            answers[key] = None if twin and answers.get((nodes, frozenset(
-                map(twin.__getitem__, slots))), 0) is None \
-                else explorer.find_cycle(ts, nodes, unmet(edge_pred))
+            answers[key] = None if slots and (
+                bound.id_of is not _same or len(slots) < len(sig.slots)
+            ) and acyclic(slots) else explorer.find_cycle(
+                ts, nodes, unmet(edge_pred))
         return answers[key]
 
     # Acceptance on every bottom component.

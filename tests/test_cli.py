@@ -662,7 +662,9 @@ def test_obligation_cycle_output_is_pinned(capsys):
 def test_each_cycle_question_is_decided_once(capsys, monkeypatch):
     # no edge filter: UDP's allowed edges and its obligation are local
     # forms, read off the image bitsets; each cycle question trims its nodes
-    # once and reads its witness off that trim, searching nothing again
+    # once and reads its witness off that trim, searching nothing again.
+    # The obligation, Changes(), is put to explorer.frozen first, which
+    # proves nothing here: an access flip the mapping hides is a cycle
     filters, trims, asked = [], [], []
     edges_where, trim = explorer.edges_where, explorer.trim
     find_cycle = explorer.find_cycle

@@ -676,39 +676,55 @@ def test_the_stutter_question_reads_only_the_invariant_edges(monkeypatch):
 def test_no_cycle_question_is_asked_twice(monkeypatch, make, arg):
     # the output-activity obligation, Changes(), asks of the whole-universe
     # bottom component what the stutter check asks of the invariant: one
-    # answer serves both
+    # answer serves both; a slot set is put to the proof once, and the
+    # alternator's are all proven, so it trims only the convergence question
     bundle = make(arg)
-    asked, find_cycle = [], explorer.find_cycle
+    asked, find_cycle, frozen = [], explorer.find_cycle, explorer.frozen
 
     def asking(ts, nodes, rel=None):
         asked.append((nodes, None if rel is None else tuple(sorted(
             (d, r) for d, r in rel.items() if r))))
         return find_cycle(ts, nodes, rel)
 
+    def proving(program, bound):
+        proves = frozen(program, bound)
+        return lambda slots: asked.append(slots) or proves(slots)
+
     monkeypatch.setattr(explorer, "find_cycle", asking)
+    monkeypatch.setattr(explorer, "frozen", proving)
     verdict = check_ideal_stabilizing(bundle.program, bundle.mapping,
                                       bundle.ideal_spec)
     assert verdict.holds and verdict.notes[-1].startswith("stutter divergence")
     assert len(asked) == len(set(asked))
+    trims = [a for a in asked if isinstance(a, tuple)]
+    assert len(trims) == (1 if make is protocols.make_alternator else 2)
 
 
 @pytest.mark.parametrize("n", (4, 7, 10))
 def test_an_obligation_listed_twice_is_trimmed_once(monkeypatch, n):
     # FDP on the alternator with activity-p1 listed again right after
-    # itself: the repeat reads the first answer, so the check asks as many
-    # questions as FDP does and repeats only activity-p1's note
+    # itself: the repeat reads the first answer, so the check puts as many
+    # questions to the proof and the trim as FDP does and repeats only
+    # activity-p1's note
     bundle = protocols.make_alternator(n)
     spec = bundle.ideal_spec
     obligations = spec.acceptance.obligations
     twice = replace(spec, acceptance=Recurrence(
         obligations[:2] + obligations[1:]))
-    asked, find_cycle = [], explorer.find_cycle
+    asked, find_cycle, frozen = [], explorer.find_cycle, explorer.frozen
     monkeypatch.setattr(explorer, "find_cycle",
                         lambda *args: asked.append(1) or find_cycle(*args))
+
+    def proving(program, bound):
+        proves = frozen(program, bound)
+        return lambda slots: asked.append(1) or proves(slots)
+
+    monkeypatch.setattr(explorer, "frozen", proving)
     once = check_ideal_stabilizing(bundle.program, bundle.mapping, spec)
-    trims = len(asked)
+    questions = len(asked)
     verdict = check_ideal_stabilizing(bundle.program, bundle.mapping, twice)
-    assert len(asked) == 2 * trims
+    # a convergence trim, and a proof per obligation (Changes() included)
+    assert questions == n + 2 and len(asked) == 2 * questions
     first = next(i for i, note in enumerate(once.notes)
                  if "'activity-p1'" in note)
     assert verdict.notes == once.notes[:first + 1] + once.notes[first:]

@@ -113,7 +113,7 @@ def test_table_rows_hold_action_ids_and_code_deltas():
 def test_tables_stay_window_sized_on_long_chains(make, mapping):
     # a row's delta moves a window code, not a state id, so it stays below
     # the table's code count however long the chain; a digit table of an
-    # output rule names its position's window, as chain_mirror reads it
+    # output rule names its position's window, as explorer.frozen reads it
     program = make(300).program
     sig, tables = program.signature, program.windows
     assert [(t.lo, t.hi) for t in tables] == [

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cache, cached_property, reduce
-from itertools import accumulate, compress, count
+from itertools import compress, count
 from math import isqrt
 from operator import add, or_
 from typing import Callable, Iterable, Iterator, Optional
@@ -147,9 +147,9 @@ def _moves(program: Program, i: int) -> list[tuple[int, int]]:
     the rows its window codes select, each code delta times the place
     value of the window's last slot."""
     weights = program.signature.weights
-    return [(action, i + delta * place) for t in program.windows
+    return [(t.first + k, i + delta * place) for t in program.windows
             for place in (weights[t.hi],)
-            for action, delta in t.rows[i // place % len(t.rows)]]
+            for k, delta in t.rows[i // place % len(t.rows)]]
 
 
 def build_transition_system(program: Program,
@@ -360,8 +360,7 @@ def frozen(program: Program, bound) -> Callable[[Iterable[int]], bool]:
     more than two away. Each position's test is cached."""
     sig, n, digits = program.signature, program.n, bound.digits
     w, pos = sig.weights, [p for p, _, _ in sig.slots]
-    cut = [0, *accumulate(len(sig.slots_at.get(p, ()))
-                          for p in range(1, n + 1))]  # p's slots end at cut[p]
+    cut = program.cut  # p's slots end at cut[p]
 
     @cache
     def still(p: int, near: range, fixed: tuple, rel: tuple) -> bool:

@@ -502,25 +502,25 @@ def enabled_actions(program: Program, state: State) -> list[tuple[int, str]]:
     """All (position, action name) pairs whose guard holds in state, in
     canonical order (position ascending, declaration order within)."""
     _check_state(program, state)
-    return [key for key, (guard, _) in program._resolved.items()
-            if guard(state.values)]
+    return [(pos, name) for pos, (lo, hi, form) in program._resolved.items()
+            for name, (guard, _) in form.items() if guard(state.values[lo:hi])]
 
 
 def apply(program: Program, state: State, pos: int, action_name: str) -> State:
     """Fire one enabled action atomically; disabled actions are rejected."""
     _check_state(program, state)
-    try:
-        guard, command = program._resolved[(pos, action_name)]
-    except KeyError:
-        raise ModelError("process %d has no action %r"
-                         % (pos, action_name)) from None
-    if not guard(state.values):
+    lo, hi, form = program._resolved.get(pos, (0, 0, {}))
+    if action_name not in form:
+        raise ModelError("process %d has no action %r" % (pos, action_name))
+    guard, command = form[action_name]
+    window = list(state.values[lo:hi])  # what the form's functions read
+    if not guard(window):
         raise DisabledActionError(
             "action %r of process %d is not enabled in %s"
             % (action_name, pos, state.text()))
-    values = list(state.values)
-    command(values)
-    return State(program.signature, tuple(values))
+    command(window)
+    return State(program.signature,
+                 state.values[:lo] + tuple(window) + state.values[hi:])
 
 
 def successors(program: Program, state: State) -> list[State]:

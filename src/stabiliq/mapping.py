@@ -121,7 +121,7 @@ class ProjectionMapping(StateMapping):
         for i, (pos, name, dom) in enumerate(program.signature.slots):
             if name not in wanted:
                 continue
-            if not program.process(pos).var(name).external:
+            if not program.processes[pos - 1].var(name).external:
                 raise MappingError(
                     "projection names internal variable %s.p%d" % (name, pos))
             found.add(name)

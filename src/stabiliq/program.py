@@ -57,8 +57,8 @@ class VariableDecl:
 # Expression and command ASTs.
 #
 # Variable references carry a neighborhood offset (-1 left, 0 self, +1 right)
-# and are resolved to concrete state slots per process position, so one AST
-# can be shared by every process of a group.
+# and are resolved to slots of a position's window once per window form, so
+# one AST can be shared by every process of a group.
 
 @record
 class VarRef:
@@ -221,24 +221,26 @@ class Program:
         # and all deterministic iteration rely on this order.
         self.action_order = tuple(
             (p.index, a.name) for p in self.processes for a in p.actions)
-        # each action's (guard, command) by (position, name), canonical order
-        problems, self._resolved = [], {}
+        # Slots are position-major: position p's are cut[p - 1]..cut[p] - 1.
+        decls = [None, *(p.vars for p in self.processes), None]
+        self.cut = [0, *itertools.accumulate(len(v) for v in decls[1:-1])]
+        # Positions of one window form (its actions and the declarations of
+        # p - 1..p + 1, None past a chain end) share one resolution over
+        # their window, slots lo..hi - 1: {action name: (guard, command)}.
+        # Once a problem is found, each position is walked for its own.
+        problems, forms, self._resolved = [], {}, {}
         for proc in self.processes:
-            for action in proc.actions:
-                found = []
-                self._resolved[(proc.index, action.name)] = self._walk(
-                    proc.index, action, found)
-                problems += (Problem(proc.index, action.name, *f)
-                             for f in found)
+            p = proc.index
+            key = (proc.actions, *decls[p - 1:p + 2])
+            if key not in forms or problems:
+                forms[key] = {a.name: self._walk(p, a, problems)
+                              for a in proc.actions}
+            self._resolved[p] = (self.cut[max(p - 2, 0)],
+                                 self.cut[min(p + 1, self.n)], forms[key])
         if problems:
             raise ProgramError(problems)
 
     # -- basic access --------------------------------------------------------
-
-    def process(self, pos: int) -> Process:
-        if not 1 <= pos <= self.n:
-            raise ModelError("no process at position %d" % pos)
-        return self.processes[pos - 1]
 
     @property
     def universe_size(self) -> int:
@@ -264,16 +266,19 @@ class Program:
     # -- checking and resolving ----------------------------------------------
 
     # One walk both checks an action at a position and resolves it: a guard
-    # into a function of the state's value indices, a command into a
+    # into a function of the window's value indices, a command into a
     # function that assigns into a list of them. Each step appends
-    # (code, node, message) to `found` and goes on, so one pass reports
-    # every problem of an action; what it returns runs only if none is found.
-    def _walk(self, pos, action: Action, found) -> tuple:
-        return (self._guard(pos, action.guard, found),
-                self._block(pos, action.command, found))
+    # (code, node, message) to `found` and goes on, so one pass adds every
+    # problem of an action to `problems`; what it returns runs only if none.
+    def _walk(self, pos, action: Action, problems) -> tuple:
+        found = []
+        walked = (self._guard(pos, action.guard, found),
+                  self._block(pos, action.command, found))
+        problems += (Problem(pos, action.name, *f) for f in found)
+        return walked
 
     def _ref(self, pos, ref, found, what="variable reference"):
-        """The (slot, declaration) a reference made from pos names, or None."""
+        """(Index in pos's window, declaration) of a reference, or None."""
         if not isinstance(ref, VarRef):
             found.append(("MALFORMED_NODE", ref,
                           "malformed %s %r" % (what, ref)))
@@ -284,9 +289,9 @@ class Program:
                           "position %d has no %s neighbor"
                           % (pos, OFFSET_NAMES[ref.offset])))
             return None
-        for v in self.processes[target - 1].vars:
+        for k, v in enumerate(self.processes[target - 1].vars):
             if v.name == ref.name:
-                return self.signature.index_of[(target, ref.name)], v
+                return self.cut[target - 1] + k - self.cut[max(pos - 2, 0)], v
         found.append(("UNDECLARED_VAR", ref, "no variable %r at position %d"
                       % (ref.name, target)))
         return None
@@ -415,42 +420,38 @@ class WindowTable:
     Slots are position-major, so the window is a contiguous run of slots,
     `lo..hi - 1`, and a state's window code is their values read as a
     mixed-radix number (`Signature.code`). `rows[code]` holds one
-    `(action id, code delta)` pair per enabled action, in declaration
-    order; action ids index `program.action_order`, and the successor's
-    window code is `code + delta`. An empty row means no action of the
-    position is enabled.
+    `(k, code delta)` pair per enabled action, in declaration order: the
+    action id `first + k` indexes `program.action_order`, and the successor
+    has window code `code + delta`. Positions of one window form share rows.
     """
 
     lo: int
     hi: int
+    first: int
     rows: tuple
 
 
 def compile_windows(program: Program) -> tuple[WindowTable, ...]:
     """One WindowTable per position, in position order.
 
-    Each position's actions, resolved as the program was built, run over
-    every valuation of its window, so compiling costs the sum over positions
-    of window codes times action count guard evaluations: never more than
-    |universe| times |actions|."""
-    sig = program.signature
-    radices, tables, first_id = sig.radices, [], 0
-    values = [0] * len(radices)  # an action reads and writes its window only
-    for proc in program.processes:
-        window = sig.window_slots(proc.index)
-        lo, hi = (window[0], window[-1] + 1) if window else (0, 0)
-        actions = [program._resolved[proc.index, a.name] for a in proc.actions]
-        rows = []
-        for code, combo in enumerate(
-                itertools.product(*(range(r) for r in radices[lo:hi]))):
-            row = []
-            for k, (guard, command) in enumerate(actions):
-                values[lo:hi] = combo
-                if guard(values):
-                    command(values)
-                    row.append((first_id + k,
-                                sig.code(values, lo, hi) - code))
-            rows.append(tuple(row))
-        tables.append(WindowTable(lo, hi, tuple(rows)))
-        first_id += len(proc.actions)
+    Each window form's actions, resolved as the program was built, run over
+    every valuation of its window once, however many positions share the
+    form: compiling costs the sum over forms of window codes times action
+    count guard evaluations."""
+    radices, tables, first, compiled = program.signature.radices, [], 0, {}
+    for lo, hi, form in program._resolved.values():
+        if id(form) not in compiled:  # a form's positions share its dict
+            combos = list(itertools.product(*map(range, radices[lo:hi])))
+            code, rows = {combo: c for c, combo in enumerate(combos)}, []
+            for c, combo in enumerate(combos):
+                row = []
+                for k, (guard, command) in enumerate(form.values()):
+                    values = list(combo)
+                    if guard(values):
+                        command(values)
+                        row.append((k, code[tuple(values)] - c))
+                rows.append(tuple(row))
+            compiled[id(form)] = tuple(rows)
+        tables.append(WindowTable(lo, hi, first, compiled[id(form)]))
+        first += len(form)
     return tuple(tables)

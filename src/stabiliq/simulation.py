@@ -61,8 +61,8 @@ def run(program: Program, start: State, steps: int, seed: int = 0,
     states, labels, seen = [start], [], {start.values: 0}
     lasso_start, hit_terminal = None, False
     while len(labels) < steps:
-        moves = [(action, k, delta) for k, t in enumerate(tables)
-                 for action, delta in t.rows[codes[k]]]
+        moves = [(t.first + a, k, delta) for k, t in enumerate(tables)
+                 for a, delta in t.rows[codes[k]]]
         if not moves:
             hit_terminal = True
             break

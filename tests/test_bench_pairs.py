@@ -37,9 +37,11 @@ def checkout(root: Path, values: list, commit: bool = True) -> Path:
     (root / "bench").mkdir(parents=True)
     (root / "bench" / "run.py").write_text(STUB)
     (root / "bench" / "values.json").write_text(json.dumps(values))
+    (root / "src").mkdir()
+    (root / "src" / "stub.py").write_text("SIDE = %r\n" % root.name)
     if commit:
         git(root, "init", "-q")
-        git(root, "add", "bench")
+        git(root, "add", "bench", "src")
         git(root, "commit", "-q", "-m", "stub")
     return root
 
@@ -68,10 +70,14 @@ def test_no_claim_records_null(tmp_path):
                                   "--pairs", "2")
     assert code == 0
     assert record["claimed"] is None
-    # the record names each side's commit
+    # the record names each side's commit, and the tree of its src/
     assert [record["parent_sha"], record["change_sha"]] == [
         git(tmp_path / side, "rev-parse", "HEAD")
         for side in ("parent", "change")]
+    assert record["src_tree"] == {
+        side: git(tmp_path / side, "rev-parse", "HEAD:src")
+        for side in ("parent", "change")}
+    assert record["src_tree"]["parent"] != record["src_tree"]["change"]
 
 
 @pytest.mark.parametrize("unnamed", [0, 1])

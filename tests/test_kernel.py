@@ -94,11 +94,16 @@ def test_apply_rejects_disabled_action():
     assert stepped.text() == "st.p1=rq st.p2=i st.p3=i st.p4=i"
 
 
-def test_apply_names_an_unknown_action():
+@pytest.mark.parametrize("pos, name", [(2, "nosuch"), (9, "forward"),
+                                       (0, "forward")])
+def test_apply_names_an_unknown_action(pos, name):
+    # a position past either chain end has no action either, whatever its
+    # name; forward is an action of the inner positions
     pif = protocols.make_pif(4).program
     idle = pif.signature.parse_state("st.p1=i st.p2=i st.p3=i st.p4=i")
-    with pytest.raises(ModelError, match=r"^process 2 has no action 'nosuch'$"):
-        kernel.apply(pif, idle, 2, "nosuch")
+    with pytest.raises(ModelError,
+                       match=r"^process %d has no action '%s'$" % (pos, name)):
+        kernel.apply(pif, idle, pos, name)
 
 
 def test_wave_steps_match_the_action_definitions():
@@ -234,7 +239,8 @@ def test_program_validation_rejects_bad_constructions():
 
 def test_program_problems_follow_the_walk_through_if_branches():
     # per position: the guard, the condition, both branches, then the
-    # statement after the if; position 1 has no left neighbor
+    # statement after the if; position 1 has no left neighbor, and position
+    # 4 no right one, which the action does not read
     st = Domain("st", ("a", "b", "c"))
     go = Action("go", Cmp(VarRef(0, "nope"), "=", Lit("true")), (
         If(Cmp(VarRef(-1, "x"), "=", Lit("true")),
@@ -243,19 +249,22 @@ def test_program_problems_follow_the_walk_through_if_branches():
         Assign(VarRef(0, "x"), NotRef(VarRef(0, "s")))))
     decls = (VariableDecl("x", BOOL), VariableDecl("s", st),
              VariableDecl("u", BOOL, "input"))
+    # positions 2 and 3 share a window form (the same action between two
+    # neighbors that declare alike), and each reports its own problems
     with pytest.raises(ProgramError) as caught:
-        Program("if", (Process(1, 1, decls, (go,)), Process(2, 2, decls, (go,))))
+        Program("if", [Process(p, p, decls, (go,)) for p in range(1, 5)])
     rest = ["value 'q' is not in domain st ('a', 'b', 'c') "
             "[VALUE_OUTSIDE_DOMAIN]",
             "input variable 'u' cannot be assigned [ASSIGN_TO_INPUT]",
             "negation needs boolean variables; 's' is st [NOT_BOOL]"]
-    at1, at2 = "action 'go' of process 1: ", "action 'go' of process 2: "
+    at = "action 'go' of process %d: ".__mod__
     assert [str(p) for p in caught.value.problems] == [
-        at1 + "no variable 'nope' at position 1 [UNDECLARED_VAR]",
-        at1 + "position 1 has no left neighbor [NON_NEIGHBOR_REF]",
-        *(at1 + text for text in rest),
-        at2 + "no variable 'nope' at position 2 [UNDECLARED_VAR]",
-        *(at2 + text for text in rest)]
+        at(1) + "no variable 'nope' at position 1 [UNDECLARED_VAR]",
+        at(1) + "position 1 has no left neighbor [NON_NEIGHBOR_REF]",
+        *(at(1) + text for text in rest),
+        *(line for p in (2, 3, 4) for line in [
+            at(p) + "no variable 'nope' at position %d [UNDECLARED_VAR]" % p,
+            *(at(p) + text for text in rest)])]
 
 
 def test_program_positions_and_pids_validated():

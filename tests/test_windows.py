@@ -1,10 +1,11 @@
 """Compiled window tables against the state-by-state operations.
 
 The transition system and the enabled-output mapping read per-position
-tables, built by running each position's resolved actions over every
-valuation of its window; enabled_actions and apply run the same resolved
-actions on one whole state at a time. Both must agree on every state: the
-same edges in the same order, the same enabled bits.
+tables, built by running each window form's resolved actions over every
+valuation of its window and shared by the form's positions; enabled_actions
+and apply run the same resolved actions on one whole state at a time. Both
+must agree on every state: the same edges in the same order, the same
+enabled bits.
 """
 import pytest
 from hypothesis import given, settings
@@ -96,30 +97,62 @@ def test_table_rows_hold_action_ids_and_code_deltas():
     assert [(t.lo, t.hi) for t in tables] == [(0, 2), (0, 3), (1, 4), (2, 4)]
     assert [len(t.rows) for t in tables] == \
         [2 * 3, 2 * 3 * 3, 3 * 3 * 2, 3 * 2]
+    # a row's k counts the position's own actions: first + k is the id
+    assert [t.first for t in tables] == [0, 2, 5, 8]
+    assert pif.action_order[tables[2].first:tables[3].first] == (
+        (3, "forward"), (3, "back"), (3, "stop"))
     idle = pif.signature.parse_state("st.p1=i st.p2=i st.p3=i st.p4=i")
     code = lambda s, t: pif.signature.code(s.values, t.lo, t.hi)
     codes = [code(idle, t) for t in tables]
-    ((action, delta),) = tables[0].rows[codes[0]]
-    assert pif.action_order[action] == (1, "request")
+    ((k, delta),) = tables[0].rows[codes[0]]
+    assert pif.action_order[tables[0].first + k] == (1, "request")
     stepped = kernel.apply(pif, idle, 1, "request")
     assert codes[0] + delta == code(stepped, tables[0])
     assert all(t.rows[c] == () for t, c in zip(tables[1:], codes[1:]))
+    # at an i-rp-i window the middle position may only stop, its third
+    # action: a row names it by its index in the position, not by its id
+    window = pif.signature.parse_state("st.p1=rq st.p2=i st.p3=rp st.p4=i")
+    ((k, _),) = tables[2].rows[code(window, tables[2])]
+    assert (k, pif.action_order[tables[2].first + k]) == (2, (3, "stop"))
 
 
-@pytest.mark.parametrize("make, mapping", [
-    (protocols.make_pif, None),
-    (protocols.make_alternator, EnabledOutputMapping()),
-    (lambda n: protocols.make_cm(range(1, n + 1)), HighestIdMapping())])
-def test_tables_stay_window_sized_on_long_chains(make, mapping):
+def window_forms(program) -> dict:
+    """The positions of each window form: a position's actions and the
+    declarations of its window's positions, None past a chain end."""
+    decls = [None, *(p.vars for p in program.processes), None]
+    forms: dict = {}
+    for p in program.processes:
+        key = (p.actions, *decls[p.index - 1:p.index + 2])
+        forms.setdefault(key, []).append(p.index)
+    return forms
+
+
+def assert_forms_share_rows(program):
+    # one rows object per form, shared by every position of the form
+    tables = program.windows
+    forms = window_forms(program).values()
+    assert all(len({id(tables[p - 1].rows) for p in positions}) == 1
+               for positions in forms)
+    assert len({id(t.rows) for t in tables}) == len(forms)
+
+
+@pytest.mark.parametrize("make, mapping, forms", [
+    (protocols.make_pif, None, 5),
+    (protocols.make_alternator, EnabledOutputMapping(), 3),
+    (lambda n: protocols.make_cm(range(1, n + 1)), HighestIdMapping(), 3)])
+def test_tables_stay_window_sized_on_long_chains(make, mapping, forms):
     # a row's delta moves a window code, not a state id, so it stays below
     # the table's code count however long the chain; a digit table of an
-    # output rule names its position's window, as explorer.frozen reads it
+    # output rule names its position's window, as explorer.frozen reads it;
+    # the 300 positions have 5, 3 and 3 window forms, each compiled once
     program = make(300).program
     sig, tables = program.signature, program.windows
     assert [(t.lo, t.hi) for t in tables] == [
         (w[0], w[-1] + 1) for w in map(sig.window_slots, sig.positions)]
     assert all(abs(delta) < len(t.rows)
                for t in tables for row in t.rows for _, delta in row)
+    assert len(window_forms(program)) == forms
+    assert_forms_share_rows(program)
     if mapping is not None:
         assert [d[:2] for d in mapping.bind(program).digits] == \
             [(t.lo, t.hi) for t in tables]
@@ -203,3 +236,64 @@ def programs(draw):
 @given(programs())
 def test_random_programs_compile_to_the_interpreter(program):
     assert_tables_match_interpreter(program)
+
+
+# Grouped random programs: chains of the shape border · middle* · border,
+# as the protocols are. The middle positions share declarations and
+# actions, which read only what every middle position's neighbors declare,
+# so on chains of 4 or 5 positions several positions share a window form.
+# A three-valued y sits on the borders only, so universes stay below 300
+# states.
+
+def _common_refs(at, places):
+    """The (offset, name, domain) references valid at every position in
+    places; at(q) is position q's declarations, () past a chain end."""
+    return [(offset, d.name, d.domain) for offset in (-1, 0, 1)
+            for d in at(places[0] + offset)
+            if all((d.name, d.domain) in {(e.name, e.domain)
+                                          for e in at(q + offset)}
+                   for q in places)]
+
+
+@st.composite
+def grouped_programs(draw):
+    n = draw(st.integers(3, 5))
+    role = [0, *[1] * (n - 2), 2]  # border, middle*, border
+    x = VariableDecl("x", BOOL, draw(st.sampled_from(("internal", "output"))))
+    with_y = set(draw(st.lists(st.sampled_from((0, 2)), max_size=2,
+                               unique=True)))
+    decls = [(x,) + ((VariableDecl("y", D3),) if r in with_y else ())
+             for r in range(3)]
+    at = lambda q: decls[role[q - 1]] if 1 <= q <= n else ()
+    actions = []
+    for r in range(3):
+        refs = _common_refs(at, [q for q in range(1, n + 1) if role[q - 1] == r])
+        actions.append(tuple(
+            Action("a%d" % k, _guard(draw, refs),
+                   _block(draw, refs, 1, 1) + _block(draw, refs, 0, 1))
+            for k in range(draw(st.integers(0, 2)))))
+    return Program("grouped", [Process(q, q, at(q), actions[role[q - 1]])
+                               for q in range(1, n + 1)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grouped_programs())
+def test_grouped_programs_share_forms_and_compile_to_the_interpreter(program):
+    assert_forms_share_rows(program)
+    assert_tables_match_interpreter(program)
+
+
+def test_grouped_programs_repeat_their_middle_forms():
+    # the strategy above draws chains whose positions share forms, not
+    # only chains of distinct ones (21 of its 100 draws here, when y is on
+    # neither border and the chain has 4 or 5 positions)
+    shared = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(grouped_programs())
+    def draw(program):
+        shared.append(len(window_forms(program)) < program.n)
+
+    draw()
+    assert sum(shared) >= 10

@@ -6,7 +6,9 @@
 
 Each checkout is a git checkout of the repository (`git clone` or `git
 worktree add`), so the record can name its commit: a side with no commit of
-its own is refused before any run.
+its own is refused before any run. Beside each side's sha the record holds
+the tree hash of its committed src/ (`git rev-parse HEAD:src`), which still
+names the measured code once the same tree is committed again elsewhere.
 A pair runs `bench/run.py --trace 0` once per workload on both checkouts,
 and the side that runs first alternates from pair to pair. Each run's
 medians are read off the JSON line that bench/run.py prints last (times
@@ -50,12 +52,13 @@ def summary(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def head(checkout: Path):
-    """The checkout's commit sha, or None; as in bench/run.py, git looks no
-    higher than the checkout, so a copy inside another checkout has none."""
+def head(checkout: Path, rev: str = "HEAD"):
+    """The object name of rev in the checkout (its commit sha by default),
+    or None; as in bench/run.py, git looks no higher than the checkout, so
+    a copy inside another checkout has none."""
     env = dict(os.environ,
                GIT_CEILING_DIRECTORIES=str(checkout.resolve().parent))
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, env=env,
+    done = subprocess.run(["git", "rev-parse", rev], cwd=checkout, env=env,
                           capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
 
@@ -112,6 +115,10 @@ def main() -> int:
             % (args.seed, args.seconds)),
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
+        # the tree hash of src/ names the measured code even when the same
+        # tree lands under another commit than the one measured
+        "src_tree": {side: head(path, "HEAD:src")
+                     for side, path in sides.items()},
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),

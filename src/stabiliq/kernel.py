@@ -198,7 +198,8 @@ def qualified_slot(label: str) -> Optional[tuple]:
 
 
 class Signature:
-    """An ordered list of (position, variable name, domain) slots.
+    """An ordered list of (position, variable name, domain) slots, grouped
+    by position in position order.
 
     A Signature fixes the canonical state encoding: states are value-index
     tuples in slot order, and the mixed-radix integer of a state uses the
@@ -213,6 +214,9 @@ class Signature:
         slots = tuple(slots)
         if not slots:
             raise ModelError("a signature needs at least one slot")
+        order = [pos for pos, _, _ in slots]
+        if order != sorted(order):
+            raise ModelError("a signature lists its slots in position order")
         self.slots = slots
         self.index_of, self.slots_at = {}, {}
         for i, (pos, name, dom) in enumerate(slots):
@@ -314,8 +318,8 @@ class Signature:
     def window_slots(self, pos: int) -> tuple[int, ...]:
         """Slots of the extended state of position pos: its own variables and
         both neighbors' (a 2-wide window at chain ends)."""
-        return tuple(sorted(i for p in (pos - 1, pos, pos + 1)
-                            for i in self.slots_at.get(p, ())))
+        return tuple(i for p in (pos - 1, pos, pos + 1)
+                     for i in self.slots_at.get(p, ()))
 
     def code(self, values, lo: int, hi: int) -> int:
         """The code of the slots lo..hi - 1 in a value tuple: their values
@@ -380,18 +384,14 @@ class ChainAutomaton:
     chain, one letter per position that has slots: the position's value
     tuple, in slot order. step(q, position, letter) is the next automaton
     state, or None (dead); the automaton accepts the states whose run from
-    `initial` ends in `accepting`. Slots must be grouped by position, in
-    position order, so canonical order is the order of letter words; a
-    position with no slot, a gap, is not read."""
+    `initial` ends in `accepting`. A signature's slots are grouped by
+    position, in position order, so canonical order is the order of letter
+    words; a position with no slot, a gap, is not read."""
 
     __slots__ = ("signature", "initial", "step", "accepting", "_cuts")
 
     def __init__(self, signature: Signature, initial, step: Callable,
                  accepting):
-        order = [p for p, _, _ in signature.slots]
-        if order != sorted(order):
-            raise ModelError("a chain automaton needs its slots grouped by "
-                             "position, in position order")
         self.signature, self.initial, self.step = signature, initial, step
         self.accepting = frozenset(accepting)
         # per position, where its letter starts and ends in a value tuple

@@ -7,15 +7,21 @@ windows occurs in some member of the set. A mapping must be
 merge-symmetric: every state mergeable from its image has a program
 preimage. One assembly step reaches the merge closure, since admitting a
 state adds no window, so the closure is the language of a window automaton
-(regular model checking, Bouajjani, Jonsson, Nilsson and Touili, CAV 2000),
-listed along the chain, never by scanning the universe; an allowed set
-given as a ChainAutomaton is decided by counting, and no state is listed. A
-specification whose closure of allowed states reaches a disallowed state
-admits no ideally stabilizing program at all.
+(regular model checking, Bouajjani, Jonsson, Nilsson and Touili, CAV 2000).
+One engine, `_closure`, answers every question along the chain, never by
+scanning the universe: it reads the windows off an automaton (a state set
+enters as the automaton of its prefixes), counts the closure and the
+members that a second automaton rejects, and walks them in canonical
+order. Possibility and merge symmetry take the counts and the first
+rejected member and list nothing; merge_closure and accepted_states list
+under the state cap. A specification whose closure of allowed states
+reaches a disallowed state admits no ideally stabilizing program at all.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from collections import defaultdict
+from itertools import chain
+from typing import TYPE_CHECKING, Optional
 
 from . import kernel
 from .kernel import (BOOL, ChainAutomaton, Domain, ModelError, Signature,
@@ -38,6 +44,101 @@ def _resolve_signature(states, signature):
     return states, signature
 
 
+def _prefixes(sig: Signature, states) -> ChainAutomaton:
+    """The automaton of a state set's value-tuple prefixes, one automaton
+    state per prefix that ends at a position's last slot."""
+    values = {s.values for s in states}
+    prefixes = {v[:at[-1] + 1] for v in values
+                for at in sig.slots_at.values()}
+    return ChainAutomaton(sig, (), lambda q, p, a: q + a
+                          if q + a in prefixes else None, values)
+
+
+def _closure(aut: ChainAutomaton, rejects: ChainAutomaton) -> tuple:
+    """The merge closure of aut's language, counted: its size, the number of
+    its members that `rejects` does not accept, and walk(bit), which yields
+    in canonical order the value tuples of the members with bit 1 (every
+    member), 2 (accepted by `rejects`) or 4 (rejected).
+
+    The window of letter j is letters j-1, j and j+1 of an accepted state,
+    None past a chain end or a position gap, read off live automaton
+    states. A key at j is (letter j-1 or None, letter j, the state of
+    `rejects` after j), and a backward pass counts the members that
+    continue it and the rejected ones among them. One layer of counts is
+    alive at a time; earlier layers keep which counts are nonzero, so the
+    walk enters only keys that lead to a member and never backtracks."""
+    alphabet, delta, _, live = _runs(aut)
+    moves = delta if rejects is aut else _runs(rejects)[1]
+    n, ps = len(alphabet), aut.signature.positions
+    near = [0 < j < n and ps[j] - ps[j - 1] == 1 for j in range(n + 1)]
+    nexts = []  # per j, (letter j-1 or None, letter j) -> letters j + 1
+    for j in range(n):
+        paths = [((), q) for q in live[j - near[j]]]
+        for k in range(j - near[j], j + 1 + near[j + 1]):
+            paths = [(w + (a,), t) for w, q in paths
+                     for a, t in enumerate(delta[k][q]) if t in live[k + 1]]
+        windows = defaultdict(list)
+        for w in sorted({w for w, _ in paths}):
+            p, a, b = (None,) * (not near[j]) + w + (None,) * (not near[j + 1])
+            windows[p, a].append(b)
+        if j + 1 < n and not near[j + 1]:  # any letter follows a gap
+            windows = dict.fromkeys(windows, range(len(alphabet[j + 1])))
+        nexts.append(windows)
+
+    def children(j, key):
+        p, a, q = key
+        if j == n - 1:  # past the last letter, the final state
+            return (q,)
+        return ((a if near[j + 1] else None, b, moves[j + 1][q][b])
+                for b in nexts[j][p, a])
+
+    flags, later = [None] * n, {q: (1, int(q not in rejects.accepting))
+                                for row in moves[-1].values() for q in row}
+    for j in range(n - 1, -1, -1):
+        ends = [{row[a] for row in moves[j].values()}
+                for a in range(len(alphabet[j]))]
+        layer = {}
+        for p, a in nexts[j]:
+            for q in ends[a]:
+                total = bad = 0
+                for key in children(j, (p, a, q)):
+                    if key in later:
+                        total, bad = total + later[key][0], bad + later[key][1]
+                if total:
+                    layer[p, a, q] = total, bad
+        flags[j] = {key: 1 | 2 * (total > bad) | 4 * (bad > 0)
+                    for key, (total, bad) in layer.items()}
+        later = layer
+    starts = [(None, a, t) for a, t in enumerate(moves[0][rejects.initial])]
+
+    def walk(bit):
+        word, stack = [()] * n, [iter(starts)]
+        while stack:
+            j = len(stack) - 1
+            for key in stack[-1]:
+                if flags[j].get(key, 0) & bit:
+                    word[j] = alphabet[j][key[1]]
+                    if j == n - 1:
+                        yield tuple(chain.from_iterable(word))
+                    else:
+                        stack.append(children(j, key))
+                    break
+            else:
+                stack.pop()
+    total, bad = (sum(later.get(key, (0, 0))[i] for key in starts)
+                  for i in (0, 1))
+    return total, bad, walk
+
+
+def _listed(aut: ChainAutomaton, bit: int, counted: str) -> frozenset:
+    """The members of the merge closure of aut's language with `bit` (1:
+    all, 2: those aut accepts), counted first and listed only within
+    kernel.state_cap()."""
+    total, bad, walk = _closure(aut, aut)
+    kernel.check_cap(total if bit == 1 else total - bad, counted)
+    return frozenset(State(aut.signature, values) for values in walk(bit))
+
+
 def merge_closure(states, signature: Optional[Signature] = None) -> frozenset:
     """The least superset of states closed under extended-window assembly.
 
@@ -45,38 +146,15 @@ def merge_closure(states, signature: Optional[Signature] = None) -> frozenset:
     every one of its windows already occurs in the input, so admitting it
     adds no window, and a second step could admit only what the first did.
     The closure is exactly the set of states whose every extended window
-    occurs in the input, the input among them: the language of a window
-    automaton, listed under the state cap. Its state is the last two
-    (position, letter) pairs; each letter checks the window of the
-    position before, and the last letter its own position's too. Slots not
-    grouped by position are put into chain order and then put back.
+    occurs in the input, listed under the state cap.
     """
     states, sig = _resolve_signature(states, signature)
-    order = sorted(range(len(sig.slots)), key=lambda i: sig.slots[i][0])
-    chain = Signature(sig.slots[i] for i in order)
-    windows = [(p, [order[i] for i in chain.window_slots(p)])
-               for p in chain.positions]
-    seen = {(p, tuple(map(s.values.__getitem__, w)))
-            for s in states for p, w in windows}
-    last = chain.positions[-1]
+    return _listed(_prefixes(sig, states), 1, "merge closure")
 
-    def occurs(p, near) -> bool:
-        """Whether p's window, read off the (position, letter) pairs near
-        it, occurs in the input."""
-        return (p, sum((a for at, a in near if abs(at - p) <= 1), ())) in seen
 
-    def step(q, p, a):
-        near = q + ((p, a),)
-        if len(near) > 1 and not occurs(near[-2][0], near) \
-                or p == last and not occurs(p, near):
-            return None
-        return True if p == last else near[-2:]
-
-    back = sorted(range(len(order)), key=order.__getitem__)
-    words = _language(ChainAutomaton(chain, (), step, (True,)),
-                      "merge closure")
-    return frozenset(State(sig, tuple(map(w.__getitem__, back)))
-                     for w in words)
+def accepted_states(aut: ChainAutomaton) -> frozenset:
+    """The automaton's language, listed only within kernel.state_cap()."""
+    return _listed(aut, 2, "allowed set")
 
 
 def merge_closure_generations(states, signature=None) -> dict:
@@ -95,16 +173,16 @@ def check_merge_symmetry(program: Program, mapping: StateMapping,
     program preimage. Returns the least violating state in canonical order,
     or None when the mapping is merge-symmetric over that set. The image is
     taken over the program's universe, so a universe above the state cap
-    raises UniverseCapError, and so does a merge closure above it.
+    raises UniverseCapError; the closure is counted, not listed.
     """
     bound, size = mapping.bind(program), program.signature.size
     kernel.check_cap(size)
-    image = frozenset(map(bound.signature.state_at,
-                          set(map(bound.id_of, range(size)))))
-    base = image if spec_states is None else spec_states
-    return min((c for c in merge_closure(base, bound.signature)
-                if c not in image),
-               key=lambda s: s.values, default=None)
+    sig = bound.signature
+    image = _prefixes(sig, map(sig.state_at, set(map(bound.id_of,
+                                                     range(size)))))
+    base = image if spec_states is None else _prefixes(sig, spec_states)
+    values = next(_closure(base, image)[2](4), None)
+    return None if values is None else State(sig, values)
 
 
 @kernel.record
@@ -128,87 +206,6 @@ class PossibilityResult:
     universe_size: int
 
 
-
-def _language(aut: ChainAutomaton, counted: str) -> Iterator[tuple]:
-    """The value tuples of the states the automaton accepts, in canonical
-    order. A path count over `_runs`' live sets applies the state cap
-    first; the lexicographic walk then enters live automaton states only,
-    so it never backtracks: O(N) per state listed."""
-    alphabet, delta, _, live = _runs(aut)
-    paths = dict.fromkeys(live[-1], 1)
-    for moves, alive in zip(delta[::-1], live[-2::-1]):
-        paths = {q: sum(paths.get(t, 0) for t in moves[q]) for q in alive}
-    kernel.check_cap(paths.get(aut.initial, 0), counted)
-    word, stack = [()] * len(alphabet), [zip(alphabet[0],
-                                              delta[0][aut.initial])]
-    while stack:
-        j = len(stack)  # the top iterator chooses letter j - 1
-        for letter, t in stack[-1]:
-            if t in live[j]:
-                word[j - 1] = letter
-                if j == len(alphabet):
-                    yield sum(word, ())
-                else:
-                    stack.append(zip(alphabet[j], delta[j][t]))
-                break
-        else:
-            stack.pop()
-
-
-def accepted_states(aut: ChainAutomaton) -> frozenset:
-    """The automaton's language, listed only within kernel.state_cap()."""
-    return frozenset(State(aut.signature, values)
-                     for values in _language(aut, "allowed set"))
-
-
-def _automaton_possibility(aut: ChainAutomaton) -> PossibilityResult:
-    """check_ideal_possibility on an automaton's language, listing nothing.
-
-    windows[j] holds the letter windows (j-1, j, j+1) of accepted states,
-    None-padded at the chain ends, read off live automaton states. A
-    backward pass over keys (letter j-1, letter j, automaton state after j)
-    counts the states whose every window occurs (the merge closure) and the
-    rejected ones among them; the least rejected one is read off greedily.
-    """
-    alphabet, delta, reach, live = _runs(aut)
-    n, windows = len(alphabet), []
-    for j in range(n):
-        lo = max(j - 1, 0)
-        paths = [((), q) for q in live[lo]]
-        for k in range(lo, min(j + 2, n)):
-            paths = [(w + (a,), t) for w, q in paths
-                     for a, t in enumerate(delta[k][q]) if t in live[k + 1]]
-        windows.append({(None,) * (j == 0) + w + (None,) * (j == n - 1)
-                        for w, _ in paths})
-    marked, later = [None] * n, {}
-    for j in range(n - 1, -1, -1):
-        keys = {}
-        for p, a, b in windows[j]:
-            for q in [*reach[j + 1], None]:
-                count, bad = (1, q not in aut.accepting) if b is None else \
-                    later.get((a, b, delta[j + 1][q][b]), (0, 0))
-                if count:
-                    total, rejected = keys.get((p, a, q), (0, 0))
-                    keys[p, a, q] = (total + count, rejected + bad)
-        marked[j] = {key for key, (_, bad) in keys.items() if bad}
-        later = keys
-    starts = [(None, a, t) for a, t in enumerate(delta[0][aut.initial])]
-    closure, rejected = map(sum, zip(*(later.get(k, (0, 0)) for k in starts)))
-    sizes = (closure, closure - rejected, aut.signature.size)
-    key = next((k for k in starts if k in marked[0]), None)
-    if key is None:
-        return PossibilityResult(True, None, None, *sizes)
-    word = [key]
-    for j in range(1, n):
-        p, a, q = word[-1]
-        word.append(next(k for k in ((a, b, t)
-                                     for b, t in enumerate(delta[j][q]))
-                         if (p, a, k[1]) in windows[j - 1]
-                         and k in marked[j]))
-    values = sum((alphabet[j][k[1]] for j, k in enumerate(word)), ())
-    return PossibilityResult(False, State(aut.signature, values), 1, *sizes)
-
-
 def check_ideal_possibility(allowed, disallowed=None,
                             signature: Optional[Signature] = None
                             ) -> PossibilityResult:
@@ -219,8 +216,8 @@ def check_ideal_possibility(allowed, disallowed=None,
     disallowed state: any merge-symmetric mapping would be forced to give
     that state a program preimage, so no program confines itself to the
     allowed set. The answer depends on `allowed` alone: a state set, or a
-    ChainAutomaton accepting it, which is decided by counting with no state
-    listed and so bounded by neither the state cap nor the universe. A
+    ChainAutomaton accepting it. Either is decided by counting, with no
+    state listed, so neither the state cap nor the universe bounds it. A
     `disallowed` set, given only with a state set, must partition the
     universe with `allowed`; None stands for the complement, never listed.
     """
@@ -228,34 +225,31 @@ def check_ideal_possibility(allowed, disallowed=None,
         if disallowed is not None:
             raise ModelError("an automaton's disallowed states are the rest "
                              "of its universe; pass no disallowed set")
-        ps = allowed.signature.positions
-        if ps[-1] - ps[0] != len(ps) - 1:
-            raise ModelError("an automaton over a signature with a position "
-                             "gap reads letter windows that are not "
-                             "position windows; pass its states")
-        return _automaton_possibility(allowed)
-    allowed = frozenset(allowed)
-    if disallowed is None:
-        _, sig = _resolve_signature(allowed, signature)
+        aut = allowed
     else:
-        disallowed = frozenset(disallowed)
-        _, sig = _resolve_signature(allowed | disallowed, signature)
-        overlap = allowed & disallowed
-        if overlap:
-            raise ModelError(
-                "allowed and disallowed overlap, e.g. %s"
-                % min(overlap, key=lambda s: s.values).text())
-        if len(allowed) + len(disallowed) != sig.size:
-            raise ModelError(
-                "allowed (%d) and disallowed (%d) do not partition the "
-                "%d-state specification universe"
-                % (len(allowed), len(disallowed), sig.size))
-    closure = merge_closure(allowed, sig)
-    witness = min((s for s in closure if s not in allowed),
-                  key=lambda s: s.values, default=None)
-    return PossibilityResult(witness is None, witness,
-                             None if witness is None else 1, len(closure),
-                             len(allowed), sig.size)
+        allowed = frozenset(allowed)
+        if disallowed is None:
+            _, sig = _resolve_signature(allowed, signature)
+        else:
+            disallowed = frozenset(disallowed)
+            _, sig = _resolve_signature(allowed | disallowed, signature)
+            overlap = allowed & disallowed
+            if overlap:
+                raise ModelError(
+                    "allowed and disallowed overlap, e.g. %s"
+                    % min(overlap, key=lambda s: s.values).text())
+            if len(allowed) + len(disallowed) != sig.size:
+                raise ModelError(
+                    "allowed (%d) and disallowed (%d) do not partition the "
+                    "%d-state specification universe"
+                    % (len(allowed), len(disallowed), sig.size))
+        aut = _prefixes(sig, allowed)
+    total, bad, walk = _closure(aut, aut)
+    values, sig = next(walk(4), None), aut.signature
+    sizes = (total, total - bad, sig.size)
+    if values is None:
+        return PossibilityResult(True, None, None, *sizes)
+    return PossibilityResult(False, State(sig, values), 1, *sizes)
 
 
 # --------------------------------------------------------------------------

@@ -203,8 +203,8 @@ def test_le_fixture_respects_the_default_cap(capsys, monkeypatch, tmp_path):
 
 
 def test_merge_closure_respects_the_cap(capsys, monkeypatch, tmp_path):
-    # a file pair is listed: le at N = 5 has 112 allowed states and a
-    # 136-state merge closure
+    # le at N = 5 has 112 allowed states and a 136-state merge closure; a
+    # file pair is counted, not listed, so the cap does not bound it
     fx = protocols.make_le(5)
     allowed, disallowed = tmp_path / "allowed.txt", tmp_path / "rest.txt"
     allowed.write_text(format_spec_states(fx.allowed))
@@ -215,12 +215,12 @@ def test_merge_closure_respects_the_cap(capsys, monkeypatch, tmp_path):
     uncapped = run(capsys, *argv)
     assert uncapped[0] == 0 and "verdict: impossible" in uncapped[1]
     monkeypatch.setenv("STABILIQ_STATE_CAP", "135")
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error: merge closure has 136 states, above the "
-                          "cap of 135;")
-    monkeypatch.setenv("STABILIQ_STATE_CAP", "136")
     assert run(capsys, *argv) == uncapped
+    # listing the same closure still asks the cap
+    with pytest.raises(UniverseCapError,
+                       match="^merge closure has 136 states, above the "
+                             "cap of 135;"):
+        merge.merge_closure(fx.allowed)
 
 
 def test_le_cli_lists_no_state(capsys, monkeypatch, tmp_path):
@@ -228,7 +228,7 @@ def test_le_cli_lists_no_state(capsys, monkeypatch, tmp_path):
         raise AssertionError("a state set was listed")
 
     monkeypatch.setattr(Signature, "states", refuse)
-    monkeypatch.setattr(merge, "_language", refuse)
+    monkeypatch.setattr(merge, "_listed", refuse)
     monkeypatch.setattr(protocols.LeFixture, "allowed", property(refuse))
     path = tmp_path / "le9.json"
     code, _, _ = run(capsys, "impossibility", "--protocol", "le", "--n", "9",

@@ -1,4 +1,5 @@
 """State mappings, merge closure, merge symmetry, possibility analysis."""
+import functools
 import itertools
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import format_spec_states, map_state
-from stabiliq import explorer, protocols
+from stabiliq import explorer, merge, protocols
 from stabiliq.dsl import parse_protocol
 from stabiliq.kernel import (BOOL, ChainAutomaton, ChainPredicate, Domain,
                              ModelError, Signature, UniverseCapError)
@@ -329,10 +330,58 @@ def test_merge_symmetry_honours_the_cap(monkeypatch):
     assert check_merge_symmetry(bundle.program, bundle.mapping) is None
 
 
+CM_ORDERS = [(1, 2, 3, 4), (4, 3, 2, 1), (2, 1, 3, 4), (3, 1, 5, 2, 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def cm_image(ids) -> tuple:
+    """The conflict manager's bundle, its specification signature and the
+    image of its universe, listed state by state."""
+    bundle = protocols.make_cm(ids)
+    sig = bundle.mapping.bind(bundle.program).signature
+    return bundle, sig, frozenset(
+        map_state(bundle.mapping, bundle.program, s)
+        for s in bundle.program.signature.states())
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(CM_ORDERS), st.data())
+def test_merge_symmetry_against_the_brute_enumerator(ids, data):
+    bundle, sig, image = cm_image(ids)
+    picks = data.draw(st.lists(st.integers(0, sig.size - 1), min_size=1,
+                               max_size=8))
+    base = frozenset(map(sig.state_at, picks))
+    least = min(helpers.brute_merge_closure(sig, base) - image,
+                key=lambda s: s.values, default=None)
+    assert check_merge_symmetry(bundle.program, bundle.mapping,
+                                spec_states=base) == least
+
+
+@pytest.mark.parametrize("ids", CM_ORDERS)
+def test_merge_symmetry_of_the_image_against_the_brute_enumerator(ids):
+    bundle, sig, image = cm_image(ids)
+    least = min(helpers.brute_merge_closure(sig, image) - image,
+                key=lambda s: s.values, default=None)
+    assert check_merge_symmetry(bundle.program, bundle.mapping) == least
+
+
+def test_counted_questions_list_no_state(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a closure was listed")
+
+    fx = protocols.make_le(9)
+    allowed, disallowed = fx.allowed, fx.disallowed
+    monkeypatch.setattr(merge, "_listed", refuse)
+    result = check_ideal_possibility(allowed, disallowed)
+    assert possibility_fields(result) == helpers.le_closed_form(9)
+    bundle = protocols.make_cm((2, 1, 3, 4))
+    assert check_merge_symmetry(bundle.program, bundle.mapping) is None
+
+
 @st.composite
 def spec_instances(draw):
-    """A signature of 2- and 3-valued slots over up to four positions, with
-    gaps allowed and slots listed in any order, plus a nonempty state set."""
+    """A signature of 2- and 3-valued slots over up to four positions, in
+    position order with gaps allowed, plus a nonempty state set."""
     positions = sorted(draw(st.sets(st.integers(1, 7), min_size=2,
                                     max_size=4)))
     slots = []
@@ -341,7 +390,7 @@ def spec_instances(draw):
             if len(slots) < 6:
                 values = ("a", "b", "c")[:draw(st.sampled_from((2, 3)))]
                 slots.append((p, "v%d" % k, Domain("d", values)))
-    sig = Signature(draw(st.permutations(slots)))
+    sig = Signature(slots)
     picks = draw(st.lists(st.integers(0, sig.size - 1), min_size=1,
                           max_size=12))
     return sig, frozenset(sig.state_at(i) for i in picks)
@@ -360,7 +409,8 @@ def test_one_step_closure_against_the_brute_enumerator(instance):
     least = min(brute - states, key=lambda s: s.values, default=None)
     assert result.witness == least
     assert result.possible == (least is None)
-    assert result.closure_size == len(brute)
+    assert (result.closure_size, result.allowed_size) == \
+        (len(brute), len(states))
     # the pruning pass counts the closure before listing it
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("STABILIQ_STATE_CAP", str(len(brute)))
@@ -458,9 +508,7 @@ def run_automaton(aut, state) -> bool:
 @given(st.one_of(chain_automata(), chain_automata(width=2),
                  chain_automata(gaps=True)))
 def test_automaton_bits_are_the_states_it_accepts(aut):
-    # gapped signatures included: each present position is read, and the
-    # possibility check, whose letter windows would not be position
-    # windows, refuses them
+    # gapped signatures included: each present position is read
     sig = aut.signature
     states = list(sig.states())
     expected = [run_automaton(aut, s) for s in states]
@@ -469,9 +517,6 @@ def test_automaton_bits_are_the_states_it_accepts(aut):
     assert [ChainPredicate(lambda sig: aut)(s) for s in states] == expected
     assert accepted_states(aut) == frozenset(
         itertools.compress(states, expected))
-    if sig.positions[-1] - sig.positions[0] >= len(sig.positions):
-        with pytest.raises(ModelError):
-            check_ideal_possibility(aut)
 
 
 def test_an_automaton_with_no_accepting_run_has_no_bits():
@@ -486,9 +531,10 @@ def test_an_automaton_with_no_accepting_run_has_no_bits():
     assert not any(map(ChainPredicate(lambda sig: aut), sig.states()))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(chain_automata())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(chain_automata(), chain_automata(gaps=True)))
 def test_automaton_path_agrees_with_the_listed_language(aut):
+    # gapped automata included: a window holds no letter across a gap
     sig = aut.signature
     accepted = frozenset(s for s in sig.states() if run_automaton(aut, s))
     assert accepted_states(aut) == accepted
@@ -501,16 +547,23 @@ def test_automaton_path_agrees_with_the_listed_language(aut):
 
 
 def test_chain_automaton_needs_slots_in_chain_order():
+    # the signature refuses slots out of position order
+    with pytest.raises(ModelError, match="position order"):
+        Signature([(2, "x", BOOL), (1, "x", BOOL)])
+    # a gap is read past, and the possibility check decides it: the
+    # windows of positions 1 and 3 never meet
     step = lambda q, p, a: q  # noqa: E731
-    shuffled = Signature([(2, "x", BOOL), (1, "x", BOOL)])
-    with pytest.raises(ModelError):
-        ChainAutomaton(shuffled, 0, step, frozenset([0]))
-    # a gap is read past, but the possibility check refuses it
     gapped = ChainAutomaton(Signature([(1, "x", BOOL), (3, "x", BOOL)]), 0,
                             step, frozenset([0]))
     assert gapped.bits() == 0b1111
-    with pytest.raises(ModelError):
-        check_ideal_possibility(gapped)
+    assert possibility_fields(check_ideal_possibility(gapped)) == {
+        "possible": True, "witness": None, "generation": None,
+        "closure_size": 4, "allowed_size": 4, "universe_size": 4}
+    ends = ChainAutomaton(gapped.signature, 0,
+                          lambda q, p, a: q + a[0], frozenset([0, 2]))
+    result = check_ideal_possibility(ends)
+    assert (result.witness.text(), result.closure_size) == \
+        ("x.p1=false x.p3=true", 4)
     fx = protocols.make_le(4)
     with pytest.raises(ModelError):
         check_ideal_possibility(fx.automaton, fx.disallowed)

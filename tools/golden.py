@@ -15,7 +15,9 @@ N = 3..6, and abp; and pif-coverage for pif at N = 3..8. Then come
 `export-dot --condensed` and plain `export-dot` at small N, and
 `export-dot --color` for pif at N = 3 and for abp; `simulate` for each built-in and each shipped sample via
 `--file`, under both policies and every `--from` form; `impossibility` for
-le at N = 4..8 and for one pair of state files; and flags a command refuses.
+le at N = 4..8 and for four pairs of state files (end grants that merge
+into a disallowed state, a universe over positions 1, 2 and 4, a
+merge-closed allowed set, and le at N = 5); and flags a command refuses.
 In an argument list, <samples> stands for the shipped samples' directory
 and <scratch> for a directory holding FILES; output shows them the same way.
 Beside the commands, tests/golden/diagnostics.json holds the parser's
@@ -43,15 +45,37 @@ DIAGNOSTICS = ROOT / "tests" / "golden" / "diagnostics.json"
 POLICIES = ((), ("--stutter-policy", "allowed"),
             ("--stutter-policy", "forbidden"))
 _ELAPSED = re.compile(r'(elapsed_ms["=:]+ ?)[0-9.e+-]+')
-# A specification universe of four booleans whose allowed set, no grant or
-# one grant at a chain end, merges into a disallowed state.
-_STATES = [" ".join("x.p%d=%s" % (p, v) for p, v in enumerate(values, 1))
-           for values in itertools.product(("false", "true"), repeat=4)]
-_ALLOWED = {_STATES[0], _STATES[1], _STATES[8]}
-FILES = {"allowed.txt": "".join(s + "\n" for s in _STATES if s in _ALLOWED),
-         "disallowed.txt": "".join(s + "\n" for s in _STATES
-                                   if s not in _ALLOWED)}
 
+
+def _pair(labels, allowed) -> tuple:
+    """The allowed and disallowed state files of a universe of boolean
+    slots, labels in slot order, split by allowed(values)."""
+    texts = {True: "", False: ""}
+    for values in itertools.product((False, True), repeat=len(labels)):
+        texts[bool(allowed(values))] += " ".join(
+            "%s=%s" % (label, str(v).lower())
+            for label, v in zip(labels, values)) + "\n"
+    return texts[True], texts[False]
+
+
+_X4 = ["x.p%d" % p for p in range(1, 5)]
+_PAIRS = {
+    # no grant or one grant at a chain end: they merge into a disallowed
+    # state
+    "": _pair(_X4, lambda v: sum(v) <= 1 and not any(v[1:3])),
+    # positions 1, 2 and 4: the windows of 2 and 4 never meet
+    "gap-": _pair(["x.p1", "x.p2", "x.p4", "y.p4"],
+                  lambda v: v[0] == v[1] == v[2] and not v[3]),
+    # no two adjacent grants: a merge-closed allowed set
+    "closed-": _pair(_X4, lambda v: not any(map(all, zip(v, v[1:])))),
+    # leader election at N = 5: at most one leader, and only a contender
+    "le5-": _pair(["%s.p%d" % (name, p) for p in range(1, 6)
+                   for name in ("contend", "leader")],
+                  lambda v: sum(v[1::2]) <= 1
+                  and all(c or not lead for c, lead in zip(v[::2], v[1::2]))),
+}
+FILES = {prefix + side + ".txt": text for prefix, pair in _PAIRS.items()
+         for side, text in zip(("allowed", "disallowed"), pair)}
 
 def _selections():
     """(protocol options, the protocol's named predicates) pairs."""
@@ -126,8 +150,10 @@ def _simulations() -> list:
 def _impossibilities() -> list:
     out = [("impossibility", "--protocol", "le", "--n", str(n), "--json")
            for n in range(4, 9)]
-    return out + [("impossibility", "--allowed-file", "<scratch>/allowed.txt",
-                   "--disallowed-file", "<scratch>/disallowed.txt", "--json")]
+    return out + [("impossibility",
+                   "--allowed-file", "<scratch>/%sallowed.txt" % prefix,
+                   "--disallowed-file", "<scratch>/%sdisallowed.txt" % prefix,
+                   "--json") for prefix in _PAIRS]
 
 
 def _refusals() -> list:
